@@ -17,6 +17,7 @@ from . import polygon as P
 from . import render as R
 from . import verify as V
 from .group import (
+    EnumerationLimitError,
     HeckeParams,
     enumerate_group,
     principal_congruence_index,
@@ -251,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -10,7 +10,7 @@ order by the closed-form index formula, and classifies elements as even/odd.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +29,7 @@ __all__ = [
     "HeckeParams",
     "EnumerationLimitError",
     "DEFAULT_GROUP_LIMIT",
+    "RADICAND",
     "generators",
     "principal_congruence_index",
     "enumerate_group",
@@ -41,7 +42,8 @@ __all__ = [
 
 DEFAULT_GROUP_LIMIT = 10**6
 
-_RADICAND = {3: 1, 4: 2, 6: 3}
+# Radicand m of lam_q**2, keyed by q.
+RADICAND = {3: 1, 4: 2, 6: 3}
 
 
 class EnumerationLimitError(RuntimeError):
@@ -64,7 +66,7 @@ class HeckeParams:
     @property
     def m(self) -> int:
         """Radicand of lam_q**2: 1, 2, 3 for q = 3, 4, 6."""
-        return _RADICAND[self.q]
+        return RADICAND[self.q]
 
     @property
     def ring(self) -> RingParams:
@@ -139,7 +141,12 @@ def _group_limit(limit: int | None) -> int:
     if limit is not None:
         return limit
     env = os.environ.get("HFMAP_MAX_GROUP")
-    return int(env) if env else DEFAULT_GROUP_LIMIT
+    if not env:
+        return DEFAULT_GROUP_LIMIT
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"HFMAP_MAX_GROUP must be an integer, got {env!r}") from None
 
 
 @dataclass
@@ -147,22 +154,27 @@ class FiniteHeckeGroup:
     """Enumerated quotient with 0-based element indices in BFS order.
 
     Elements are stored as packed canonical keys plus their (N, 8) component
-    table; the identity has index 0.  Immutable after construction.
+    table; the identity has index 0.  ``cayley[i]`` holds the indices of
+    i*S and i*T, resolved from the closure's ``product_keys``.  Immutable
+    after construction.
     """
 
     params: HeckeParams
     keys: np.ndarray
     comps: np.ndarray
+    product_keys: InitVar[np.ndarray]
     gen_S: int = 0
     gen_T: int = 0
     gen_R: int = 0
+    cayley: np.ndarray = field(init=False, repr=False)
     _sorted_keys: np.ndarray = field(default=None, repr=False)
     _sorted_to_bfs: np.ndarray = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, product_keys: np.ndarray) -> None:
         order = np.argsort(self.keys)
         self._sorted_keys = self.keys[order]
         self._sorted_to_bfs = order.astype(np.int64)
+        self.cayley = self._indices_of_keys(product_keys)
         s, t, r = generators(self.params)
         self.gen_S = self.index_of_matrix(s)
         self.gen_T = self.index_of_matrix(t)
@@ -213,14 +225,19 @@ class FiniteHeckeGroup:
         )
         return self.index_of_key(int(kernels.canonical_keys(adj, n)))
 
-    def right_mult_perm(self, j: int) -> np.ndarray:
-        """Permutation i -> i*j over all element indices, as an int64 array."""
-        n, m = self.params.n, self.params.m
-        keys = kernels.right_mult_keys(self.comps, self.comps[j], n, m)
+    def _indices_of_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Element indices of an array of keys, each of which must be an element."""
         pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.order - 1)
         if not np.array_equal(self._sorted_keys[pos], keys):
             raise RuntimeError("group is not closed under multiplication")
         return self._sorted_to_bfs[pos]
+
+    def right_mult_perm(self, j: int) -> np.ndarray:
+        """Permutation i -> i*j over all element indices, as an int64 array."""
+        n, m = self.params.n, self.params.m
+        return self._indices_of_keys(
+            kernels.right_mult_keys(self.comps, self.comps[j], n, m)
+        )
 
     def parities(self) -> np.ndarray:
         """Bool array, True where the element is odd (q = 4 or 6 only)."""
@@ -234,23 +251,19 @@ class FiniteHeckeGroup:
         return odd
 
 
-def enumerate_group(
-    p: HeckeParams,
-    limit: int | None = None,
-    backend: str | None = None,
-) -> FiniteHeckeGroup:
+def enumerate_group(p: HeckeParams, limit: int | None = None) -> FiniteHeckeGroup:
     """Breadth-first closure of {S, T} in projective matrices mod n."""
     s, t, _ = generators(p)
     gens = np.asarray([s.components(), t.components()], dtype=np.int64)
     bound = _group_limit(limit)
-    keys, done = kernels.closure_bfs(gens, p.n, p.m, bound, backend=backend)
+    keys, products, done = kernels.closure_bfs(gens, p.n, p.m, bound)
     if not done:
         raise EnumerationLimitError(
             f"group closure for q={p.q}, n={p.n} exceeded {bound} elements; "
             "raise the limit or HFMAP_MAX_GROUP"
         )
     comps = kernels.unpack_keys(keys, p.n)
-    return FiniteHeckeGroup(params=p, keys=keys, comps=comps)
+    return FiniteHeckeGroup(params=p, keys=keys, comps=comps, product_keys=products)
 
 
 @lru_cache(maxsize=32)

@@ -6,18 +6,13 @@ base-n digits, most significant first, gives an int64 key whose numeric
 order equals lexicographic order on the component tuple, so the canonical
 projective representative is simply min(key(g), key(-g)).
 
-Two interchangeable closure backends are provided:
-
-* ``numba``  - scalar FIFO BFS over an open-addressing hash set, @njit;
-* ``numpy``  - level-synchronous vectorized BFS.
-
-Both return the exact same element order (the scalar FIFO discovery order).
-Selection: HFMAP_BACKEND=numba|numpy|auto (default auto = numba if importable).
+The closure is a level-synchronous vectorized BFS.  Elements come level by
+level from the identity, in ascending canonical key within a level, and the
+canonical keys of every element's products with the generators come with
+them, so callers get the Cayley table without multiplying again.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -29,27 +24,11 @@ __all__ = [
     "mat_mul_components",
     "right_mult_keys",
     "closure_bfs",
-    "available_backends",
     "resolve_backend",
 ]
 
 # n**8 must fit in int64: 180**8 < 2**63 < 181**8.
 MAX_MODULUS = 180
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 
 def _check_modulus(n: int) -> None:
@@ -107,172 +86,57 @@ def right_mult_keys(comps: np.ndarray, g: np.ndarray, n: int, m: int) -> np.ndar
     return canonical_keys(mat_mul_components(comps, g, n, m), n)
 
 
-# ---------------------------------------------------------------------------
-# numpy backend: level-synchronous BFS replicating scalar FIFO order.
-# ---------------------------------------------------------------------------
+def resolve_backend() -> str:
+    """Name of the closure implementation, recorded with benchmark results."""
+    return "numpy"
 
 
-def _closure_numpy(gens: np.ndarray, n: int, m: int, limit: int) -> tuple[np.ndarray, bool]:
-    ident = np.zeros(8, dtype=np.int64)
-    ident[0] = 1
-    ident[6] = 1
-    id_key = canonical_keys(ident, n)
-    order = [np.asarray([id_key], dtype=np.int64).reshape(1)]
-    visited = np.asarray([id_key], dtype=np.int64).reshape(1)
-    count = 1
-    frontier = ident.reshape(1, 8)
-    k = gens.shape[0]
-    while frontier.shape[0] > 0:
-        # Row order f0*g0, f0*g1, f1*g0, ... matches the scalar FIFO loop.
-        prods = np.stack(
-            [mat_mul_components(frontier, gens[i], n, m) for i in range(k)], axis=1
-        ).reshape(-1, 8)
-        keys = canonical_keys(prods, n)
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        keys = keys[first]
-        pos = np.searchsorted(visited, keys)
-        pos = np.minimum(pos, visited.shape[0] - 1)
-        fresh = keys[visited[pos] != keys]
-        if fresh.shape[0] == 0:
-            break
-        count += fresh.shape[0]
-        order.append(fresh)
-        if count > limit:
-            return np.concatenate(order), False
-        visited = np.sort(np.concatenate([visited, fresh]))
-        frontier = unpack_keys(fresh, n)
-    return np.concatenate(order), True
-
-
-# ---------------------------------------------------------------------------
-# numba backend: scalar FIFO BFS over an open-addressing table.
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _bfs_numba(gens, n, m, limit):  # pragma: no cover - compiled
-        gold = np.uint64(0x9E3779B97F4A7C15)
-        cap = 1 << 12
-        shift = np.uint64(64 - 12)
-        table = np.full(cap, -1, dtype=np.int64)
-        order = np.empty(limit + 2, dtype=np.int64)
-
-        comps = np.zeros(8, dtype=np.int64)
-        comps[0] = 1
-        comps[6] = 1
-        key = np.int64(0)
-        negkey = np.int64(0)
-        for i in range(8):
-            key = key * n + comps[i]
-            negkey = negkey * n + (-comps[i]) % n
-        if negkey < key:
-            key = negkey
-        slot = np.int64((np.uint64(key) * gold) >> shift)
-        table[slot] = key
-        order[0] = key
-        count = 1
-
-        ng = gens.shape[0]
-        a = np.empty(8, dtype=np.int64)
-        prod = np.empty(8, dtype=np.int64)
-        head = 0
-        while head < count:
-            cur = order[head]
-            head += 1
-            rem = cur
-            for i in range(7, -1, -1):
-                a[i] = rem % n
-                rem //= n
-            for gi in range(ng):
-                b = gens[gi]
-                prod[0] = (a[0] * b[0] + m * a[1] * b[1] + a[2] * b[4] + m * a[3] * b[5]) % n
-                prod[1] = (a[0] * b[1] + a[1] * b[0] + a[2] * b[5] + a[3] * b[4]) % n
-                prod[2] = (a[0] * b[2] + m * a[1] * b[3] + a[2] * b[6] + m * a[3] * b[7]) % n
-                prod[3] = (a[0] * b[3] + a[1] * b[2] + a[2] * b[7] + a[3] * b[6]) % n
-                prod[4] = (a[4] * b[0] + m * a[5] * b[1] + a[6] * b[4] + m * a[7] * b[5]) % n
-                prod[5] = (a[4] * b[1] + a[5] * b[0] + a[6] * b[5] + a[7] * b[4]) % n
-                prod[6] = (a[4] * b[2] + m * a[5] * b[3] + a[6] * b[6] + m * a[7] * b[7]) % n
-                prod[7] = (a[4] * b[3] + a[5] * b[2] + a[6] * b[7] + a[7] * b[6]) % n
-                key = np.int64(0)
-                negkey = np.int64(0)
-                for i in range(8):
-                    key = key * n + prod[i]
-                    negkey = negkey * n + (-prod[i]) % n
-                if negkey < key:
-                    key = negkey
-                slot = np.int64((np.uint64(key) * gold) >> shift)
-                while True:
-                    seen = table[slot]
-                    if seen == key:
-                        break
-                    if seen == -1:
-                        table[slot] = key
-                        order[count] = key
-                        count += 1
-                        if count > limit:
-                            return order[:count], False
-                        if 2 * count > cap:
-                            cap = cap * 2
-                            shift = np.uint64(np.uint64(shift) - np.uint64(1))
-                            table = np.full(cap, -1, dtype=np.int64)
-                            for j in range(count):
-                                kj = order[j]
-                                sj = np.int64((np.uint64(kj) * gold) >> shift)
-                                while table[sj] != -1:
-                                    sj = (sj + 1) & (cap - 1)
-                                table[sj] = kj
-                        break
-                    slot = (slot + 1) & (cap - 1)
-        return order[:count], True
-
-
-def _closure_numba(gens: np.ndarray, n: int, m: int, limit: int) -> tuple[np.ndarray, bool]:
-    if not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    keys, ok = _bfs_numba(gens, n, m, limit)
-    return np.asarray(keys, dtype=np.int64), bool(ok)
-
-
-# ---------------------------------------------------------------------------
-# Backend selection.
-# ---------------------------------------------------------------------------
-
-_BACKENDS = {
-    "numpy": _closure_numpy,
-    "numba": _closure_numba,
-}
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Pick the closure backend from the argument or HFMAP_BACKEND."""
-    choice = backend or os.environ.get("HFMAP_BACKEND", "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if choice not in _BACKENDS:
-        raise ValueError(f"unknown backend {choice!r}; expected numba, numpy or auto")
-    if choice == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("HFMAP_BACKEND=numba but numba is not installed")
-    return choice
+def _grow(buf: np.ndarray, rows: int) -> np.ndarray:
+    """``buf``, or a copy with room for twice ``rows`` rows when it holds fewer."""
+    if rows <= buf.shape[0]:
+        return buf
+    out = np.empty((2 * rows,) + buf.shape[1:], dtype=buf.dtype)
+    out[: buf.shape[0]] = buf
+    return out
 
 
 def closure_bfs(
-    gens: np.ndarray,
-    n: int,
-    m: int,
-    limit: int,
-    backend: str | None = None,
-) -> tuple[np.ndarray, bool]:
+    gens: np.ndarray, n: int, m: int, limit: int
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """Breadth-first closure of canonical generator keys under right products.
 
-    Returns (keys in discovery order, completed).  ``completed`` is False when
-    the closure exceeded ``limit`` elements and was abandoned.
+    Returns (keys, products, completed).  ``keys`` lists the elements level by
+    level from the identity, ascending within a level.  ``products[i, j]`` is
+    the canonical key of keys[i] * gens[j].  ``completed`` is False when the
+    closure would exceed ``limit`` elements; keys and products then hold the
+    levels found so far.
     """
     _check_modulus(n)
-    gens = np.ascontiguousarray(np.asarray(gens, dtype=np.int64).reshape(-1, 8))
-    return _BACKENDS[resolve_backend(backend)](gens, n, m, limit)
+    gens = np.asarray(gens, dtype=np.int64).reshape(-1, 8)
+    ident = np.zeros(8, dtype=np.int64)
+    ident[0] = 1
+    ident[6] = 1
+    visited = canonical_keys(ident, n).reshape(1)
+    # The results grow by doubling, not as one array per level: small arrays
+    # kept across levels pin the heap under each level's temporaries and
+    # raise peak memory.
+    order = visited.copy()
+    products = np.empty((1, gens.shape[0]), dtype=np.int64)
+    count = 1
+    frontier = ident.reshape(1, 8)
+    while True:
+        # The frontier is the last level, rows count - len(frontier) on.
+        level = right_mult_keys(frontier[:, None, :], gens, n, m)
+        products[count - level.shape[0] : count] = level
+        keys = np.unique(level)
+        pos = np.minimum(np.searchsorted(visited, keys), visited.shape[0] - 1)
+        fresh = keys[visited[pos] != keys]
+        end = count + fresh.shape[0]
+        if fresh.shape[0] == 0 or end > limit:
+            return order[:count], products[:count], fresh.shape[0] == 0
+        order = _grow(order, end)
+        products = _grow(products, end)
+        order[count:end] = fresh
+        count = end
+        visited = np.sort(np.concatenate([visited, fresh]))
+        frontier = unpack_keys(fresh, n)

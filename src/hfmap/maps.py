@@ -133,9 +133,8 @@ class MapStructure:
 
 
 def build_algebraic_map(group: FiniteHeckeGroup) -> MapStructure:
-    """Darts = group elements; sigma = *T, alpha = *S."""
-    sigma = group.right_mult_perm(group.gen_T)
-    alpha = group.right_mult_perm(group.gen_S)
+    """Darts = group elements; sigma = *T, alpha = *S, read off the Cayley table."""
+    alpha, sigma = group.cayley.T
     p = group.params
     return MapStructure(sigma=sigma, alpha=alpha, label=f"hecke(q={p.q},n={p.n})")
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .coords import HFCoord, coord_value_str, vertex_names
-from .group import HeckeParams
+from .group import RADICAND, HeckeParams
 from .maps import CoordGraph, build_coordinate_graph
 from .polygon import BoundarySequence, PairingTable, side_label_analysis
 
@@ -141,7 +141,7 @@ def universal_geodesics(q: int, depth: int) -> list[Geodesic]:
     in S, T, T^-1, ordered by exact endpoints."""
     if depth > MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the bound {MAX_DEPTH}")
-    m = {3: 1, 4: 2, 6: 3}[q]
+    m = RADICAND[q]
     lam = (1, 0) if q == 3 else (0, 1)
     ident: _IntMat = (1, 0, 0, 0, 0, 0, 1, 0)
     s: _IntMat = (0, 0, -1, 0, 1, 0, 0, 0)
@@ -219,7 +219,7 @@ def _sample_geodesic(geo: Geodesic, m: int, ymax: float, samples: int = 48) -> l
 def render_universal(q: int, cfg: RenderConfig) -> str:
     """SVG of the universal tessellation's edges down to the given depth."""
     geodesics = universal_geodesics(q, cfg.depth)
-    m = {3: 1, 4: 2, 6: 3}[q]
+    m = RADICAND[q]
     width = cfg.width
     if cfg.model == "halfplane":
         scale = width / (cfg.xmax - cfg.xmin)

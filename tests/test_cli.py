@@ -27,6 +27,17 @@ def test_index_usage_error():
     assert exc.value.code == 2
 
 
+def test_enumeration_limit_error(capsys, monkeypatch):
+    monkeypatch.setenv("HFMAP_MAX_GROUP", "50")
+    code, out, err = run(capsys, "map", "--q", "4", "--n", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: group closure for q=4, n=5 exceeded 50 elements")
+    monkeypatch.setenv("HFMAP_MAX_GROUP", "abc")
+    code, out, err = run(capsys, "map", "--q", "4", "--n", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: HFMAP_MAX_GROUP must be an integer")
+
+
 def test_map_json(capsys):
     code, out, _ = run(capsys, "map", "--q", "4", "--n", "5", "--json")
     assert code == 0

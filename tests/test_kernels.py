@@ -1,13 +1,11 @@
-"""Backend equivalence and a pure-Python closure oracle."""
+"""Packed-key kernels and the closure, checked against a pure-Python oracle."""
 
 import numpy as np
 import pytest
 
 from hfmap import kernels
-from hfmap.group import HeckeParams, generators
-from hfmap.ring import RingParams, canonicalize, mat_mul
-
-HAVE_NUMBA = "numba" in kernels.available_backends()
+from hfmap.group import HeckeParams, enumerate_group, generators
+from hfmap.ring import RingParams, canonicalize, identity_matrix, mat_mul
 
 
 def test_pack_unpack_roundtrip():
@@ -50,61 +48,63 @@ def test_mat_mul_components_matches_ring():
         assert got == want
 
 
+def _key(g, n):
+    return int(kernels.pack_components(np.asarray(g.components(), dtype=np.int64), n))
+
+
 def _reference_closure(p: HeckeParams):
-    """Scalar FIFO BFS with ProjMatrix values: the independent oracle."""
+    """Scalar FIFO BFS with ProjMatrix values: the independent oracle.
+
+    Returns {key: (matrix, BFS level)}.
+    """
     s, t, _ = generators(p)
     rp = p.ring
-    from hfmap.ring import identity_matrix
-
     ident = canonicalize(identity_matrix(rp), rp)
-    order = [ident]
+    order = [(ident, 0)]
     seen = {ident}
     head = 0
     while head < len(order):
-        g = order[head]
+        g, level = order[head]
         head += 1
         for gen in (s, t):
             h = mat_mul(g, gen, rp)
             if h not in seen:
                 seen.add(h)
-                order.append(h)
-    return order
+                order.append((h, level + 1))
+    return {_key(g, p.n): (g, level) for g, level in order}
 
 
-@pytest.mark.parametrize("q,n", [(4, 3), (3, 5), (4, 5), (6, 5)])
+CLOSURE_CASES = [(4, 3), (3, 5), (4, 5), (6, 5), (4, 7), (6, 7)]
+
+
+@pytest.mark.parametrize("q,n", CLOSURE_CASES)
 def test_numpy_closure_matches_python_oracle(q, n):
     p = HeckeParams(q, n)
     s, t, _ = generators(p)
     gens = np.asarray([s.components(), t.components()], dtype=np.int64)
-    keys, done = kernels.closure_bfs(gens, p.n, p.m, 10**6, backend="numpy")
+    keys, products, done = kernels.closure_bfs(gens, p.n, p.m, 10**6)
     assert done
     reference = _reference_closure(p)
-    ref_keys = [
-        int(kernels.pack_components(np.asarray(g.components(), dtype=np.int64), p.n))
-        for g in reference
+    # Same key set, identity first, levels in BFS order and each contiguous,
+    # keys ascending within a level.
+    assert sorted(keys.tolist()) == sorted(reference)
+    assert reference[int(keys[0])][1] == 0
+    levels = [reference[k][1] for k in keys.tolist()]
+    assert levels == sorted(levels)
+    for a, b, la, lb in zip(keys, keys[1:], levels, levels[1:]):
+        assert la != lb or a < b
+    want = [
+        [_key(mat_mul(reference[k][0], gen, p.ring), p.n) for gen in (s, t)]
+        for k in keys.tolist()
     ]
-    assert keys.tolist() == ref_keys
+    assert products.tolist() == want
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("q,n", [(4, 3), (3, 5), (4, 5), (4, 7), (6, 7), (4, 29)])
-def test_backends_identical(q, n):
-    p = HeckeParams(q, n)
-    s, t, _ = generators(p)
-    gens = np.asarray([s.components(), t.components()], dtype=np.int64)
-    a, _ = kernels.closure_bfs(gens, p.n, p.m, 10**6, backend="numpy")
-    b, _ = kernels.closure_bfs(gens, p.n, p.m, 10**6, backend="numba")
-    assert np.array_equal(a, b)
-
-
-def test_resolve_backend_env(monkeypatch):
-    monkeypatch.setenv("HFMAP_BACKEND", "numpy")
-    assert kernels.resolve_backend() == "numpy"
-    monkeypatch.setenv("HFMAP_BACKEND", "auto")
-    assert kernels.resolve_backend() in ("numba", "numpy")
-    monkeypatch.setenv("HFMAP_BACKEND", "noodle")
-    with pytest.raises(ValueError):
-        kernels.resolve_backend()
+@pytest.mark.parametrize("q,n", CLOSURE_CASES)
+def test_cayley_table_matches_right_mult_perm(q, n):
+    group = enumerate_group(HeckeParams(q, n))
+    assert np.array_equal(group.cayley[:, 0], group.right_mult_perm(group.gen_S))
+    assert np.array_equal(group.cayley[:, 1], group.right_mult_perm(group.gen_T))
 
 
 def test_modulus_bound():
