@@ -103,21 +103,11 @@ def cmd_circuit(args: argparse.Namespace) -> None:
         return
     if not args.search:
         raise ValueError("nothing to do: pass --verify or --search")
-    table = None
-    try:
-        table = C.vertex_names(p)
-    except ValueError:
-        pass
-    if ":" in args.start:
-        kind, frac = args.start.split(":", 1)
-        num, den = frac.split("/", 1)
-        start = C.normalize(kind, int(num), int(den), p)
-    elif table is not None:
-        start = table.coord(args.start)
-    else:
-        raise ValueError("no name table; pass --start kind:num/den")
+    start = P.parse_circuit_text(args.start, p).seq
+    if len(start) != 1:
+        raise ValueError(f"--start must give exactly one vertex, got {args.start!r}")
     poles = {int(x) for x in args.poles.split(",") if x.strip() != ""}
-    found = P.search_circuits(start, args.length, poles, p)
+    found = P.search_circuits(start[0], args.length, poles, p)
     for circuit in found:
         print(P.format_circuit_text(circuit, p))
     print(f"# {len(found)} circuits")

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .group import FiniteHeckeGroup, HeckeParams, parity
-from .ring import ProjMatrix, RingElem, ring_add, ring_mul
+from .group import HeckeParams, parity
+from .kernels import mat_mul_exact
 
 __all__ = [
     "HFCoord",
@@ -106,40 +106,40 @@ def poles(p: HeckeParams) -> list[HFCoord]:
     return [u for u in enumerate_coords(p) if is_pole(u)]
 
 
-def cusp_of(g: ProjMatrix, p: HeckeParams) -> HFCoord:
-    """Coordinate of g(infinity), read off the first column of g.
+def cusp_of(g, p: HeckeParams) -> HFCoord:
+    """Coordinate of g(infinity), read off the first column of the row g.
 
     Even matrices [[a, b*sqrt(m)], [c*sqrt(m), d]] give a/(c*sqrt(m)), odd
     ones the kind-B mirror.  Right multiplication by T fixes the result.
     """
     if p.q == 3:
-        return normalize("A", g.e11.rat, g.e21.rat, p)
+        return normalize("A", g[0], g[4], p)
     if parity(g, p) == "even":
-        return normalize("A", g.e11.rat, g.e21.irr, p)
-    return normalize("B", g.e11.irr, g.e21.rat, p)
+        return normalize("A", g[0], g[5], p)
+    return normalize("B", g[1], g[4], p)
 
 
-def _column(u: HFCoord, p: HeckeParams) -> tuple[RingElem, RingElem]:
+def apply_to_coord(g, u: HFCoord, p: HeckeParams) -> HFCoord:
+    """Moebius action of the row g on the homogeneous column of u.
+
+    The column (top, bot) is the first column of the row
+    (top.rat, top.irr, 0, 0, bot.rat, bot.irr, 0, 0); the image column is
+    the first column of the product.
+    """
     if p.q == 3:
-        return RingElem(u.num, 0), RingElem(u.den, 0)
-    if u.kind == "A":
-        return RingElem(u.num, 0), RingElem(0, u.den)
-    return RingElem(0, u.num), RingElem(u.den, 0)
-
-
-def apply_to_coord(g: ProjMatrix, u: HFCoord, p: HeckeParams) -> HFCoord:
-    """Moebius action of g on the homogeneous column of u."""
-    rp = p.ring
-    top, bot = _column(u, p)
-    w1 = ring_add(ring_mul(g.e11, top, rp), ring_mul(g.e12, bot, rp), rp)
-    w2 = ring_add(ring_mul(g.e21, top, rp), ring_mul(g.e22, bot, rp), rp)
+        col = (u.num, 0, 0, 0, u.den, 0, 0, 0)
+    elif u.kind == "A":
+        col = (u.num, 0, 0, 0, 0, u.den, 0, 0)
+    else:
+        col = (0, u.num, 0, 0, u.den, 0, 0, 0)
+    w = [v % p.n for v in mat_mul_exact(g, col, p.m)]
     if p.q == 3:
-        return normalize("A", w1.rat, w2.rat, p)
-    if w1.irr == 0 and w2.rat == 0:
-        return normalize("A", w1.rat, w2.irr, p)
-    if w1.rat == 0 and w2.irr == 0:
-        return normalize("B", w1.irr, w2.rat, p)
-    raise ValueError(f"image column ({w1}, {w2}) matches no coordinate pattern")
+        return normalize("A", w[0], w[4], p)
+    if w[1] == 0 and w[4] == 0:
+        return normalize("A", w[0], w[5], p)
+    if w[0] == 0 and w[5] == 0:
+        return normalize("B", w[1], w[4], p)
+    raise ValueError(f"image column {w[0:2]}, {w[4:6]} matches no coordinate pattern")
 
 
 def translate(u: HFCoord, p: HeckeParams) -> HFCoord:

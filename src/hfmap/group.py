@@ -5,6 +5,7 @@ T: z -> z + lam_q (lam_q = 2cos(pi/q), so lam = 1, sqrt(2), sqrt(3)) and the
 inversion S: z -> -1/z.  Reducing matrix entries modulo n and identifying
 g with -g yields a finite group; this module enumerates it, computes its
 order by the closed-form index formula, and classifies elements as even/odd.
+Elements are component rows (see ``kernels``).
 """
 
 from __future__ import annotations
@@ -16,14 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .ring import (
-    ProjMatrix,
-    RingElem,
-    RingParams,
-    canonicalize,
-    identity_matrix,
-    mat_mul,
-)
 
 __all__ = [
     "HeckeParams",
@@ -68,26 +61,21 @@ class HeckeParams:
         """Radicand of lam_q**2: 1, 2, 3 for q = 3, 4, 6."""
         return RADICAND[self.q]
 
-    @property
-    def ring(self) -> RingParams:
-        return RingParams(self.n, self.m)
 
+def generators(p: HeckeParams) -> np.ndarray:
+    """Canonical rows of S = [[0,-1],[1,0]], T = [[1,lam],[0,1]], R = T*S.
 
-def _lam(p: HeckeParams) -> RingElem:
-    # lam_3 = 1 lives in the rational part; lam_4, lam_6 are pure sqrt(m).
-    return RingElem(1, 0) if p.q == 3 else RingElem(0, 1)
-
-
-def generators(p: HeckeParams) -> tuple[ProjMatrix, ProjMatrix, ProjMatrix]:
-    """Canonical images of S = [[0,-1],[1,0]], T = [[1,lam],[0,1]], R = T*S."""
-    rp = p.ring
-    zero = RingElem(0, 0)
-    one = RingElem(1, 0)
-    minus_one = RingElem(rp.n - 1, 0)
-    s = canonicalize(ProjMatrix(zero, minus_one, one, zero), rp)
-    t = canonicalize(ProjMatrix(one, _lam(p), zero, one), rp)
-    r = mat_mul(t, s, rp)
-    return s, t, r
+    Returns a (3, 8) int64 array.  lam_3 = 1 lives in the rational part;
+    lam_4 and lam_6 are pure sqrt(m).
+    """
+    n = p.n
+    lam = (1, 0) if p.q == 3 else (0, 1)
+    s = [0, 0, n - 1, 0, 1, 0, 0, 0]
+    t = [1, 0, *lam, 0, 0, 1, 0]
+    r = kernels.mat_mul_components(t, s, n, p.m).tolist()
+    # The canonical sign of kernels.canonical_keys, without packing keys, so
+    # that any modulus works: the lexicographically smaller of g and -g.
+    return np.array([min(g, [-v % n for v in g]) for g in (s, t, r)], dtype=np.int64)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -175,10 +163,8 @@ class FiniteHeckeGroup:
         self._sorted_keys = self.keys[order]
         self._sorted_to_bfs = order.astype(np.int64)
         self.cayley = self._indices_of_keys(product_keys)
-        s, t, r = generators(self.params)
-        self.gen_S = self.index_of_matrix(s)
-        self.gen_T = self.index_of_matrix(t)
-        self.gen_R = self.index_of_matrix(r)
+        gens = kernels.canonical_keys(generators(self.params), self.params.n)
+        self.gen_S, self.gen_T, self.gen_R = self._indices_of_keys(gens).tolist()
 
     @property
     def order(self) -> int:
@@ -191,25 +177,11 @@ class FiniteHeckeGroup:
     def identity(self) -> int:
         return 0
 
-    def matrix(self, i: int) -> ProjMatrix:
-        c = self.comps[i]
-        return ProjMatrix(
-            RingElem(int(c[0]), int(c[1])),
-            RingElem(int(c[2]), int(c[3])),
-            RingElem(int(c[4]), int(c[5])),
-            RingElem(int(c[6]), int(c[7])),
-        )
-
     def index_of_key(self, key: int) -> int:
         pos = int(np.searchsorted(self._sorted_keys, key))
         if pos >= self._sorted_keys.shape[0] or self._sorted_keys[pos] != key:
             raise KeyError(f"key {key} is not an element of this group")
         return int(self._sorted_to_bfs[pos])
-
-    def index_of_matrix(self, g: ProjMatrix) -> int:
-        c = canonicalize(g, self.params.ring).components()
-        key = int(kernels.pack_components(np.asarray(c, dtype=np.int64), self.params.n))
-        return self.index_of_key(key)
 
     def mult(self, i: int, j: int) -> int:
         n, m = self.params.n, self.params.m
@@ -239,24 +211,11 @@ class FiniteHeckeGroup:
             kernels.right_mult_keys(self.comps, self.comps[j], n, m)
         )
 
-    def parities(self) -> np.ndarray:
-        """Bool array, True where the element is odd (q = 4 or 6 only)."""
-        if self.params.q == 3:
-            raise ValueError("parity is undefined for q=3 (all elements even)")
-        c = self.comps
-        even = (c[:, 1] == 0) & (c[:, 7] == 0) & (c[:, 2] == 0) & (c[:, 4] == 0)
-        odd = (c[:, 0] == 0) & (c[:, 6] == 0) & (c[:, 3] == 0) & (c[:, 5] == 0)
-        if not np.all(even ^ odd):
-            raise ValueError("group contains an element with no parity pattern")
-        return odd
-
 
 def enumerate_group(p: HeckeParams, limit: int | None = None) -> FiniteHeckeGroup:
     """Breadth-first closure of {S, T} in projective matrices mod n."""
-    s, t, _ = generators(p)
-    gens = np.asarray([s.components(), t.components()], dtype=np.int64)
     bound = _group_limit(limit)
-    keys, products, done = kernels.closure_bfs(gens, p.n, p.m, bound)
+    keys, products, done = kernels.closure_bfs(generators(p)[:2], p.n, p.m, bound)
     if not done:
         raise EnumerationLimitError(
             f"group closure for q={p.q}, n={p.n} exceeded {bound} elements; "
@@ -272,33 +231,36 @@ def cached_group(q: int, n: int) -> FiniteHeckeGroup:
     return enumerate_group(HeckeParams(q, n))
 
 
-def parity(g: ProjMatrix, p: HeckeParams) -> str:
+def parity(g, p: HeckeParams) -> str:
     """'even' for [[a, b*sqrt(m)], [c*sqrt(m), d]] patterns, 'odd' transposed.
 
-    Defined only for q in {4, 6}; for q = 3 every element is an integer
-    matrix and the even/odd split does not exist.
+    ``g`` is a component row.  Defined only for q in {4, 6}; for q = 3 every
+    element is an integer matrix and the even/odd split does not exist.
     """
     if p.q == 3:
         raise ValueError("parity is undefined for q=3 (all elements even)")
-    even = (g.e11.irr == 0 and g.e22.irr == 0 and g.e12.rat == 0 and g.e21.rat == 0)
-    odd = (g.e11.rat == 0 and g.e22.rat == 0 and g.e12.irr == 0 and g.e21.irr == 0)
+    even = g[1] == 0 and g[7] == 0 and g[2] == 0 and g[4] == 0
+    odd = g[0] == 0 and g[6] == 0 and g[3] == 0 and g[5] == 0
     if even and not odd:
         return "even"
     if odd and not even:
         return "odd"
-    raise ValueError(f"matrix {g} matches no parity pattern; corrupted element")
+    raise ValueError(
+        f"component row {[int(v) for v in g]} matches no parity pattern; corrupted element"
+    )
 
 
-def element_order(g: ProjMatrix, p: HeckeParams) -> int:
-    """Least k >= 1 with g**k projectively the identity."""
-    rp = p.ring
-    ident = canonicalize(identity_matrix(rp), rp)
-    acc = canonicalize(g, rp)
+def element_order(g, p: HeckeParams) -> int:
+    """Least k >= 1 with g**k projectively the identity; ``g`` is a component row."""
+    n = p.n
+    ident = {(1, 0, 0, 0, 0, 0, 1, 0), (n - 1, 0, 0, 0, 0, 0, n - 1, 0)}
+    g = tuple(int(v) % n for v in g)
+    acc = g
     k = 1
-    while acc != ident:
-        acc = mat_mul(acc, g, rp)
+    while acc not in ident:
+        acc = tuple(v % n for v in kernels.mat_mul_exact(acc, g, p.m))
         k += 1
-        if k > 4 * rp.n**3:
+        if k > 4 * n**3:
             raise RuntimeError("element order exceeds group-theoretic bound")
     return k
 

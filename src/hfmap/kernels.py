@@ -1,10 +1,14 @@
-"""Hot kernels: packed matrix keys and the breadth-first group closure.
+"""The one 2x2 product over Z[sqrt(m)], packed matrix keys, and the closure.
 
-A projective matrix is 8 residues in [0, n) (scan order e11.rat, e11.irr,
-e12.rat, e12.irr, e21.rat, e21.irr, e22.rat, e22.irr).  Packing them as
-base-n digits, most significant first, gives an int64 key whose numeric
-order equals lexicographic order on the component tuple, so the canonical
-projective representative is simply min(key(g), key(-g)).
+Every group element in the library is a component row: 8 residues in
+[0, n) in the scan order e11.rat, e11.irr, e12.rat, e12.irr, e21.rat,
+e21.irr, e22.rat, e22.irr.  ``mat_mul_exact`` is the only place the matrix
+product is written out; it works on tuples of Python ints (exact, used by
+the renderer over Z) and on component arrays (reduced mod n by
+``mat_mul_components``).  Packing the 8 residues as base-n digits, most
+significant first, gives an int64 key whose numeric order equals
+lexicographic order on the component tuple, so the canonical projective
+representative is simply min(key(g), key(-g)).
 
 The closure is a level-synchronous vectorized BFS.  Elements come level by
 level from the identity, in ascending canonical key within a level, and the
@@ -21,6 +25,7 @@ __all__ = [
     "pack_components",
     "unpack_keys",
     "canonical_keys",
+    "mat_mul_exact",
     "mat_mul_components",
     "right_mult_keys",
     "closure_bfs",
@@ -63,21 +68,34 @@ def canonical_keys(comps: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(pack_components(comps, n), pack_components(neg, n))
 
 
+def mat_mul_exact(a, b, m: int) -> tuple:
+    """The 8 unreduced components of the 2x2 product a*b over Z[sqrt(m)].
+
+    Both arguments unpack into 8 components along their first axis: tuples
+    of Python ints give the exact product, arrays of shape (8, ...) give
+    broadcast arrays of sums.
+    """
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    b0, b1, b2, b3, b4, b5, b6, b7 = b
+    return (
+        a0 * b0 + m * a1 * b1 + a2 * b4 + m * a3 * b5,
+        a0 * b1 + a1 * b0 + a2 * b5 + a3 * b4,
+        a0 * b2 + m * a1 * b3 + a2 * b6 + m * a3 * b7,
+        a0 * b3 + a1 * b2 + a2 * b7 + a3 * b6,
+        a4 * b0 + m * a5 * b1 + a6 * b4 + m * a7 * b5,
+        a4 * b1 + a5 * b0 + a6 * b5 + a7 * b4,
+        a4 * b2 + m * a5 * b3 + a6 * b6 + m * a7 * b7,
+        a4 * b3 + a5 * b2 + a6 * b7 + a7 * b6,
+    )
+
+
 def mat_mul_components(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Componentwise 2x2 product over Z_n[sqrt(m)]; broadcasts like numpy."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    a0, a1, a2, a3, a4, a5, a6, a7 = (a[..., i] for i in range(8))
-    b0, b1, b2, b3, b4, b5, b6, b7 = (b[..., i] for i in range(8))
-    out = np.empty(np.broadcast(a[..., 0], b[..., 0]).shape + (8,), dtype=np.int64)
-    out[..., 0] = (a0 * b0 + m * a1 * b1 + a2 * b4 + m * a3 * b5) % n
-    out[..., 1] = (a0 * b1 + a1 * b0 + a2 * b5 + a3 * b4) % n
-    out[..., 2] = (a0 * b2 + m * a1 * b3 + a2 * b6 + m * a3 * b7) % n
-    out[..., 3] = (a0 * b3 + a1 * b2 + a2 * b7 + a3 * b6) % n
-    out[..., 4] = (a4 * b0 + m * a5 * b1 + a6 * b4 + m * a7 * b5) % n
-    out[..., 5] = (a4 * b1 + a5 * b0 + a6 * b5 + a7 * b4) % n
-    out[..., 6] = (a4 * b2 + m * a5 * b3 + a6 * b6 + m * a7 * b7) % n
-    out[..., 7] = (a4 * b3 + a5 * b2 + a6 * b7 + a7 * b6) % n
+    """Product over Z_n[sqrt(m)] of (..., 8) component arrays; broadcasts."""
+    a = np.moveaxis(np.asarray(a, dtype=np.int64), -1, 0)
+    b = np.moveaxis(np.asarray(b, dtype=np.int64), -1, 0)
+    out = np.empty(np.broadcast_shapes(a.shape[1:], b.shape[1:]) + (8,), dtype=np.int64)
+    for i, comp in enumerate(mat_mul_exact(a, b, m)):
+        np.remainder(comp, n, out=out[..., i])
     return out
 
 

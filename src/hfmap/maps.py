@@ -178,9 +178,6 @@ class CoordGraph:
     def node_index(self) -> dict[HFCoord, int]:
         return {u: i for i, u in enumerate(self.nodes)}
 
-    def degree(self, i: int) -> int:
-        return sum(1 for a, b in self.edges if i in (a, b))
-
     def degrees(self) -> list[int]:
         out = [0] * len(self.nodes)
         for a, b in self.edges:
@@ -235,7 +232,7 @@ def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
     """
     p = group.params
     problems: list[str] = []
-    cusps = [cusp_of(group.matrix(i), p) for i in range(group.order)]
+    cusps = [cusp_of(g, p) for g in group.comps.tolist()]
 
     vertex_orbits = amap.vertex_orbits()
     orbit_coords = []

@@ -229,10 +229,6 @@ class BoundarySequence:
     slots: tuple[HFCoord, ...]
     pole_slots: tuple[int, ...]
 
-    @property
-    def circuit_length(self) -> int:
-        return len(self.slots) // self.params.n
-
     def spans(self) -> list[tuple[int, int]]:
         """Pole-to-pole index ranges (start pole slot, end pole slot)."""
         ps = list(self.pole_slots)
@@ -605,20 +601,31 @@ def parse_circuit_text(text: str, p: HeckeParams) -> Circuit:
         table = vertex_names(p)
     except ValueError:
         pass
-    seq = []
-    for token in text.strip().split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" in token:
-            kind, frac = token.split(":", 1)
-            num, den = frac.split("/", 1)
-            seq.append(normalize(kind.strip(), int(num), int(den), p))
-        elif table is not None:
-            seq.append(table.coord(token))
-        else:
-            raise ValueError(f"no name table for q={p.q}, n={p.n}; use kind:num/den")
-    return Circuit(tuple(seq))
+    tokens = (token.strip() for token in text.strip().split(","))
+    return Circuit(tuple(_parse_vertex(token, table, p) for token in tokens if token))
+
+
+def _parse_vertex(token: str, table: NameTable | None, p: HeckeParams) -> HFCoord:
+    """One vertex token; every malformed token is a ValueError naming it."""
+    if ":" not in token:
+        if table is None:
+            raise ValueError(
+                f"vertex {token!r}: no name table for q={p.q}, n={p.n}; use kind:num/den"
+            )
+        try:
+            return table.coord(token)
+        except KeyError:
+            raise ValueError(f"unknown vertex name {token!r}") from None
+    kind, frac = token.split(":", 1)
+    num, _, den = frac.partition("/")
+    try:
+        num, den = int(num), int(den)
+    except ValueError:
+        raise ValueError(f"vertex {token!r} is not of the form kind:num/den") from None
+    try:
+        return normalize(kind.strip(), num, den, p)
+    except ValueError as exc:
+        raise ValueError(f"vertex {token!r}: {exc}") from None
 
 
 def format_circuit_text(c: Circuit, p: HeckeParams, use_names: bool = True) -> str:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .coords import HFCoord, coord_value_str, vertex_names
 from .group import RADICAND, HeckeParams
+from .kernels import mat_mul_exact
 from .maps import CoordGraph, build_coordinate_graph
 from .polygon import BoundarySequence, PairingTable, side_label_analysis
 
@@ -107,24 +108,9 @@ class RenderConfig:
             raise ValueError("depth must be >= 0")
 
 
-# Exact integer matrices (component order as in the modular kernels, but
-# over Z rather than Z_n).
+# Exact integer matrices: component rows as in the kernels, but over Z
+# rather than Z_n, multiplied by kernels.mat_mul_exact.
 _IntMat = tuple[int, int, int, int, int, int, int, int]
-
-
-def _int_mat_mul(a: _IntMat, b: _IntMat, m: int) -> _IntMat:
-    a0, a1, a2, a3, a4, a5, a6, a7 = a
-    b0, b1, b2, b3, b4, b5, b6, b7 = b
-    return (
-        a0 * b0 + m * a1 * b1 + a2 * b4 + m * a3 * b5,
-        a0 * b1 + a1 * b0 + a2 * b5 + a3 * b4,
-        a0 * b2 + m * a1 * b3 + a2 * b6 + m * a3 * b7,
-        a0 * b3 + a1 * b2 + a2 * b7 + a3 * b6,
-        a4 * b0 + m * a5 * b1 + a6 * b4 + m * a7 * b5,
-        a4 * b1 + a5 * b0 + a6 * b5 + a7 * b4,
-        a4 * b2 + m * a5 * b3 + a6 * b6 + m * a7 * b7,
-        a4 * b3 + a5 * b2 + a6 * b7 + a7 * b6,
-    )
 
 
 def _int_mat_canon(a: _IntMat) -> _IntMat:
@@ -156,7 +142,7 @@ def universal_geodesics(q: int, depth: int) -> list[Geodesic]:
         nxt = []
         for g in frontier:
             for h in gens:
-                prod = _int_mat_canon(_int_mat_mul(g, h, m))
+                prod = _int_mat_canon(mat_mul_exact(g, h, m))
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)

@@ -1,9 +1,11 @@
-"""Exact arithmetic in Z_n[sqrt(m)] and projective 2x2 matrices over it.
+"""Scalar reference arithmetic in Z_n[sqrt(m)], which the tests compare against.
 
-Every group computation in this package reduces to the two immutable value
-types defined here: ``RingElem`` (a residue a + b*sqrt(m) mod n) and
-``ProjMatrix`` (a determinant-1 matrix stored in a canonical sign form, so
-that projective equality is plain structural equality).
+The library works on component rows and multiplies them with
+``kernels.mat_mul_exact``; no library module imports this one.  It is kept
+as an independent oracle, written element by element: ``RingElem`` (a
+residue a + b*sqrt(m) mod n) and ``ProjMatrix`` (a 2x2 matrix stored in a
+canonical sign form, so that projective equality is plain structural
+equality).
 """
 
 from __future__ import annotations
@@ -49,13 +51,6 @@ class RingElem:
 
     rat: int
     irr: int
-
-    def is_zero(self) -> bool:
-        return self.rat == 0 and self.irr == 0
-
-
-def ring_elem(rat: int, irr: int, p: RingParams) -> RingElem:
-    return RingElem(rat % p.n, irr % p.n)
 
 
 def ring_add(x: RingElem, y: RingElem, p: RingParams) -> RingElem:
@@ -114,11 +109,6 @@ def canonicalize(g: ProjMatrix, p: RingParams) -> ProjMatrix:
     c = tuple(v % p.n for v in g.components())
     neg = tuple(-v % p.n for v in c)
     return _from_components(min(c, neg))
-
-
-def make_matrix(e11: RingElem, e12: RingElem, e21: RingElem, e22: RingElem,
-                p: RingParams) -> ProjMatrix:
-    return canonicalize(ProjMatrix(e11, e12, e21, e22), p)
 
 
 def identity_matrix(p: RingParams) -> ProjMatrix:

@@ -62,7 +62,7 @@ def _check_bring_map() -> str:
         raise AssertionError(f"invariants {got} != {want}")
     p = HeckeParams(4, 5)
     table = C.vertex_names(p)
-    cusps = {C.cusp_of(group.matrix(i), p) for i in range(group.order)}
+    cusps = {C.cusp_of(g, p) for g in group.comps.tolist()}
     named = {table.coord(name) for name in table.names()}
     if cusps != named:
         raise AssertionError("map vertices do not match the 24 named coordinates")
@@ -168,8 +168,7 @@ def _check_property_suites() -> str:
         graph = M.build_coordinate_graph(p)
         index = graph.node_index
         adj = graph.adjacency_matrix()
-        for i in range(group.order):
-            g = group.matrix(i)
+        for i, g in enumerate(group.comps.tolist()):
             perm = np.asarray(
                 [index[C.apply_to_coord(g, u, p)] for u in graph.nodes]
             )

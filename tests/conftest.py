@@ -2,6 +2,15 @@ import pytest
 
 from hfmap.group import HeckeParams, cached_group
 from hfmap.maps import build_algebraic_map, build_coordinate_graph
+from hfmap.ring import ProjMatrix, RingElem
+
+
+def as_matrix(row):
+    """The ring-oracle ProjMatrix of a component row."""
+    c = [int(v) for v in row]
+    return ProjMatrix(
+        RingElem(c[0], c[1]), RingElem(c[2], c[3]), RingElem(c[4], c[5]), RingElem(c[6], c[7])
+    )
 
 
 @pytest.fixture(scope="session")

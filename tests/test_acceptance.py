@@ -50,7 +50,7 @@ def test_c02_genus_four_map():
     assert inv.vertex_valency == 5
     assert inv.face_size == 4
     table = C.vertex_names(P45)
-    cusps = {C.cusp_of(group.matrix(i), P45) for i in range(group.order)}
+    cusps = {C.cusp_of(group.comps[i], P45) for i in range(group.order)}
     assert cusps == {table.coord(name) for name in table.names()}
     assert len(cusps) == 24
     _report("criterion 2: genus-4 map of type {5,4} with the 24 named vertices")
@@ -140,7 +140,7 @@ def test_c09_property_suites():
         index = graph.node_index
         adj = graph.adjacency_matrix()
         for i in range(group.order):
-            g = group.matrix(i)
+            g = group.comps[i]
             perm = np.asarray([index[C.apply_to_coord(g, u, p)] for u in graph.nodes])
             assert np.array_equal(adj[np.ix_(perm, perm)], adj)
         if q == 4:

@@ -145,3 +145,26 @@ def test_verify_suite(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--pairing", str(corrupted))
     assert code == 1
     assert any(line.startswith("FAIL  pairing-genus") for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "start,message",
+    [
+        ("A:1", "error: vertex 'A:1' is not of the form kind:num/den"),
+        ("", "error: --start must give exactly one vertex, got ''"),
+        ("H2,E1", "error: --start must give exactly one vertex, got 'H2,E1'"),
+    ],
+)
+def test_circuit_search_rejects_bad_start(capsys, start, message):
+    code, out, err = run(capsys, "circuit", "--search", "--start", start,
+                         "--length", "4", "--poles", "0")
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
+def test_circuit_file_with_unknown_name(capsys, tmp_path):
+    path = tmp_path / "circuit.txt"
+    path.write_text("H2,ZZ,F2")
+    code, out, err = run(capsys, "circuit", "--verify", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: unknown vertex name 'ZZ'\n"

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from conftest import as_matrix
 
 from hfmap.coords import (
     HFCoord,
@@ -16,7 +17,16 @@ from hfmap.coords import (
     translate,
     vertex_names,
 )
-from hfmap.group import HeckeParams, cached_group, generators
+from hfmap.group import HeckeParams, cached_group, element_order, generators, parity
+from hfmap.ring import (
+    RingElem,
+    RingParams,
+    canonicalize,
+    identity_matrix,
+    mat_mul,
+    ring_add,
+    ring_mul,
+)
 
 P45 = HeckeParams(4, 5)
 P43 = HeckeParams(4, 3)
@@ -111,14 +121,14 @@ def test_poles():
 def test_cusp_examples(group45):
     t = vertex_names(P45)
     s, _, r = generators(P45)
-    assert cusp_of(group45.matrix(0), P45) == HFCoord("A", 1, 0)
+    assert cusp_of(group45.comps[0], P45) == HFCoord("A", 1, 0)
     assert t.name(cusp_of(s, P45)) == "A2"  # S sends infinity to 0
     assert t.name(cusp_of(r, P45)) == "D2"  # R sends infinity to sqrt2/1
 
 
 def test_cusp_constant_on_translation_cosets(group45):
     sigma = group45.right_mult_perm(group45.gen_T)
-    cusps = [cusp_of(group45.matrix(i), P45) for i in range(group45.order)]
+    cusps = [cusp_of(group45.comps[i], P45) for i in range(group45.order)]
     for i in range(group45.order):
         assert cusps[int(sigma[i])] == cusps[i]
 
@@ -127,18 +137,18 @@ def test_cusp_constant_on_translation_cosets(group45):
 def test_cusp_fibers_have_size_n(qn):
     p = HeckeParams(*qn)
     group = cached_group(*qn)
-    fibers = Counter(cusp_of(group.matrix(i), p) for i in range(group.order))
+    fibers = Counter(cusp_of(group.comps[i], p) for i in range(group.order))
     assert set(fibers.values()) == {p.n}
     assert sorted(fibers) == enumerate_coords(p)
 
 
 def test_even_columns_realize_the_adjacency_determinant(group45):
     # for even g with columns A(a,c), B(b,d): a*d - m*b*c = det = 1
-    odd = group45.parities()
+    odd = [parity(row, P45) == "odd" for row in group45.comps]
     for i in range(group45.order):
         if odd[i]:
             continue
-        g = group45.matrix(i)
+        g = as_matrix(group45.comps[i])
         a, c = g.e11.rat, g.e21.irr
         b, d = g.e12.irr, g.e22.rat
         assert (a * d - 2 * b * c) % 5 == 1
@@ -192,6 +202,76 @@ def test_adjacency_equivariance_exhaustive(qn):
         (u, v) for u in coords for v in coords if adjacent(u, v, p)
     }
     for i in range(group.order):
-        g = group.matrix(i)
+        g = group.comps[i]
         images = {u: apply_to_coord(g, u, p) for u in coords}
         assert {(images[u], images[v]) for u, v in adj} == adj
+
+
+def _ring_image(g, u, p):
+    """Oracle: image of u under the ProjMatrix g, by the scalar ring."""
+    rp = RingParams(p.n, p.m)
+    if p.q == 3:
+        top, bot = RingElem(u.num, 0), RingElem(u.den, 0)
+    elif u.kind == "A":
+        top, bot = RingElem(u.num, 0), RingElem(0, u.den)
+    else:
+        top, bot = RingElem(0, u.num), RingElem(u.den, 0)
+    w1 = ring_add(ring_mul(g.e11, top, rp), ring_mul(g.e12, bot, rp), rp)
+    w2 = ring_add(ring_mul(g.e21, top, rp), ring_mul(g.e22, bot, rp), rp)
+    if p.q == 3:
+        return normalize("A", w1.rat, w2.rat, p)
+    if w1.irr == 0 and w2.rat == 0:
+        return normalize("A", w1.rat, w2.irr, p)
+    assert w1.rat == 0 and w2.irr == 0
+    return normalize("B", w1.irr, w2.rat, p)
+
+
+def _ring_order(g, p):
+    """Oracle: least k with g**k = +-1, by repeated ring.mat_mul."""
+    rp = RingParams(p.n, p.m)
+    ident = canonicalize(identity_matrix(rp), rp)
+    acc, k = g, 1
+    while acc != ident:
+        acc, k = mat_mul(acc, g, rp), k + 1
+    return k
+
+
+def _word_parities(p):
+    """Oracle: number of S letters mod 2, over a BFS of words in S and T."""
+    rp = RingParams(p.n, p.m)
+    s, t = (as_matrix(row) for row in generators(p)[:2])
+    odd = {canonicalize(identity_matrix(rp), rp): False}
+    frontier = list(odd)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for gen, flip in ((s, True), (t, False)):
+                h = mat_mul(g, gen, rp)
+                if h not in odd:
+                    odd[h] = odd[g] ^ flip
+                    nxt.append(h)
+                assert odd[h] == odd[g] ^ flip
+        frontier = nxt
+    return odd
+
+
+@pytest.mark.parametrize("qn", [(4, 5), (3, 5), (6, 5)])
+def test_row_api_matches_ring_oracle(qn):
+    p = HeckeParams(*qn)
+    group = cached_group(*qn)
+    coords = enumerate_coords(p)
+    infinity = normalize("A", 1, 0, p)
+    odd = _word_parities(p) if p.q != 3 else None
+    assert odd is None or len(odd) == group.order
+    for row in group.comps.tolist():
+        g = as_matrix(row)
+        assert cusp_of(row, p) == _ring_image(g, infinity, p)
+        assert [apply_to_coord(row, u, p) for u in coords] == [
+            _ring_image(g, u, p) for u in coords
+        ]
+        assert element_order(row, p) == _ring_order(g, p)
+        if odd is None:
+            with pytest.raises(ValueError):
+                parity(row, p)
+        else:
+            assert parity(row, p) == ("odd" if odd[g] else "even")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import as_matrix
 
 from hfmap import kernels
 from hfmap.group import HeckeParams, enumerate_group, generators
@@ -21,31 +22,31 @@ def test_canonical_key_matches_reference():
     comps = rng.integers(0, 7, size=(100, 8), dtype=np.int64)
     keys = kernels.canonical_keys(comps, 7)
     for row, key in zip(comps, keys):
-        g = canonicalize(_mat_from(row), p)
+        g = canonicalize(as_matrix(row), p)
         assert kernels.pack_components(np.asarray(g.components(), dtype=np.int64), 7) == key
 
 
-def _mat_from(row):
-    from hfmap.ring import ProjMatrix, RingElem
-
-    return ProjMatrix(
-        RingElem(int(row[0]), int(row[1])),
-        RingElem(int(row[2]), int(row[3])),
-        RingElem(int(row[4]), int(row[5])),
-        RingElem(int(row[6]), int(row[7])),
-    )
-
-
-def test_mat_mul_components_matches_ring():
+@pytest.mark.parametrize("n,m", [(3, 1), (5, 2), (7, 3), (30, 2), (180, 3)])
+def test_mat_mul_components_matches_ring(n, m):
     rng = np.random.default_rng(3)
-    p = RingParams(5, 2)
-    a = rng.integers(0, 5, size=(50, 8), dtype=np.int64)
-    b = rng.integers(0, 5, size=(50, 8), dtype=np.int64)
-    prods = kernels.mat_mul_components(a, b, 5, 2)
+    p = RingParams(n, m)
+    a = rng.integers(0, n, size=(50, 8), dtype=np.int64)
+    b = rng.integers(0, n, size=(50, 8), dtype=np.int64)
+    prods = kernels.mat_mul_components(a, b, n, m)
     for ra, rb, rp in zip(a, b, prods):
-        want = mat_mul(_mat_from(ra), _mat_from(rb), p)
-        got = canonicalize(_mat_from(rp), p)
+        want = mat_mul(as_matrix(ra), as_matrix(rb), p)
+        got = canonicalize(as_matrix(rp), p)
         assert got == want
+        # The exact product on Python ints reduces to the same residues.
+        exact = kernels.mat_mul_exact(tuple(ra.tolist()), tuple(rb.tolist()), m)
+        assert [v % n for v in exact] == rp.tolist()
+    # The closure's broadcast shape: (k, 1, 8) x (2, 8) -> (k, 2, 8).
+    grid = kernels.mat_mul_components(a[:, None, :], b[:2], n, m)
+    assert grid.shape == (50, 2, 8)
+    for i, ra in enumerate(a):
+        for j in range(2):
+            want = mat_mul(as_matrix(ra), as_matrix(b[j]), p)
+            assert canonicalize(as_matrix(grid[i, j]), p) == want
 
 
 def _key(g, n):
@@ -57,8 +58,8 @@ def _reference_closure(p: HeckeParams):
 
     Returns {key: (matrix, BFS level)}.
     """
-    s, t, _ = generators(p)
-    rp = p.ring
+    s, t = (as_matrix(row) for row in generators(p)[:2])
+    rp = RingParams(p.n, p.m)
     ident = canonicalize(identity_matrix(rp), rp)
     order = [(ident, 0)]
     seen = {ident}
@@ -80,8 +81,7 @@ CLOSURE_CASES = [(4, 3), (3, 5), (4, 5), (6, 5), (4, 7), (6, 7)]
 @pytest.mark.parametrize("q,n", CLOSURE_CASES)
 def test_numpy_closure_matches_python_oracle(q, n):
     p = HeckeParams(q, n)
-    s, t, _ = generators(p)
-    gens = np.asarray([s.components(), t.components()], dtype=np.int64)
+    gens = generators(p)[:2]
     keys, products, done = kernels.closure_bfs(gens, p.n, p.m, 10**6)
     assert done
     reference = _reference_closure(p)
@@ -93,8 +93,9 @@ def test_numpy_closure_matches_python_oracle(q, n):
     assert levels == sorted(levels)
     for a, b, la, lb in zip(keys, keys[1:], levels, levels[1:]):
         assert la != lb or a < b
+    s, t = (as_matrix(row) for row in gens)
     want = [
-        [_key(mat_mul(reference[k][0], gen, p.ring), p.n) for gen in (s, t)]
+        [_key(mat_mul(reference[k][0], gen, RingParams(p.n, p.m)), p.n) for gen in (s, t)]
         for k in keys.tolist()
     ]
     assert products.tolist() == want
