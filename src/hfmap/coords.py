@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .group import HeckeParams, parity
 from .kernels import mat_mul_exact
@@ -21,6 +24,10 @@ __all__ = [
     "enumerate_coords",
     "adjacent",
     "cusp_of",
+    "coord_codes",
+    "code_coord",
+    "adjacent_codes",
+    "cusp_codes",
     "apply_to_coord",
     "poles",
     "is_pole",
@@ -117,6 +124,72 @@ def cusp_of(g, p: HeckeParams) -> HFCoord:
     if parity(g, p) == "even":
         return normalize("A", g[0], g[5], p)
     return normalize("B", g[1], g[4], p)
+
+
+# ---------------------------------------------------------------------------
+# Array forms: coordinates as integer codes.  ``adjacent`` and ``cusp_of``
+# above are the scalar references these must agree with.
+# ---------------------------------------------------------------------------
+
+_KINDS = ("A", "B")
+
+
+def coord_codes(coords: list[HFCoord], p: HeckeParams) -> np.ndarray:
+    """Codes kind*n*n + num*n + den (kind A = 0, B = 1), ascending in coordinate order."""
+    n = p.n
+    return np.array(
+        [_KINDS.index(u.kind) * n * n + u.num * n + u.den for u in coords], dtype=np.int64
+    )
+
+
+def code_coord(code: int, p: HeckeParams) -> HFCoord:
+    """Inverse of coord_codes for one code."""
+    kind, rest = divmod(int(code), p.n * p.n)
+    return HFCoord(_KINDS[kind], *divmod(rest, p.n))
+
+
+def adjacent_codes(u: np.ndarray, v: np.ndarray, p: HeckeParams) -> np.ndarray:
+    """``adjacent`` on arrays of codes; broadcasts u against v.
+
+    Residues are below n <= kernels.MAX_MODULUS, so the determinant stays
+    far inside int64.
+    """
+    n = p.n
+    ku, nu, du = u // (n * n), u // n % n, u % n
+    kv, nv, dv = v // (n * n), v // n % n, v % n
+    if p.q == 3:
+        det = nu * dv - nv * du
+    else:
+        det = np.where(ku == 0, nu * dv - p.m * nv * du, nv * du - p.m * nu * dv)
+    det %= n
+    hit = (det == 1) | (det == n - 1)
+    return hit if p.q == 3 else hit & (ku != kv)
+
+
+def cusp_codes(comps: np.ndarray, p: HeckeParams) -> np.ndarray:
+    """Codes of ``cusp_of`` for every row of an (N, 8) component table.
+
+    A row that ``cusp_of`` rejects (no parity pattern, or gcd > 1) makes it
+    raise its ValueError: the first such row is handed to ``cusp_of``.
+    """
+    n = p.n
+    g = np.asarray(comps, dtype=np.int64)
+    if p.q == 3:
+        kind = np.zeros(g.shape[0], dtype=np.int64)
+        num, den = g[:, 0] % n, g[:, 4] % n
+        bad = np.zeros(g.shape[0], dtype=bool)
+    else:
+        even = (g[:, 1] == 0) & (g[:, 7] == 0) & (g[:, 2] == 0) & (g[:, 4] == 0)
+        odd = (g[:, 0] == 0) & (g[:, 6] == 0) & (g[:, 3] == 0) & (g[:, 5] == 0)
+        kind = odd.astype(np.int64)
+        num = np.where(even, g[:, 0], g[:, 1]) % n
+        den = np.where(even, g[:, 5], g[:, 4]) % n
+        bad = even == odd
+    bad |= np.gcd(np.gcd(num, den), n) != 1
+    if bad.any():
+        cusp_of(g[int(np.argmax(bad))].tolist(), p)
+    flipped = (-num % n) * n + (-den % n)
+    return kind * n * n + np.minimum(num * n + den, flipped)
 
 
 def apply_to_coord(g, u: HFCoord, p: HeckeParams) -> HFCoord:
@@ -229,8 +302,12 @@ class NameTable:
         return f"{num}{root}/{den}"
 
 
+@lru_cache(maxsize=None)
 def vertex_names(p: HeckeParams) -> NameTable:
-    """Name table for the maps that have customary labels."""
+    """Name table for the maps that have customary labels.
+
+    Built once per parameter set; the table is never mutated.
+    """
     if (p.q, p.n) == (4, 5):
         return NameTable(p, _NAMES_Q4_N5)
     if (p.q, p.n) == (4, 3):

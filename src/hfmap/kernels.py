@@ -32,8 +32,9 @@ __all__ = [
     "resolve_backend",
 ]
 
-# n**8 must fit in int64: 180**8 < 2**63 < 181**8.
-MAX_MODULUS = 180
+# Packed keys need n**8 <= 2**63: 234**8 < 2**63 < 235**8.  The largest
+# unreduced product sum, 4 * 3 * 233**2 in mat_mul_exact, is far smaller.
+MAX_MODULUS = 234
 
 
 def _check_modulus(n: int) -> None:

@@ -11,10 +11,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .coords import HFCoord, adjacent, cusp_of, enumerate_coords
+from .coords import (
+    HFCoord,
+    adjacent_codes,
+    code_coord,
+    coord_codes,
+    cusp_codes,
+    enumerate_coords,
+)
 from .group import FiniteHeckeGroup, HeckeParams, PermGroup, s5_permutation_group
 
 __all__ = [
@@ -36,21 +44,66 @@ __all__ = [
 ]
 
 
+def _walk(perm: np.ndarray, start: int) -> list[int]:
+    """The orbit of start under perm, in the order perm visits it."""
+    orbit = [start]
+    cur = int(perm[start])
+    while cur != start:
+        orbit.append(cur)
+        cur = int(perm[cur])
+    return orbit
+
+
 def _orbits(perm: np.ndarray) -> list[list[int]]:
+    """Every orbit, walked from its smallest dart; the scalar reference."""
     seen = np.zeros(perm.shape[0], dtype=bool)
     out = []
     for start in range(perm.shape[0]):
         if seen[start]:
             continue
-        orbit = [start]
-        seen[start] = True
-        cur = int(perm[start])
-        while cur != start:
-            orbit.append(cur)
-            seen[cur] = True
-            cur = int(perm[cur])
+        orbit = _walk(perm, start)
+        seen[orbit] = True
         out.append(orbit)
     return out
+
+
+def _orbit_labels(perm: np.ndarray) -> np.ndarray:
+    """Smallest dart of each dart's orbit under perm, by pointer doubling.
+
+    After k rounds label[i] is the minimum over i, perm(i), ...,
+    perm^(2^k - 1)(i); once a round changes nothing every label is its
+    orbit's minimum.  ``_orbits`` is the scalar reference.
+    """
+    label = np.arange(perm.shape[0], dtype=np.int64)
+    step = perm
+    while True:
+        nxt = np.minimum(label, label[step])
+        if np.array_equal(nxt, label):
+            return label
+        label = nxt
+        step = step[step]
+
+
+def _orbit_sizes(label: np.ndarray) -> np.ndarray:
+    """Orbit lengths, in order of their smallest dart, from _orbit_labels."""
+    return np.bincount(label)[np.flatnonzero(label == np.arange(label.shape[0]))]
+
+
+def _common(sizes: np.ndarray) -> int:
+    """The one value all sizes share, or 0 when they differ or there are none."""
+    return int(sizes[0]) if sizes.size and sizes.min() == sizes.max() else 0
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, as np.unique gives them.
+
+    numpy 2.4's np.unique hashes integer arrays and took 0.37 s for 515,100
+    values on a 2-vCPU x86-64 VM, where sorting them took 5 ms.
+    """
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 @dataclass(frozen=True)
@@ -64,9 +117,13 @@ class MapInvariants:
     face_size: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapStructure:
-    """Dart system (sigma, alpha) with phi = alpha o sigma."""
+    """Dart system (sigma, alpha) with phi = alpha o sigma.
+
+    The orbit labels are computed once per map and kept, so sigma and alpha
+    are fixed at construction.
+    """
 
     sigma: np.ndarray
     alpha: np.ndarray
@@ -98,6 +155,21 @@ class MapStructure:
     def face_orbits(self) -> list[list[int]]:
         return _orbits(self.phi)
 
+    @cached_property
+    def vertex_labels(self) -> np.ndarray:
+        """Smallest dart of each dart's vertex (sigma) orbit."""
+        return _orbit_labels(self.sigma)
+
+    @cached_property
+    def edge_labels(self) -> np.ndarray:
+        """Smallest dart of each dart's edge (alpha) orbit."""
+        return _orbit_labels(self.alpha)
+
+    @cached_property
+    def face_labels(self) -> np.ndarray:
+        """Smallest dart of each dart's face (phi) orbit."""
+        return _orbit_labels(self.phi)
+
     def is_connected(self) -> bool:
         d = self.darts
         seen = np.zeros(d, dtype=bool)
@@ -114,21 +186,22 @@ class MapStructure:
         return count == d
 
     def invariants(self) -> MapInvariants:
-        vo, eo, fo = self.vertex_orbits(), self.edge_orbits(), self.face_orbits()
+        vo, eo, fo = (
+            _orbit_sizes(labels)
+            for labels in (self.vertex_labels, self.edge_labels, self.face_labels)
+        )
         v, e, f = len(vo), len(eo), len(fo)
         chi = v - e + f
         if chi % 2:
             raise ValueError(f"odd Euler characteristic {chi}: not an orientable map")
-        valencies = {len(o) for o in vo}
-        face_sizes = {len(o) for o in fo}
         return MapInvariants(
             darts=self.darts,
             vertices=v,
             edges=e,
             faces=f,
             genus=(2 - chi) // 2,
-            vertex_valency=valencies.pop() if len(valencies) == 1 else 0,
-            face_size=face_sizes.pop() if len(face_sizes) == 1 else 0,
+            vertex_valency=_common(vo),
+            face_size=_common(fo),
         )
 
 
@@ -196,20 +269,45 @@ class CoordGraph:
         return all(self.nodes[a].kind != self.nodes[b].kind for a, b in self.edges)
 
 
+# Node pairs tested per block of the adjacency rule.  It bounds the block's
+# temporaries; larger blocks raised peak memory without saving time.
+_PAIR_BLOCK = 1 << 18
+
+
 def build_coordinate_graph(p: HeckeParams) -> CoordGraph:
+    """Edges (i, j), i < j, in lexicographic order, by the adjacency rule.
+
+    Sorted nodes put every kind A before every kind B, and for q in {4, 6}
+    only A-B pairs can be adjacent, so the A x B block is all that is
+    tested; for q = 3 it is every pair.
+    """
     nodes = enumerate_coords(p)
-    edges = [
-        (i, j)
-        for i in range(len(nodes))
-        for j in range(i + 1, len(nodes))
-        if adjacent(nodes[i], nodes[j], p)
-    ]
+    codes = coord_codes(nodes, p)
+    if p.q == 3:
+        row_end, col_start = len(nodes), 0
+    else:
+        row_end = col_start = int(np.searchsorted(codes, p.n * p.n))  # first kind B
+    cols = np.arange(col_start, len(nodes))
+    step = max(1, _PAIR_BLOCK // max(1, cols.size))
+    edges: list[tuple[int, int]] = []
+    for start in range(0, row_end, step):
+        rows = np.arange(start, min(start + step, row_end))
+        hit = adjacent_codes(codes[rows, None], codes[cols], p)
+        hit &= cols > rows[:, None]
+        i, j = np.nonzero(hit)
+        edges.extend(zip(rows[i].tolist(), cols[j].tolist()))
     return CoordGraph(params=p, nodes=nodes, edges=edges)
 
 
 # ---------------------------------------------------------------------------
 # Correspondence between the two models.
 # ---------------------------------------------------------------------------
+
+
+def _pair_codes(pairs: np.ndarray, size: int) -> np.ndarray:
+    """One code per unordered pair of node indices below size, from (k, 2) rows."""
+    pairs = pairs.reshape(-1, 2)
+    return pairs.min(axis=1) * size + pairs.max(axis=1)
 
 
 @dataclass
@@ -232,34 +330,44 @@ def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
     """
     p = group.params
     problems: list[str] = []
-    cusps = [cusp_of(g, p) for g in group.comps.tolist()]
+    cusps = cusp_codes(group.comps, p)
 
-    vertex_orbits = amap.vertex_orbits()
-    orbit_coords = []
-    for orbit in vertex_orbits:
-        values = {cusps[d] for d in orbit}
-        if len(values) != 1:
-            problems.append(f"vertex orbit {orbit[:4]}... has mixed cusps {values}")
-        orbit_coords.append(values.pop())
+    label = amap.vertex_labels
+    roots = np.flatnonzero(label == np.arange(amap.darts))
+    orbit_codes = cusps[roots]
+    for k in np.flatnonzero(np.isin(roots, label[cusps != cusps[label]])):
+        orbit = _walk(amap.sigma, int(roots[k]))
+        values = {code_coord(cusps[d], p) for d in orbit}
+        problems.append(f"vertex orbit {orbit[:4]}... has mixed cusps {values}")
+        orbit_codes[k] = coord_codes([values.pop()], p)[0]
+    node_codes = coord_codes(graph.nodes, p)
+    distinct = _distinct(orbit_codes)
     bijection = (
-        len(set(orbit_coords)) == len(orbit_coords)
-        and set(orbit_coords) == set(graph.nodes)
+        distinct.size == orbit_codes.size
+        and np.array_equal(distinct, _distinct(node_codes))
     )
     if not bijection:
         problems.append("cusp map is not a bijection onto the coordinates")
 
-    index = graph.node_index
-    graph_edges = {frozenset(e) for e in graph.edges}
-    projected: list[frozenset[int]] = []
-    for a, b in ((o[0], o[1]) for o in amap.edge_orbits()):
-        ua, ub = cusps[a], cusps[b]
-        if not adjacent(ua, ub, p):
-            problems.append(f"edge darts project to non-adjacent {ua}, {ub}")
-            continue
-        projected.append(frozenset((index[ua], index[ub])))
+    # Edge orbits are the pairs (d, alpha(d)) with d < alpha(d), by smallest dart.
+    first = np.flatnonzero(np.arange(amap.darts) < amap.alpha)
+    ua, ub = cusps[first], cusps[amap.alpha[first]]
+    adj = adjacent_codes(ua, ub, p)
+    for k in np.flatnonzero(~adj):
+        problems.append(
+            f"edge darts project to non-adjacent {code_coord(ua[k], p)}, "
+            f"{code_coord(ub[k], p)}"
+        )
+    # A cusp that is not a node gets index -1, and its edge then matches none.
+    index = np.full(2 * p.n * p.n, -1, dtype=np.int64)
+    index[node_codes] = np.arange(node_codes.size)
+    size = len(graph.nodes)
+    projected = _pair_codes(index[np.stack([ua[adj], ub[adj]], axis=1)], size)
+    graph_edges = _distinct(_pair_codes(np.array(graph.edges, dtype=np.int64), size))
+    distinct = _distinct(projected)
     edges_matched = (
-        len(projected) == len(set(projected)) == len(graph_edges)
-        and set(projected) == graph_edges
+        projected.size == distinct.size == graph_edges.size
+        and np.array_equal(distinct, graph_edges)
     )
     if not edges_matched:
         problems.append("edge orbits do not project bijectively onto graph edges")
@@ -282,8 +390,8 @@ def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
         ok=not problems,
         vertex_bijection=bijection,
         edges_matched=edges_matched,
-        vertex_count=len(vertex_orbits),
-        edge_count=len(projected),
+        vertex_count=int(roots.size),
+        edge_count=int(projected.size),
         problems=problems,
         notes=notes,
     )

@@ -1,9 +1,12 @@
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+from hfmap import maps
 from hfmap.cli import main
+from hfmap.group import cached_group
 
 
 def run(capsys, *argv):
@@ -49,6 +52,23 @@ def test_map_json(capsys):
     assert json.loads(out)["genus"] == 0
     code, out, _ = run(capsys, "map", "--q", "3", "--n", "5", "--json")
     assert json.loads(out)["genus"] == 0
+
+
+def test_map_counts_each_orbit_kind_once(capsys, monkeypatch):
+    counted = []
+    orbit_labels = maps._orbit_labels
+
+    def counting(perm):
+        counted.append(perm.copy())
+        return orbit_labels(perm)
+
+    monkeypatch.setattr(maps, "_orbit_labels", counting)
+    code, _, _ = run(capsys, "map", "--q", "4", "--n", "5")
+    assert code == 0
+    amap = maps.build_algebraic_map(cached_group(4, 5))
+    for perm in (amap.sigma, amap.alpha, amap.phi):
+        assert sum(np.array_equal(perm, c) for c in counted) == 1
+    assert len(counted) == 3
 
 
 def test_coords_names(capsys):

@@ -84,6 +84,13 @@ def test_names_table_is_bijective():
         vertex_names(P35)
 
 
+def test_name_table_is_built_once_per_params():
+    assert vertex_names(P45) is vertex_names(HeckeParams(4, 5))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no name table for q=3, n=5"):
+            vertex_names(P35)
+
+
 def test_icosahedron_fraction_list():
     assert len(Q3_N5_FRACTIONS) == 12
     listed = {parse_fraction(s, P35) for s in Q3_N5_FRACTIONS}

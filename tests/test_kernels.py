@@ -16,6 +16,15 @@ def test_pack_unpack_roundtrip():
         assert np.array_equal(kernels.unpack_keys(kernels.pack_components(comps, n), n), comps)
 
 
+def test_max_modulus_is_the_int64_bound():
+    n = kernels.MAX_MODULUS
+    top = np.full(8, n - 1, dtype=np.int64)
+    key = kernels.pack_components(top, n)
+    assert int(key) == n**8 - 1 < 2**63
+    assert np.array_equal(kernels.unpack_keys(key, n), top)
+    assert (n + 1) ** 8 >= 2**63
+
+
 def test_canonical_key_matches_reference():
     rng = np.random.default_rng(11)
     p = RingParams(7, 2)
@@ -26,7 +35,9 @@ def test_canonical_key_matches_reference():
         assert kernels.pack_components(np.asarray(g.components(), dtype=np.int64), 7) == key
 
 
-@pytest.mark.parametrize("n,m", [(3, 1), (5, 2), (7, 3), (30, 2), (180, 3)])
+@pytest.mark.parametrize(
+    "n,m", [(3, 1), (5, 2), (7, 3), (30, 2), (180, 3), (kernels.MAX_MODULUS, 3)]
+)
 def test_mat_mul_components_matches_ring(n, m):
     rng = np.random.default_rng(3)
     p = RingParams(n, m)

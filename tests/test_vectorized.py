@@ -1,0 +1,217 @@
+"""The array passes of the map pipeline against their scalar references.
+
+``adjacent``, ``cusp_of`` and ``maps._orbits`` are the per-element forms;
+``oracles`` holds the per-element correspondence check and invariants.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import oracles
+import pytest
+
+from hfmap.coords import (
+    adjacent,
+    adjacent_codes,
+    code_coord,
+    coord_codes,
+    cusp_codes,
+    cusp_of,
+    enumerate_coords,
+    normalize,
+)
+from hfmap.group import HeckeParams, cached_group
+from hfmap.maps import (
+    MapStructure,
+    _orbit_labels,
+    _orbit_sizes,
+    _orbits,
+    build_algebraic_map,
+    build_coordinate_graph,
+    correspondence_check,
+)
+
+CASES = [(q, n) for q in (3, 4, 6) for n in (3, 5, 7, 9, 15, 21)]
+
+
+@pytest.mark.parametrize("q,n", CASES)
+def test_coordinate_graph_matches_scalar_rule(q, n):
+    p = HeckeParams(q, n)
+    graph = build_coordinate_graph(p)
+    nodes = enumerate_coords(p)
+    assert graph.nodes == nodes
+    want = [
+        (i, j)
+        for i in range(len(nodes))
+        for j in range(i + 1, len(nodes))
+        if adjacent(nodes[i], nodes[j], p)
+    ]
+    assert graph.edges == want
+    assert all(type(i) is int and type(j) is int for i, j in graph.edges)
+
+
+@pytest.mark.parametrize("q,n", CASES)
+def test_coord_codes_follow_coordinate_order(q, n):
+    p = HeckeParams(q, n)
+    nodes = enumerate_coords(p)
+    codes = coord_codes(nodes, p)
+    assert np.all(np.diff(codes) > 0)
+    assert [code_coord(c, p) for c in codes] == nodes
+
+
+@pytest.mark.parametrize("q", [3, 4, 6])
+@pytest.mark.parametrize("n", [5, 233])
+def test_adjacent_codes_matches_adjacent(q, n):
+    p = HeckeParams(q, n)
+    rng = np.random.default_rng(q * n)
+    kinds = "A" if q == 3 else "AB"
+    coords = []
+    while len(coords) < 60:
+        a, c = (int(v) for v in rng.integers(0, n, size=2))
+        if np.gcd.reduce([a, c, n]) == 1:
+            coords.append(normalize(kinds[len(coords) % len(kinds)], a, c, p))
+    codes = coord_codes(coords, p)
+    got = adjacent_codes(codes[:, None], codes[None, :], p)
+    assert got.tolist() == [[adjacent(u, v, p) for v in coords] for u in coords]
+
+
+@pytest.mark.parametrize("q,n", CASES)
+def test_cusp_codes_match_cusp_of(q, n):
+    p = HeckeParams(q, n)
+    group = cached_group(q, n)
+    got = [code_coord(c, p) for c in cusp_codes(group.comps, p)]
+    assert got == [cusp_of(row, p) for row in group.comps.tolist()]
+
+
+def _scalar_error(rows, p):
+    with pytest.raises(ValueError) as exc:
+        for row in rows.tolist():
+            cusp_of(row, p)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("q,n", [(4, 5), (6, 9)])
+def test_corrupted_row_raises_the_scalar_error(q, n):
+    p = HeckeParams(q, n)
+    group = cached_group(q, n)
+    rows = group.comps.copy()
+    rows[7] = [1, 1, 0, 0, 0, 0, 1, 0]  # both irrational slots of one column
+    message = _scalar_error(rows, p)
+    assert "matches no parity pattern" in message
+    with pytest.raises(ValueError) as exc:
+        cusp_codes(rows, p)
+    assert str(exc.value) == message
+    # correspondence_check reads only params and comps of the group.
+    amap = build_algebraic_map(group)
+    graph = build_coordinate_graph(p)
+    with pytest.raises(ValueError, match="matches no parity pattern"):
+        correspondence_check(SimpleNamespace(params=p, comps=rows), amap, graph)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_non_coordinate_row_raises_the_scalar_error(q):
+    p = HeckeParams(q, 9)
+    rows = cached_group(q, 9).comps.copy()
+    # An even row whose cusp column is (3, 3): gcd 3 with n = 9.  A later
+    # row without a parity pattern must not pre-empt it.
+    rows[4] = [3, 0, 0, 0, 0, 3, 1, 0]
+    rows[9] = [0, 0, 0, 0, 0, 0, 0, 0]
+    message = _scalar_error(rows, p)
+    assert "gcd > 1" in message
+    with pytest.raises(ValueError) as exc:
+        cusp_codes(rows, p)
+    assert str(exc.value) == message
+
+
+def _check_labels(perm):
+    orbits = _orbits(perm)
+    want = np.empty(perm.shape[0], dtype=np.int64)
+    for orbit in orbits:
+        want[orbit] = orbit[0]
+    labels = _orbit_labels(perm)
+    assert np.array_equal(labels, want)
+    assert _orbit_sizes(labels).tolist() == [len(o) for o in orbits]
+
+
+@pytest.mark.parametrize("q,n", CASES)
+def test_orbit_labels_match_orbit_walks(q, n):
+    amap = build_algebraic_map(cached_group(q, n))
+    for perm, labels in (
+        (amap.sigma, amap.vertex_labels),
+        (amap.alpha, amap.edge_labels),
+        (amap.phi, amap.face_labels),
+    ):
+        _check_labels(perm)
+        assert np.array_equal(labels, _orbit_labels(perm))
+    assert amap.invariants() == oracles.invariants(amap)
+
+
+def test_orbit_labels_on_random_permutations():
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, 17, 64, 257, 1000):
+        for _ in range(5):
+            _check_labels(rng.permutation(size))
+
+
+def _random_map(rng, darts):
+    pairs = rng.permutation(darts).reshape(-1, 2)
+    alpha = np.empty(darts, dtype=np.int64)
+    alpha[pairs[:, 0]], alpha[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    return MapStructure(sigma=rng.permutation(darts), alpha=alpha)
+
+
+def test_invariants_on_random_maps():
+    rng = np.random.default_rng(9)
+    for darts in (2, 8, 30, 200):
+        for _ in range(10):
+            amap = _random_map(rng, darts)
+            try:
+                want = oracles.invariants(amap)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    amap.invariants()
+            else:
+                assert amap.invariants() == want
+
+
+@pytest.mark.parametrize("q,n", CASES)
+def test_correspondence_matches_scalar_oracle(q, n):
+    p = HeckeParams(q, n)
+    group = cached_group(q, n)
+    amap = build_algebraic_map(group)
+    graph = build_coordinate_graph(p)
+    got = correspondence_check(group, amap, graph)
+    assert vars(got) == vars(oracles.correspondence_check(group, amap, graph))
+    assert got.ok == (q != 6 or n % 3 != 0)
+
+
+def test_correspondence_reports_the_q6_defect():
+    group = cached_group(6, 9)
+    rep = correspondence_check(
+        group, build_algebraic_map(group), build_coordinate_graph(HeckeParams(6, 9))
+    )
+    assert rep.problems == ["cusp map is not a bijection onto the coordinates"]
+
+
+@pytest.mark.parametrize("q,n", [(4, 5), (3, 7), (6, 7)])
+def test_correspondence_of_a_wrong_map_matches_scalar_oracle(q, n):
+    """Vertex orbits of phi mix cusps; a random alpha joins non-adjacent
+    ones; two disjoint copies of the map cover every edge twice."""
+    p = HeckeParams(q, n)
+    group = cached_group(q, n)
+    amap = build_algebraic_map(group)
+    graph = build_coordinate_graph(p)
+    rng = np.random.default_rng(n)
+    twice = SimpleNamespace(params=p, comps=np.concatenate([group.comps, group.comps]))
+    for g, wrong, problem, edges_matched in (
+        (group, MapStructure(sigma=amap.phi, alpha=amap.alpha), "has mixed cusps", True),
+        (group, MapStructure(sigma=amap.sigma, alpha=_random_map(rng, amap.darts).alpha),
+         "project to non-adjacent", False),
+        (twice, MapStructure(sigma=np.concatenate([amap.sigma, amap.sigma + amap.darts]),
+                             alpha=np.concatenate([amap.alpha, amap.alpha + amap.darts])),
+         "not a bijection", False),
+    ):
+        got = correspondence_check(g, wrong, graph)
+        assert problem in got.problems[0]
+        assert got.edges_matched == edges_matched
+        assert vars(got) == vars(oracles.correspondence_check(g, wrong, graph))
