@@ -155,6 +155,8 @@ class FiniteHeckeGroup:
     gen_T: int = 0
     gen_R: int = 0
     cayley: np.ndarray = field(init=False, repr=False)
+    # The algebraic map, built once by maps.build_algebraic_map.
+    _algebraic_map: object = field(default=None, init=False, compare=False, repr=False)
     _sorted_keys: np.ndarray = field(default=None, repr=False)
     _sorted_to_bfs: np.ndarray = field(default=None, repr=False)
 

@@ -206,10 +206,18 @@ class MapStructure:
 
 
 def build_algebraic_map(group: FiniteHeckeGroup) -> MapStructure:
-    """Darts = group elements; sigma = *T, alpha = *S, read off the Cayley table."""
-    alpha, sigma = group.cayley.T
-    p = group.params
-    return MapStructure(sigma=sigma, alpha=alpha, label=f"hecke(q={p.q},n={p.n})")
+    """Darts = group elements; sigma = *T, alpha = *S, read off the Cayley table.
+
+    The map is frozen, so it is built once per group and kept on it; every
+    caller shares its orbit labels.
+    """
+    if group._algebraic_map is None:
+        alpha, sigma = group.cayley.T
+        p = group.params
+        group._algebraic_map = MapStructure(
+            sigma=sigma, alpha=alpha, label=f"hecke(q={p.q},n={p.n})"
+        )
+    return group._algebraic_map
 
 
 def permutation_model_map(pg: PermGroup | None = None) -> MapStructure:

@@ -4,9 +4,10 @@ The boundary of the fundamental 20-gon carries 60 coordinates: a 12-vertex
 circuit through the poles plus its translates under T (which rotates the map
 by 2*pi/5 about the center 1/0).  Pole slots become polygon corners, sides
 are paired by equal coordinate labels, and a union-find over the identified
-corners recovers V - E + F = 2 - 2g.  The same corner-identification engine
-drives an independent Euler-characteristic check built from a spanning-tree
-fundamental domain of coset tiles.
+corners recovers V - E + F = 2 - 2g.  An independent Euler-characteristic
+check glues a spanning-tree fundamental domain of coset tiles; the boundary
+walk of that disk and its corner classes are orbits of permutations of the
+boundary sides, computed as numpy passes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ from .coords import (
     vertex_names,
 )
 from .group import FiniteHeckeGroup, HeckeParams
-from .maps import CoordGraph, MapStructure, build_algebraic_map, build_coordinate_graph
+from .maps import (
+    CoordGraph,
+    _orbit_labels,
+    build_algebraic_map,
+    build_coordinate_graph,
+)
 
 __all__ = [
     "Circuit",
@@ -464,109 +470,118 @@ def coset_domain_check(group: FiniteHeckeGroup) -> CosetDomainReport:
     by the leftover gluings (all of which are trivial in the quotient, i.e.
     lie in the congruence kernel).  Corner identification then computes the
     surface's Euler characteristic independently of any orbit counting.
+
+    The walk and the corner classes are orbits of two permutations of the
+    boundary sides: the boundary successor, and the successor after the
+    side pairing.  ``tests/oracles.py`` keeps the scalar walk over polygon
+    positions as the reference.
     """
     if group.params.n % 2 == 0:
         raise ValueError("coset domain check requires odd n")
     amap = build_algebraic_map(group)
-    size = group.order
-    sigma = amap.sigma  # g -> g*T
-    alpha = amap.alpha  # g -> g*S
-    sigma_inv = np.argsort(sigma)
-
-    # Side encoding: 4*g + k with k in L=0, arc1=1, arc2=2, R=3 (boundary order).
-    def partner(sid: int) -> int:
-        g, k = divmod(sid, 4)
-        if k == 0:
-            return 4 * int(sigma_inv[g]) + 3
-        if k == 3:
-            return 4 * int(sigma[g]) + 0
-        if k == 1:
-            return 4 * int(alpha[g]) + 2
-        return 4 * int(alpha[g]) + 1
-
-    # BFS spanning tree over tiles; crossing side k of tile g reaches:
-    # L -> g*T^-1, arc1/arc2 -> g*S, R -> g*T.
-    neighbor_sides = (3, 0, 1, 2)
-    tree = np.zeros(4 * size, dtype=bool)
-    seen = np.zeros(size, dtype=bool)
-    seen[0] = True
-    queue = [0]
-    tree_edges = 0
-    while queue:
-        nxt = []
-        for g in queue:
-            for k in neighbor_sides:
-                sid = 4 * g + k
-                other = partner(sid)
-                h = other // 4
-                if not seen[h]:
-                    seen[h] = True
-                    tree[sid] = True
-                    tree[other] = True
-                    tree_edges += 1
-                    nxt.append(h)
-        queue = nxt
-    if not bool(seen.all()):
-        raise RuntimeError("tile graph is disconnected")
-
-    # Boundary walk of the glued disk.
-    def next_boundary(sid: int) -> int:
-        g, k = divmod(sid, 4)
-        t = 4 * g + (k + 1) % 4
-        while tree[t]:
-            pg, pk = divmod(partner(t), 4)
-            t = 4 * pg + (pk + 1) % 4
-        return t
-
-    start = next(s for s in range(4 * size) if not tree[s])
-    walk = [start]
-    cur = next_boundary(start)
-    while cur != start:
-        walk.append(cur)
-        cur = next_boundary(cur)
-    expected_sides = 4 * size - 2 * tree_edges
-    if len(walk) != expected_sides:
-        raise RuntimeError(
-            f"boundary walk covers {len(walk)} sides, expected {expected_sides}"
-        )
-
-    position = {sid: i for i, sid in enumerate(walk)}
-    pairs = []
-    kernel_checked = 0
-    for i, sid in enumerate(walk):
-        other = partner(sid)
-        j = position[other]
-        if i < j:
-            pairs.append((i, j))
-            # The pairing element maps tile g onto tile h across this edge;
-            # in the quotient it is g * X * (gX)^-1 = identity, i.e. the
-            # side-pairing transformation lies in the congruence kernel.
-            g, k = divmod(sid, 4)
-            h = other // 4
-            crossed = int(sigma_inv[g]) if k == 0 else (
-                int(sigma[g]) if k == 3 else int(alpha[g])
-            )
-            if crossed == h:
-                kernel_checked += 1
-
-    classes = polygon_corner_classes(len(walk), pairs)
-    chi = len(classes) - len(pairs) + 1
+    tree_edges, walk, pairs, classes, in_kernel = _glued_domain(amap.sigma, amap.alpha)
+    chi = classes - pairs + 1
     inv = amap.invariants()
     map_chi = inv.vertices - inv.edges + inv.faces
     if chi % 2:
         raise RuntimeError(f"odd Euler characteristic {chi} from coset domain")
     return CosetDomainReport(
-        tiles=size,
+        tiles=group.order,
         tree_edges=tree_edges,
-        boundary_sides=len(walk),
-        edge_pairs=len(pairs),
-        corner_classes=len(classes),
+        boundary_sides=walk,
+        edge_pairs=pairs,
+        corner_classes=classes,
         chi=chi,
         genus=(2 - chi) // 2,
         map_chi=map_chi,
         matches_map=chi == map_chi,
-        pairings_in_kernel=kernel_checked,
+        pairings_in_kernel=in_kernel,
     )
+
+
+# Crossing side k of a tile, in the BFS's side order: R, L, arc1, arc2.
+_TREE_SIDE_ORDER = np.array([3, 0, 1, 2], dtype=np.int64)
+
+
+def _glued_domain(sigma: np.ndarray, alpha: np.ndarray) -> tuple[int, int, int, int, int]:
+    """Tree edges, boundary walk length, edge pairs, corner classes and
+    pairings in the kernel of the disk glued from tiles g -> g*T, g*S.
+
+    Side 4*g + k is side k (L=0, arc1=1, arc2=2, R=3, in boundary order)
+    of tile g.
+    """
+    size = sigma.shape[0]
+    sides = 4 * size
+    ids = np.arange(sides, dtype=np.int64)
+    sigma_inv = np.empty(size, dtype=np.int64)
+    sigma_inv[sigma] = ids[:size]
+    # The tile across each side (L -> g*T^-1, arc1/arc2 -> g*S, R -> g*T),
+    # and the side it is glued to there.
+    crossed = np.stack([sigma_inv, alpha, alpha, sigma], axis=1).ravel()
+    partner = 4 * crossed + np.tile(np.array([3, 2, 1, 0], dtype=np.int64), size)
+
+    # Level-synchronous BFS spanning tree.  Within a level a new tile is
+    # reached across its first discovery in (frontier order, side order),
+    # picked by a stable sort, so the tree is the one a FIFO queue builds.
+    tree = np.zeros(sides, dtype=bool)
+    seen = np.zeros(size, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    tree_edges = 0
+    while frontier.size:
+        cand = (4 * frontier[:, None] + _TREE_SIDE_ORDER).ravel()
+        reached = crossed[cand]
+        new = ~seen[reached]
+        cand, reached = cand[new], reached[new]
+        order = np.argsort(reached, kind="stable")
+        ranked = reached[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        cand = cand[np.sort(order[first])]
+        frontier = crossed[cand]
+        seen[frontier] = True
+        tree[cand] = True
+        tree[partner[cand]] = True
+        tree_edges += cand.size
+    if not bool(seen.all()):
+        raise RuntimeError("tile graph is disconnected")
+
+    # Boundary successor: from the side after s on its tile, cross glued
+    # (tree) sides around the corner until a boundary side is reached.
+    # step is that crossing, fixed on boundary sides; pointer doubling
+    # iterates it to its fixed point.
+    rotate = ids + 1
+    rotate[3::4] -= 4
+    step = np.where(tree, rotate[partner], ids)
+    rounds = (sides - 1).bit_length() + 1
+    for _ in range(rounds):
+        if not tree[step].any():
+            break
+        step = step[step]
+    else:
+        raise RuntimeError(f"boundary successor did not settle in {rounds} doubling rounds")
+    successor = step[rotate]
+
+    # Both orbit computations run on the boundary sides, renumbered
+    # 0..B-1 in side order, so the walk starts at 0, the first of them.
+    boundary = np.flatnonzero(~tree)
+    local = np.empty(sides, dtype=np.int64)
+    local[boundary] = np.arange(boundary.size, dtype=np.int64)
+    walk = int(np.count_nonzero(_orbit_labels(local[successor[boundary]]) == 0))
+    if walk != boundary.size:
+        raise RuntimeError(f"boundary walk covers {walk} sides, expected {boundary.size}")
+
+    # Gluing walk sides i and j identifies corner i with j+1 and i+1 with
+    # j: the start of side s with the start of the successor of its
+    # partner.  The corner classes are the orbits of that permutation.
+    corners = _orbit_labels(local[successor[partner[boundary]]])
+    classes = int(np.count_nonzero(corners == np.arange(boundary.size)))
+    # Each pair once, from its smaller side; the tile across the side is
+    # the one its partner lies on, i.e. the pairing is trivial mod n.
+    mate = partner[boundary]
+    lead = boundary < mate
+    in_kernel = int(np.count_nonzero(crossed[boundary[lead]] == mate[lead] // 4))
+    return tree_edges, walk, int(np.count_nonzero(lead)), classes, in_kernel
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,18 @@
 
 These are the per-element loops the library used before its numpy passes:
 ``correspondence_check`` calls ``cusp_of`` and ``adjacent`` once per dart
-or edge and walks the orbits with ``maps._orbits``.  The differential tests
-in test_vectorized.py require the library to agree with them.
+or edge and walks the orbits with ``maps._orbits``; ``coset_domain_check``
+grows its spanning tree with a FIFO queue, walks the boundary side by side
+and unions corners over walk positions with ``polygon_corner_classes``.
+The differential tests in test_vectorized.py require the library to agree
+with them.
 """
 
+import numpy as np
+
 from hfmap.coords import adjacent, cusp_of
-from hfmap.maps import CorrespondenceReport, MapInvariants, _orbits
+from hfmap.maps import CorrespondenceReport, MapInvariants, _orbits, build_algebraic_map
+from hfmap.polygon import CosetDomainReport, polygon_corner_classes
 
 
 def invariants(amap) -> MapInvariants:
@@ -85,3 +91,113 @@ def correspondence_check(group, amap, graph) -> CorrespondenceReport:
         problems=problems,
         notes=notes,
     )
+
+
+def coset_domain_check(group) -> CosetDomainReport:
+    if group.params.n % 2 == 0:
+        raise ValueError("coset domain check requires odd n")
+    amap = build_algebraic_map(group)
+    tree_edges, walk, pairs, classes, kernel_checked = coset_domain(amap.sigma, amap.alpha)
+    chi = classes - pairs + 1
+    inv = invariants(amap)
+    map_chi = inv.vertices - inv.edges + inv.faces
+    if chi % 2:
+        raise RuntimeError(f"odd Euler characteristic {chi} from coset domain")
+    return CosetDomainReport(
+        tiles=group.order,
+        tree_edges=tree_edges,
+        boundary_sides=walk,
+        edge_pairs=pairs,
+        corner_classes=classes,
+        chi=chi,
+        genus=(2 - chi) // 2,
+        map_chi=map_chi,
+        matches_map=chi == map_chi,
+        pairings_in_kernel=kernel_checked,
+    )
+
+
+def coset_domain(sigma, alpha) -> tuple[int, int, int, int, int]:
+    """Tree edges, walk length, edge pairs, corner classes and pairings in
+    the kernel, as polygon._glued_domain returns them."""
+    size = sigma.shape[0]
+    sigma_inv = np.argsort(sigma)
+
+    # Side encoding: 4*g + k with k in L=0, arc1=1, arc2=2, R=3 (boundary order).
+    def partner(sid: int) -> int:
+        g, k = divmod(sid, 4)
+        if k == 0:
+            return 4 * int(sigma_inv[g]) + 3
+        if k == 3:
+            return 4 * int(sigma[g]) + 0
+        if k == 1:
+            return 4 * int(alpha[g]) + 2
+        return 4 * int(alpha[g]) + 1
+
+    # BFS spanning tree over tiles; crossing side k of tile g reaches:
+    # L -> g*T^-1, arc1/arc2 -> g*S, R -> g*T.
+    neighbor_sides = (3, 0, 1, 2)
+    tree = np.zeros(4 * size, dtype=bool)
+    seen = np.zeros(size, dtype=bool)
+    seen[0] = True
+    queue = [0]
+    tree_edges = 0
+    while queue:
+        nxt = []
+        for g in queue:
+            for k in neighbor_sides:
+                sid = 4 * g + k
+                other = partner(sid)
+                h = other // 4
+                if not seen[h]:
+                    seen[h] = True
+                    tree[sid] = True
+                    tree[other] = True
+                    tree_edges += 1
+                    nxt.append(h)
+        queue = nxt
+    if not bool(seen.all()):
+        raise RuntimeError("tile graph is disconnected")
+
+    # Boundary walk of the glued disk.
+    def next_boundary(sid: int) -> int:
+        g, k = divmod(sid, 4)
+        t = 4 * g + (k + 1) % 4
+        while tree[t]:
+            pg, pk = divmod(partner(t), 4)
+            t = 4 * pg + (pk + 1) % 4
+        return t
+
+    start = next(s for s in range(4 * size) if not tree[s])
+    walk = [start]
+    cur = next_boundary(start)
+    while cur != start:
+        walk.append(cur)
+        cur = next_boundary(cur)
+    expected_sides = 4 * size - 2 * tree_edges
+    if len(walk) != expected_sides:
+        raise RuntimeError(
+            f"boundary walk covers {len(walk)} sides, expected {expected_sides}"
+        )
+
+    position = {sid: i for i, sid in enumerate(walk)}
+    pairs = []
+    kernel_checked = 0
+    for i, sid in enumerate(walk):
+        other = partner(sid)
+        j = position[other]
+        if i < j:
+            pairs.append((i, j))
+            # The pairing element maps tile g onto tile h across this edge;
+            # in the quotient it is g * X * (gX)^-1 = identity, i.e. the
+            # side-pairing transformation lies in the congruence kernel.
+            g, k = divmod(sid, 4)
+            h = other // 4
+            crossed = int(sigma_inv[g]) if k == 0 else (
+                int(sigma[g]) if k == 3 else int(alpha[g])
+            )
+            if crossed == h:
+                kernel_checked += 1
+
+    classes = polygon_corner_classes(len(walk), pairs)
+    return tree_edges, len(walk), len(pairs), len(classes), kernel_checked

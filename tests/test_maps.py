@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from hfmap import maps, polygon
 from hfmap.coords import cusp_of, vertex_names
-from hfmap.group import HeckeParams, cached_group, s5_permutation_group
+from hfmap.group import HeckeParams, cached_group, enumerate_group, s5_permutation_group
 from hfmap.maps import (
     MapStructure,
     automorphism_count,
@@ -149,3 +150,31 @@ def test_invariants_json_exact(map45):
     assert list(payload) == [
         "q", "n", "darts", "vertices", "edges", "faces", "genus", "group_order",
     ]
+
+
+def test_algebraic_map_is_built_once_per_group(monkeypatch):
+    g = cached_group(4, 5)
+    assert build_algebraic_map(g) is build_algebraic_map(g)
+
+    # One sweep problem, as the benchmark runs it: the group's sigma, alpha
+    # and phi are labelled once each although three calls use the map.  The
+    # coset domain's walk and corner orbits are the two calls made through
+    # polygon's own reference.
+    counts = {"maps": 0, "polygon": 0}
+    orbit_labels = maps._orbit_labels
+
+    def counting(module):
+        def wrapped(perm):
+            counts[module] += 1
+            return orbit_labels(perm)
+        return wrapped
+
+    monkeypatch.setattr(maps, "_orbit_labels", counting("maps"))
+    monkeypatch.setattr(polygon, "_orbit_labels", counting("polygon"))
+    p = HeckeParams(4, 29)
+    group = enumerate_group(p)
+    amap = build_algebraic_map(group)
+    amap.invariants()
+    correspondence_check(group, amap, build_coordinate_graph(p))
+    polygon.coset_domain_check(group)
+    assert counts == {"maps": 3, "polygon": 2}

@@ -1,7 +1,8 @@
 """The array passes of the map pipeline against their scalar references.
 
 ``adjacent``, ``cusp_of`` and ``maps._orbits`` are the per-element forms;
-``oracles`` holds the per-element correspondence check and invariants.
+``oracles`` holds the per-element correspondence check and invariants, and
+the coset-domain check with its queue BFS and side-by-side boundary walk.
 """
 
 from types import SimpleNamespace
@@ -30,6 +31,7 @@ from hfmap.maps import (
     build_coordinate_graph,
     correspondence_check,
 )
+from hfmap.polygon import _glued_domain, coset_domain_check
 
 CASES = [(q, n) for q in (3, 4, 6) for n in (3, 5, 7, 9, 15, 21)]
 
@@ -215,3 +217,46 @@ def test_correspondence_of_a_wrong_map_matches_scalar_oracle(q, n):
         assert problem in got.problems[0]
         assert got.edges_matched == edges_matched
         assert vars(got) == vars(oracles.correspondence_check(g, wrong, graph))
+
+
+DOMAIN_CASES = [(q, n) for q in (3, 4, 6) for n in (3, 5, 7, 9, 15, 21, 29)]
+
+
+@pytest.mark.parametrize("q,n", DOMAIN_CASES)
+def test_coset_domain_matches_scalar_oracle(q, n):
+    group = cached_group(q, n)
+    got = coset_domain_check(group)
+    assert vars(got) == vars(oracles.coset_domain_check(group))
+    assert got.matches_map
+
+
+def _connected_map(rng, darts):
+    while True:
+        amap = _random_map(rng, darts)
+        if amap.is_connected():
+            return amap
+
+
+def test_glued_domain_on_random_maps():
+    """The tile of each dart of any connected map glues into a closed
+    surface whose Euler characteristic is the map's V - E + F."""
+    rng = np.random.default_rng(17)
+    for darts in (2, 4, 6, 10, 24, 60, 200):
+        for _ in range(8):
+            amap = _connected_map(rng, darts)
+            got = _glued_domain(amap.sigma, amap.alpha)
+            assert got == oracles.coset_domain(amap.sigma, amap.alpha)
+            tree_edges, walk, pairs, classes, in_kernel = got
+            inv = amap.invariants()
+            assert classes - pairs + 1 == inv.vertices - inv.edges + inv.faces
+            assert (tree_edges, walk, in_kernel) == (darts - 1, 2 * pairs, pairs)
+
+
+def test_glued_domain_rejects_disconnected_tiles():
+    amap = build_algebraic_map(cached_group(4, 5))
+    d = amap.darts
+    sigma = np.concatenate([amap.sigma, amap.sigma + d])
+    alpha = np.concatenate([amap.alpha, amap.alpha + d])
+    for domain in (_glued_domain, oracles.coset_domain):
+        with pytest.raises(RuntimeError, match="tile graph is disconnected"):
+            domain(sigma, alpha)
