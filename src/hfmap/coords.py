@@ -5,6 +5,8 @@ kind "A" stands for the value num/(den*sqrt(m)) and kind "B" for
 num*sqrt(m)/den.  For q = 3 (sqrt(m) = 1) only kind A exists and the value
 is the plain fraction num/den.  Two coordinates are joined by an edge of
 the quotient map iff the determinant-style form below is +-1 mod n.
+When m > 1 divides n, the classes with m dividing the kind-A numerator or
+the kind-B denominator are no cusps and are not coordinates.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "adjacent_codes",
     "cusp_codes",
     "apply_to_coord",
-    "poles",
     "is_pole",
     "NameTable",
     "vertex_names",
@@ -65,7 +66,23 @@ def normalize(kind: str, num: int, den: int, p: HeckeParams) -> HFCoord:
     a, c = num % n, den % n
     if math.gcd(a, c, n) != 1:
         raise ValueError(f"({num}, {den}) is not a coordinate mod {n}: gcd > 1")
+    if _unreached(kind, a, c, p):
+        part = "numerator" if kind == "A" else "denominator"
+        raise ValueError(
+            f"({num}, {den}) is not a coordinate mod {n}: {p.m} divides the kind-{kind} {part}"
+        )
     return HFCoord(kind, *min((a, c), (-a % n, -c % n)))
+
+
+def _unreached(kind: str, a: int, c: int, p: HeckeParams) -> bool:
+    """True for the residue classes no cusp reaches when m > 1 divides n.
+
+    Read mod m, the determinant a*d - m*b*c = 1 of an even element forces
+    m not to divide its kind-A numerator a, and m*a*d - b*c = 1 of an odd
+    one forces m not to divide its kind-B denominator c: the m | n branch
+    of the index formula.
+    """
+    return p.m > 1 and p.n % p.m == 0 and (a if kind == "A" else c) % p.m == 0
 
 
 def is_pole(u: HFCoord) -> bool:
@@ -86,7 +103,7 @@ def enumerate_coords(p: HeckeParams) -> list[HFCoord]:
     for kind in kinds:
         for a in range(p.n):
             for c in range(p.n):
-                if math.gcd(a, c, p.n) == 1:
+                if math.gcd(a, c, p.n) == 1 and not _unreached(kind, a, c, p):
                     seen.add(normalize(kind, a, c, p))
     return sorted(seen)
 
@@ -107,10 +124,6 @@ def adjacent(u: HFCoord, v: HFCoord, p: HeckeParams) -> bool:
     bd = v if u.kind == "A" else u
     d = (ac.num * bd.den - p.m * bd.num * ac.den) % n
     return d == 1 % n or d == -1 % n
-
-
-def poles(p: HeckeParams) -> list[HFCoord]:
-    return [u for u in enumerate_coords(p) if is_pole(u)]
 
 
 def cusp_of(g, p: HeckeParams) -> HFCoord:
@@ -169,8 +182,9 @@ def adjacent_codes(u: np.ndarray, v: np.ndarray, p: HeckeParams) -> np.ndarray:
 def cusp_codes(comps: np.ndarray, p: HeckeParams) -> np.ndarray:
     """Codes of ``cusp_of`` for every row of an (N, 8) component table.
 
-    A row that ``cusp_of`` rejects (no parity pattern, or gcd > 1) makes it
-    raise its ValueError: the first such row is handed to ``cusp_of``.
+    A row that ``cusp_of`` rejects (no parity pattern, gcd > 1, or a class
+    no cusp reaches) makes it raise its ValueError: the first such row is
+    handed to ``cusp_of``.
     """
     n = p.n
     g = np.asarray(comps, dtype=np.int64)
@@ -186,6 +200,8 @@ def cusp_codes(comps: np.ndarray, p: HeckeParams) -> np.ndarray:
         den = np.where(even, g[:, 5], g[:, 4]) % n
         bad = even == odd
     bad |= np.gcd(np.gcd(num, den), n) != 1
+    if p.m > 1 and n % p.m == 0:
+        bad |= np.where(kind == 0, num, den) % p.m == 0
     if bad.any():
         cusp_of(g[int(np.argmax(bad))].tolist(), p)
     flipped = (-num % n) * n + (-den % n)
@@ -213,13 +229,6 @@ def apply_to_coord(g, u: HFCoord, p: HeckeParams) -> HFCoord:
     if w[0] == 0 and w[5] == 0:
         return normalize("B", w[1], w[4], p)
     raise ValueError(f"image column {w[0:2]}, {w[4:6]} matches no coordinate pattern")
-
-
-def translate(u: HFCoord, p: HeckeParams) -> HFCoord:
-    """Action of the translation T (add lam_q to the coordinate value)."""
-    if p.q == 3 or u.kind == "B":
-        return normalize(u.kind, u.num + u.den, u.den, p)
-    return normalize("A", u.num + p.m * u.den, u.den, p)
 
 
 def coord_value_str(u: HFCoord, p: HeckeParams) -> str:
@@ -272,14 +281,14 @@ class NameTable:
         self.params = p
         self._by_name: dict[str, HFCoord] = {}
         self._by_coord: dict[HFCoord, str] = {}
-        self._printed: dict[str, tuple[str, int, int]] = {}
+        self._printed: dict[str, HFCoord] = {}
         for name, kind, num, den in rows:
             u = normalize(kind, num, den, p)
             if name in self._by_name or u in self._by_coord:
                 raise ValueError(f"duplicate name-table row {name}")
             self._by_name[name] = u
             self._by_coord[u] = name
-            self._printed[name] = (kind, num, den)
+            self._printed[name] = HFCoord(kind, num, den)
 
     def __len__(self) -> int:
         return len(self._by_name)
@@ -295,11 +304,7 @@ class NameTable:
 
     def printed_value(self, name: str) -> str:
         """The customary (not necessarily sign-canonical) fraction string."""
-        kind, num, den = self._printed[name]
-        root = f"sqrt{self.params.m}"
-        if kind == "A":
-            return f"{num}/({den}{root})"
-        return f"{num}{root}/{den}"
+        return coord_value_str(self._printed[name], self.params)
 
 
 @lru_cache(maxsize=None)

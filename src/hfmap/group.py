@@ -143,30 +143,25 @@ class FiniteHeckeGroup:
 
     Elements are stored as packed canonical keys plus their (N, 8) component
     table; the identity has index 0.  ``cayley[i]`` holds the indices of
-    i*S and i*T, resolved from the closure's ``product_keys``.  Immutable
-    after construction.
+    i*S and i*T, resolved from the closure's ``product_keys``, so
+    ``cayley[0]`` holds those of S and T.  Immutable after construction.
     """
 
     params: HeckeParams
     keys: np.ndarray
     comps: np.ndarray
     product_keys: InitVar[np.ndarray]
-    gen_S: int = 0
-    gen_T: int = 0
-    gen_R: int = 0
     cayley: np.ndarray = field(init=False, repr=False)
     # The algebraic map, built once by maps.build_algebraic_map.
     _algebraic_map: object = field(default=None, init=False, compare=False, repr=False)
-    _sorted_keys: np.ndarray = field(default=None, repr=False)
-    _sorted_to_bfs: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self, product_keys: np.ndarray) -> None:
         order = np.argsort(self.keys)
-        self._sorted_keys = self.keys[order]
-        self._sorted_to_bfs = order.astype(np.int64)
-        self.cayley = self._indices_of_keys(product_keys)
-        gens = kernels.canonical_keys(generators(self.params), self.params.n)
-        self.gen_S, self.gen_T, self.gen_R = self._indices_of_keys(gens).tolist()
+        sorted_keys = self.keys[order]
+        pos = np.minimum(np.searchsorted(sorted_keys, product_keys), self.order - 1)
+        if not np.array_equal(sorted_keys[pos], product_keys):
+            raise RuntimeError("group is not closed under multiplication")
+        self.cayley = order[pos]
 
     @property
     def order(self) -> int:
@@ -178,40 +173,6 @@ class FiniteHeckeGroup:
     @property
     def identity(self) -> int:
         return 0
-
-    def index_of_key(self, key: int) -> int:
-        pos = int(np.searchsorted(self._sorted_keys, key))
-        if pos >= self._sorted_keys.shape[0] or self._sorted_keys[pos] != key:
-            raise KeyError(f"key {key} is not an element of this group")
-        return int(self._sorted_to_bfs[pos])
-
-    def mult(self, i: int, j: int) -> int:
-        n, m = self.params.n, self.params.m
-        key = kernels.right_mult_keys(self.comps[i], self.comps[j], n, m)
-        return self.index_of_key(int(key))
-
-    def inv(self, i: int) -> int:
-        c = self.comps[i]
-        n = self.params.n
-        adj = np.array(
-            [c[6], c[7], -c[2] % n, -c[3] % n, -c[4] % n, -c[5] % n, c[0], c[1]],
-            dtype=np.int64,
-        )
-        return self.index_of_key(int(kernels.canonical_keys(adj, n)))
-
-    def _indices_of_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Element indices of an array of keys, each of which must be an element."""
-        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.order - 1)
-        if not np.array_equal(self._sorted_keys[pos], keys):
-            raise RuntimeError("group is not closed under multiplication")
-        return self._sorted_to_bfs[pos]
-
-    def right_mult_perm(self, j: int) -> np.ndarray:
-        """Permutation i -> i*j over all element indices, as an int64 array."""
-        n, m = self.params.n, self.params.m
-        return self._indices_of_keys(
-            kernels.right_mult_keys(self.comps, self.comps[j], n, m)
-        )
 
 
 def enumerate_group(p: HeckeParams, limit: int | None = None) -> FiniteHeckeGroup:
@@ -308,9 +269,6 @@ class PermGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def mult(self, i: int, j: int) -> int:
-        return self.index[perm_compose(self.elements[i], self.elements[j])]
 
     def right_mult_perm(self, g: Perm) -> np.ndarray:
         return np.asarray(

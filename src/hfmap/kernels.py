@@ -29,6 +29,7 @@ __all__ = [
     "mat_mul_components",
     "right_mult_keys",
     "closure_bfs",
+    "distinct",
     "resolve_backend",
 ]
 
@@ -105,6 +106,18 @@ def right_mult_keys(comps: np.ndarray, g: np.ndarray, n: int, m: int) -> np.ndar
     return canonical_keys(mat_mul_components(comps, g, n, m), n)
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-d array, as np.unique gives them.
+
+    numpy 2.4's np.unique hashes integer arrays and took 0.37 s for 515,100
+    values on a 2-vCPU x86-64 VM, where sorting them took 5 ms.
+    """
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def resolve_backend() -> str:
     """Name of the closure implementation, recorded with benchmark results."""
     return "numpy"
@@ -147,7 +160,7 @@ def closure_bfs(
         # The frontier is the last level, rows count - len(frontier) on.
         level = right_mult_keys(frontier[:, None, :], gens, n, m)
         products[count - level.shape[0] : count] = level
-        keys = np.unique(level)
+        keys = distinct(level.ravel())
         pos = np.minimum(np.searchsorted(visited, keys), visited.shape[0] - 1)
         fresh = keys[visited[pos] != keys]
         end = count + fresh.shape[0]

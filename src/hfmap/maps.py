@@ -24,6 +24,7 @@ from .coords import (
     enumerate_coords,
 )
 from .group import FiniteHeckeGroup, HeckeParams, PermGroup, s5_permutation_group
+from .kernels import distinct
 
 __all__ = [
     "MapStructure",
@@ -36,7 +37,6 @@ __all__ = [
     "permutation_model_map",
     "canonical_form",
     "is_isomorphic",
-    "automorphism_count",
     "invariants_json",
     "graphs_isomorphic",
     "cube_graph_adjacency",
@@ -54,25 +54,12 @@ def _walk(perm: np.ndarray, start: int) -> list[int]:
     return orbit
 
 
-def _orbits(perm: np.ndarray) -> list[list[int]]:
-    """Every orbit, walked from its smallest dart; the scalar reference."""
-    seen = np.zeros(perm.shape[0], dtype=bool)
-    out = []
-    for start in range(perm.shape[0]):
-        if seen[start]:
-            continue
-        orbit = _walk(perm, start)
-        seen[orbit] = True
-        out.append(orbit)
-    return out
-
-
 def _orbit_labels(perm: np.ndarray) -> np.ndarray:
     """Smallest dart of each dart's orbit under perm, by pointer doubling.
 
     After k rounds label[i] is the minimum over i, perm(i), ...,
     perm^(2^k - 1)(i); once a round changes nothing every label is its
-    orbit's minimum.  ``_orbits`` is the scalar reference.
+    orbit's minimum.  ``tests/oracles.py`` walks the orbits as the reference.
     """
     label = np.arange(perm.shape[0], dtype=np.int64)
     step = perm
@@ -92,18 +79,6 @@ def _orbit_sizes(label: np.ndarray) -> np.ndarray:
 def _common(sizes: np.ndarray) -> int:
     """The one value all sizes share, or 0 when they differ or there are none."""
     return int(sizes[0]) if sizes.size and sizes.min() == sizes.max() else 0
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values, as np.unique gives them.
-
-    numpy 2.4's np.unique hashes integer arrays and took 0.37 s for 515,100
-    values on a 2-vCPU x86-64 VM, where sorting them took 5 ms.
-    """
-    values = np.sort(values)
-    keep = np.ones(values.size, dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
 
 
 @dataclass(frozen=True)
@@ -146,15 +121,6 @@ class MapStructure:
     def phi(self) -> np.ndarray:
         return self.alpha[self.sigma]
 
-    def vertex_orbits(self) -> list[list[int]]:
-        return _orbits(self.sigma)
-
-    def edge_orbits(self) -> list[list[int]]:
-        return _orbits(self.alpha)
-
-    def face_orbits(self) -> list[list[int]]:
-        return _orbits(self.phi)
-
     @cached_property
     def vertex_labels(self) -> np.ndarray:
         """Smallest dart of each dart's vertex (sigma) orbit."""
@@ -169,21 +135,6 @@ class MapStructure:
     def face_labels(self) -> np.ndarray:
         """Smallest dart of each dart's face (phi) orbit."""
         return _orbit_labels(self.phi)
-
-    def is_connected(self) -> bool:
-        d = self.darts
-        seen = np.zeros(d, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            cur = stack.pop()
-            for nxt in (int(self.sigma[cur]), int(self.alpha[cur])):
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    count += 1
-                    stack.append(nxt)
-        return count == d
 
     def invariants(self) -> MapInvariants:
         vo, eo, fo = (
@@ -258,13 +209,6 @@ class CoordGraph:
     @property
     def node_index(self) -> dict[HFCoord, int]:
         return {u: i for i, u in enumerate(self.nodes)}
-
-    def degrees(self) -> list[int]:
-        out = [0] * len(self.nodes)
-        for a, b in self.edges:
-            out[a] += 1
-            out[b] += 1
-        return out
 
     def adjacency_matrix(self) -> np.ndarray:
         n = len(self.nodes)
@@ -349,10 +293,10 @@ def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
         problems.append(f"vertex orbit {orbit[:4]}... has mixed cusps {values}")
         orbit_codes[k] = coord_codes([values.pop()], p)[0]
     node_codes = coord_codes(graph.nodes, p)
-    distinct = _distinct(orbit_codes)
+    orbit_set = distinct(orbit_codes)
     bijection = (
-        distinct.size == orbit_codes.size
-        and np.array_equal(distinct, _distinct(node_codes))
+        orbit_set.size == orbit_codes.size
+        and np.array_equal(orbit_set, distinct(node_codes))
     )
     if not bijection:
         problems.append("cusp map is not a bijection onto the coordinates")
@@ -371,11 +315,11 @@ def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
     index[node_codes] = np.arange(node_codes.size)
     size = len(graph.nodes)
     projected = _pair_codes(index[np.stack([ua[adj], ub[adj]], axis=1)], size)
-    graph_edges = _distinct(_pair_codes(np.array(graph.edges, dtype=np.int64), size))
-    distinct = _distinct(projected)
+    graph_edges = distinct(_pair_codes(np.array(graph.edges, dtype=np.int64), size))
+    projected_set = distinct(projected)
     edges_matched = (
-        projected.size == distinct.size == graph_edges.size
-        and np.array_equal(distinct, graph_edges)
+        projected.size == projected_set.size == graph_edges.size
+        and np.array_equal(projected_set, graph_edges)
     )
     if not edges_matched:
         problems.append("edge orbits do not project bijectively onto graph edges")
@@ -443,13 +387,6 @@ def is_isomorphic(m1: MapStructure, m2: MapStructure) -> bool:
     if m1.darts != m2.darts:
         return False
     return best_code(m1) == best_code(m2)
-
-
-def automorphism_count(amap: MapStructure) -> int:
-    """Number of relabelings fixing (sigma, alpha): darts whose rooted code
-    equals the code at dart 0."""
-    base = canonical_form(amap, 0)
-    return sum(1 for r in range(amap.darts) if canonical_form(amap, r) == base)
 
 
 # ---------------------------------------------------------------------------

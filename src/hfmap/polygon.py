@@ -3,11 +3,12 @@
 The boundary of the fundamental 20-gon carries 60 coordinates: a 12-vertex
 circuit through the poles plus its translates under T (which rotates the map
 by 2*pi/5 about the center 1/0).  Pole slots become polygon corners, sides
-are paired by equal coordinate labels, and a union-find over the identified
-corners recovers V - E + F = 2 - 2g.  An independent Euler-characteristic
-check glues a spanning-tree fundamental domain of coset tiles; the boundary
-walk of that disk and its corner classes are orbits of permutations of the
-boundary sides, computed as numpy passes.
+are paired by equal coordinate labels, and the corner classes, orbits of a
+permutation of the corners, recover V - E + F = 2 - 2g.  An independent
+Euler-characteristic check glues a spanning-tree fundamental domain of coset
+tiles; the boundary walk of that disk and its corner classes are orbits of
+permutations of the boundary sides too.  Every orbit is computed by
+``maps._orbit_labels``.
 """
 
 from __future__ import annotations
@@ -20,18 +21,13 @@ from .coords import (
     HFCoord,
     NameTable,
     adjacent,
+    apply_to_coord,
     is_pole,
     normalize,
-    translate,
     vertex_names,
 )
-from .group import FiniteHeckeGroup, HeckeParams
-from .maps import (
-    CoordGraph,
-    _orbit_labels,
-    build_algebraic_map,
-    build_coordinate_graph,
-)
+from .group import FiniteHeckeGroup, HeckeParams, generators
+from .maps import _orbit_labels, build_algebraic_map, build_coordinate_graph
 
 __all__ = [
     "Circuit",
@@ -48,7 +44,6 @@ __all__ = [
     "boundary_from_circuit",
     "pairing_rule_check",
     "vertex_classes",
-    "polygon_corner_classes",
     "side_label_analysis",
     "SideLabelReport",
     "coset_domain_check",
@@ -58,6 +53,9 @@ __all__ = [
     "parse_circuit_text",
     "format_circuit_text",
 ]
+
+# Sides of the fundamental polygon of the genus-4 map.
+NUM_SIDES = 20
 
 # The 12-vertex circuit through the boundary poles of the genus-4 map, and
 # the classical side labels / side pairing of its 20-gon (sides 1..20).
@@ -90,15 +88,19 @@ class Circuit:
 
 @dataclass(frozen=True)
 class PairingTable:
-    """Perfect matching on polygon sides 1..num_sides."""
+    """Perfect matching on the polygon sides 1..20.
+
+    Each pair and the tuple of pairs are stored sorted, so equal matchings
+    compare equal.
+    """
 
     pairs: tuple[tuple[int, int], ...]
-    num_sides: int = 20
 
     def __post_init__(self) -> None:
-        flat = [s for pair in self.pairs for s in pair]
-        if sorted(flat) != list(range(1, self.num_sides + 1)):
+        pairs = tuple(sorted(tuple(sorted(pair)) for pair in self.pairs))
+        if sorted(s for pair in pairs for s in pair) != list(range(1, NUM_SIDES + 1)):
             raise ValueError("pairs are not a perfect matching of the sides")
+        object.__setattr__(self, "pairs", pairs)
 
     def partner(self, k: int) -> int:
         for a, b in self.pairs:
@@ -126,31 +128,24 @@ def bring_circuit(p: HeckeParams | None = None) -> Circuit:
 
 
 def bring_side_pairing() -> PairingTable:
-    pairs = tuple(tuple(sorted(pair)) for pair in _BRING_SIDE_PAIRS)
-    return PairingTable(pairs=tuple(sorted(pairs)))
+    return PairingTable(pairs=tuple(_BRING_SIDE_PAIRS))
 
 
-def rule_pairing(num_sides: int = 20) -> PairingTable:
+def rule_pairing() -> PairingTable:
     """The matching forced by the rule: k = 2 mod 4 pairs with k+3,
-    k = 3 mod 4 pairs with k+9 (side numbers wrap into 1..num_sides)."""
-    pairs = set()
-    for k in range(1, num_sides + 1):
-        if k % 4 == 2:
-            pairs.add(tuple(sorted((k, (k + 3 - 1) % num_sides + 1))))
-        elif k % 4 == 3:
-            pairs.add(tuple(sorted((k, (k + 9 - 1) % num_sides + 1))))
-    return PairingTable(pairs=tuple(sorted(pairs)), num_sides=num_sides)
+    k = 3 mod 4 pairs with k+9 (side numbers wrap into 1..20).  The rule
+    covers every side, so it allows no other matching."""
+    shift = {2: 3, 3: 9}
+    return PairingTable(pairs=tuple(
+        (k, (k + shift[k % 4] - 1) % NUM_SIDES + 1)
+        for k in range(1, NUM_SIDES + 1)
+        if k % 4 in shift
+    ))
 
 
 def pairing_rule_check(t: PairingTable) -> bool:
     """True iff every side 2 mod 4 pairs to +3 and every 3 mod 4 to +9."""
-    n = t.num_sides
-    for k in range(1, n + 1):
-        if k % 4 == 2 and t.partner(k) != (k + 3 - 1) % n + 1:
-            return False
-        if k % 4 == 3 and t.partner(k) != (k + 9 - 1) % n + 1:
-            return False
-    return True
+    return t.pairs == rule_pairing().pairs
 
 
 def validate_circuit(c: Circuit, p: HeckeParams) -> bool:
@@ -166,7 +161,6 @@ def search_circuits(
     length: int,
     pole_positions: set[int],
     p: HeckeParams,
-    graph: CoordGraph | None = None,
 ) -> list[Circuit]:
     """All closed walks of the given length from start whose pole positions
     are exactly the given set; deterministic depth-first order."""
@@ -174,7 +168,7 @@ def search_circuits(
         raise ValueError(f"circuit search length {length} exceeds the bound 16")
     if (0 in pole_positions) != is_pole(start):
         return []
-    graph = graph or build_coordinate_graph(p)
+    graph = build_coordinate_graph(p)
     index = graph.node_index
     nodes = graph.nodes
     nbrs: list[list[int]] = [[] for _ in nodes]
@@ -235,11 +229,6 @@ class BoundarySequence:
     slots: tuple[HFCoord, ...]
     pole_slots: tuple[int, ...]
 
-    def spans(self) -> list[tuple[int, int]]:
-        """Pole-to-pole index ranges (start pole slot, end pole slot)."""
-        ps = list(self.pole_slots)
-        return [(ps[i], ps[(i + 1) % len(ps)]) for i in range(len(ps))]
-
 
 def boundary_from_circuit(c: Circuit, p: HeckeParams) -> BoundarySequence:
     """Concatenate the n translates of the circuit and validate the seams."""
@@ -251,17 +240,18 @@ def boundary_from_circuit(c: Circuit, p: HeckeParams) -> BoundarySequence:
             "boundary construction expects a 12-vertex circuit with poles "
             f"at positions 0, 3, 6, 9; got length {len(c.seq)}, poles {sorted(pole_positions)}"
         )
+    t = generators(p)[1].tolist()
     block = list(c.seq)
     slots: list[HFCoord] = []
     for _ in range(p.n):
         slots.extend(block)
-        block = [translate(u, p) for u in block]
+        block = [apply_to_coord(t, u, p) for u in block]
     total = len(slots)
     for j in range(total):
         if not adjacent(slots[j], slots[(j + 1) % total], p):
             raise ValueError(f"boundary seam violation between slots {j} and {j+1}")
     for j in range(total):
-        if translate(slots[j], p) != slots[(j + len(c.seq)) % total]:
+        if apply_to_coord(t, slots[j], p) != slots[(j + len(c.seq)) % total]:
             raise ValueError(f"slot {j} does not translate onto slot {j + len(c.seq)}")
     pole_slots = tuple(j for j, u in enumerate(slots) if is_pole(u))
     if len(pole_slots) != p.n * len(pole_positions):
@@ -274,51 +264,24 @@ def boundary_from_circuit(c: Circuit, p: HeckeParams) -> BoundarySequence:
 # ---------------------------------------------------------------------------
 
 
-def polygon_corner_classes(num_sides: int, pairs: list[tuple[int, int]]) -> list[set[int]]:
-    """Corner classes of a polygon whose sides are glued in pairs.
-
-    Sides and corners are 0-based; side i runs from corner i to corner i+1
-    (cyclically).  Gluing sides (i, j) identifies corner i with j+1 and
-    corner i+1 with j (the two sides are traversed oppositely along the
-    boundary).
-    """
-    parent = list(range(num_sides))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for i, j in pairs:
-        union(i, (j + 1) % num_sides)
-        union((i + 1) % num_sides, j)
-    groups: dict[int, set[int]] = {}
-    for c in range(num_sides):
-        groups.setdefault(find(c), set()).add(c)
-    return sorted(groups.values(), key=min)
-
-
 def vertex_classes(t: PairingTable) -> CornerPartition:
     """Identify the polygon corners a_1..a_20 under the side pairing.
 
-    Corner a_k is the first corner of side k going around the boundary;
-    genus comes from V - E + F = 2 - 2g with E = 10 and F = 1.
+    Corner a_k is the first corner of side k going around the boundary.
+    Glued sides k and j run oppositely, so a_k is identified with a_(j+1):
+    the classes are the orbits of k -> partner(k) + 1, listed by their
+    smallest corner.  Genus comes from V - E + F = 2 - 2g with E = 10 and
+    F = 1.
     """
-    n = t.num_sides
-    zero_based = [(a - 1, b - 1) for a, b in t.pairs]
-    classes = polygon_corner_classes(n, zero_based)
-    v = len(classes)
-    chi = v - n // 2 + 1
+    # 0-based, corner k - 1 goes to corner partner(k) mod 20.
+    step = np.array([t.partner(k) % NUM_SIDES for k in range(1, NUM_SIDES + 1)])
+    label = _orbit_labels(step)
+    roots = np.flatnonzero(label == np.arange(NUM_SIDES))
+    chi = roots.size - NUM_SIDES // 2 + 1
     if chi % 2:
         raise ValueError(f"odd Euler characteristic {chi} from corner classes")
     return CornerPartition(
-        classes=tuple(frozenset(c + 1 for c in cls) for cls in classes),
+        classes=tuple(frozenset((np.flatnonzero(label == r) + 1).tolist()) for r in roots),
         genus=(2 - chi) // 2,
     )
 
@@ -350,12 +313,13 @@ class SideLabelReport:
 
 
 def _translate_orbit(name: str, table: NameTable, p: HeckeParams) -> list[str]:
+    t = generators(p)[1].tolist()
     u = table.coord(name)
     orbit = [name]
-    v = translate(u, p)
+    v = apply_to_coord(t, u, p)
     while v != u:
         orbit.append(table.name(v))
-        v = translate(v, p)
+        v = apply_to_coord(t, v, p)
     return orbit
 
 
@@ -423,11 +387,9 @@ def side_label_analysis(b: BoundarySequence) -> SideLabelReport:
         for slots in by_label.values():
             if len(slots) != 2:
                 break
-            sides = tuple(sorted(((s - r) % num_spans) + 1 for s in slots))
-            derived.add(sides)
+            derived.add(tuple(((s - r) % num_spans) + 1 for s in slots))
         else:
-            derived_table = PairingTable(pairs=tuple(sorted(derived)))
-            pairing_consistent = set(derived_table.pairs) == set(bring_side_pairing().pairs)
+            pairing_consistent = PairingTable(pairs=tuple(derived)) == bring_side_pairing()
 
     return SideLabelReport(
         orbit_b=orbit_b,
@@ -589,7 +551,7 @@ def _glued_domain(sigma: np.ndarray, alpha: np.ndarray) -> tuple[int, int, int, 
 # ---------------------------------------------------------------------------
 
 
-def parse_pairing_text(text: str, num_sides: int = 20) -> PairingTable:
+def parse_pairing_text(text: str) -> PairingTable:
     """Lines "i j" (1-based); '#' starts a comment."""
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -599,9 +561,8 @@ def parse_pairing_text(text: str, num_sides: int = 20) -> PairingTable:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected two side numbers, got {raw!r}")
-        a, b = int(parts[0]), int(parts[1])
-        pairs.append(tuple(sorted((a, b))))
-    return PairingTable(pairs=tuple(sorted(pairs)), num_sides=num_sides)
+        pairs.append((int(parts[0]), int(parts[1])))
+    return PairingTable(pairs=tuple(pairs))
 
 
 def format_pairing_text(t: PairingTable) -> str:
@@ -643,11 +604,11 @@ def _parse_vertex(token: str, table: NameTable | None, p: HeckeParams) -> HFCoor
         raise ValueError(f"vertex {token!r}: {exc}") from None
 
 
-def format_circuit_text(c: Circuit, p: HeckeParams, use_names: bool = True) -> str:
-    if use_names:
-        try:
-            table = vertex_names(p)
-            return ",".join(table.name(u) for u in c.seq)
-        except (ValueError, KeyError):
-            pass
+def format_circuit_text(c: Circuit, p: HeckeParams) -> str:
+    """Vertex names when the map has a name table, else kind:num/den triples."""
+    try:
+        table = vertex_names(p)
+        return ",".join(table.name(u) for u in c.seq)
+    except (ValueError, KeyError):
+        pass
     return ",".join(f"{u.kind}:{u.num}/{u.den}" for u in c.seq)

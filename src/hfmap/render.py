@@ -28,6 +28,12 @@ __all__ = [
 
 MAX_DEPTH = 12
 
+# Page of the universal tessellation: the half-plane window
+# [XMIN, XMAX] x [0, YMAX], WIDTH pixels wide, edges drawn in STROKE.
+XMIN, XMAX, YMAX = -3.0, 3.0, 3.0
+WIDTH = 800
+STROKE = "#1a1a80"
+
 
 @dataclass(frozen=True, order=False)
 class Cusp:
@@ -94,12 +100,6 @@ def _make_geodesic(u: Cusp, v: Cusp, m: int) -> Geodesic:
 class RenderConfig:
     model: str = "halfplane"
     depth: int = 4
-    xmin: float = -3.0
-    xmax: float = 3.0
-    ymax: float = 3.0
-    width: int = 800
-    stroke: str = "#1a1a80"
-    labels: bool = False
 
     def __post_init__(self) -> None:
         if self.model not in ("halfplane", "disk"):
@@ -206,13 +206,13 @@ def render_universal(q: int, cfg: RenderConfig) -> str:
     """SVG of the universal tessellation's edges down to the given depth."""
     geodesics = universal_geodesics(q, cfg.depth)
     m = RADICAND[q]
-    width = cfg.width
+    width = WIDTH
     if cfg.model == "halfplane":
-        scale = width / (cfg.xmax - cfg.xmin)
-        height = int(round(cfg.ymax * scale))
+        scale = width / (XMAX - XMIN)
+        height = int(round(YMAX * scale))
 
         def to_page(x: float, y: float) -> tuple[float, float]:
-            return ((x - cfg.xmin) * scale, (cfg.ymax - y) * scale)
+            return ((x - XMIN) * scale, (YMAX - y) * scale)
 
         body = [
             f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -224,7 +224,7 @@ def render_universal(q: int, cfg: RenderConfig) -> str:
                 x, _ = to_page(geo.a.value(m), 0.0)
                 body.append(
                     f'<path d="M {_fmt(x)} {height} L {_fmt(x)} 0" fill="none" '
-                    f'stroke="{cfg.stroke}" stroke-width="1"/>'
+                    f'stroke="{STROKE}" stroke-width="1"/>'
                 )
             else:
                 x1, y1 = to_page(geo.a.value(m), 0.0)
@@ -232,7 +232,7 @@ def render_universal(q: int, cfg: RenderConfig) -> str:
                 r = abs(x2 - x1) / 2.0
                 body.append(
                     f'<path d="M {_fmt(x1)} {_fmt(y1)} A {_fmt(r)} {_fmt(r)} 0 0 1 '
-                    f'{_fmt(x2)} {_fmt(y2)}" fill="none" stroke="{cfg.stroke}" '
+                    f'{_fmt(x2)} {_fmt(y2)}" fill="none" stroke="{STROKE}" '
                     'stroke-width="1"/>'
                 )
         return _svg_document(width, height, body)
@@ -247,14 +247,14 @@ def render_universal(q: int, cfg: RenderConfig) -> str:
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
     for geo in geodesics:
-        pts = _sample_geodesic(geo, m, cfg.ymax)
+        pts = _sample_geodesic(geo, m, YMAX)
         page = []
         for x, y in pts:
             wx, wy = _halfplane_to_disk(x, y)
             page.append((cx + radius * wx, cy - radius * wy))
         d = "M " + " L ".join(f"{_fmt(px)} {_fmt(py)}" for px, py in page)
         body.append(
-            f'<path d="{d}" fill="none" stroke="{cfg.stroke}" stroke-width="1"/>'
+            f'<path d="{d}" fill="none" stroke="{STROKE}" stroke-width="1"/>'
         )
     return _svg_document(width, height, body)
 
@@ -273,10 +273,9 @@ def _node_labels(graph: CoordGraph) -> list[str]:
         return [coord_value_str(u, p) for u in graph.nodes]
 
 
-def render_quotient(p: HeckeParams, fmt: str = "dot",
-                    graph: CoordGraph | None = None) -> str:
+def render_quotient(p: HeckeParams, fmt: str = "dot") -> str:
     """DOT or schematic SVG of the coordinate graph."""
-    graph = graph or build_coordinate_graph(p)
+    graph = build_coordinate_graph(p)
     labels = _node_labels(graph)
     if fmt == "dot":
         lines = ["graph {"]
@@ -344,7 +343,7 @@ def render_polygon(b: BoundarySequence, t: PairingTable) -> str:
         return (cx + rad * math.cos(ang), cy + rad * math.sin(ang))
 
     color_of_side: dict[int, str] = {}
-    for idx, (a, bb) in enumerate(sorted(t.pairs)):
+    for idx, (a, bb) in enumerate(t.pairs):
         color_of_side[a] = _PAIR_COLORS[idx % len(_PAIR_COLORS)]
         color_of_side[bb] = _PAIR_COLORS[idx % len(_PAIR_COLORS)]
 

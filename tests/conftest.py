@@ -2,7 +2,7 @@ import pytest
 
 from hfmap.group import HeckeParams, cached_group
 from hfmap.maps import build_algebraic_map, build_coordinate_graph
-from hfmap.ring import ProjMatrix, RingElem
+from ring import ProjMatrix, RingElem
 
 
 def as_matrix(row):

@@ -1,23 +1,159 @@
-"""Scalar references for the array passes of the map pipeline.
+"""Scalar references for the library, which only the tests call.
 
 These are the per-element loops the library used before its numpy passes:
 ``correspondence_check`` calls ``cusp_of`` and ``adjacent`` once per dart
-or edge and walks the orbits with ``maps._orbits``; ``coset_domain_check``
-grows its spanning tree with a FIFO queue, walks the boundary side by side
-and unions corners over walk positions with ``polygon_corner_classes``.
-The differential tests in test_vectorized.py require the library to agree
-with them.
+or edge and walks the orbits with ``orbits``; ``coset_domain_check`` grows
+its spanning tree with a FIFO queue, walks the boundary side by side and
+unions corners over walk positions with ``polygon_corner_classes``.  The
+differential tests in test_vectorized.py require the library to agree with
+them.  Next to them are the element-level group operations (product,
+inverse, right-multiplication permutation) looked up by key, the dart
+system's orbits, connectivity and automorphisms, the coordinate graph's
+degrees, and the translation T as the formula "add lam_q".
 """
 
 import numpy as np
 
-from hfmap.coords import adjacent, cusp_of
-from hfmap.maps import CorrespondenceReport, MapInvariants, _orbits, build_algebraic_map
-from hfmap.polygon import CosetDomainReport, polygon_corner_classes
+from hfmap import kernels
+from hfmap.coords import adjacent, cusp_of, normalize
+from hfmap.maps import (
+    CorrespondenceReport,
+    MapInvariants,
+    _walk,
+    build_algebraic_map,
+    canonical_form,
+)
+from hfmap.polygon import CosetDomainReport
+
+
+# -- group elements ----------------------------------------------------------
+
+
+def index_of_key(group, key: int) -> int:
+    """Element index of a packed canonical key, by a scan of the keys."""
+    hits = np.flatnonzero(group.keys == key)
+    if hits.size != 1:
+        raise KeyError(f"key {key} is not an element of this group")
+    return int(hits[0])
+
+
+def mult(group, i: int, j: int) -> int:
+    p = group.params
+    key = kernels.right_mult_keys(group.comps[i], group.comps[j], p.n, p.m)
+    return index_of_key(group, int(key))
+
+
+def inv(group, i: int) -> int:
+    """Index of the inverse, from the adjugate [[d, -b], [-c, a]]."""
+    c = group.comps[i]
+    n = group.params.n
+    adj = np.array(
+        [c[6], c[7], -c[2] % n, -c[3] % n, -c[4] % n, -c[5] % n, c[0], c[1]],
+        dtype=np.int64,
+    )
+    return index_of_key(group, int(kernels.canonical_keys(adj, n)))
+
+
+def right_mult_perm(group, j: int) -> np.ndarray:
+    """Permutation i -> i*j over all element indices, as an int64 array."""
+    p = group.params
+    index = {key: i for i, key in enumerate(group.keys.tolist())}
+    keys = kernels.right_mult_keys(group.comps, group.comps[j], p.n, p.m)
+    return np.array([index[key] for key in keys.tolist()], dtype=np.int64)
+
+
+# -- coordinates -------------------------------------------------------------
+
+
+def translate(u, p):
+    """Action of the translation T: add lam_q to the coordinate value."""
+    if p.q == 3 or u.kind == "B":
+        return normalize(u.kind, u.num + u.den, u.den, p)
+    return normalize("A", u.num + p.m * u.den, u.den, p)
+
+
+# -- dart systems and graphs -------------------------------------------------
+
+
+def orbits(perm: np.ndarray) -> list[list[int]]:
+    """Every orbit, walked from its smallest dart."""
+    seen = np.zeros(perm.shape[0], dtype=bool)
+    out = []
+    for start in range(perm.shape[0]):
+        if seen[start]:
+            continue
+        orbit = _walk(perm, start)
+        seen[orbit] = True
+        out.append(orbit)
+    return out
+
+
+def is_connected(amap) -> bool:
+    d = amap.darts
+    seen = np.zeros(d, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    count = 1
+    while stack:
+        cur = stack.pop()
+        for nxt in (int(amap.sigma[cur]), int(amap.alpha[cur])):
+            if not seen[nxt]:
+                seen[nxt] = True
+                count += 1
+                stack.append(nxt)
+    return count == d
+
+
+def automorphism_count(amap) -> int:
+    """Number of relabelings fixing (sigma, alpha): darts whose rooted code
+    equals the code at dart 0."""
+    base = canonical_form(amap, 0)
+    return sum(1 for r in range(amap.darts) if canonical_form(amap, r) == base)
+
+
+def degrees(graph) -> list[int]:
+    out = [0] * len(graph.nodes)
+    for a, b in graph.edges:
+        out[a] += 1
+        out[b] += 1
+    return out
+
+
+def polygon_corner_classes(num_sides: int, pairs: list[tuple[int, int]]) -> list[set[int]]:
+    """Corner classes of a polygon whose sides are glued in pairs, by union-find.
+
+    Sides and corners are 0-based; side i runs from corner i to corner i+1
+    (cyclically).  Gluing sides (i, j) identifies corner i with j+1 and
+    corner i+1 with j (the two sides are traversed oppositely along the
+    boundary).
+    """
+    parent = list(range(num_sides))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    for i, j in pairs:
+        union(i, (j + 1) % num_sides)
+        union((i + 1) % num_sides, j)
+    groups: dict[int, set[int]] = {}
+    for c in range(num_sides):
+        groups.setdefault(find(c), set()).add(c)
+    return sorted(groups.values(), key=min)
+
+
+# -- the array passes of the map pipeline ------------------------------------
 
 
 def invariants(amap) -> MapInvariants:
-    vo, eo, fo = _orbits(amap.sigma), _orbits(amap.alpha), _orbits(amap.phi)
+    vo, eo, fo = orbits(amap.sigma), orbits(amap.alpha), orbits(amap.phi)
     v, e, f = len(vo), len(eo), len(fo)
     chi = v - e + f
     if chi % 2:
@@ -40,7 +176,7 @@ def correspondence_check(group, amap, graph) -> CorrespondenceReport:
     problems: list[str] = []
     cusps = [cusp_of(g, p) for g in group.comps.tolist()]
 
-    vertex_orbits = _orbits(amap.sigma)
+    vertex_orbits = orbits(amap.sigma)
     orbit_coords = []
     for orbit in vertex_orbits:
         values = {cusps[d] for d in orbit}
@@ -57,7 +193,7 @@ def correspondence_check(group, amap, graph) -> CorrespondenceReport:
     index = graph.node_index
     graph_edges = {frozenset(e) for e in graph.edges}
     projected: list[frozenset[int]] = []
-    for a, b in ((o[0], o[1]) for o in _orbits(amap.alpha)):
+    for a, b in ((o[0], o[1]) for o in orbits(amap.alpha)):
         ua, ub = cusps[a], cusps[b]
         if not adjacent(ua, ub, p):
             problems.append(f"edge darts project to non-adjacent {ua}, {ub}")

@@ -1,8 +1,8 @@
 """Scalar reference arithmetic in Z_n[sqrt(m)], which the tests compare against.
 
 The library works on component rows and multiplies them with
-``kernels.mat_mul_exact``; no library module imports this one.  It is kept
-as an independent oracle, written element by element: ``RingElem`` (a
+``kernels.mat_mul_exact``.  This module is an independent oracle, written
+element by element: ``RingElem`` (a
 residue a + b*sqrt(m) mod n) and ``ProjMatrix`` (a 2x2 matrix stored in a
 canonical sign form, so that projective equality is plain structural
 equality).

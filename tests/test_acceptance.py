@@ -18,6 +18,7 @@ from hfmap import render as R
 from hfmap.group import (
     HeckeParams,
     cached_group,
+    generators,
     perm_compose,
     perm_order,
     principal_congruence_index,
@@ -99,9 +100,10 @@ def test_c06_circuit_and_boundary():
     table = C.vertex_names(P45)
     counts = Counter(table.name(boundary.slots[i]) for i in boundary.pole_slots)
     assert counts == {"H2": 5, "C2": 5, "B1": 10}
-    assert C.translate(table.coord("E1"), P45) == table.coord("G1")
-    assert C.translate(table.coord("F2"), P45) == table.coord("E2")
-    assert C.translate(table.coord("H2"), P45) == table.coord("H2")
+    t = generators(P45)[1].tolist()
+    assert C.apply_to_coord(t, table.coord("E1"), P45) == table.coord("G1")
+    assert C.apply_to_coord(t, table.coord("F2"), P45) == table.coord("E2")
+    assert C.apply_to_coord(t, table.coord("H2"), P45) == table.coord("H2")
     _report("criterion 6: 12-circuit, 60-slot boundary, translation identities")
 
 

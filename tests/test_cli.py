@@ -188,3 +188,33 @@ def test_circuit_file_with_unknown_name(capsys, tmp_path):
     code, out, err = run(capsys, "circuit", "--verify", str(path))
     assert code == 2 and out == ""
     assert err == "error: unknown vertex name 'ZZ'\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("map --n 2", "error: modulus must be >= 3, got 2"),
+        ("map --n 235", "error: modulus 235 outside supported range [3, 234]"),
+        ("coords --q 4 --n 6", "error: coordinate enumeration requires odd n"),
+        ("coords --q 3 --n 5 --names", "error: no name table for q=3, n=5"),
+        ("circuit", "error: nothing to do: pass --verify or --search"),
+        ("circuit --search --length 17",
+         "error: circuit search length 17 exceeds the bound 16"),
+        ("render universal --depth 13", "error: depth 13 exceeds the bound 12"),
+        ("render universal --depth -1", "error: depth must be >= 0"),
+        ("circuit --q 6 --n 9 --search --start A:3/1 --length 4 --poles 0",
+         "error: vertex 'A:3/1': (3, 1) is not a coordinate mod 9: "
+         "3 divides the kind-A numerator"),
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
+def test_missing_pairing_file_exits_2(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "polygon", "--pairing", str(missing))
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import oracles
 import pytest
 from conftest import as_matrix
 
@@ -13,12 +14,10 @@ from hfmap.coords import (
     is_pole,
     normalize,
     parse_fraction,
-    poles,
-    translate,
     vertex_names,
 )
 from hfmap.group import HeckeParams, cached_group, element_order, generators, parity
-from hfmap.ring import (
+from ring import (
     RingElem,
     RingParams,
     canonicalize,
@@ -49,6 +48,13 @@ def test_normalize_rejects_non_coprime():
         normalize("A", 3, 0, HeckeParams(4, 9))
     with pytest.raises(ValueError):
         normalize("B", 1, 1, P35)  # no kind B when q = 3
+    # With m = 3 dividing n = 9 no cusp has 3 | kind-A num or 3 | kind-B den.
+    p69 = HeckeParams(6, 9)
+    with pytest.raises(ValueError, match="3 divides the kind-A numerator"):
+        normalize("A", 3, 1, p69)
+    with pytest.raises(ValueError, match="3 divides the kind-B denominator"):
+        normalize("B", 1, 6, p69)
+    assert normalize("B", 3, 1, p69) == HFCoord("B", 3, 1)
 
 
 def test_normalize_idempotent_exhaustive():
@@ -117,12 +123,16 @@ def test_adjacency_is_kind_bipartite():
                 assert u.kind != v.kind
 
 
+def _poles(p):
+    return [u for u in enumerate_coords(p) if is_pole(u)]
+
+
 def test_poles():
     t = vertex_names(P45)
-    assert {t.name(u) for u in poles(P45)} == {"A1", "B1", "C2", "H2"}
-    assert {f"{u.num}/{u.den}" for u in poles(P35)} == {"1/0", "2/0"}
-    assert len(poles(P43)) == 2
-    assert all(is_pole(u) for u in poles(P43))
+    assert {t.name(u) for u in _poles(P45)} == {"A1", "B1", "C2", "H2"}
+    assert {f"{u.num}/{u.den}" for u in _poles(P35)} == {"1/0", "2/0"}
+    assert len(_poles(P43)) == 2
+    assert all(is_pole(u) for u in _poles(P43))
 
 
 def test_cusp_examples(group45):
@@ -134,7 +144,7 @@ def test_cusp_examples(group45):
 
 
 def test_cusp_constant_on_translation_cosets(group45):
-    sigma = group45.right_mult_perm(group45.gen_T)
+    sigma = oracles.right_mult_perm(group45, group45.cayley[0, 1])
     cusps = [cusp_of(group45.comps[i], P45) for i in range(group45.order)]
     for i in range(group45.order):
         assert cusps[int(sigma[i])] == cusps[i]
@@ -164,17 +174,24 @@ def test_even_columns_realize_the_adjacency_determinant(group45):
         assert adjacent(u, v, P45)
 
 
+def _translate(u, p):
+    return apply_to_coord(generators(p)[1].tolist(), u, p)
+
+
 def test_translation_action_examples():
     t = vertex_names(P45)
-    assert t.name(translate(t.coord("E1"), P45)) == "G1"
-    assert t.name(translate(t.coord("H2"), P45)) == "H2"
-    assert t.name(translate(t.coord("F2"), P45)) == "E2"
+    assert t.name(_translate(t.coord("E1"), P45)) == "G1"
+    assert t.name(_translate(t.coord("H2"), P45)) == "H2"
+    assert t.name(_translate(t.coord("F2"), P45)) == "E2"
 
 
 def test_translation_matches_matrix_action():
-    _, tmat, _ = generators(P45)
-    for u in enumerate_coords(P45):
-        assert apply_to_coord(tmat, u, P45) == translate(u, P45)
+    # The T row's action is the formula "add lam_q" on every coordinate.
+    for q, n in [(q, n) for q in (3, 4, 6) for n in (3, 5, 7)] + [(6, 9)]:
+        p = HeckeParams(q, n)
+        _, tmat, _ = generators(p)
+        for u in enumerate_coords(p):
+            assert apply_to_coord(tmat, u, p) == oracles.translate(u, p)
 
 
 def test_translation_orbit_structure():
@@ -185,10 +202,10 @@ def test_translation_orbit_structure():
         if u in seen:
             continue
         orbit = {u}
-        v = translate(u, P45)
+        v = _translate(u, P45)
         while v != u:
             orbit.add(v)
-            v = translate(v, P45)
+            v = _translate(v, P45)
         seen |= orbit
         sizes[len(orbit)] += 1
     assert sizes == {1: 4, 5: 4}

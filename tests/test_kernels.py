@@ -1,12 +1,13 @@
 """Packed-key kernels and the closure, checked against a pure-Python oracle."""
 
 import numpy as np
+import oracles
 import pytest
 from conftest import as_matrix
 
 from hfmap import kernels
 from hfmap.group import HeckeParams, enumerate_group, generators
-from hfmap.ring import RingParams, canonicalize, identity_matrix, mat_mul
+from ring import RingParams, canonicalize, identity_matrix, mat_mul
 
 
 def test_pack_unpack_roundtrip():
@@ -115,8 +116,11 @@ def test_numpy_closure_matches_python_oracle(q, n):
 @pytest.mark.parametrize("q,n", CLOSURE_CASES)
 def test_cayley_table_matches_right_mult_perm(q, n):
     group = enumerate_group(HeckeParams(q, n))
-    assert np.array_equal(group.cayley[:, 0], group.right_mult_perm(group.gen_S))
-    assert np.array_equal(group.cayley[:, 1], group.right_mult_perm(group.gen_T))
+    gens = kernels.canonical_keys(generators(group.params)[:2], n)
+    s, t = (oracles.index_of_key(group, int(key)) for key in gens)
+    assert group.cayley[0].tolist() == [s, t]
+    assert np.array_equal(group.cayley[:, 0], oracles.right_mult_perm(group, s))
+    assert np.array_equal(group.cayley[:, 1], oracles.right_mult_perm(group, t))
 
 
 def test_modulus_bound():

@@ -1,5 +1,7 @@
 from collections import Counter
 
+import numpy as np
+import oracles
 import pytest
 
 from hfmap.coords import vertex_names
@@ -18,7 +20,6 @@ from hfmap.polygon import (
     pairing_rule_check,
     parse_circuit_text,
     parse_pairing_text,
-    polygon_corner_classes,
     rule_pairing,
     search_circuits,
     side_label_analysis,
@@ -119,6 +120,33 @@ def test_pairing_rule():
     assert not pairing_rule_check(antipodal)
 
 
+def _random_matchings(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        sides = rng.permutation(20) + 1
+        yield PairingTable(pairs=tuple(zip(sides[::2].tolist(), sides[1::2].tolist())))
+
+
+def _rule_holds(t):
+    """The rule side by side: 2 mod 4 pairs to +3, 3 mod 4 to +9, wrapping."""
+    partner = {a: b for pair in t.pairs for a, b in (pair, pair[::-1])}
+    return all(
+        partner[k] == (k + shift - 1) % 20 + 1
+        for k in range(1, 21)
+        for rest, shift in ((2, 3), (3, 9))
+        if k % 4 == rest
+    )
+
+
+def test_pairing_rule_check_matches_the_side_rule():
+    assert _rule_holds(bring_side_pairing())
+    for t in _random_matchings(3, 5000):
+        assert pairing_rule_check(t) == _rule_holds(t)
+    # Unsorted pairs name the same matching.
+    swapped = PairingTable(pairs=tuple((b, a) for a, b in reversed(rule_pairing().pairs)))
+    assert swapped == rule_pairing() and pairing_rule_check(swapped)
+
+
 def test_rule_forces_the_unique_matching():
     forced = rule_pairing()
     assert set(forced.pairs) == set(bring_side_pairing().pairs)
@@ -168,6 +196,13 @@ def test_vertex_classes_all_nonnegative():
         part = vertex_classes(PairingTable(pairs=tuple(sorted(pairs))))
         assert part.vertex_count >= 1
         assert part.genus >= 0
+
+
+def test_vertex_classes_match_union_find():
+    for t in [bring_side_pairing(), *_random_matchings(11, 2000)]:
+        zero_based = [(a - 1, b - 1) for a, b in t.pairs]
+        want = oracles.polygon_corner_classes(20, zero_based)
+        assert vertex_classes(t).classes == tuple(frozenset(c + 1 for c in cls) for cls in want)
 
 
 def test_corner_classes_match_pole_labels(boundary, table):
@@ -238,7 +273,7 @@ def test_coset_domain_rejects_even_modulus():
 
 def test_polygon_corner_classes_square_torus():
     # abab identification of a square gives the torus: V=1, chi = 1-2+1 = 0
-    classes = polygon_corner_classes(4, [(0, 2), (1, 3)])
+    classes = oracles.polygon_corner_classes(4, [(0, 2), (1, 3)])
     assert len(classes) == 1
 
 
@@ -260,8 +295,12 @@ def test_circuit_text_roundtrip(table):
     named = format_circuit_text(c, P45)
     assert named == ",".join(BRING_CIRCUIT_NAMES)
     assert parse_circuit_text(named, P45) == c
-    raw = format_circuit_text(c, P45, use_names=False)
+    raw = ",".join(f"{u.kind}:{u.num}/{u.den}" for u in c.seq)
     assert parse_circuit_text(raw, P45) == c
+    # Without a name table the circuit is written as kind:num/den triples.
+    p47 = HeckeParams(4, 7)
+    c47 = parse_circuit_text("B:2/0, A:2/1", p47)
+    assert format_circuit_text(c47, p47) == "B:2/0,A:2/1"
     assert parse_circuit_text("B:2/0, A:2/1", P45) == Circuit(
         (table.coord("H2"), table.coord("E1"))
     )

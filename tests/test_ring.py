@@ -5,7 +5,7 @@ import pytest
 from conftest import as_matrix
 
 from hfmap.group import HeckeParams, generators
-from hfmap.ring import (
+from ring import (
     ProjMatrix,
     RingElem,
     RingParams,

@@ -1,6 +1,6 @@
 """The array passes of the map pipeline against their scalar references.
 
-``adjacent``, ``cusp_of`` and ``maps._orbits`` are the per-element forms;
+``adjacent``, ``cusp_of`` and ``oracles.orbits`` are the per-element forms;
 ``oracles`` holds the per-element correspondence check and invariants, and
 the coset-domain check with its queue BFS and side-by-side boundary walk.
 """
@@ -26,7 +26,6 @@ from hfmap.maps import (
     MapStructure,
     _orbit_labels,
     _orbit_sizes,
-    _orbits,
     build_algebraic_map,
     build_coordinate_graph,
     correspondence_check,
@@ -126,7 +125,7 @@ def test_non_coordinate_row_raises_the_scalar_error(q):
 
 
 def _check_labels(perm):
-    orbits = _orbits(perm)
+    orbits = oracles.orbits(perm)
     want = np.empty(perm.shape[0], dtype=np.int64)
     for orbit in orbits:
         want[orbit] = orbit[0]
@@ -184,15 +183,16 @@ def test_correspondence_matches_scalar_oracle(q, n):
     graph = build_coordinate_graph(p)
     got = correspondence_check(group, amap, graph)
     assert vars(got) == vars(oracles.correspondence_check(group, amap, graph))
-    assert got.ok == (q != 6 or n % 3 != 0)
+    assert got.ok
 
 
-def test_correspondence_reports_the_q6_defect():
+def test_correspondence_holds_at_q6_when_3_divides_n():
     group = cached_group(6, 9)
     rep = correspondence_check(
         group, build_algebraic_map(group), build_coordinate_graph(HeckeParams(6, 9))
     )
-    assert rep.problems == ["cusp map is not a bijection onto the coordinates"]
+    assert rep.problems == []
+    assert rep.ok and rep.vertex_bijection and rep.edges_matched
 
 
 @pytest.mark.parametrize("q,n", [(4, 5), (3, 7), (6, 7)])
@@ -233,7 +233,7 @@ def test_coset_domain_matches_scalar_oracle(q, n):
 def _connected_map(rng, darts):
     while True:
         amap = _random_map(rng, darts)
-        if amap.is_connected():
+        if oracles.is_connected(amap):
             return amap
 
 
