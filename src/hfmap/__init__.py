@@ -13,6 +13,7 @@ from .group import (
     EnumerationLimitError,
     FiniteHeckeGroup,
     HeckeParams,
+    IndexFormulaError,
     enumerate_group,
     generators,
     principal_congruence_index,

@@ -19,6 +19,7 @@ from . import verify as V
 from .group import (
     EnumerationLimitError,
     HeckeParams,
+    IndexFormulaError,
     enumerate_group,
     principal_congruence_index,
 )
@@ -42,14 +43,15 @@ def _write_out(text: str, out: str | None) -> None:
 def cmd_index(args: argparse.Namespace) -> None:
     p = _params(args)
     idx = principal_congruence_index(p)
-    print(idx)
+    lines = [str(idx)]
     if args.check:
         enumerated = enumerate_group(p).order
         if enumerated != idx:
             raise VerificationFailure(
                 f"closure found {enumerated} elements, formula says {idx}"
             )
-        print("check OK")
+        lines.append("check OK")
+    print("\n".join(lines))
 
 
 def cmd_map(args: argparse.Namespace) -> None:
@@ -239,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.fn(args)
-    except VerificationFailure as exc:
+    except (VerificationFailure, IndexFormulaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError, EnumerationLimitError) as exc:

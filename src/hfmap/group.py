@@ -11,7 +11,7 @@ Elements are component rows (see ``kernels``).
 from __future__ import annotations
 
 import os
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -21,26 +21,27 @@ from . import kernels
 __all__ = [
     "HeckeParams",
     "EnumerationLimitError",
-    "DEFAULT_GROUP_LIMIT",
+    "IndexFormulaError",
     "RADICAND",
     "generators",
     "principal_congruence_index",
     "enumerate_group",
     "FiniteHeckeGroup",
     "parity",
-    "element_order",
     "PermGroup",
     "s5_permutation_group",
 ]
-
-DEFAULT_GROUP_LIMIT = 10**6
 
 # Radicand m of lam_q**2, keyed by q.
 RADICAND = {3: 1, 4: 2, 6: 3}
 
 
 class EnumerationLimitError(RuntimeError):
-    """Raised when a group closure exceeds the configured element bound."""
+    """Raised when a group closure exceeds the configured memory cap."""
+
+
+class IndexFormulaError(RuntimeError):
+    """Raised when a group closure finds more elements than the index formula."""
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,8 @@ def generators(p: HeckeParams) -> np.ndarray:
     s = [0, 0, n - 1, 0, 1, 0, 0, 0]
     t = [1, 0, *lam, 0, 0, 1, 0]
     r = kernels.mat_mul_components(t, s, n, p.m).tolist()
-    # The canonical sign of kernels.canonical_keys, without packing keys, so
-    # that any modulus works: the lexicographically smaller of g and -g.
+    # The canonical sign of a packed key, compared as tuples so that any
+    # modulus works: the lexicographically smaller of g and -g.
     return np.array([min(g, [-v % n for v in g]) for g in (s, t, r)], dtype=np.int64)
 
 
@@ -125,12 +126,13 @@ def principal_congruence_index(p: HeckeParams) -> int:
     return num // den
 
 
-def _group_limit(limit: int | None) -> int:
+def _group_cap(limit: int | None) -> int | None:
+    """The memory cap on the closure: ``limit``, else HFMAP_MAX_GROUP, else none."""
     if limit is not None:
         return limit
     env = os.environ.get("HFMAP_MAX_GROUP")
     if not env:
-        return DEFAULT_GROUP_LIMIT
+        return None
     try:
         return int(env)
     except ValueError:
@@ -143,25 +145,16 @@ class FiniteHeckeGroup:
 
     Elements are stored as packed canonical keys plus their (N, 8) component
     table; the identity has index 0.  ``cayley[i]`` holds the indices of
-    i*S and i*T, resolved from the closure's ``product_keys``, so
-    ``cayley[0]`` holds those of S and T.  Immutable after construction.
+    i*S and i*T, as the closure found them, so ``cayley[0]`` holds those of
+    S and T.  Immutable after construction.
     """
 
     params: HeckeParams
     keys: np.ndarray
     comps: np.ndarray
-    product_keys: InitVar[np.ndarray]
-    cayley: np.ndarray = field(init=False, repr=False)
+    cayley: np.ndarray = field(repr=False)
     # The algebraic map, built once by maps.build_algebraic_map.
     _algebraic_map: object = field(default=None, init=False, compare=False, repr=False)
-
-    def __post_init__(self, product_keys: np.ndarray) -> None:
-        order = np.argsort(self.keys)
-        sorted_keys = self.keys[order]
-        pos = np.minimum(np.searchsorted(sorted_keys, product_keys), self.order - 1)
-        if not np.array_equal(sorted_keys[pos], product_keys):
-            raise RuntimeError("group is not closed under multiplication")
-        self.cayley = order[pos]
 
     @property
     def order(self) -> int:
@@ -176,21 +169,32 @@ class FiniteHeckeGroup:
 
 
 def enumerate_group(p: HeckeParams, limit: int | None = None) -> FiniteHeckeGroup:
-    """Breadth-first closure of {S, T} in projective matrices mod n."""
-    bound = _group_limit(limit)
-    keys, products, done = kernels.closure_bfs(generators(p)[:2], p.n, p.m, bound)
+    """Breadth-first closure of {S, T} in projective matrices mod n.
+
+    The closure is bounded by the index formula.  ``limit``, or else
+    HFMAP_MAX_GROUP, only caps that bound, as a memory cap.
+    """
+    index = principal_congruence_index(p)
+    cap = _group_cap(limit)
+    bound = index if cap is None else min(index, cap)
+    keys, cayley, done = kernels.closure_bfs(generators(p)[:2], p.n, p.m, bound)
     if not done:
-        raise EnumerationLimitError(
-            f"group closure for q={p.q}, n={p.n} exceeded {bound} elements; "
-            "raise the limit or HFMAP_MAX_GROUP"
+        if bound < index:
+            raise EnumerationLimitError(
+                f"group closure for q={p.q}, n={p.n} exceeded {bound} elements; "
+                "raise the limit or HFMAP_MAX_GROUP"
+            )
+        raise IndexFormulaError(
+            f"group closure for q={p.q}, n={p.n} exceeds the index formula's "
+            f"{index} elements"
         )
     comps = kernels.unpack_keys(keys, p.n)
-    return FiniteHeckeGroup(params=p, keys=keys, comps=comps, product_keys=products)
+    return FiniteHeckeGroup(params=p, keys=keys, comps=comps, cayley=cayley)
 
 
 @lru_cache(maxsize=32)
 def cached_group(q: int, n: int) -> FiniteHeckeGroup:
-    """Memoized enumerate_group for the default limit; groups are immutable."""
+    """Memoized enumerate_group(HeckeParams(q, n)); groups are immutable."""
     return enumerate_group(HeckeParams(q, n))
 
 
@@ -213,21 +217,6 @@ def parity(g, p: HeckeParams) -> str:
     )
 
 
-def element_order(g, p: HeckeParams) -> int:
-    """Least k >= 1 with g**k projectively the identity; ``g`` is a component row."""
-    n = p.n
-    ident = {(1, 0, 0, 0, 0, 0, 1, 0), (n - 1, 0, 0, 0, 0, 0, n - 1, 0)}
-    g = tuple(int(v) % n for v in g)
-    acc = g
-    k = 1
-    while acc not in ident:
-        acc = tuple(v % n for v in kernels.mat_mul_exact(acc, g, p.m))
-        k += 1
-        if k > 4 * n**3:
-            raise RuntimeError("element order exceeds group-theoretic bound")
-    return k
-
-
 # ---------------------------------------------------------------------------
 # Degree-5 permutation model.
 # ---------------------------------------------------------------------------
@@ -238,13 +227,6 @@ Perm = tuple[int, ...]
 def perm_compose(f: Perm, g: Perm) -> Perm:
     """Standard composition (f*g)(i) = f(g(i)): the right factor acts first."""
     return tuple(f[g[i]] for i in range(len(g)))
-
-
-def perm_inverse(f: Perm) -> Perm:
-    out = [0] * len(f)
-    for i, v in enumerate(f):
-        out[v] = i
-    return tuple(out)
 
 
 def perm_order(f: Perm) -> int:

@@ -5,15 +5,18 @@ Every group element in the library is a component row: 8 residues in
 e21.irr, e22.rat, e22.irr.  ``mat_mul_exact`` is the only place the matrix
 product is written out; it works on tuples of Python ints (exact, used by
 the renderer over Z) and on component arrays (reduced mod n by
-``mat_mul_components``).  Packing the 8 residues as base-n digits, most
-significant first, gives an int64 key whose numeric order equals
-lexicographic order on the component tuple, so the canonical projective
-representative is simply min(key(g), key(-g)).
+``mat_mul_components``).  Right multiplication by a fixed g is linear in the
+row, so ``right_mult_map`` turns it into an 8x8 integer matrix built by
+``mat_mul_exact`` from the 8 unit rows.  Packing the 8 residues as base-n
+digits, most significant first (a dot product with n**[7..0]), gives an
+int64 key whose numeric order equals lexicographic order on the component
+tuple, so the canonical projective representative is simply
+min(key(g), key(-g)).
 
 The closure is a level-synchronous vectorized BFS.  Elements come level by
-level from the identity, in ascending canonical key within a level, and the
-canonical keys of every element's products with the generators come with
-them, so callers get the Cayley table without multiplying again.
+level from the identity, in ascending canonical key within a level, and
+each level's products with the generators are resolved to element indices
+as the level is found, so the closure returns the Cayley table itself.
 """
 
 from __future__ import annotations
@@ -24,17 +27,17 @@ __all__ = [
     "MAX_MODULUS",
     "pack_components",
     "unpack_keys",
-    "canonical_keys",
     "mat_mul_exact",
     "mat_mul_components",
-    "right_mult_keys",
+    "right_mult_map",
     "closure_bfs",
     "distinct",
     "resolve_backend",
 ]
 
 # Packed keys need n**8 <= 2**63: 234**8 < 2**63 < 235**8.  The largest
-# unreduced product sum, 4 * 3 * 233**2 in mat_mul_exact, is far smaller.
+# unreduced product sums, 4 * 3 * 233**2 in mat_mul_exact and 8 * 233**2 in
+# a row times a right_mult_map, are far smaller.
 MAX_MODULUS = 234
 
 
@@ -43,13 +46,14 @@ def _check_modulus(n: int) -> None:
         raise ValueError(f"modulus {n} outside supported range [3, {MAX_MODULUS}]")
 
 
+def _digit_weights(n: int) -> np.ndarray:
+    """n**[7..0]: the place values of the 8 base-n digits of a key."""
+    return n ** np.arange(7, -1, -1, dtype=np.int64)
+
+
 def pack_components(comps: np.ndarray, n: int) -> np.ndarray:
     """Pack (..., 8) component arrays into base-n int64 keys."""
-    comps = np.asarray(comps, dtype=np.int64)
-    keys = comps[..., 0].astype(np.int64).copy()
-    for i in range(1, 8):
-        keys = keys * n + comps[..., i]
-    return keys
+    return np.asarray(comps, dtype=np.int64) @ _digit_weights(n)
 
 
 def unpack_keys(keys: np.ndarray, n: int) -> np.ndarray:
@@ -61,13 +65,6 @@ def unpack_keys(keys: np.ndarray, n: int) -> np.ndarray:
         out[..., i] = rem % n
         rem //= n
     return out
-
-
-def canonical_keys(comps: np.ndarray, n: int) -> np.ndarray:
-    """Canonical projective key: min over the global sign flip."""
-    comps = np.asarray(comps, dtype=np.int64)
-    neg = (-comps) % n
-    return np.minimum(pack_components(comps, n), pack_components(neg, n))
 
 
 def mat_mul_exact(a, b, m: int) -> tuple:
@@ -101,9 +98,12 @@ def mat_mul_components(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarr
     return out
 
 
-def right_mult_keys(comps: np.ndarray, g: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Canonical keys of (each row of comps) * g."""
-    return canonical_keys(mat_mul_components(comps, g, n, m), n)
+def right_mult_map(g: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The 8x8 matrix M with (rows @ M) % n equal to rows * g over Z_n[sqrt(m)].
+
+    Row k of M is the product of the k-th unit row with g.
+    """
+    return mat_mul_components(np.eye(8, dtype=np.int64), g, n, m)
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
@@ -123,52 +123,66 @@ def resolve_backend() -> str:
     return "numpy"
 
 
-def _grow(buf: np.ndarray, rows: int) -> np.ndarray:
-    """``buf``, or a copy with room for twice ``rows`` rows when it holds fewer."""
-    if rows <= buf.shape[0]:
-        return buf
-    out = np.empty((2 * rows,) + buf.shape[1:], dtype=buf.dtype)
-    out[: buf.shape[0]] = buf
-    return out
-
-
 def closure_bfs(
     gens: np.ndarray, n: int, m: int, limit: int
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Breadth-first closure of canonical generator keys under right products.
+    """Breadth-first closure of canonical generator rows under right products.
 
-    Returns (keys, products, completed).  ``keys`` lists the elements level by
-    level from the identity, ascending within a level.  ``products[i, j]`` is
-    the canonical key of keys[i] * gens[j].  ``completed`` is False when the
-    closure would exceed ``limit`` elements; keys and products then hold the
-    levels found so far.
+    Returns (keys, cayley, completed).  ``keys`` lists the canonical keys of
+    the elements level by level from the identity, ascending within a
+    level.  ``cayley[i, j]`` is the index in ``keys`` of keys[i] * gens[j].
+    Both are allocated once with ``limit`` rows.  ``completed`` is False when
+    the closure would exceed ``limit`` elements; keys and cayley then hold
+    the whole levels found so far, and the last level's cayley rows may
+    name the indices the next level would have taken.
     """
     _check_modulus(n)
     gens = np.asarray(gens, dtype=np.int64).reshape(-1, 8)
-    ident = np.zeros(8, dtype=np.int64)
-    ident[0] = 1
-    ident[6] = 1
-    visited = canonical_keys(ident, n).reshape(1)
-    # The results grow by doubling, not as one array per level: small arrays
-    # kept across levels pin the heap under each level's temporaries and
-    # raise peak memory.
-    order = visited.copy()
-    products = np.empty((1, gens.shape[0]), dtype=np.int64)
+    k = gens.shape[0]
+    # frontier @ maps gives each row's products with every generator, side
+    # by side, before reduction mod n.
+    maps = np.concatenate([right_mult_map(g, n, m) for g in gens], axis=1)
+    weights = _digit_weights(n)
+    # The key of -g: sum over the nonzero digits c of (n - c) n**place.
+    flip_weights = n * weights
+    limit = max(limit, 1)
+    keys = np.empty(limit, dtype=np.int64)
+    cayley = np.empty((limit, k), dtype=np.int64)
+    frontier = np.array([[1, 0, 0, 0, 0, 0, 1, 0]], dtype=np.int64)
+    keys[0] = pack_components(frontier[0], n)
     count = 1
-    frontier = ident.reshape(1, 8)
+    # The keys seen so far in ascending order, with their element indices.
+    visited = keys[:1].copy()
+    visited_index = np.zeros(1, dtype=np.int64)
     while True:
         # The frontier is the last level, rows count - len(frontier) on.
-        level = right_mult_keys(frontier[:, None, :], gens, n, m)
-        products[count - level.shape[0] : count] = level
-        keys = distinct(level.ravel())
-        pos = np.minimum(np.searchsorted(visited, keys), visited.shape[0] - 1)
-        fresh = keys[visited[pos] != keys]
-        end = count + fresh.shape[0]
-        if fresh.shape[0] == 0 or end > limit:
-            return order[:count], products[:count], fresh.shape[0] == 0
-        order = _grow(order, end)
-        products = _grow(products, end)
-        order[count:end] = fresh
+        prod = frontier @ maps
+        np.remainder(prod, n, out=prod)
+        prod = prod.reshape(-1, 8)
+        level = prod @ weights
+        np.minimum(level, np.minimum(prod, 1) @ flip_weights - level, out=level)
+
+        order = np.argsort(level)
+        ranked = level[order]
+        first = np.ones(ranked.size, dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        found = ranked[first]
+        pos = np.searchsorted(visited, found)
+        clipped = np.minimum(pos, visited.size - 1)
+        fresh = visited[clipped] != found
+        # Seen keys keep their index; fresh ones are numbered in key order.
+        rank = np.cumsum(fresh)
+        end = count + int(rank[-1])
+        index = np.where(fresh, rank + (count - 1), visited_index[clipped])
+        row_index = np.empty(level.size, dtype=np.int64)
+        row_index[order] = index[np.cumsum(first) - 1]
+        cayley[count - frontier.shape[0] : count] = row_index.reshape(-1, k)
+
+        if end == count or end > limit:
+            return keys[:count], cayley[:count], end == count
+        new = found[fresh]
+        keys[count:end] = new
+        visited = np.insert(visited, pos[fresh], new)
+        visited_index = np.insert(visited_index, pos[fresh], index[fresh])
         count = end
-        visited = np.sort(np.concatenate([visited, fresh]))
-        frontier = unpack_keys(fresh, n)
+        frontier = unpack_keys(new, n)

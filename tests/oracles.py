@@ -6,10 +6,11 @@ or edge and walks the orbits with ``orbits``; ``coset_domain_check`` grows
 its spanning tree with a FIFO queue, walks the boundary side by side and
 unions corners over walk positions with ``polygon_corner_classes``.  The
 differential tests in test_vectorized.py require the library to agree with
-them.  Next to them are the element-level group operations (product,
-inverse, right-multiplication permutation) looked up by key, the dart
-system's orbits, connectivity and automorphisms, the coordinate graph's
-degrees, and the translation T as the formula "add lam_q".
+them.  Next to them are the element-level group operations (canonical keys,
+product, inverse, right-multiplication permutation, element order) looked
+up by key, the permutation inverse, the dart system's orbits, connectivity
+and automorphisms, the coordinate graph's degrees, and the translation T as
+the formula "add lam_q".
 """
 
 import numpy as np
@@ -29,6 +30,40 @@ from hfmap.polygon import CosetDomainReport
 # -- group elements ----------------------------------------------------------
 
 
+def canonical_keys(comps: np.ndarray, n: int) -> np.ndarray:
+    """Canonical projective key: min over the global sign flip."""
+    comps = np.asarray(comps, dtype=np.int64)
+    neg = (-comps) % n
+    return np.minimum(kernels.pack_components(comps, n), kernels.pack_components(neg, n))
+
+
+def right_mult_keys(comps: np.ndarray, g: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Canonical keys of (each row of comps) * g."""
+    return canonical_keys(kernels.mat_mul_components(comps, g, n, m), n)
+
+
+def element_order(g, p) -> int:
+    """Least k >= 1 with g**k projectively the identity; ``g`` is a component row."""
+    n = p.n
+    ident = {(1, 0, 0, 0, 0, 0, 1, 0), (n - 1, 0, 0, 0, 0, 0, n - 1, 0)}
+    g = tuple(int(v) % n for v in g)
+    acc = g
+    k = 1
+    while acc not in ident:
+        acc = tuple(v % n for v in kernels.mat_mul_exact(acc, g, p.m))
+        k += 1
+        if k > 4 * n**3:
+            raise RuntimeError("element order exceeds group-theoretic bound")
+    return k
+
+
+def perm_inverse(f: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(f)
+    for i, v in enumerate(f):
+        out[v] = i
+    return tuple(out)
+
+
 def index_of_key(group, key: int) -> int:
     """Element index of a packed canonical key, by a scan of the keys."""
     hits = np.flatnonzero(group.keys == key)
@@ -39,7 +74,7 @@ def index_of_key(group, key: int) -> int:
 
 def mult(group, i: int, j: int) -> int:
     p = group.params
-    key = kernels.right_mult_keys(group.comps[i], group.comps[j], p.n, p.m)
+    key = right_mult_keys(group.comps[i], group.comps[j], p.n, p.m)
     return index_of_key(group, int(key))
 
 
@@ -51,14 +86,14 @@ def inv(group, i: int) -> int:
         [c[6], c[7], -c[2] % n, -c[3] % n, -c[4] % n, -c[5] % n, c[0], c[1]],
         dtype=np.int64,
     )
-    return index_of_key(group, int(kernels.canonical_keys(adj, n)))
+    return index_of_key(group, int(canonical_keys(adj, n)))
 
 
 def right_mult_perm(group, j: int) -> np.ndarray:
     """Permutation i -> i*j over all element indices, as an int64 array."""
     p = group.params
     index = {key: i for i, key in enumerate(group.keys.tolist())}
-    keys = kernels.right_mult_keys(group.comps, group.comps[j], p.n, p.m)
+    keys = right_mult_keys(group.comps, group.comps[j], p.n, p.m)
     return np.array([index[key] for key in keys.tolist()], dtype=np.int64)
 
 

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from hfmap import maps
+from hfmap import group, maps
 from hfmap.cli import main
 from hfmap.group import cached_group
 
@@ -39,6 +39,16 @@ def test_enumeration_limit_error(capsys, monkeypatch):
     code, out, err = run(capsys, "map", "--q", "4", "--n", "5")
     assert code == 2 and out == ""
     assert err.startswith("error: HFMAP_MAX_GROUP must be an integer")
+
+
+def test_closure_beyond_index_formula_exits_1(capsys, monkeypatch):
+    # A formula one short of the true order: the closure must not fit.
+    monkeypatch.setattr(group, "principal_congruence_index", lambda p: 119)
+    message = "error: group closure for q=4, n=5 exceeds the index formula's 119 elements\n"
+    for argv in ("map --q 4 --n 5", "index --q 4 --n 5 --check"):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert err == message
 
 
 def test_map_json(capsys):
@@ -195,6 +205,8 @@ def test_circuit_file_with_unknown_name(capsys, tmp_path):
     [
         ("map --n 2", "error: modulus must be >= 3, got 2"),
         ("map --n 235", "error: modulus 235 outside supported range [3, 234]"),
+        ("index --q 4 --n 300 --check",
+         "error: modulus 300 outside supported range [3, 234]"),
         ("coords --q 4 --n 6", "error: coordinate enumeration requires odd n"),
         ("coords --q 3 --n 5 --names", "error: no name table for q=3, n=5"),
         ("circuit", "error: nothing to do: pass --verify or --search"),

@@ -3,16 +3,15 @@ import oracles
 import pytest
 from conftest import as_matrix
 
-from hfmap import kernels
+from hfmap import group as group_module
 from hfmap.group import (
     EnumerationLimitError,
     HeckeParams,
-    element_order,
+    IndexFormulaError,
     enumerate_group,
     generators,
     parity,
     perm_compose,
-    perm_inverse,
     perm_order,
     principal_congruence_index,
     s5_permutation_group,
@@ -23,15 +22,15 @@ from ring import RingParams, mat_mul, proj_eq
 def test_generator_orders():
     p = HeckeParams(4, 5)
     s, t, r = generators(p)
-    assert element_order(s, p) == 2
-    assert element_order(t, p) == 5
-    assert element_order(r, p) == 4
+    assert oracles.element_order(s, p) == 2
+    assert oracles.element_order(t, p) == 5
+    assert oracles.element_order(r, p) == 4
     # q = 3: lam = 1 and R has order 3
     p3 = HeckeParams(3, 5)
-    assert element_order(generators(p3)[2], p3) == 3
+    assert oracles.element_order(generators(p3)[2], p3) == 3
     # T^n = identity: translation order equals the modulus
     p43 = HeckeParams(4, 3)
-    assert element_order(generators(p43)[1], p43) == 3
+    assert oracles.element_order(generators(p43)[1], p43) == 3
 
 
 @pytest.mark.parametrize(
@@ -70,6 +69,15 @@ def test_enumeration_limit(monkeypatch):
     assert enumerate_group(HeckeParams(4, 5)).order == 120
 
 
+def test_closure_is_bounded_by_the_index_formula(monkeypatch):
+    monkeypatch.setattr(group_module, "principal_congruence_index", lambda p: 119)
+    with pytest.raises(IndexFormulaError, match="index formula's 119 elements"):
+        enumerate_group(HeckeParams(4, 5))
+    # A cap below the formula is still the memory cap.
+    with pytest.raises(EnumerationLimitError, match="exceeded 50 elements"):
+        enumerate_group(HeckeParams(4, 5), limit=50)
+
+
 def test_enumeration_deterministic(group45):
     again = enumerate_group(HeckeParams(4, 5))
     assert np.array_equal(group45.keys, again.keys)
@@ -83,11 +91,11 @@ def test_group_relations(group45, group43, group35):
         rp = RingParams(p.n, p.m)
         s, t, r = generators(p)
         assert proj_eq(mat_mul(as_matrix(t), as_matrix(s), rp), as_matrix(r), rp)
-        assert element_order(s, p) == 2
-        assert element_order(t, p) == p.n
-        assert element_order(r, p) == p.q
+        assert oracles.element_order(s, p) == 2
+        assert oracles.element_order(t, p) == p.n
+        assert oracles.element_order(r, p) == p.q
         # closure under inverse and product at the index level
-        i = oracles.index_of_key(group, int(kernels.canonical_keys(r, p.n)))
+        i = oracles.index_of_key(group, int(oracles.canonical_keys(r, p.n)))
         assert oracles.mult(group, i, oracles.inv(group, i)) == group.identity
 
 
@@ -126,7 +134,7 @@ def test_s5_model():
     assert (perm_order(x), perm_order(y), perm_order(z)) == (2, 5, 4)
     ident = tuple(range(5))
     assert perm_compose(perm_compose(x, y), z) == ident
-    assert perm_compose(x, y) == perm_inverse(z)
+    assert perm_compose(x, y) == oracles.perm_inverse(z)
     assert perm_order(perm_compose(x, y)) == 4
     # nonabelian with the symmetric-group order spectrum
     assert perm_compose(x, y) != perm_compose(y, x)
@@ -135,7 +143,7 @@ def test_s5_model():
 
 def test_element_orders_spot(group45):
     p = group45.params
-    orders = {element_order(group45.comps[i], p) for i in range(group45.order)}
+    orders = {oracles.element_order(group45.comps[i], p) for i in range(group45.order)}
     # S5 spectrum again, via the matrix model
     assert orders == {1, 2, 3, 4, 5, 6}
 
@@ -144,4 +152,4 @@ def test_element_orders_spot(group45):
 def test_rotation_has_period_q_for_every_modulus(n):
     for q in (3, 4, 6):
         p = HeckeParams(q, n)
-        assert element_order(generators(p)[2], p) == q
+        assert oracles.element_order(generators(p)[2], p) == q

@@ -6,7 +6,7 @@ import pytest
 from conftest import as_matrix
 
 from hfmap import kernels
-from hfmap.group import HeckeParams, enumerate_group, generators
+from hfmap.group import HeckeParams, enumerate_group, generators, principal_congruence_index
 from ring import RingParams, canonicalize, identity_matrix, mat_mul
 
 
@@ -30,7 +30,7 @@ def test_canonical_key_matches_reference():
     rng = np.random.default_rng(11)
     p = RingParams(7, 2)
     comps = rng.integers(0, 7, size=(100, 8), dtype=np.int64)
-    keys = kernels.canonical_keys(comps, 7)
+    keys = oracles.canonical_keys(comps, 7)
     for row, key in zip(comps, keys):
         g = canonicalize(as_matrix(row), p)
         assert kernels.pack_components(np.asarray(g.components(), dtype=np.int64), 7) == key
@@ -52,13 +52,23 @@ def test_mat_mul_components_matches_ring(n, m):
         # The exact product on Python ints reduces to the same residues.
         exact = kernels.mat_mul_exact(tuple(ra.tolist()), tuple(rb.tolist()), m)
         assert [v % n for v in exact] == rp.tolist()
-    # The closure's broadcast shape: (k, 1, 8) x (2, 8) -> (k, 2, 8).
+    # Broadcasting: (k, 1, 8) x (2, 8) -> (k, 2, 8).
     grid = kernels.mat_mul_components(a[:, None, :], b[:2], n, m)
     assert grid.shape == (50, 2, 8)
     for i, ra in enumerate(a):
         for j in range(2):
             want = mat_mul(as_matrix(ra), as_matrix(b[j]), p)
             assert canonicalize(as_matrix(grid[i, j]), p) == want
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (5, 2), (30, 2), (180, 3), (kernels.MAX_MODULUS, 3)])
+def test_right_mult_map_matches_mat_mul_components(n, m):
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, n, size=(200, 8), dtype=np.int64)
+    for g in rng.integers(0, n, size=(4, 8), dtype=np.int64):
+        linear = kernels.right_mult_map(g, n, m)
+        assert linear.shape == (8, 8)
+        assert np.array_equal((rows @ linear) % n, kernels.mat_mul_components(rows, g, n, m))
 
 
 def _key(g, n):
@@ -94,8 +104,9 @@ CLOSURE_CASES = [(4, 3), (3, 5), (4, 5), (6, 5), (4, 7), (6, 7)]
 def test_numpy_closure_matches_python_oracle(q, n):
     p = HeckeParams(q, n)
     gens = generators(p)[:2]
-    keys, products, done = kernels.closure_bfs(gens, p.n, p.m, 10**6)
+    keys, cayley, done = kernels.closure_bfs(gens, p.n, p.m, 10**6)
     assert done
+    assert cayley.shape == (keys.shape[0], 2)
     reference = _reference_closure(p)
     # Same key set, identity first, levels in BFS order and each contiguous,
     # keys ascending within a level.
@@ -105,18 +116,45 @@ def test_numpy_closure_matches_python_oracle(q, n):
     assert levels == sorted(levels)
     for a, b, la, lb in zip(keys, keys[1:], levels, levels[1:]):
         assert la != lb or a < b
+    # cayley[i, j] is the index of keys[i] * gens[j].
     s, t = (as_matrix(row) for row in gens)
     want = [
         [_key(mat_mul(reference[k][0], gen, RingParams(p.n, p.m)), p.n) for gen in (s, t)]
         for k in keys.tolist()
     ]
-    assert products.tolist() == want
+    assert keys[cayley].tolist() == want
 
 
-@pytest.mark.parametrize("q,n", CLOSURE_CASES)
+@pytest.mark.parametrize("q,n", [(4, 5), (3, 7), (6, 9)])
+def test_closure_stopped_at_limit_keeps_whole_levels(q, n):
+    p = HeckeParams(q, n)
+    gens = generators(p)[:2]
+    keys, cayley, done = kernels.closure_bfs(gens, p.n, p.m, principal_congruence_index(p))
+    assert done
+    reference = _reference_closure(p)
+    levels = [reference[k][1] for k in keys.tolist()]
+    # First index of each level, and the end of the last one.
+    starts = [i for i in range(len(levels)) if i == 0 or levels[i] != levels[i - 1]]
+    starts.append(len(levels))
+    limits = {b + d for b in starts for d in (-1, 0, 1)} & set(range(1, len(keys)))
+    for limit in sorted(limits):
+        part_keys, part_cayley, part_done = kernels.closure_bfs(gens, p.n, p.m, limit)
+        count = part_keys.shape[0]
+        assert not part_done
+        # The levels that fit whole, and not one row of the next.
+        assert count == max(b for b in starts if b <= limit)
+        assert np.array_equal(part_keys, keys[:count])
+        assert np.array_equal(part_cayley, cayley[:count])
+
+
+# Even n, and n divisible by m = 2 or 3: the other branches of the index formula.
+MORE_CLOSURE_CASES = [(q, n) for q in (3, 4, 6) for n in (6, 8, 9, 12, 15, 16)]
+
+
+@pytest.mark.parametrize("q,n", CLOSURE_CASES + MORE_CLOSURE_CASES)
 def test_cayley_table_matches_right_mult_perm(q, n):
     group = enumerate_group(HeckeParams(q, n))
-    gens = kernels.canonical_keys(generators(group.params)[:2], n)
+    gens = oracles.canonical_keys(generators(group.params)[:2], n)
     s, t = (oracles.index_of_key(group, int(key)) for key in gens)
     assert group.cayley[0].tolist() == [s, t]
     assert np.array_equal(group.cayley[:, 0], oracles.right_mult_perm(group, s))
