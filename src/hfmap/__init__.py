@@ -10,7 +10,6 @@ identifications.
 
 from .coords import HFCoord, adjacent, apply_to_coord, cusp_of, enumerate_coords
 from .group import (
-    EnumerationLimitError,
     FiniteHeckeGroup,
     HeckeParams,
     IndexFormulaError,

@@ -3,14 +3,15 @@
 The Hecke group H_q (q in {3, 4, 6}) is generated by the translation
 T: z -> z + lam_q (lam_q = 2cos(pi/q), so lam = 1, sqrt(2), sqrt(3)) and the
 inversion S: z -> -1/z.  Reducing matrix entries modulo n and identifying
-g with -g yields a finite group; this module enumerates it, computes its
-order by the closed-form index formula, and classifies elements as even/odd.
-Elements are component rows (see ``kernels``).
+g with -g yields a finite group; this module computes its order by the
+closed-form index formula, enumerates it, and classifies elements as
+even/odd.  The formula is the closure's only bound and its contract: a
+closure of any other size raises ``IndexFormulaError``.  Elements are
+component rows (see ``kernels``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -20,7 +21,6 @@ from . import kernels
 
 __all__ = [
     "HeckeParams",
-    "EnumerationLimitError",
     "IndexFormulaError",
     "RADICAND",
     "generators",
@@ -36,12 +36,8 @@ __all__ = [
 RADICAND = {3: 1, 4: 2, 6: 3}
 
 
-class EnumerationLimitError(RuntimeError):
-    """Raised when a group closure exceeds the configured memory cap."""
-
-
 class IndexFormulaError(RuntimeError):
-    """Raised when a group closure finds more elements than the index formula."""
+    """Raised when a group closure's order differs from the index formula."""
 
 
 @dataclass(frozen=True)
@@ -126,31 +122,17 @@ def principal_congruence_index(p: HeckeParams) -> int:
     return num // den
 
 
-def _group_cap(limit: int | None) -> int | None:
-    """The memory cap on the closure: ``limit``, else HFMAP_MAX_GROUP, else none."""
-    if limit is not None:
-        return limit
-    env = os.environ.get("HFMAP_MAX_GROUP")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"HFMAP_MAX_GROUP must be an integer, got {env!r}") from None
-
-
 @dataclass
 class FiniteHeckeGroup:
     """Enumerated quotient with 0-based element indices in BFS order.
 
-    Elements are stored as packed canonical keys plus their (N, 8) component
-    table; the identity has index 0.  ``cayley[i]`` holds the indices of
-    i*S and i*T, as the closure found them, so ``cayley[0]`` holds those of
-    S and T.  Immutable after construction.
+    Elements are the rows of the (N, 8) component table ``comps``; the
+    identity has index 0.  ``cayley[i]`` holds the indices of i*S and i*T,
+    as the closure found them, so ``cayley[0]`` holds those of S and T.
+    Immutable after construction.
     """
 
     params: HeckeParams
-    keys: np.ndarray
     comps: np.ndarray
     cayley: np.ndarray = field(repr=False)
     # The algebraic map, built once by maps.build_algebraic_map.
@@ -158,38 +140,29 @@ class FiniteHeckeGroup:
 
     @property
     def order(self) -> int:
-        return int(self.keys.shape[0])
-
-    def __len__(self) -> int:
-        return self.order
-
-    @property
-    def identity(self) -> int:
-        return 0
+        return int(self.comps.shape[0])
 
 
-def enumerate_group(p: HeckeParams, limit: int | None = None) -> FiniteHeckeGroup:
+def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     """Breadth-first closure of {S, T} in projective matrices mod n.
 
-    The closure is bounded by the index formula.  ``limit``, or else
-    HFMAP_MAX_GROUP, only caps that bound, as a memory cap.
+    The closure is sized by the index formula and must meet it exactly:
+    one that would grow past it, or that closes short of it, raises
+    ``IndexFormulaError``.  Memory is left to the operating system.
     """
     index = principal_congruence_index(p)
-    cap = _group_cap(limit)
-    bound = index if cap is None else min(index, cap)
-    keys, cayley, done = kernels.closure_bfs(generators(p)[:2], p.n, p.m, bound)
+    keys, cayley, done = kernels.closure_bfs(generators(p)[:2], p.n, p.m, index)
     if not done:
-        if bound < index:
-            raise EnumerationLimitError(
-                f"group closure for q={p.q}, n={p.n} exceeded {bound} elements; "
-                "raise the limit or HFMAP_MAX_GROUP"
-            )
         raise IndexFormulaError(
             f"group closure for q={p.q}, n={p.n} exceeds the index formula's "
             f"{index} elements"
         )
-    comps = kernels.unpack_keys(keys, p.n)
-    return FiniteHeckeGroup(params=p, keys=keys, comps=comps, cayley=cayley)
+    if keys.shape[0] != index:
+        raise IndexFormulaError(
+            f"group closure for q={p.q}, n={p.n} found {keys.shape[0]} elements, "
+            f"fewer than the index formula's {index}"
+        )
+    return FiniteHeckeGroup(params=p, comps=kernels.unpack_keys(keys, p.n), cayley=cayley)
 
 
 @lru_cache(maxsize=32)

@@ -102,7 +102,6 @@ class MapStructure:
 
     sigma: np.ndarray
     alpha: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         d = self.sigma.shape[0]
@@ -164,10 +163,7 @@ def build_algebraic_map(group: FiniteHeckeGroup) -> MapStructure:
     """
     if group._algebraic_map is None:
         alpha, sigma = group.cayley.T
-        p = group.params
-        group._algebraic_map = MapStructure(
-            sigma=sigma, alpha=alpha, label=f"hecke(q={p.q},n={p.n})"
-        )
+        group._algebraic_map = MapStructure(sigma=sigma, alpha=alpha)
     return group._algebraic_map
 
 
@@ -176,7 +172,7 @@ def permutation_model_map(pg: PermGroup | None = None) -> MapStructure:
     pg = pg or s5_permutation_group()
     sigma = pg.right_mult_perm(pg.gens["y"])
     alpha = pg.right_mult_perm(pg.gens["x"])
-    return MapStructure(sigma=sigma, alpha=alpha, label="perm-model(2,5,4)")
+    return MapStructure(sigma=sigma, alpha=alpha)
 
 
 def invariants_json(p: HeckeParams, inv: MapInvariants, group_order: int) -> str:

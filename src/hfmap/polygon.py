@@ -166,6 +166,11 @@ def search_circuits(
     are exactly the given set; deterministic depth-first order."""
     if length > 16:
         raise ValueError(f"circuit search length {length} exceeds the bound 16")
+    if length < 1:
+        raise ValueError(f"circuit search length {length} must be at least 1")
+    outside = sorted(set(pole_positions) - set(range(length)))
+    if outside:
+        raise ValueError(f"pole position {outside[0]} is outside 0..{length - 1}")
     if (0 in pole_positions) != is_pole(start):
         return []
     graph = build_coordinate_graph(p)

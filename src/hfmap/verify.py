@@ -42,12 +42,8 @@ def _check_index_formula() -> str:
         raise AssertionError("index(4,5) != 120")
     if principal_congruence_index(HeckeParams(4, 3)) != 24:
         raise AssertionError("index(4,3) != 24")
+    # The closure raises IndexFormulaError unless its order meets the formula.
     pairs = [(3, 5), (4, 3), (4, 5), (4, 7), (6, 5)]
-    for q, n in pairs:
-        formula = principal_congruence_index(HeckeParams(q, n))
-        enumerated = cached_group(q, n).order
-        if formula != enumerated:
-            raise AssertionError(f"({q},{n}): formula {formula} != closure {enumerated}")
     orders = ", ".join(str(cached_group(q, n).order) for q, n in pairs)
     return f"closure orders {orders} all equal the index formula"
 
@@ -229,7 +225,10 @@ def run_checks(
     circuit: P.Circuit | None = None,
     pairing: P.PairingTable | None = None,
 ) -> list[CheckResult]:
-    """Run all checks; failures are captured, never raised."""
+    """Run all checks; failures are captured, never raised.
+
+    Running out of memory is not a failed check, so MemoryError propagates.
+    """
     circuit = circuit or P.bring_circuit()
     pairing = pairing or P.bring_side_pairing()
     table: list[tuple[str, Callable[[], str]]] = [
@@ -249,6 +248,8 @@ def run_checks(
         try:
             detail = fn()
             results.append(CheckResult(name=name, ok=True, detail=detail))
+        except MemoryError:
+            raise
         except Exception as exc:
             results.append(CheckResult(name=name, ok=False, detail=str(exc)))
     return results

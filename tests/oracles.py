@@ -66,7 +66,7 @@ def perm_inverse(f: tuple[int, ...]) -> tuple[int, ...]:
 
 def index_of_key(group, key: int) -> int:
     """Element index of a packed canonical key, by a scan of the keys."""
-    hits = np.flatnonzero(group.keys == key)
+    hits = np.flatnonzero(canonical_keys(group.comps, group.params.n) == key)
     if hits.size != 1:
         raise KeyError(f"key {key} is not an element of this group")
     return int(hits[0])
@@ -92,7 +92,7 @@ def inv(group, i: int) -> int:
 def right_mult_perm(group, j: int) -> np.ndarray:
     """Permutation i -> i*j over all element indices, as an int64 array."""
     p = group.params
-    index = {key: i for i, key in enumerate(group.keys.tolist())}
+    index = {key: i for i, key in enumerate(canonical_keys(group.comps, p.n).tolist())}
     keys = right_mult_keys(group.comps, group.comps[j], p.n, p.m)
     return np.array([index[key] for key in keys.tolist()], dtype=np.int64)
 

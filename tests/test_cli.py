@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hfmap import group, maps
+from hfmap import group, kernels, maps, verify
 from hfmap.cli import main
 from hfmap.group import cached_group
 
@@ -30,17 +34,6 @@ def test_index_usage_error():
     assert exc.value.code == 2
 
 
-def test_enumeration_limit_error(capsys, monkeypatch):
-    monkeypatch.setenv("HFMAP_MAX_GROUP", "50")
-    code, out, err = run(capsys, "map", "--q", "4", "--n", "5")
-    assert code == 2 and out == ""
-    assert err.startswith("error: group closure for q=4, n=5 exceeded 50 elements")
-    monkeypatch.setenv("HFMAP_MAX_GROUP", "abc")
-    code, out, err = run(capsys, "map", "--q", "4", "--n", "5")
-    assert code == 2 and out == ""
-    assert err.startswith("error: HFMAP_MAX_GROUP must be an integer")
-
-
 def test_closure_beyond_index_formula_exits_1(capsys, monkeypatch):
     # A formula one short of the true order: the closure must not fit.
     monkeypatch.setattr(group, "principal_congruence_index", lambda p: 119)
@@ -49,6 +42,66 @@ def test_closure_beyond_index_formula_exits_1(capsys, monkeypatch):
         code, out, err = run(capsys, *argv.split())
         assert code == 1 and out == ""
         assert err == message
+
+
+def test_closure_short_of_index_formula_exits_1(capsys, monkeypatch):
+    # A formula one above the true order: the closure ends short of it.
+    monkeypatch.setattr(group, "principal_congruence_index", lambda p: 121)
+    message = (
+        "error: group closure for q=4, n=5 found 120 elements, "
+        "fewer than the index formula's 121\n"
+    )
+    for argv in ("map --q 4 --n 5", "index --q 4 --n 5 --check"):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert err == message
+
+
+@pytest.mark.parametrize(
+    "detail,line",
+    [
+        ("Unable to allocate 52.5 MiB", "error: out of memory: Unable to allocate 52.5 MiB"),
+        ("", "error: out of memory"),
+    ],
+)
+def test_out_of_memory_exits_2(capsys, monkeypatch, detail, line):
+    def exhausted(*args):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr(kernels, "closure_bfs", exhausted)
+    code, out, err = run(capsys, "map", "--q", "4", "--n", "5")
+    assert code == 2 and out == ""
+    assert err == line + "\n"
+
+
+def test_out_of_memory_in_verify_exits_2(capsys, monkeypatch):
+    # Running out of memory is not a failed check.
+    def exhausted(q, n):
+        raise MemoryError("Unable to allocate 1.00 MiB")
+
+    monkeypatch.setattr(verify, "cached_group", exhausted)
+    code, out, err = run(capsys, "verify")
+    assert code == 2 and out == ""
+    assert err == "error: out of memory: Unable to allocate 1.00 MiB\n"
+
+
+def test_address_space_cap_exits_2():
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS") or not os.path.exists("/proc/self/statm"):
+        pytest.skip("RLIMIT_AS or /proc/self/statm unavailable")
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(tests / "memory_capped.py"),
+         "map", "--q", "4", "--n", "151", "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_map_json(capsys):
@@ -212,6 +265,14 @@ def test_circuit_file_with_unknown_name(capsys, tmp_path):
         ("circuit", "error: nothing to do: pass --verify or --search"),
         ("circuit --search --length 17",
          "error: circuit search length 17 exceeds the bound 16"),
+        ("circuit --search --length 0",
+         "error: circuit search length 0 must be at least 1"),
+        ("circuit --search --length -2",
+         "error: circuit search length -2 must be at least 1"),
+        ("circuit --search --poles 99", "error: pole position 99 is outside 0..11"),
+        ("circuit --search --poles 0,3,-1", "error: pole position -1 is outside 0..11"),
+        ("circuit --search --poles x",
+         "error: --poles must be comma-separated integers, got 'x'"),
         ("render universal --depth 13", "error: depth 13 exceeds the bound 12"),
         ("render universal --depth -1", "error: depth must be >= 0"),
         ("circuit --q 6 --n 9 --search --start A:3/1 --length 4 --poles 0",

@@ -5,7 +5,6 @@ from conftest import as_matrix
 
 from hfmap import group as group_module
 from hfmap.group import (
-    EnumerationLimitError,
     HeckeParams,
     IndexFormulaError,
     enumerate_group,
@@ -59,29 +58,26 @@ def test_index_rejects_small_modulus():
         HeckeParams(4, 2)
 
 
-def test_enumeration_limit(monkeypatch):
-    with pytest.raises(EnumerationLimitError):
-        enumerate_group(HeckeParams(4, 5), limit=50)
-    monkeypatch.setenv("HFMAP_MAX_GROUP", "30")
-    with pytest.raises(EnumerationLimitError):
-        enumerate_group(HeckeParams(4, 5))
-    monkeypatch.setenv("HFMAP_MAX_GROUP", "200")
-    assert enumerate_group(HeckeParams(4, 5)).order == 120
-
-
 def test_closure_is_bounded_by_the_index_formula(monkeypatch):
     monkeypatch.setattr(group_module, "principal_congruence_index", lambda p: 119)
     with pytest.raises(IndexFormulaError, match="index formula's 119 elements"):
         enumerate_group(HeckeParams(4, 5))
-    # A cap below the formula is still the memory cap.
-    with pytest.raises(EnumerationLimitError, match="exceeded 50 elements"):
-        enumerate_group(HeckeParams(4, 5), limit=50)
+
+
+def test_closure_short_of_the_index_formula(monkeypatch):
+    monkeypatch.setattr(group_module, "principal_congruence_index", lambda p: 121)
+    with pytest.raises(IndexFormulaError) as exc:
+        enumerate_group(HeckeParams(4, 5))
+    assert str(exc.value) == (
+        "group closure for q=4, n=5 found 120 elements, "
+        "fewer than the index formula's 121"
+    )
 
 
 def test_enumeration_deterministic(group45):
     again = enumerate_group(HeckeParams(4, 5))
-    assert np.array_equal(group45.keys, again.keys)
-    assert group45.identity == 0
+    assert np.array_equal(group45.comps, again.comps)
+    assert np.array_equal(group45.cayley, again.cayley)
     assert tuple(group45.comps[0].tolist()) == (1, 0, 0, 0, 0, 0, 1, 0)
 
 
@@ -96,7 +92,7 @@ def test_group_relations(group45, group43, group35):
         assert oracles.element_order(r, p) == p.q
         # closure under inverse and product at the index level
         i = oracles.index_of_key(group, int(oracles.canonical_keys(r, p.n)))
-        assert oracles.mult(group, i, oracles.inv(group, i)) == group.identity
+        assert oracles.mult(group, i, oracles.inv(group, i)) == 0
 
 
 def test_parity_examples(group45):

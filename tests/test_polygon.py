@@ -69,6 +69,10 @@ def test_search_edge_cases(table):
     assert len(search_circuits(h2, 4, {0}, P45)) > 0  # quadrilateral faces
     with pytest.raises(ValueError):
         search_circuits(h2, 17, {0}, P45)
+    with pytest.raises(ValueError, match="^circuit search length 0 must be at least 1$"):
+        search_circuits(h2, 0, set(), P45)
+    with pytest.raises(ValueError, match=r"^pole position 12 is outside 0\.\.11$"):
+        search_circuits(h2, 12, {0, 12}, P45)
     # start poleness must match position 0
     assert search_circuits(table.coord("E1"), 4, {0}, P45) == []
 
