@@ -49,9 +49,6 @@ def cmd_map(args: argparse.Namespace) -> None:
     group = enumerate_group(p)
     amap = M.build_algebraic_map(group)
     inv = amap.invariants()
-    chi = inv.vertices - inv.edges + inv.faces
-    if chi != 2 - 2 * inv.genus or inv.darts != group.order:
-        raise VerificationFailure("internal Euler-characteristic cross-check failed")
     if p.n % 2:
         rep = M.correspondence_check(group, amap, M.build_coordinate_graph(p))
         if not rep.ok:
@@ -81,7 +78,9 @@ def cmd_coords(args: argparse.Namespace) -> None:
 
 def _load_circuit(spec: str, p: HeckeParams) -> P.Circuit:
     if spec == "bring":
-        return P.bring_circuit(p)
+        if (p.q, p.n) != (4, 5):
+            raise ValueError("the built-in circuit 'bring' is on the q=4, n=5 map")
+        return P.bring_circuit()
     return P.parse_circuit_text(Path(spec).read_text(encoding="utf-8"), p)
 
 
@@ -141,8 +140,7 @@ def cmd_render(args: argparse.Namespace) -> None:
         p = _params(args)
         _write_out(R.render_quotient(p, args.format), args.out)
         return
-    p = HeckeParams(4, 5)
-    boundary = P.boundary_from_circuit(P.bring_circuit(p), p)
+    boundary = P.boundary_from_circuit(P.bring_circuit(), HeckeParams(4, 5))
     _write_out(R.render_polygon(boundary, _load_pairing(args.pairing)), args.out)
 
 

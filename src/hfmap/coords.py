@@ -12,8 +12,8 @@ the kind-B denominator are no cusps and are not coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ Q3_N5_FRACTIONS = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class HFCoord:
+class HFCoord(NamedTuple):
     """Sign-normalized coordinate: lexicographic minimum over +-(num, den)."""
 
     kind: str

@@ -57,6 +57,9 @@ __all__ = [
 # Sides of the fundamental polygon of the genus-4 map.
 NUM_SIDES = 20
 
+# The most circuits search_circuits lists; larger searches are refused.
+MAX_CIRCUITS = 1 << 22
+
 # The 12-vertex circuit through the boundary poles of the genus-4 map, and
 # the classical side labels / side pairing of its 20-gon (sides 1..20).
 BRING_CIRCUIT_NAMES = [
@@ -121,9 +124,8 @@ class CornerPartition:
         return len(self.classes)
 
 
-def bring_circuit(p: HeckeParams | None = None) -> Circuit:
-    p = p or HeckeParams(4, 5)
-    table = vertex_names(p)
+def bring_circuit() -> Circuit:
+    table = vertex_names(HeckeParams(4, 5))
     return Circuit(tuple(table.coord(name) for name in BRING_CIRCUIT_NAMES))
 
 
@@ -163,7 +165,14 @@ def search_circuits(
     p: HeckeParams,
 ) -> list[Circuit]:
     """All closed walks of the given length from start whose pole positions
-    are exactly the given set; deterministic depth-first order."""
+    are exactly the given set, in lexicographic order of node index (the
+    depth-first order).
+
+    ways[k][v] counts the ways to finish such a walk from node v at
+    position k (position ``length`` is the start again), clipped at
+    MAX_CIRCUITS + 1 so that float64 stays exact.  The walk enters only
+    nodes that can still finish, and ways[0][start] bounds the listing.
+    """
     if length > 16:
         raise ValueError(f"circuit search length {length} exceeds the bound 16")
     if length < 1:
@@ -171,58 +180,42 @@ def search_circuits(
     outside = sorted(set(pole_positions) - set(range(length)))
     if outside:
         raise ValueError(f"pole position {outside[0]} is outside 0..{length - 1}")
-    if (0 in pole_positions) != is_pole(start):
-        return []
     graph = build_coordinate_graph(p)
-    index = graph.node_index
     nodes = graph.nodes
+    start_idx = graph.node_index[start]
+    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    tail, head = np.concatenate([edges, edges[:, ::-1]]).T
+    poles = np.array([is_pole(u) for u in nodes])
+
+    ways = np.zeros((length + 1, len(nodes)))
+    ways[length, start_idx] = 1
+    for k in range(length - 1, -1, -1):
+        row = np.bincount(tail, weights=ways[k + 1][head], minlength=len(nodes))
+        row[poles != (k in pole_positions)] = 0
+        ways[k] = np.minimum(row, MAX_CIRCUITS + 1)
+    if ways[0, start_idx] > MAX_CIRCUITS:
+        raise ValueError(f"circuit search would list more than {MAX_CIRCUITS} circuits")
+
+    # Edges are sorted, so neighbour lists built by appending ascend.
     nbrs: list[list[int]] = [[] for _ in nodes]
     for a, b in graph.edges:
         nbrs[a].append(b)
         nbrs[b].append(a)
-    for lst in nbrs:
-        lst.sort()
-    pole_flags = [is_pole(u) for u in nodes]
-
-    # BFS distances to the start node, for return-distance pruning.
-    start_idx = index[start]
-    dist = np.full(len(nodes), -1, dtype=np.int64)
-    dist[start_idx] = 0
-    queue = [start_idx]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in nbrs[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        queue = nxt
-
-    # Position k holds circuit vertex v_k (0-based); position `length`
-    # closes back onto v_0.
+    live = (ways > 0).tolist()
     results: list[Circuit] = []
-    path = [start_idx]
+    path: list[int] = []
 
-    def extend(pos: int) -> None:
-        cur = path[-1]
-        remaining = length - pos
-        if remaining == 0:
-            if cur == start_idx:
-                results.append(Circuit(tuple(nodes[i] for i in path[:-1])))
-            return
-        for w in nbrs[cur]:
-            if dist[w] > remaining - 1:
-                continue
-            if pos + 1 == length:
-                if w != start_idx:
-                    continue
-            elif pole_flags[w] != ((pos + 1) in pole_positions):
-                continue
-            path.append(w)
-            extend(pos + 1)
-            path.pop()
+    def extend(pos: int, candidates: list[int]) -> None:
+        for w in candidates:
+            if live[pos][w]:
+                path.append(w)
+                if pos == length:
+                    results.append(Circuit(tuple(nodes[i] for i in path[:-1])))
+                else:
+                    extend(pos + 1, nbrs[w])
+                path.pop()
 
-    extend(0)
+    extend(0, [start_idx])
     return results
 
 

@@ -4,8 +4,9 @@ These are the per-element loops the library used before its numpy passes:
 ``correspondence_check`` calls ``cusp_of`` and ``adjacent`` once per dart
 or edge and walks the orbits with ``orbits``; ``coset_domain_check`` grows
 its spanning tree with a FIFO queue, walks the boundary side by side and
-unions corners over walk positions with ``polygon_corner_classes``.  The
-differential tests in test_vectorized.py require the library to agree with
+unions corners over walk positions with ``polygon_corner_classes``;
+``search_circuits`` prunes its walk by BFS distances to the start and
+checks poles and the closing edge as it goes.  The differential tests in test_vectorized.py require the library to agree with
 them.  Next to them are the element-level group operations (canonical keys,
 product, inverse, right-multiplication permutation, element order) looked
 up by key, the permutation inverse, the dart system's orbits, connectivity
@@ -16,15 +17,16 @@ the formula "add lam_q".
 import numpy as np
 
 from hfmap import kernels
-from hfmap.coords import adjacent, cusp_of, normalize
+from hfmap.coords import adjacent, cusp_of, is_pole, normalize
 from hfmap.maps import (
     CorrespondenceReport,
     MapInvariants,
     _walk,
     build_algebraic_map,
+    build_coordinate_graph,
     canonical_form,
 )
-from hfmap.polygon import CosetDomainReport
+from hfmap.polygon import Circuit, CosetDomainReport
 
 
 # -- group elements ----------------------------------------------------------
@@ -372,3 +374,60 @@ def coset_domain(sigma, alpha) -> tuple[int, int, int, int, int]:
 
     classes = polygon_corner_classes(len(walk), pairs)
     return tree_edges, len(walk), len(pairs), len(classes), kernel_checked
+
+
+# -- circuits ----------------------------------------------------------------
+
+
+def search_circuits(start, length, pole_positions, p) -> list:
+    """Closed walks from start with exactly the given pole positions, in
+    depth-first order over sorted neighbours, pruned by distance to start."""
+    if (0 in pole_positions) != is_pole(start):
+        return []
+    graph = build_coordinate_graph(p)
+    nodes = graph.nodes
+    nbrs = [[] for _ in nodes]
+    for a, b in graph.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    for lst in nbrs:
+        lst.sort()
+    pole_flags = [is_pole(u) for u in nodes]
+
+    start_idx = graph.node_index[start]
+    dist = np.full(len(nodes), -1, dtype=np.int64)
+    dist[start_idx] = 0
+    queue = [start_idx]
+    while queue:
+        nxt = []
+        for v in queue:
+            for w in nbrs[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        queue = nxt
+
+    results = []
+    path = [start_idx]
+
+    def extend(pos: int) -> None:
+        cur = path[-1]
+        remaining = length - pos
+        if remaining == 0:
+            if cur == start_idx:
+                results.append(Circuit(tuple(nodes[i] for i in path[:-1])))
+            return
+        for w in nbrs[cur]:
+            if dist[w] > remaining - 1:
+                continue
+            if pos + 1 == length:
+                if w != start_idx:
+                    continue
+            elif pole_flags[w] != ((pos + 1) in pole_positions):
+                continue
+            path.append(w)
+            extend(pos + 1)
+            path.pop()
+
+    extend(0)
+    return results

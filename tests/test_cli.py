@@ -273,6 +273,10 @@ def test_circuit_file_with_unknown_name(capsys, tmp_path):
         ("circuit --search --poles 0,3,-1", "error: pole position -1 is outside 0..11"),
         ("circuit --search --poles x",
          "error: --poles must be comma-separated integers, got 'x'"),
+        ("circuit --search --length 14 --poles 0",
+         "error: circuit search would list more than 4194304 circuits"),
+        ("circuit --q 4 --n 3 --verify bring",
+         "error: the built-in circuit 'bring' is on the q=4, n=5 map"),
         ("render universal --depth 13", "error: depth 13 exceeds the bound 12"),
         ("render universal --depth -1", "error: depth must be >= 0"),
         ("circuit --q 6 --n 9 --search --start A:3/1 --length 4 --poles 0",

@@ -4,6 +4,7 @@ import numpy as np
 import oracles
 import pytest
 
+from hfmap import polygon
 from hfmap.coords import vertex_names
 from hfmap.group import HeckeParams, cached_group
 from hfmap.polygon import (
@@ -75,6 +76,22 @@ def test_search_edge_cases(table):
         search_circuits(h2, 12, {0, 12}, P45)
     # start poleness must match position 0
     assert search_circuits(table.coord("E1"), 4, {0}, P45) == []
+    # the exact count bounds the listing: 2,621,440 at length 12, 16x that at 14
+    with pytest.raises(
+        ValueError, match="^circuit search would list more than 4194304 circuits$"
+    ):
+        search_circuits(h2, 14, {0}, P45)
+
+
+def test_search_bound_is_exact(monkeypatch, table):
+    """Counts are clipped just above the bound, so a search of exactly the
+    bound is listed and one circuit more is refused."""
+    h2 = table.coord("H2")
+    monkeypatch.setattr(polygon, "MAX_CIRCUITS", 80_000)
+    assert len(search_circuits(h2, 12, {0, 3, 6, 9}, P45)) == 80_000
+    monkeypatch.setattr(polygon, "MAX_CIRCUITS", 79_999)
+    with pytest.raises(ValueError, match="^circuit search would list more than 79999 circuits$"):
+        search_circuits(h2, 12, {0, 3, 6, 9}, P45)
 
 
 # -- boundary ---------------------------------------------------------------

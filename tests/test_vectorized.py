@@ -2,7 +2,8 @@
 
 ``adjacent``, ``cusp_of`` and ``oracles.orbits`` are the per-element forms;
 ``oracles`` holds the per-element correspondence check and invariants, and
-the coset-domain check with its queue BFS and side-by-side boundary walk.
+the coset-domain check with its queue BFS and side-by-side boundary walk,
+and the circuit search pruned by BFS distances.
 """
 
 from types import SimpleNamespace
@@ -19,7 +20,9 @@ from hfmap.coords import (
     cusp_codes,
     cusp_of,
     enumerate_coords,
+    is_pole,
     normalize,
+    vertex_names,
 )
 from hfmap.group import HeckeParams, cached_group
 from hfmap.maps import (
@@ -30,7 +33,7 @@ from hfmap.maps import (
     build_coordinate_graph,
     correspondence_check,
 )
-from hfmap.polygon import _glued_domain, coset_domain_check
+from hfmap.polygon import _glued_domain, coset_domain_check, search_circuits
 
 CASES = [(q, n) for q in (3, 4, 6) for n in (3, 5, 7, 9, 15, 21)]
 
@@ -260,3 +263,33 @@ def test_glued_domain_rejects_disconnected_tiles():
     for domain in (_glued_domain, oracles.coset_domain):
         with pytest.raises(RuntimeError, match="tile graph is disconnected"):
             domain(sigma, alpha)
+
+
+def test_search_circuits_matches_oracle_on_bring():
+    p = HeckeParams(4, 5)
+    h2 = vertex_names(p).coord("H2")
+    got = search_circuits(h2, 12, {0, 3, 6, 9}, p)
+    assert len(got) == 80_000
+    assert got == oracles.search_circuits(h2, 12, {0, 3, 6, 9}, p)
+
+
+@pytest.mark.parametrize("q", [3, 4, 6])
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_search_circuits_matches_oracle(q, n):
+    """A pole start and a non-pole start, lengths 1-8, seeded random pole
+    sets; position 0 mostly, not always, matches the start."""
+    p = HeckeParams(q, n)
+    nodes = enumerate_coords(p)
+    starts = [next(u for u in nodes if is_pole(u)), next(u for u in nodes if not is_pole(u))]
+    rng = np.random.default_rng(100 * q + n)
+    found = []
+    for start in starts:
+        for length in range(1, 9):
+            for _ in range(2):
+                poles = {k for k in range(1, length) if rng.random() < 0.4}
+                if is_pole(start) == (rng.random() < 0.8):
+                    poles.add(0)
+                got = search_circuits(start, length, poles, p)
+                assert got == oracles.search_circuits(start, length, poles, p)
+                found.append(len(got))
+    assert any(found)
