@@ -8,7 +8,7 @@ genus-4 map of type {5, 4} together with its side pairing and vertex
 identifications.
 """
 
-from .coords import HFCoord, adjacent, apply_to_coord, cusp_of, enumerate_coords
+from .coords import HFCoord, apply_to_coord, enumerate_coords
 from .group import (
     FiniteHeckeGroup,
     HeckeParams,

@@ -3,33 +3,38 @@
 A coordinate is a cusp label taken mod n up to a simultaneous sign change:
 kind "A" stands for the value num/(den*sqrt(m)) and kind "B" for
 num*sqrt(m)/den.  For q = 3 (sqrt(m) = 1) only kind A exists and the value
-is the plain fraction num/den.  Two coordinates are joined by an edge of
-the quotient map iff the determinant-style form below is +-1 mod n.
-When m > 1 divides n, the classes with m dividing the kind-A numerator or
-the kind-B denominator are no cusps and are not coordinates.
+is the plain fraction num/den.  When m > 1 divides n, the classes with m
+dividing the kind-A numerator or the kind-B denominator are no cusps and
+are not coordinates.
+
+Inside the library a coordinate is an integer code (see ``coord_codes``),
+and each rule is written once, on arrays: the class rule
+(``_class_codes``), the cusp read off a matrix column (``cusp_codes``) and
+the edge test (``adjacent_codes``).  ``HFCoord`` is the form coordinates
+are parsed, named and printed in.  The modulus range is the closure's,
+[3, kernels.MAX_MODULUS].
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .group import HeckeParams, parity
-from .kernels import mat_mul_exact
+from .kernels import _check_modulus, distinct, mat_mul_components
 
 __all__ = [
     "HFCoord",
     "normalize",
     "enumerate_coords",
-    "adjacent",
-    "cusp_of",
+    "coordinate_codes",
     "coord_codes",
     "code_coord",
     "adjacent_codes",
     "cusp_codes",
+    "apply_codes",
     "apply_to_coord",
     "is_pole",
     "NameTable",
@@ -55,41 +60,60 @@ class HFCoord(NamedTuple):
     den: int
 
 
+# ---------------------------------------------------------------------------
+# Codes kind*n*n + num*n + den (kind A = 0, B = 1) of sign-canonical classes.
+# ---------------------------------------------------------------------------
+
+_KINDS = ("A", "B")
+
+
+def _class_codes(kind: np.ndarray, num: np.ndarray, den: np.ndarray, p: HeckeParams):
+    """The class rule: (codes, coprime, reached) for arrays or scalars of
+    (kind, num, den).
+
+    The pair is reduced mod n and its code is that of the sign-canonical
+    representative, min((num, den), (-num, -den)).  ``coprime`` marks
+    gcd(num, den, n) = 1.  ``reached`` is True, or False on the classes no
+    cusp reaches when m > 1 divides n: read mod m, the determinant
+    a*d - m*b*c = 1 of an even element forces m not to divide its kind-A
+    numerator a, and m*a*d - b*c = 1 of an odd one forces m not to divide
+    its kind-B denominator c (the m | n branch of the index formula).
+    """
+    n = p.n
+    _check_modulus(n)
+    num, den = num % n, den % n
+    coprime = np.gcd(np.gcd(num, den), n) == 1
+    reached = True
+    if p.m > 1 and n % p.m == 0:
+        reached = np.where(kind == 0, num, den) % p.m != 0
+    flipped = (-num % n) * n + (-den % n)
+    return kind * n * n + np.minimum(num * n + den, flipped), coprime, reached
+
+
 def normalize(kind: str, num: int, den: int, p: HeckeParams) -> HFCoord:
     """Reduce mod n and pick the canonical sign representative."""
-    if kind not in ("A", "B"):
+    if kind not in _KINDS:
         raise ValueError(f"coordinate kind must be 'A' or 'B', got {kind!r}")
     if p.q == 3 and kind == "B":
         raise ValueError("q=3 has only kind-A coordinates")
-    n = p.n
-    a, c = num % n, den % n
-    if math.gcd(a, c, n) != 1:
-        raise ValueError(f"({num}, {den}) is not a coordinate mod {n}: gcd > 1")
-    if _unreached(kind, a, c, p):
+    # Python ints of any size reduce exactly before numpy sees them.
+    code, coprime, reached = _class_codes(_KINDS.index(kind), num % p.n, den % p.n, p)
+    if not coprime:
+        raise ValueError(f"({num}, {den}) is not a coordinate mod {p.n}: gcd > 1")
+    if not reached:
         part = "numerator" if kind == "A" else "denominator"
         raise ValueError(
-            f"({num}, {den}) is not a coordinate mod {n}: {p.m} divides the kind-{kind} {part}"
+            f"({num}, {den}) is not a coordinate mod {p.n}: {p.m} divides the kind-{kind} {part}"
         )
-    return HFCoord(kind, *min((a, c), (-a % n, -c % n)))
-
-
-def _unreached(kind: str, a: int, c: int, p: HeckeParams) -> bool:
-    """True for the residue classes no cusp reaches when m > 1 divides n.
-
-    Read mod m, the determinant a*d - m*b*c = 1 of an even element forces
-    m not to divide its kind-A numerator a, and m*a*d - b*c = 1 of an odd
-    one forces m not to divide its kind-B denominator c: the m | n branch
-    of the index formula.
-    """
-    return p.m > 1 and p.n % p.m == 0 and (a if kind == "A" else c) % p.m == 0
+    return code_coord(code, p)
 
 
 def is_pole(u: HFCoord) -> bool:
     return u.den == 0
 
 
-def enumerate_coords(p: HeckeParams) -> list[HFCoord]:
-    """All coordinates mod n in sorted order; rejects even n.
+def coordinate_codes(p: HeckeParams) -> np.ndarray:
+    """Codes of all coordinates mod n, ascending; rejects even n.
 
     For even n the sign identification degenerates (pairs collide), so the
     coordinate model is only offered for odd n; the group-theoretic map
@@ -97,58 +121,22 @@ def enumerate_coords(p: HeckeParams) -> list[HFCoord]:
     """
     if p.n % 2 == 0:
         raise ValueError("coordinate enumeration requires odd n")
-    kinds = ("A",) if p.q == 3 else ("A", "B")
-    seen = set()
-    for kind in kinds:
-        for a in range(p.n):
-            for c in range(p.n):
-                if math.gcd(a, c, p.n) == 1 and not _unreached(kind, a, c, p):
-                    seen.add(normalize(kind, a, c, p))
-    return sorted(seen)
-
-
-def adjacent(u: HFCoord, v: HFCoord, p: HeckeParams) -> bool:
-    """Edge test: a*d - m*b*c = +-1 with (a,c) the A side and (b,d) the B side.
-
-    For q = 3 both arguments are kind A and the plain two-by-two determinant
-    is used.  The result does not depend on the sign representatives.
-    """
     n = p.n
-    if p.q == 3:
-        d = (u.num * v.den - v.num * u.den) % n
-        return d == 1 % n or d == -1 % n
-    if u.kind == v.kind:
-        return False
-    ac = u if u.kind == "A" else v
-    bd = v if u.kind == "A" else u
-    d = (ac.num * bd.den - p.m * bd.num * ac.den) % n
-    return d == 1 % n or d == -1 % n
+    _check_modulus(n)
+    kind, rest = np.divmod(np.arange((1 if p.q == 3 else 2) * n * n), n * n)
+    codes, coprime, reached = _class_codes(kind, rest // n, rest % n, p)
+    return distinct(codes[coprime & reached])
 
 
-def cusp_of(g, p: HeckeParams) -> HFCoord:
-    """Coordinate of g(infinity), read off the first column of the row g.
-
-    Even matrices [[a, b*sqrt(m)], [c*sqrt(m), d]] give a/(c*sqrt(m)), odd
-    ones the kind-B mirror.  Right multiplication by T fixes the result.
-    """
-    if p.q == 3:
-        return normalize("A", g[0], g[4], p)
-    if parity(g, p) == "even":
-        return normalize("A", g[0], g[5], p)
-    return normalize("B", g[1], g[4], p)
-
-
-# ---------------------------------------------------------------------------
-# Array forms: coordinates as integer codes.  ``adjacent`` and ``cusp_of``
-# above are the scalar references these must agree with.
-# ---------------------------------------------------------------------------
-
-_KINDS = ("A", "B")
+def enumerate_coords(p: HeckeParams) -> list[HFCoord]:
+    """All coordinates mod n in sorted order; rejects even n."""
+    return [code_coord(code, p) for code in coordinate_codes(p).tolist()]
 
 
 def coord_codes(coords: list[HFCoord], p: HeckeParams) -> np.ndarray:
-    """Codes kind*n*n + num*n + den (kind A = 0, B = 1), ascending in coordinate order."""
+    """Codes of canonical coordinates, as an int64 array."""
     n = p.n
+    _check_modulus(n)
     return np.array(
         [_KINDS.index(u.kind) * n * n + u.num * n + u.den for u in coords], dtype=np.int64
     )
@@ -161,10 +149,13 @@ def code_coord(code: int, p: HeckeParams) -> HFCoord:
 
 
 def adjacent_codes(u: np.ndarray, v: np.ndarray, p: HeckeParams) -> np.ndarray:
-    """``adjacent`` on arrays of codes; broadcasts u against v.
+    """Edge test a*d - m*b*c = +-1 mod n, with (a, c) the kind-A side and
+    (b, d) the kind-B side; broadcasts u against v.
 
-    Residues are below n <= kernels.MAX_MODULUS, so the determinant stays
-    far inside int64.
+    For q = 3 every coordinate is kind A and the plain two-by-two
+    determinant is used.  The result does not depend on the sign
+    representatives.  Residues are below n <= kernels.MAX_MODULUS, so the
+    determinant stays far inside int64.
     """
     n = p.n
     ku, nu, du = u // (n * n), u // n % n, u % n
@@ -179,55 +170,57 @@ def adjacent_codes(u: np.ndarray, v: np.ndarray, p: HeckeParams) -> np.ndarray:
 
 
 def cusp_codes(comps: np.ndarray, p: HeckeParams) -> np.ndarray:
-    """Codes of ``cusp_of`` for every row of an (N, 8) component table.
+    """Codes of g(infinity), read off the first column of each row g of an
+    (N, 8) component table: even [[a, b*sqrt(m)], [c*sqrt(m), d]] give
+    a/(c*sqrt(m)), odd ones the kind-B mirror, q = 3 the plain fraction.
 
-    A row that ``cusp_of`` rejects (no parity pattern, gcd > 1, or a class
-    no cusp reaches) makes it raise its ValueError: the first such row is
-    handed to ``cusp_of``.
+    The first row with no parity pattern, gcd > 1 or a class no cusp
+    reaches raises the ValueError of ``group.parity`` or ``normalize``.
     """
-    n = p.n
     g = np.asarray(comps, dtype=np.int64)
     if p.q == 3:
         kind = np.zeros(g.shape[0], dtype=np.int64)
-        num, den = g[:, 0] % n, g[:, 4] % n
-        bad = np.zeros(g.shape[0], dtype=bool)
+        num, den = g[:, 0], g[:, 4]
+        patterned = np.ones(g.shape[0], dtype=bool)
     else:
         even = (g[:, 1] == 0) & (g[:, 7] == 0) & (g[:, 2] == 0) & (g[:, 4] == 0)
         odd = (g[:, 0] == 0) & (g[:, 6] == 0) & (g[:, 3] == 0) & (g[:, 5] == 0)
         kind = odd.astype(np.int64)
-        num = np.where(even, g[:, 0], g[:, 1]) % n
-        den = np.where(even, g[:, 5], g[:, 4]) % n
-        bad = even == odd
-    bad |= np.gcd(np.gcd(num, den), n) != 1
-    if p.m > 1 and n % p.m == 0:
-        bad |= np.where(kind == 0, num, den) % p.m == 0
+        num = np.where(even, g[:, 0], g[:, 1])
+        den = np.where(even, g[:, 5], g[:, 4])
+        patterned = even != odd
+    codes, coprime, reached = _class_codes(kind, num, den, p)
+    bad = ~(patterned & coprime & reached)
     if bad.any():
-        cusp_of(g[int(np.argmax(bad))].tolist(), p)
-    flipped = (-num % n) * n + (-den % n)
-    return kind * n * n + np.minimum(num * n + den, flipped)
+        i = int(np.argmax(bad))
+        if p.q != 3:
+            parity(g[i], p)
+        normalize(_KINDS[kind[i]], int(num[i]), int(den[i]), p)
+    return codes
+
+
+def apply_codes(g, codes: np.ndarray, p: HeckeParams) -> np.ndarray:
+    """Codes of the Moebius images of coordinates under component rows g.
+
+    The image is ``cusp_codes`` of g times the matrix whose first column is
+    the coordinate's: num in slot 0 (kind A) or 1 (kind B), den in slot 5
+    (kind A), 4 (kind B) or 4 (q = 3).  g broadcasts against the codes:
+    rows of shape (N, 1, 8) and V codes give (N, V).
+    """
+    n = p.n
+    codes = np.asarray(codes, dtype=np.int64)
+    kind = codes // (n * n)
+    col = np.zeros(codes.shape + (8,), dtype=np.int64)
+    np.put_along_axis(col, kind[..., None], (codes // n % n)[..., None], axis=-1)
+    den_slot = 4 + (p.q != 3) * (1 - kind)
+    np.put_along_axis(col, den_slot[..., None], (codes % n)[..., None], axis=-1)
+    prod = mat_mul_components(g, col, n, p.m)
+    return cusp_codes(prod.reshape(-1, 8), p).reshape(prod.shape[:-1])
 
 
 def apply_to_coord(g, u: HFCoord, p: HeckeParams) -> HFCoord:
-    """Moebius action of the row g on the homogeneous column of u.
-
-    The column (top, bot) is the first column of the row
-    (top.rat, top.irr, 0, 0, bot.rat, bot.irr, 0, 0); the image column is
-    the first column of the product.
-    """
-    if p.q == 3:
-        col = (u.num, 0, 0, 0, u.den, 0, 0, 0)
-    elif u.kind == "A":
-        col = (u.num, 0, 0, 0, 0, u.den, 0, 0)
-    else:
-        col = (0, u.num, 0, 0, u.den, 0, 0, 0)
-    w = [v % p.n for v in mat_mul_exact(g, col, p.m)]
-    if p.q == 3:
-        return normalize("A", w[0], w[4], p)
-    if w[1] == 0 and w[4] == 0:
-        return normalize("A", w[0], w[5], p)
-    if w[0] == 0 and w[5] == 0:
-        return normalize("B", w[1], w[4], p)
-    raise ValueError(f"image column {w[0:2]}, {w[4:6]} matches no coordinate pattern")
+    """Moebius action of the component row g on one coordinate."""
+    return code_coord(apply_codes(g, coord_codes([u], p), p)[0], p)
 
 
 def coord_value_str(u: HFCoord, p: HeckeParams) -> str:
@@ -288,9 +281,6 @@ class NameTable:
             self._by_name[name] = u
             self._by_coord[u] = name
             self._printed[name] = HFCoord(kind, num, den)
-
-    def __len__(self) -> int:
-        return len(self._by_name)
 
     def names(self) -> list[str]:
         return list(self._by_name)

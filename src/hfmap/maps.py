@@ -20,10 +20,10 @@ from .coords import (
     adjacent_codes,
     code_coord,
     coord_codes,
+    coordinate_codes,
     cusp_codes,
-    enumerate_coords,
 )
-from .group import FiniteHeckeGroup, HeckeParams, PermGroup, s5_permutation_group
+from .group import FiniteHeckeGroup, HeckeParams, PermGroup
 from .kernels import distinct
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "invariants_json",
     "graphs_isomorphic",
     "cube_graph_adjacency",
-    "best_code",
 ]
 
 
@@ -167,9 +166,8 @@ def build_algebraic_map(group: FiniteHeckeGroup) -> MapStructure:
     return group._algebraic_map
 
 
-def permutation_model_map(pg: PermGroup | None = None) -> MapStructure:
+def permutation_model_map(pg: PermGroup) -> MapStructure:
     """Dart system on the degree-5 model: sigma = *y, alpha = *x."""
-    pg = pg or s5_permutation_group()
     sigma = pg.right_mult_perm(pg.gens["y"])
     alpha = pg.right_mult_perm(pg.gens["x"])
     return MapStructure(sigma=sigma, alpha=alpha)
@@ -194,27 +192,36 @@ def invariants_json(p: HeckeParams, inv: MapInvariants, group_order: int) -> str
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoordGraph:
-    """Adjacency-rule graph on the coordinates mod n, vertices sorted."""
+    """Adjacency-rule graph on the coordinates mod n: ascending node codes,
+    and edges as (E, 2) int64 rows (i, j) of node indices, i < j, in
+    lexicographic order.  ``nodes`` and ``edges`` are list views of them."""
 
     params: HeckeParams
-    nodes: list[HFCoord]
-    edges: list[tuple[int, int]]
+    codes: np.ndarray
+    pairs: np.ndarray
+
+    @cached_property
+    def nodes(self) -> list[HFCoord]:
+        return [code_coord(code, self.params) for code in self.codes.tolist()]
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int]]:
+        return [(i, j) for i, j in self.pairs.tolist()]
 
     @property
     def node_index(self) -> dict[HFCoord, int]:
         return {u: i for i, u in enumerate(self.nodes)}
 
     def adjacency_matrix(self) -> np.ndarray:
-        n = len(self.nodes)
-        mat = np.zeros((n, n), dtype=bool)
-        for a, b in self.edges:
-            mat[a, b] = mat[b, a] = True
-        return mat
+        mat = np.zeros((self.codes.size,) * 2, dtype=bool)
+        mat[tuple(self.pairs.T)] = True
+        return mat | mat.T
 
     def is_bipartite_by_kind(self) -> bool:
-        return all(self.nodes[a].kind != self.nodes[b].kind for a, b in self.edges)
+        kind = self.codes[self.pairs] // (self.params.n * self.params.n)
+        return bool(np.all(kind[:, 0] != kind[:, 1]))
 
 
 # Node pairs tested per block of the adjacency rule.  It bounds the block's
@@ -229,22 +236,21 @@ def build_coordinate_graph(p: HeckeParams) -> CoordGraph:
     only A-B pairs can be adjacent, so the A x B block is all that is
     tested; for q = 3 it is every pair.
     """
-    nodes = enumerate_coords(p)
-    codes = coord_codes(nodes, p)
+    codes = coordinate_codes(p)
     if p.q == 3:
-        row_end, col_start = len(nodes), 0
+        row_end, col_start = codes.size, 0
     else:
         row_end = col_start = int(np.searchsorted(codes, p.n * p.n))  # first kind B
-    cols = np.arange(col_start, len(nodes))
+    cols = np.arange(col_start, codes.size, dtype=np.int64)
     step = max(1, _PAIR_BLOCK // max(1, cols.size))
-    edges: list[tuple[int, int]] = []
+    blocks = [np.empty((0, 2), dtype=np.int64)]
     for start in range(0, row_end, step):
-        rows = np.arange(start, min(start + step, row_end))
+        rows = np.arange(start, min(start + step, row_end), dtype=np.int64)
         hit = adjacent_codes(codes[rows, None], codes[cols], p)
         hit &= cols > rows[:, None]
         i, j = np.nonzero(hit)
-        edges.extend(zip(rows[i].tolist(), cols[j].tolist()))
-    return CoordGraph(params=p, nodes=nodes, edges=edges)
+        blocks.append(np.stack([rows[i], cols[j]], axis=1))
+    return CoordGraph(params=p, codes=codes, pairs=np.concatenate(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +294,7 @@ def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
         values = {code_coord(cusps[d], p) for d in orbit}
         problems.append(f"vertex orbit {orbit[:4]}... has mixed cusps {values}")
         orbit_codes[k] = coord_codes([values.pop()], p)[0]
-    node_codes = coord_codes(graph.nodes, p)
+    node_codes = graph.codes
     orbit_set = distinct(orbit_codes)
     bijection = (
         orbit_set.size == orbit_codes.size
@@ -309,9 +315,9 @@ def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
     # A cusp that is not a node gets index -1, and its edge then matches none.
     index = np.full(2 * p.n * p.n, -1, dtype=np.int64)
     index[node_codes] = np.arange(node_codes.size)
-    size = len(graph.nodes)
+    size = node_codes.size
     projected = _pair_codes(index[np.stack([ua[adj], ub[adj]], axis=1)], size)
-    graph_edges = distinct(_pair_codes(np.array(graph.edges, dtype=np.int64), size))
+    graph_edges = distinct(_pair_codes(graph.pairs, size))
     projected_set = distinct(projected)
     edges_matched = (
         projected.size == projected_set.size == graph_edges.size
@@ -374,15 +380,13 @@ def canonical_form(amap: MapStructure, root: int) -> tuple[tuple[int, int], ...]
     )
 
 
-def best_code(amap: MapStructure) -> tuple[tuple[int, int], ...]:
-    return min(canonical_form(amap, r) for r in range(amap.darts))
-
-
 def is_isomorphic(m1: MapStructure, m2: MapStructure) -> bool:
-    """Dart-system isomorphism via equality of minimal rooted codes."""
+    """Connected dart systems are isomorphic iff some root r of m2 has the
+    rooted code of m1 at dart 0 (an isomorphism sends dart 0 to such an r)."""
     if m1.darts != m2.darts:
         return False
-    return best_code(m1) == best_code(m2)
+    code = canonical_form(m1, 0)
+    return any(canonical_form(m2, r) == code for r in range(m2.darts))
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,17 @@ import numpy as np
 from .coords import (
     HFCoord,
     NameTable,
-    adjacent,
+    adjacent_codes,
+    apply_codes,
     apply_to_coord,
+    code_coord,
+    coord_codes,
     is_pole,
     normalize,
     vertex_names,
 )
 from .group import FiniteHeckeGroup, HeckeParams, generators
+from .kernels import _check_modulus
 from .maps import _orbit_labels, build_algebraic_map, build_coordinate_graph
 
 __all__ = [
@@ -152,10 +156,10 @@ def pairing_rule_check(t: PairingTable) -> bool:
 
 def validate_circuit(c: Circuit, p: HeckeParams) -> bool:
     """Adjacency-only validation; vertices and edges may repeat."""
-    seq = c.seq
-    if len(seq) < 2:
+    if len(c.seq) < 2:
         return False
-    return all(adjacent(seq[i], seq[(i + 1) % len(seq)], p) for i in range(len(seq)))
+    codes = coord_codes(c.seq, p)
+    return bool(adjacent_codes(codes, np.roll(codes, -1), p).all())
 
 
 def search_circuits(
@@ -183,8 +187,7 @@ def search_circuits(
     graph = build_coordinate_graph(p)
     nodes = graph.nodes
     start_idx = graph.node_index[start]
-    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
-    tail, head = np.concatenate([edges, edges[:, ::-1]]).T
+    tail, head = np.concatenate([graph.pairs, graph.pairs[:, ::-1]]).T
     poles = np.array([is_pole(u) for u in nodes])
 
     ways = np.zeros((length + 1, len(nodes)))
@@ -198,7 +201,7 @@ def search_circuits(
 
     # Edges are sorted, so neighbour lists built by appending ascend.
     nbrs: list[list[int]] = [[] for _ in nodes]
-    for a, b in graph.edges:
+    for a, b in graph.pairs.tolist():
         nbrs[a].append(b)
         nbrs[b].append(a)
     live = (ways > 0).tolist()
@@ -238,19 +241,20 @@ def boundary_from_circuit(c: Circuit, p: HeckeParams) -> BoundarySequence:
             "boundary construction expects a 12-vertex circuit with poles "
             f"at positions 0, 3, 6, 9; got length {len(c.seq)}, poles {sorted(pole_positions)}"
         )
-    t = generators(p)[1].tolist()
-    block = list(c.seq)
-    slots: list[HFCoord] = []
-    for _ in range(p.n):
-        slots.extend(block)
-        block = [apply_to_coord(t, u, p) for u in block]
-    total = len(slots)
-    for j in range(total):
-        if not adjacent(slots[j], slots[(j + 1) % total], p):
-            raise ValueError(f"boundary seam violation between slots {j} and {j+1}")
-    for j in range(total):
-        if apply_to_coord(t, slots[j], p) != slots[(j + len(c.seq)) % total]:
-            raise ValueError(f"slot {j} does not translate onto slot {j + len(c.seq)}")
+    t = generators(p)[1]
+    blocks = [coord_codes(c.seq, p)]
+    for _ in range(p.n - 1):
+        blocks.append(apply_codes(t, blocks[-1], p))
+    codes = np.concatenate(blocks)
+    seams = ~adjacent_codes(codes, np.roll(codes, -1), p)
+    if seams.any():
+        j = int(np.argmax(seams))
+        raise ValueError(f"boundary seam violation between slots {j} and {j+1}")
+    moved = apply_codes(t, codes, p) != np.roll(codes, -len(c.seq))
+    if moved.any():
+        j = int(np.argmax(moved))
+        raise ValueError(f"slot {j} does not translate onto slot {j + len(c.seq)}")
+    slots = [code_coord(code, p) for code in codes.tolist()]
     pole_slots = tuple(j for j, u in enumerate(slots) if is_pole(u))
     if len(pole_slots) != p.n * len(pole_positions):
         raise ValueError("pole count mismatch after translation")
@@ -570,6 +574,7 @@ def format_pairing_text(t: PairingTable) -> str:
 def parse_circuit_text(text: str, p: HeckeParams) -> Circuit:
     """Comma-separated vertex names (when a name table exists) or raw
     kind:num/den triples such as B:2/0."""
+    _check_modulus(p.n)
     table = None
     try:
         table = vertex_names(p)

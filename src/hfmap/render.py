@@ -29,9 +29,11 @@ __all__ = [
 MAX_DEPTH = 12
 
 # Page of the universal tessellation: the half-plane window
-# [XMIN, XMAX] x [0, YMAX], WIDTH pixels wide, edges drawn in STROKE.
+# [XMIN, XMAX] x [0, YMAX], WIDTH pixels wide, edges drawn in STROKE, each
+# disk-model geodesic through SAMPLES points.
 XMIN, XMAX, YMAX = -3.0, 3.0, 3.0
 WIDTH = 800
+SAMPLES = 48
 STROKE = "#1a1a80"
 
 
@@ -185,20 +187,20 @@ def _halfplane_to_disk(x: float, y: float) -> tuple[float, float]:
     return (zr * wr + zi * wi) / norm, (zi * wr - zr * wi) / norm
 
 
-def _sample_geodesic(geo: Geodesic, m: int, ymax: float, samples: int = 48) -> list[tuple[float, float]]:
+def _sample_geodesic(geo: Geodesic, m: int, ymax: float) -> list[tuple[float, float]]:
     """Points along the geodesic in the upper half-plane."""
     if geo.b.is_infinity:
         if geo.a.is_infinity:
             raise ValueError("degenerate geodesic")
         x = geo.a.value(m)
-        ys = [ymax * (k / (samples - 1)) ** 2 * 400 for k in range(samples)]
+        ys = [ymax * (k / (SAMPLES - 1)) ** 2 * 400 for k in range(SAMPLES)]
         return [(x, y) for y in ys]
     x1, x2 = geo.a.value(m), geo.b.value(m)
     cx, r = (x1 + x2) / 2.0, abs(x2 - x1) / 2.0
     return [
-        (cx + r * math.cos(math.pi * k / (samples - 1)),
-         r * math.sin(math.pi * k / (samples - 1)))
-        for k in range(samples)
+        (cx + r * math.cos(math.pi * k / (SAMPLES - 1)),
+         r * math.sin(math.pi * k / (SAMPLES - 1)))
+        for k in range(SAMPLES)
     ]
 
 

@@ -58,9 +58,8 @@ def _check_bring_map() -> str:
         raise AssertionError(f"invariants {got} != {want}")
     p = HeckeParams(4, 5)
     table = C.vertex_names(p)
-    cusps = {C.cusp_of(g, p) for g in group.comps.tolist()}
-    named = {table.coord(name) for name in table.names()}
-    if cusps != named:
+    named = C.coord_codes([table.coord(name) for name in table.names()], p)
+    if set(C.cusp_codes(group.comps, p).tolist()) != set(named.tolist()):
         raise AssertionError("map vertices do not match the 24 named coordinates")
     return "darts=120 V=24 E=60 F=30 genus=4, vertices = the 24 named coordinates"
 
@@ -160,14 +159,12 @@ def _check_property_suites() -> str:
         p = HeckeParams(q, n)
         group = cached_group(q, n)
         graph = M.build_coordinate_graph(p)
-        index = graph.node_index
         adj = graph.adjacency_matrix()
-        for i, g in enumerate(group.comps.tolist()):
-            perm = np.asarray(
-                [index[C.apply_to_coord(g, u, p)] for u in graph.nodes]
-            )
-            if not np.array_equal(adj[np.ix_(perm, perm)], adj):
-                raise AssertionError(f"({q},{n}): element {i} breaks adjacency")
+        # Row i of perm is element i acting on the nodes, as node indices.
+        perm = np.searchsorted(graph.codes, C.apply_codes(group.comps[:, None], graph.codes, p))
+        broken = (adj[perm[:, :, None], perm[:, None, :]] != adj).any(axis=(1, 2))
+        if broken.any():
+            raise AssertionError(f"({q},{n}): element {int(np.argmax(broken))} breaks adjacency")
         if q == 4 and not graph.is_bipartite_by_kind():
             raise AssertionError(f"({q},{n}): graph is not kind-bipartite")
     # Correspondence and the coset fundamental-domain characteristic.

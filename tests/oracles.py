@@ -1,23 +1,29 @@
 """Scalar references for the library, which only the tests call.
 
 These are the per-element loops the library used before its numpy passes:
+the coordinate rules one coordinate at a time (``normalize``,
+``enumerate_coords``, ``adjacent``, ``cusp_of``, ``apply_to_coord``);
 ``correspondence_check`` calls ``cusp_of`` and ``adjacent`` once per dart
 or edge and walks the orbits with ``orbits``; ``coset_domain_check`` grows
 its spanning tree with a FIFO queue, walks the boundary side by side and
 unions corners over walk positions with ``polygon_corner_classes``;
 ``search_circuits`` prunes its walk by BFS distances to the start and
-checks poles and the closing edge as it goes.  The differential tests in test_vectorized.py require the library to agree with
-them.  Next to them are the element-level group operations (canonical keys,
-product, inverse, right-multiplication permutation, element order) looked
-up by key, the permutation inverse, the dart system's orbits, connectivity
-and automorphisms, the coordinate graph's degrees, and the translation T as
-the formula "add lam_q".
+checks poles and the closing edge as it goes.  The differential tests in
+test_vectorized.py require the library to agree with them.  Next to them
+are the element-level group operations (canonical keys, product, inverse,
+right-multiplication permutation, element order) looked up by key, the
+permutation inverse, the dart system's orbits, connectivity and
+automorphisms, the coordinate graph's degrees, and the translation T as the
+formula "add lam_q".
 """
+
+import math
 
 import numpy as np
 
 from hfmap import kernels
-from hfmap.coords import adjacent, cusp_of, is_pole, normalize
+from hfmap.coords import HFCoord, is_pole
+from hfmap.group import parity
 from hfmap.maps import (
     CorrespondenceReport,
     MapInvariants,
@@ -100,6 +106,88 @@ def right_mult_perm(group, j: int) -> np.ndarray:
 
 
 # -- coordinates -------------------------------------------------------------
+
+
+def normalize(kind, num, den, p):
+    """Reduce mod n and pick the canonical sign representative."""
+    if kind not in ("A", "B"):
+        raise ValueError(f"coordinate kind must be 'A' or 'B', got {kind!r}")
+    if p.q == 3 and kind == "B":
+        raise ValueError("q=3 has only kind-A coordinates")
+    n = p.n
+    a, c = num % n, den % n
+    if math.gcd(a, c, n) != 1:
+        raise ValueError(f"({num}, {den}) is not a coordinate mod {n}: gcd > 1")
+    if _unreached(kind, a, c, p):
+        part = "numerator" if kind == "A" else "denominator"
+        raise ValueError(
+            f"({num}, {den}) is not a coordinate mod {n}: {p.m} divides the kind-{kind} {part}"
+        )
+    return HFCoord(kind, *min((a, c), (-a % n, -c % n)))
+
+
+def _unreached(kind, a, c, p) -> bool:
+    """True for the residue classes no cusp reaches when m > 1 divides n."""
+    return p.m > 1 and p.n % p.m == 0 and (a if kind == "A" else c) % p.m == 0
+
+
+def enumerate_coords(p) -> list:
+    """All coordinates mod n in sorted order, one residue pair at a time."""
+    if p.n % 2 == 0:
+        raise ValueError("coordinate enumeration requires odd n")
+    kinds = ("A",) if p.q == 3 else ("A", "B")
+    seen = set()
+    for kind in kinds:
+        for a in range(p.n):
+            for c in range(p.n):
+                if math.gcd(a, c, p.n) == 1 and not _unreached(kind, a, c, p):
+                    seen.add(normalize(kind, a, c, p))
+    return sorted(seen)
+
+
+def adjacent(u, v, p) -> bool:
+    """Edge test: a*d - m*b*c = +-1 with (a,c) the A side and (b,d) the B side.
+
+    For q = 3 both arguments are kind A and the plain two-by-two determinant
+    is used.
+    """
+    n = p.n
+    if p.q == 3:
+        d = (u.num * v.den - v.num * u.den) % n
+        return d == 1 % n or d == -1 % n
+    if u.kind == v.kind:
+        return False
+    ac = u if u.kind == "A" else v
+    bd = v if u.kind == "A" else u
+    d = (ac.num * bd.den - p.m * bd.num * ac.den) % n
+    return d == 1 % n or d == -1 % n
+
+
+def cusp_of(g, p):
+    """Coordinate of g(infinity), read off the first column of the row g."""
+    if p.q == 3:
+        return normalize("A", g[0], g[4], p)
+    if parity(g, p) == "even":
+        return normalize("A", g[0], g[5], p)
+    return normalize("B", g[1], g[4], p)
+
+
+def apply_to_coord(g, u, p):
+    """Moebius action of the row g on the homogeneous column of u."""
+    if p.q == 3:
+        col = (u.num, 0, 0, 0, u.den, 0, 0, 0)
+    elif u.kind == "A":
+        col = (u.num, 0, 0, 0, 0, u.den, 0, 0)
+    else:
+        col = (0, u.num, 0, 0, u.den, 0, 0, 0)
+    w = [v % p.n for v in kernels.mat_mul_exact(g, col, p.m)]
+    if p.q == 3:
+        return normalize("A", w[0], w[4], p)
+    if w[1] == 0 and w[4] == 0:
+        return normalize("A", w[0], w[5], p)
+    if w[0] == 0 and w[5] == 0:
+        return normalize("B", w[1], w[4], p)
+    raise ValueError(f"image column {w[0:2]}, {w[4:6]} matches no coordinate pattern")
 
 
 def translate(u, p):

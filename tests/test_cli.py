@@ -279,6 +279,11 @@ def test_circuit_file_with_unknown_name(capsys, tmp_path):
          "error: the built-in circuit 'bring' is on the q=4, n=5 map"),
         ("render universal --depth 13", "error: depth 13 exceeds the bound 12"),
         ("render universal --depth -1", "error: depth must be >= 0"),
+        ("coords --q 4 --n 1001", "error: modulus 1001 outside supported range [3, 234]"),
+        ("circuit --q 4 --n 1001 --search --start A:1/0 --length 16 --poles 0,4,8,12",
+         "error: modulus 1001 outside supported range [3, 234]"),
+        ("render quotient --q 4 --n 1001",
+         "error: modulus 1001 outside supported range [3, 234]"),
         ("circuit --q 6 --n 9 --search --start A:3/1 --length 4 --poles 0",
          "error: vertex 'A:3/1': (3, 1) is not a coordinate mod 9: "
          "3 divides the kind-A numerator"),

@@ -5,11 +5,10 @@ import oracles
 import pytest
 
 from hfmap import maps, polygon
-from hfmap.coords import cusp_of, vertex_names
+from hfmap.coords import vertex_names
 from hfmap.group import HeckeParams, cached_group, enumerate_group, s5_permutation_group
 from hfmap.maps import (
     MapStructure,
-    best_code,
     build_algebraic_map,
     build_coordinate_graph,
     canonical_form,
@@ -106,7 +105,6 @@ def test_isomorphic_to_relabeled_copy(map43):
     rng = np.random.default_rng(42)
     copy = _relabel(map43, rng.permutation(map43.darts))
     assert is_isomorphic(map43, copy)
-    assert best_code(map43) == best_code(copy)
 
 
 def test_canonical_form_root_invariance(map43):
@@ -125,8 +123,12 @@ def test_permutation_model(map45):
     assert is_isomorphic(pm, map45)
 
 
-def test_non_isomorphic_maps(map43, map35):
+def test_non_isomorphic_maps(map43, map35, map45):
     assert not is_isomorphic(map43, map35)
+    # Equal dart counts: the rooted forms themselves must differ.
+    map65 = build_algebraic_map(cached_group(6, 5))
+    assert map45.darts == map65.darts == 120
+    assert not is_isomorphic(map65, map45)
 
 
 def test_automorphism_count_equals_group_order(map45, map43):

@@ -1,9 +1,10 @@
-"""The array passes of the map pipeline against their scalar references.
+"""The array passes of the library against their scalar references.
 
-``adjacent``, ``cusp_of`` and ``oracles.orbits`` are the per-element forms;
-``oracles`` holds the per-element correspondence check and invariants, and
-the coset-domain check with its queue BFS and side-by-side boundary walk,
-and the circuit search pruned by BFS distances.
+``oracles`` holds the per-coordinate rules (``normalize``,
+``enumerate_coords``, ``adjacent``, ``cusp_of``, ``apply_to_coord``), the
+per-element orbit walks, correspondence check and invariants, the
+coset-domain check with its queue BFS and side-by-side boundary walk, and
+the circuit search pruned by BFS distances.
 """
 
 from types import SimpleNamespace
@@ -13,12 +14,12 @@ import oracles
 import pytest
 
 from hfmap.coords import (
-    adjacent,
     adjacent_codes,
+    apply_codes,
     code_coord,
     coord_codes,
+    coordinate_codes,
     cusp_codes,
-    cusp_of,
     enumerate_coords,
     is_pole,
     normalize,
@@ -37,21 +38,64 @@ from hfmap.polygon import _glued_domain, coset_domain_check, search_circuits
 
 CASES = [(q, n) for q in (3, 4, 6) for n in (3, 5, 7, 9, 15, 21)]
 
+# The class rule's cases: n prime, a prime power, and 3 | n (m = 3 | n at q = 6).
+CLASS_CASES = [(q, n) for q in (3, 4, 6) for n in (3, 5, 9, 15, 21, 27)]
+
+
+def _outcome(fn, *args):
+    """fn's result, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("q,n", CLASS_CASES)
+def test_normalize_matches_oracle(q, n):
+    """Every kind and residue pair in -n..2n, also shifted by +-10**30."""
+    p = HeckeParams(q, n)
+    values = list(range(-n, 2 * n + 1))
+    values += [s * 10**30 + v for s in (1, -1) for v in (0, 1, n - 1)]
+    for kind in ("A", "B", "C"):
+        for num in values:
+            for den in values:
+                got = _outcome(normalize, kind, num, den, p)
+                assert got == _outcome(oracles.normalize, kind, num, den, p)
+                assert not isinstance(got, tuple) or type(got.num) is int
+
+
+@pytest.mark.parametrize("q,n", CLASS_CASES + [(4, 233)])
+def test_enumerate_coords_matches_oracle(q, n):
+    p = HeckeParams(q, n)
+    nodes = enumerate_coords(p)
+    assert nodes == oracles.enumerate_coords(p)
+    assert np.array_equal(coordinate_codes(p), coord_codes(nodes, p))
+
 
 @pytest.mark.parametrize("q,n", CASES)
 def test_coordinate_graph_matches_scalar_rule(q, n):
     p = HeckeParams(q, n)
     graph = build_coordinate_graph(p)
-    nodes = enumerate_coords(p)
+    nodes = oracles.enumerate_coords(p)
     assert graph.nodes == nodes
     want = [
         (i, j)
         for i in range(len(nodes))
         for j in range(i + 1, len(nodes))
-        if adjacent(nodes[i], nodes[j], p)
+        if oracles.adjacent(nodes[i], nodes[j], p)
     ]
     assert graph.edges == want
     assert all(type(i) is int and type(j) is int for i, j in graph.edges)
+    # The list views are the arrays, and the array forms agree with loops.
+    assert graph.pairs.dtype == np.int64 and graph.pairs.shape == (len(want), 2)
+    assert graph.edges == [tuple(r) for r in graph.pairs.tolist()]
+    assert np.array_equal(graph.codes, coord_codes(nodes, p))
+    mat = np.zeros((len(nodes), len(nodes)), dtype=bool)
+    for a, b in graph.edges:
+        mat[a, b] = mat[b, a] = True
+    assert np.array_equal(graph.adjacency_matrix(), mat)
+    bipartite = all(nodes[a].kind != nodes[b].kind for a, b in graph.edges)
+    assert graph.is_bipartite_by_kind() == bipartite == (q != 3)
 
 
 @pytest.mark.parametrize("q,n", CASES)
@@ -76,7 +120,7 @@ def test_adjacent_codes_matches_adjacent(q, n):
             coords.append(normalize(kinds[len(coords) % len(kinds)], a, c, p))
     codes = coord_codes(coords, p)
     got = adjacent_codes(codes[:, None], codes[None, :], p)
-    assert got.tolist() == [[adjacent(u, v, p) for v in coords] for u in coords]
+    assert got.tolist() == [[oracles.adjacent(u, v, p) for v in coords] for u in coords]
 
 
 @pytest.mark.parametrize("q,n", CASES)
@@ -84,13 +128,25 @@ def test_cusp_codes_match_cusp_of(q, n):
     p = HeckeParams(q, n)
     group = cached_group(q, n)
     got = [code_coord(c, p) for c in cusp_codes(group.comps, p)]
-    assert got == [cusp_of(row, p) for row in group.comps.tolist()]
+    assert got == [oracles.cusp_of(row, p) for row in group.comps.tolist()]
+
+
+@pytest.mark.parametrize("q,n", [(4, 5), (6, 9), (3, 7), (4, 15)])
+def test_apply_codes_matches_apply_to_coord(q, n):
+    """Every element on every coordinate, in one call."""
+    p = HeckeParams(q, n)
+    group = cached_group(q, n)
+    nodes = enumerate_coords(p)
+    got = apply_codes(group.comps[:, None], coord_codes(nodes, p), p)
+    assert got.shape == (group.order, len(nodes))
+    want = [[oracles.apply_to_coord(g, u, p) for u in nodes] for g in group.comps.tolist()]
+    assert [[code_coord(c, p) for c in row] for row in got.tolist()] == want
 
 
 def _scalar_error(rows, p):
     with pytest.raises(ValueError) as exc:
         for row in rows.tolist():
-            cusp_of(row, p)
+            oracles.cusp_of(row, p)
     return str(exc.value)
 
 
