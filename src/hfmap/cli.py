@@ -16,7 +16,7 @@ from . import maps as M
 from . import polygon as P
 from . import render as R
 from . import verify as V
-from .group import HeckeParams, IndexFormulaError, enumerate_group, principal_congruence_index
+from .group import GroupCheckError, HeckeParams, enumerate_group, principal_congruence_index
 
 
 class VerificationFailure(Exception):
@@ -234,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.fn(args)
-    except (VerificationFailure, IndexFormulaError) as exc:
+    except (VerificationFailure, GroupCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError) as exc:

@@ -10,13 +10,15 @@ are not coordinates.
 Inside the library a coordinate is an integer code (see ``coord_codes``),
 and each rule is written once, on arrays: the class rule
 (``_class_codes``), the cusp read off a matrix column (``cusp_codes``) and
-the edge test (``adjacent_codes``).  ``HFCoord`` is the form coordinates
-are parsed, named and printed in.  The modulus range is the closure's,
-[3, kernels.MAX_MODULUS].
+the edge test (``adjacent_codes``).  ``completion_table`` completes every
+coordinate to the elements above it; the group and the coordinate graph
+are read off it.  ``HFCoord`` is the form coordinates are parsed, named and
+printed in.  The modulus range is the group's, [3, kernels.MAX_MODULUS].
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -30,6 +32,9 @@ __all__ = [
     "normalize",
     "enumerate_coords",
     "coordinate_codes",
+    "require_odd_modulus",
+    "Completion",
+    "completion_table",
     "coord_codes",
     "code_coord",
     "adjacent_codes",
@@ -67,6 +72,13 @@ class HFCoord(NamedTuple):
 _KINDS = ("A", "B")
 
 
+def _canonical_codes(kind, num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
+    """Code of the sign-canonical representative min((num, den), (-num,
+    -den)) of residues num, den in [0, n)."""
+    flipped = (-num % n) * n + (-den % n)
+    return kind * n * n + np.minimum(num * n + den, flipped)
+
+
 def _class_codes(kind: np.ndarray, num: np.ndarray, den: np.ndarray, p: HeckeParams):
     """The class rule: (codes, coprime, reached) for arrays or scalars of
     (kind, num, den).
@@ -86,8 +98,7 @@ def _class_codes(kind: np.ndarray, num: np.ndarray, den: np.ndarray, p: HeckePar
     reached = True
     if p.m > 1 and n % p.m == 0:
         reached = np.where(kind == 0, num, den) % p.m != 0
-    flipped = (-num % n) * n + (-den % n)
-    return kind * n * n + np.minimum(num * n + den, flipped), coprime, reached
+    return _canonical_codes(kind, num, den, n), coprime, reached
 
 
 def normalize(kind: str, num: int, den: int, p: HeckeParams) -> HFCoord:
@@ -115,17 +126,87 @@ def is_pole(u: HFCoord) -> bool:
 def coordinate_codes(p: HeckeParams) -> np.ndarray:
     """Codes of all coordinates mod n, ascending; rejects even n.
 
-    For even n the sign identification degenerates (pairs collide), so the
-    coordinate model is only offered for odd n; the group-theoretic map
-    remains available either way.
+    The classes and their completions serve every n, and the group is built
+    from them for every n (see ``completion_table``).  The coordinate model
+    waits for the correspondence and coset-domain checks to cover even n.
     """
+    require_odd_modulus(p)
+    return _coordinate_classes(p)
+
+
+def require_odd_modulus(p: HeckeParams) -> None:
+    """The coordinate model's guard: odd n only, for now."""
     if p.n % 2 == 0:
         raise ValueError("coordinate enumeration requires odd n")
+
+
+def _coordinate_classes(p: HeckeParams) -> np.ndarray:
+    """Codes of all coordinates mod n, ascending, for any n in range."""
     n = p.n
     _check_modulus(n)
     kind, rest = np.divmod(np.arange((1 if p.q == 3 else 2) * n * n), n * n)
     codes, coprime, reached = _class_codes(kind, rest // n, rest % n, p)
     return distinct(codes[coprime & reached])
+
+
+class Completion(NamedTuple):
+    """Per coordinate, in the order of ``codes``: the sign-canonical first
+    column (a, c), the kernel direction (ka, kc) and a completion (b0, d0)
+    with ka*d0 - kc*b0 = 1 mod n (see ``completion_table``)."""
+
+    codes: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    ka: np.ndarray
+    kc: np.ndarray
+    b0: np.ndarray
+    d0: np.ndarray
+
+    def ranks(self, codes: np.ndarray, p: HeckeParams) -> np.ndarray:
+        """Row of each code in this table, or -1 for a code not in it."""
+        lookup = np.full(2 * p.n * p.n, -1, dtype=np.int64)
+        lookup[self.codes] = np.arange(self.codes.size)
+        return lookup[codes]
+
+    def second_columns(self, p: HeckeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(b, d, codes), each (V, n): row v holds the second columns
+        (b0 + t*ka, d0 + t*kc), t = 0..n-1, and the codes of their classes,
+        which are of the other kind (kind A for q = 3)."""
+        n = p.n
+        t = np.arange(n)
+        b = (self.b0[:, None] + t * self.ka[:, None]) % n
+        d = (self.d0[:, None] + t * self.kc[:, None]) % n
+        kind = 0 if p.q == 3 else 1 - self.codes[:, None] // (n * n)
+        return b, d, _canonical_codes(kind, b, d, n)
+
+
+def completion_table(p: HeckeParams) -> Completion:
+    """The completion table of all coordinates mod n, for any n in range.
+
+    An element with first column (a, c) is [[a, b*sqrt(m)], [c*sqrt(m), d]]
+    with a*d - m*b*c = 1 (kind A), [[a*sqrt(m), b], [c, d*sqrt(m)]] with
+    m*a*d - b*c = 1 (kind B), or for q = 3 [[a, b], [c, d]] with
+    a*d - b*c = 1: its second column solves ka*d - kc*b = 1 with (ka, kc) =
+    (a, m*c), (m*a, c) or (a, c).  That linear form is primitive mod n, so
+    its solutions are the n points (b0 + t*ka, d0 + t*kc) of a line, and the
+    offset of a solution (b, d) is t = d0*b - b0*d.  1/0 gets (0, 1).
+    """
+    n = p.n
+    codes = _coordinate_classes(p)
+    kind, rest = np.divmod(codes, n * n)
+    a, c = np.divmod(rest, n)
+    ka, kc = a * p.m**kind % n, c * p.m ** (1 - kind) % n
+    # The extended Euclidean algorithm on all rows at once: rows (r, x, y)
+    # with r = ka*x - kc*y end at r = gcd(ka, kc), a unit mod n.
+    old = np.stack([ka, np.ones_like(ka), np.zeros_like(ka)])
+    new = np.stack([-kc % n, np.zeros_like(ka), np.ones_like(ka)])
+    while new[0].any():
+        live = new[0] != 0
+        quot = old[0] // np.where(live, new[0], 1)
+        old, new = np.where(live, new, old), np.where(live, old - quot * new, new)
+    inverse = np.array([pow(r, -1, n) if math.gcd(r, n) == 1 else 0 for r in range(n)])
+    d0, b0 = old[1:] * inverse[old[0]] % n
+    return Completion(codes, a, c, ka, kc, b0, d0)
 
 
 def enumerate_coords(p: HeckeParams) -> list[HFCoord]:

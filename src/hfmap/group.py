@@ -5,9 +5,9 @@ T: z -> z + lam_q (lam_q = 2cos(pi/q), so lam = 1, sqrt(2), sqrt(3)) and the
 inversion S: z -> -1/z.  Reducing matrix entries modulo n and identifying
 g with -g yields a finite group; this module computes its order by the
 closed-form index formula, enumerates it, and classifies elements as
-even/odd.  The formula is the closure's only bound and its contract: a
-closure of any other size raises ``IndexFormulaError``.  Elements are
-component rows (see ``kernels``).
+even/odd.  The formula is the group's contract: a group of any other
+size raises ``IndexFormulaError``.  Elements are component rows (see
+``kernels``).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from . import kernels
 
 __all__ = [
     "HeckeParams",
+    "GroupCheckError",
     "IndexFormulaError",
     "RADICAND",
     "generators",
@@ -35,9 +36,15 @@ __all__ = [
 # Radicand m of lam_q**2, keyed by q.
 RADICAND = {3: 1, 4: 2, 6: 3}
 
+_IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
 
-class IndexFormulaError(RuntimeError):
-    """Raised when a group closure's order differs from the index formula."""
+
+class GroupCheckError(RuntimeError):
+    """Raised when a constructed group fails one of its checks."""
+
+
+class IndexFormulaError(GroupCheckError):
+    """Raised when a group's order differs from the index formula."""
 
 
 @dataclass(frozen=True)
@@ -124,12 +131,12 @@ def principal_congruence_index(p: HeckeParams) -> int:
 
 @dataclass
 class FiniteHeckeGroup:
-    """Enumerated quotient with 0-based element indices in BFS order.
+    """Enumerated quotient with 0-based element indices v*n + t (see
+    ``enumerate_group``).
 
     Elements are the rows of the (N, 8) component table ``comps``; the
     identity has index 0.  ``cayley[i]`` holds the indices of i*S and i*T,
-    as the closure found them, so ``cayley[0]`` holds those of S and T.
-    Immutable after construction.
+    so ``cayley[0]`` holds those of S and T.  Immutable after construction.
     """
 
     params: HeckeParams
@@ -143,26 +150,85 @@ class FiniteHeckeGroup:
         return int(self.comps.shape[0])
 
 
-def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
-    """Breadth-first closure of {S, T} in projective matrices mod n.
+# Slots of a, c, b, d in the component rows [[a, b*sqrt(m)], [c*sqrt(m), d]]
+# (kind A), [[a*sqrt(m), b], [c, d*sqrt(m)]] (kind B) and, for q = 3,
+# [[a, b], [c, d]].
+_SLOTS = np.array([(0, 5, 3, 6), (1, 4, 2, 7), (0, 4, 2, 6)])
 
-    The closure is sized by the index formula and must meet it exactly:
-    one that would grow past it, or that closes short of it, raises
-    ``IndexFormulaError``.  Memory is left to the operating system.
+
+def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
+    """The quotient, one element per coordinate and offset.
+
+    Element v*n + t has the first column of the v-th coordinate, with 1/0
+    first so that the identity is element 0, and the second column at
+    offset t on that coordinate's line (see ``coords.completion_table``).
+    V*n other than the index formula raises ``IndexFormulaError``.  g*T
+    keeps the first column and steps along the line, sigma(v, t) =
+    (v, t + 1), and the first column of g*S = [[b, -a], [d, -c]] (up to the
+    sqrt(m) factors) is the second column of g, whose class and offset give
+    alpha.  Both are checked against the general product, which shares
+    nothing with the table, and a breadth-first search proves that S and T
+    reach every element; a failure raises ``GroupCheckError``.
     """
+    from .coords import Completion, completion_table  # coords imports this module
+
     index = principal_congruence_index(p)
-    keys, cayley, done = kernels.closure_bfs(generators(p)[:2], p.n, p.m, index)
-    if not done:
+    n, m = p.n, p.m
+    tab = completion_table(p)
+    size = tab.codes.size
+    if size * n > index:
         raise IndexFormulaError(
             f"group closure for q={p.q}, n={p.n} exceeds the index formula's "
             f"{index} elements"
         )
-    if keys.shape[0] != index:
+    if size * n < index:
         raise IndexFormulaError(
-            f"group closure for q={p.q}, n={p.n} found {keys.shape[0]} elements, "
+            f"group closure for q={p.q}, n={p.n} found {size * n} elements, "
             f"fewer than the index formula's {index}"
         )
-    return FiniteHeckeGroup(params=p, comps=kernels.unpack_keys(keys, p.n), cayley=cayley)
+    front = int(np.flatnonzero(tab.codes == n)[0])  # 1/0
+    tab = Completion._make(np.roll(col, -front) for col in tab)
+    b, d, codes = tab.second_columns(p)
+    # g*S has first column (b, d) and second column -(a, c), or (-b, -d) and
+    # (a, c) when the class of (b, d) is that of (-b, -d).
+    nbr = tab.ranks(codes, p)
+    sign = np.where(codes % (n * n) == b * n + d, 1, -1)
+    alpha = nbr * n + sign * (tab.b0[nbr] * tab.c[:, None] - tab.d0[nbr] * tab.a[:, None]) % n
+    alpha = alpha.ravel()
+    sigma = np.arange(1, size * n + 1)
+    sigma[n - 1 :: n] -= n
+    del codes, nbr, sign
+
+    # A row is the lexicographically smaller of g and -g, in the slot order
+    # a, b, c, d of all three forms: the first column's sign settles it
+    # unless a = -a, and then (b, c, d) does.
+    c = np.repeat(tab.c[:, None], n, axis=1)
+    tied = np.flatnonzero(2 * tab.a % n == 0)
+    rest = np.stack([b[tied], c[tied], d[tied]])
+    neg = -rest % n
+    flip = (neg[0] * n + neg[1]) * n + neg[2] < (rest[0] * n + rest[1]) * n + rest[2]
+    b[tied], c[tied], d[tied] = np.where(flip, neg, rest)
+    # One plane per component; comps, their transpose, has contiguous columns.
+    planes = np.zeros((8, size, n), dtype=np.int64)
+    slots = _SLOTS[np.where(p.q == 3, 2, tab.codes // (n * n))]
+    for slot, col in zip(slots.T, (tab.a[:, None], c, b, d)):
+        planes[slot, np.arange(size)] = col
+    comps = planes.reshape(8, -1).T
+    del b, c, d
+
+    gens = generators(p)
+    keys = kernels.product_keys(comps, _IDENTITY, n, m)
+    for name, gen, perm in (("S", gens[0], alpha), ("T", gens[1], sigma)):
+        inside = 0 <= perm.min() and perm.max() < perm.size
+        if not (inside and np.array_equal(kernels.product_keys(comps, gen, n, m), keys[perm])):
+            raise GroupCheckError(
+                f"Cayley table for q={p.q}, n={p.n} disagrees with the product g*{name}"
+            )
+    # sigma cycles through each coordinate's n elements, so S and T reach
+    # every element when alpha joins the coordinates into one graph.
+    if kernels.breadth_first_tree((alpha // n).reshape(size, n)).size != size - 1:
+        raise GroupCheckError(f"S and T do not generate the group for q={p.q}, n={p.n}")
+    return FiniteHeckeGroup(params=p, comps=comps, cayley=np.stack([alpha, sigma], axis=1))
 
 
 @lru_cache(maxsize=32)

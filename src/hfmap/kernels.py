@@ -1,4 +1,5 @@
-"""The one 2x2 product over Z[sqrt(m)], packed matrix keys, and the closure.
+"""The one 2x2 product over Z[sqrt(m)], canonical keys of products, and the
+one breadth-first search.
 
 Every group element in the library is a component row: 8 residues in
 [0, n) in the scan order e11.rat, e11.irr, e12.rat, e12.irr, e21.rat,
@@ -7,16 +8,11 @@ product is written out; it works on tuples of Python ints (exact, used by
 the renderer over Z) and on component arrays (reduced mod n by
 ``mat_mul_components``).  Right multiplication by a fixed g is linear in the
 row, so ``right_mult_map`` turns it into an 8x8 integer matrix built by
-``mat_mul_exact`` from the 8 unit rows.  Packing the 8 residues as base-n
-digits, most significant first (a dot product with n**[7..0]), gives an
-int64 key whose numeric order equals lexicographic order on the component
-tuple, so the canonical projective representative is simply
-min(key(g), key(-g)).
-
-The closure is a level-synchronous vectorized BFS.  Elements come level by
-level from the identity, in ascending canonical key within a level, and
-each level's products with the generators are resolved to element indices
-as the level is found, so the closure returns the Cayley table itself.
+``mat_mul_exact`` from the 8 unit rows.  The 8 residues as base-n digits,
+most significant first, are an int64 key, and min(key(g), key(-g)) is the
+canonical projective key that ``product_keys`` gives the group's check of
+its Cayley table.  ``breadth_first_tree`` serves the group's connectivity
+pass and the coset-domain spanning tree.
 """
 
 from __future__ import annotations
@@ -25,17 +21,16 @@ import numpy as np
 
 __all__ = [
     "MAX_MODULUS",
-    "pack_components",
-    "unpack_keys",
     "mat_mul_exact",
     "mat_mul_components",
     "right_mult_map",
-    "closure_bfs",
+    "product_keys",
+    "breadth_first_tree",
     "distinct",
     "resolve_backend",
 ]
 
-# Packed keys need n**8 <= 2**63: 234**8 < 2**63 < 235**8.  The largest
+# Keys need n**8 <= 2**63: 234**8 < 2**63 < 235**8.  The largest
 # unreduced product sums, 4 * 3 * 233**2 in mat_mul_exact and 8 * 233**2 in
 # a row times a right_mult_map, are far smaller.
 MAX_MODULUS = 234
@@ -49,22 +44,6 @@ def _check_modulus(n: int) -> None:
 def _digit_weights(n: int) -> np.ndarray:
     """n**[7..0]: the place values of the 8 base-n digits of a key."""
     return n ** np.arange(7, -1, -1, dtype=np.int64)
-
-
-def pack_components(comps: np.ndarray, n: int) -> np.ndarray:
-    """Pack (..., 8) component arrays into base-n int64 keys."""
-    return np.asarray(comps, dtype=np.int64) @ _digit_weights(n)
-
-
-def unpack_keys(keys: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of pack_components; returns (..., 8) int64 components."""
-    keys = np.asarray(keys, dtype=np.int64)
-    out = np.empty(keys.shape + (8,), dtype=np.int64)
-    rem = keys.copy()
-    for i in range(7, -1, -1):
-        out[..., i] = rem % n
-        rem //= n
-    return out
 
 
 def mat_mul_exact(a, b, m: int) -> tuple:
@@ -106,6 +85,64 @@ def right_mult_map(g: np.ndarray, n: int, m: int) -> np.ndarray:
     return mat_mul_components(np.eye(8, dtype=np.int64), g, n, m)
 
 
+def product_keys(comps: np.ndarray, g, n: int, m: int) -> np.ndarray:
+    """Canonical keys min(key(h), key(-h)) of the products h of the rows of
+    an (N, 8) component table with g.
+
+    Component j of h sums comps[:, k] * M[k, j] over the nonzero entries of
+    M = right_mult_map(g), as signed residues: one or two per column, each
+    1, -1 or m, for S, T and the identity, and a lone 1 copies a reduced
+    component.  key(-h) sums (n - c) n**place over the nonzero digits c, so
+    both keys build up a column at a time, with no (N, 8) product.
+    """
+    mat = right_mult_map(np.asarray(g, dtype=np.int64), n, m)
+    mat = np.where(mat > n // 2, mat - n, mat)
+    key = np.zeros(comps.shape[0], dtype=np.int64)
+    nonzero = np.zeros(comps.shape[0], dtype=np.int64)
+    for j, weight in enumerate(_digit_weights(n).tolist()):
+        terms = [(comps[:, k], int(mat[k, j])) for k in np.flatnonzero(mat[:, j]).tolist()]
+        if len(terms) == 1 and terms[0][1] == 1:
+            digit = terms[0][0]
+        else:
+            digit = sum(col * entry for col, entry in terms) % n
+        key += digit * weight
+        np.add(nonzero, weight, out=nonzero, where=digit != 0)
+    return np.minimum(key, n * nonzero - key)
+
+
+def breadth_first_tree(nbrs: np.ndarray) -> np.ndarray:
+    """Tree edges of the breadth-first search from node 0, where node i has
+    the neighbours nbrs[i, 0], nbrs[i, 1], ...: the flat indices i*k + j
+    into the (N, k) table of the edges that first reach a node, level by
+    level.  Each node is reached across its first discovery in (frontier
+    order, column order), as a FIFO queue reaches it.  The graph is
+    connected exactly when the tree has N - 1 edges.
+    """
+    size, k = nbrs.shape
+    flat = nbrs.ravel().astype(np.int64, copy=False)
+    seen = np.zeros(size, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    tree = [frontier[:0]]
+    while frontier.size:
+        cand = (k * frontier[:, None] + np.arange(k)).ravel()
+        reached = flat[cand]
+        new = ~seen[reached]
+        cand, reached = cand[new], reached[new]
+        # Sorted, the codes node * count + position put the first discovery
+        # of each node first; one sort of int64 codes beats a stable argsort.
+        count = cand.size
+        ranked = np.sort(reached * count + np.arange(count))
+        node = ranked // count
+        first = np.ones(count, dtype=bool)
+        first[1:] = node[1:] != node[:-1]
+        cand = cand[np.sort(ranked[first] - node[first] * count)]
+        frontier = flat[cand]
+        seen[frontier] = True
+        tree.append(cand)
+    return np.concatenate(tree)
+
+
 def distinct(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a 1-d array, as np.unique gives them.
 
@@ -119,70 +156,5 @@ def distinct(values: np.ndarray) -> np.ndarray:
 
 
 def resolve_backend() -> str:
-    """Name of the closure implementation, recorded with benchmark results."""
+    """Name of the group construction, recorded with benchmark results."""
     return "numpy"
-
-
-def closure_bfs(
-    gens: np.ndarray, n: int, m: int, limit: int
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Breadth-first closure of canonical generator rows under right products.
-
-    Returns (keys, cayley, completed).  ``keys`` lists the canonical keys of
-    the elements level by level from the identity, ascending within a
-    level.  ``cayley[i, j]`` is the index in ``keys`` of keys[i] * gens[j].
-    Both are allocated once with ``limit`` rows.  ``completed`` is False when
-    the closure would exceed ``limit`` elements; keys and cayley then hold
-    the whole levels found so far, and the last level's cayley rows may
-    name the indices the next level would have taken.
-    """
-    _check_modulus(n)
-    gens = np.asarray(gens, dtype=np.int64).reshape(-1, 8)
-    k = gens.shape[0]
-    # frontier @ maps gives each row's products with every generator, side
-    # by side, before reduction mod n.
-    maps = np.concatenate([right_mult_map(g, n, m) for g in gens], axis=1)
-    weights = _digit_weights(n)
-    # The key of -g: sum over the nonzero digits c of (n - c) n**place.
-    flip_weights = n * weights
-    limit = max(limit, 1)
-    keys = np.empty(limit, dtype=np.int64)
-    cayley = np.empty((limit, k), dtype=np.int64)
-    frontier = np.array([[1, 0, 0, 0, 0, 0, 1, 0]], dtype=np.int64)
-    keys[0] = pack_components(frontier[0], n)
-    count = 1
-    # The keys seen so far in ascending order, with their element indices.
-    visited = keys[:1].copy()
-    visited_index = np.zeros(1, dtype=np.int64)
-    while True:
-        # The frontier is the last level, rows count - len(frontier) on.
-        prod = frontier @ maps
-        np.remainder(prod, n, out=prod)
-        prod = prod.reshape(-1, 8)
-        level = prod @ weights
-        np.minimum(level, np.minimum(prod, 1) @ flip_weights - level, out=level)
-
-        order = np.argsort(level)
-        ranked = level[order]
-        first = np.ones(ranked.size, dtype=bool)
-        first[1:] = ranked[1:] != ranked[:-1]
-        found = ranked[first]
-        pos = np.searchsorted(visited, found)
-        clipped = np.minimum(pos, visited.size - 1)
-        fresh = visited[clipped] != found
-        # Seen keys keep their index; fresh ones are numbered in key order.
-        rank = np.cumsum(fresh)
-        end = count + int(rank[-1])
-        index = np.where(fresh, rank + (count - 1), visited_index[clipped])
-        row_index = np.empty(level.size, dtype=np.int64)
-        row_index[order] = index[np.cumsum(first) - 1]
-        cayley[count - frontier.shape[0] : count] = row_index.reshape(-1, k)
-
-        if end == count or end > limit:
-            return keys[:count], cayley[:count], end == count
-        new = found[fresh]
-        keys[count:end] = new
-        visited = np.insert(visited, pos[fresh], new)
-        visited_index = np.insert(visited_index, pos[fresh], index[fresh])
-        count = end
-        frontier = unpack_keys(new, n)

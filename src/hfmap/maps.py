@@ -20,8 +20,9 @@ from .coords import (
     adjacent_codes,
     code_coord,
     coord_codes,
-    coordinate_codes,
+    completion_table,
     cusp_codes,
+    require_odd_modulus,
 )
 from .group import FiniteHeckeGroup, HeckeParams, PermGroup
 from .kernels import distinct
@@ -224,33 +225,22 @@ class CoordGraph:
         return bool(np.all(kind[:, 0] != kind[:, 1]))
 
 
-# Node pairs tested per block of the adjacency rule.  It bounds the block's
-# temporaries; larger blocks raised peak memory without saving time.
-_PAIR_BLOCK = 1 << 18
-
-
 def build_coordinate_graph(p: HeckeParams) -> CoordGraph:
-    """Edges (i, j), i < j, in lexicographic order, by the adjacency rule.
+    """Edges (i, j), i < j, in lexicographic order, n per node, with no
+    pair test.
 
-    Sorted nodes put every kind A before every kind B, and for q in {4, 6}
-    only A-B pairs can be adjacent, so the A x B block is all that is
-    tested; for q = 3 it is every pair.
+    A node's neighbours are the classes of the n second columns that
+    complete its first column (see ``coords.completion_table``), which are
+    the classes the edge test ``adjacent_codes`` accepts.
     """
-    codes = coordinate_codes(p)
-    if p.q == 3:
-        row_end, col_start = codes.size, 0
-    else:
-        row_end = col_start = int(np.searchsorted(codes, p.n * p.n))  # first kind B
-    cols = np.arange(col_start, codes.size, dtype=np.int64)
-    step = max(1, _PAIR_BLOCK // max(1, cols.size))
-    blocks = [np.empty((0, 2), dtype=np.int64)]
-    for start in range(0, row_end, step):
-        rows = np.arange(start, min(start + step, row_end), dtype=np.int64)
-        hit = adjacent_codes(codes[rows, None], codes[cols], p)
-        hit &= cols > rows[:, None]
-        i, j = np.nonzero(hit)
-        blocks.append(np.stack([rows[i], cols[j]], axis=1))
-    return CoordGraph(params=p, codes=codes, pairs=np.concatenate(blocks))
+    require_odd_modulus(p)
+    table = completion_table(p)
+    nbrs = table.ranks(table.second_columns(p)[2], p)
+    nbrs.sort(axis=1)
+    rows = np.arange(table.codes.size)[:, None]
+    above = nbrs > rows
+    pairs = np.stack([np.broadcast_to(rows, nbrs.shape)[above], nbrs[above]], axis=1)
+    return CoordGraph(params=p, codes=table.codes, pairs=pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .coords import (
     vertex_names,
 )
 from .group import FiniteHeckeGroup, HeckeParams, generators
-from .kernels import _check_modulus
+from .kernels import _check_modulus, breadth_first_tree
 from .maps import _orbit_labels, build_algebraic_map, build_coordinate_graph
 
 __all__ = [
@@ -185,26 +185,30 @@ def search_circuits(
     if outside:
         raise ValueError(f"pole position {outside[0]} is outside 0..{length - 1}")
     graph = build_coordinate_graph(p)
-    nodes = graph.nodes
+    size = graph.codes.size
     start_idx = graph.node_index[start]
-    tail, head = np.concatenate([graph.pairs, graph.pairs[:, ::-1]]).T
-    poles = np.array([is_pole(u) for u in nodes])
+    # Both directions of every edge, sorted once by (tail, head): node v's
+    # neighbours, ascending, are head[offsets[v]:offsets[v + 1]].
+    arcs = np.sort(np.concatenate([graph.pairs @ [size, 1], graph.pairs @ [1, size]]))
+    tail, head = np.divmod(arcs, size)
+    del arcs
+    offsets = np.searchsorted(tail, np.arange(size + 1))
+    poles = graph.codes % p.n == 0
 
-    ways = np.zeros((length + 1, len(nodes)))
+    ways = np.zeros((length + 1, size))
     ways[length, start_idx] = 1
     for k in range(length - 1, -1, -1):
-        row = np.bincount(tail, weights=ways[k + 1][head], minlength=len(nodes))
+        row = np.bincount(tail, weights=ways[k + 1][head], minlength=size)
         row[poles != (k in pole_positions)] = 0
         ways[k] = np.minimum(row, MAX_CIRCUITS + 1)
     if ways[0, start_idx] > MAX_CIRCUITS:
         raise ValueError(f"circuit search would list more than {MAX_CIRCUITS} circuits")
 
-    # Edges are sorted, so neighbour lists built by appending ascend.
-    nbrs: list[list[int]] = [[] for _ in nodes]
-    for a, b in graph.pairs.tolist():
-        nbrs[a].append(b)
-        nbrs[b].append(a)
+    nodes = graph.nodes
     live = (ways > 0).tolist()
+    offsets = offsets.tolist()
+    # Neighbour lists of the nodes the walk enters, made on first entry.
+    nbrs: list[list[int] | None] = [None] * size
     results: list[Circuit] = []
     path: list[int] = []
 
@@ -215,6 +219,8 @@ def search_circuits(
                 if pos == length:
                     results.append(Circuit(tuple(nodes[i] for i in path[:-1])))
                 else:
+                    if nbrs[w] is None:
+                        nbrs[w] = head[offsets[w] : offsets[w + 1]].tolist()
                     extend(pos + 1, nbrs[w])
                 path.pop()
 
@@ -463,10 +469,6 @@ def coset_domain_check(group: FiniteHeckeGroup) -> CosetDomainReport:
     )
 
 
-# Crossing side k of a tile, in the BFS's side order: R, L, arc1, arc2.
-_TREE_SIDE_ORDER = np.array([3, 0, 1, 2], dtype=np.int64)
-
-
 def _glued_domain(sigma: np.ndarray, alpha: np.ndarray) -> tuple[int, int, int, int, int]:
     """Tree edges, boundary walk length, edge pairs, corner classes and
     pairings in the kernel of the disk glued from tiles g -> g*T, g*S.
@@ -484,31 +486,16 @@ def _glued_domain(sigma: np.ndarray, alpha: np.ndarray) -> tuple[int, int, int, 
     crossed = np.stack([sigma_inv, alpha, alpha, sigma], axis=1).ravel()
     partner = 4 * crossed + np.tile(np.array([3, 2, 1, 0], dtype=np.int64), size)
 
-    # Level-synchronous BFS spanning tree.  Within a level a new tile is
-    # reached across its first discovery in (frontier order, side order),
-    # picked by a stable sort, so the tree is the one a FIFO queue builds.
-    tree = np.zeros(sides, dtype=bool)
-    seen = np.zeros(size, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    tree_edges = 0
-    while frontier.size:
-        cand = (4 * frontier[:, None] + _TREE_SIDE_ORDER).ravel()
-        reached = crossed[cand]
-        new = ~seen[reached]
-        cand, reached = cand[new], reached[new]
-        order = np.argsort(reached, kind="stable")
-        ranked = reached[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = ranked[1:] != ranked[:-1]
-        cand = cand[np.sort(order[first])]
-        frontier = crossed[cand]
-        seen[frontier] = True
-        tree[cand] = True
-        tree[partner[cand]] = True
-        tree_edges += cand.size
-    if not bool(seen.all()):
+    # The breadth-first spanning tree of the tiles crosses sides in the order
+    # R, L, arc1, arc2, so its edge 4*g + j crosses side (j - 1) mod 4.
+    found = breadth_first_tree(np.roll(crossed.reshape(size, 4), 1, axis=1))
+    if found.size != size - 1:
         raise RuntimeError("tile graph is disconnected")
+    cand = found - found % 4 + (found + 3) % 4
+    tree = np.zeros(sides, dtype=bool)
+    tree[cand] = True
+    tree[partner[cand]] = True
+    tree_edges = int(cand.size)
 
     # Boundary successor: from the side after s on its tile, cross glued
     # (tree) sides around the corner until a boundary side is reached.

@@ -42,7 +42,7 @@ def _check_index_formula() -> str:
         raise AssertionError("index(4,5) != 120")
     if principal_congruence_index(HeckeParams(4, 3)) != 24:
         raise AssertionError("index(4,3) != 24")
-    # The closure raises IndexFormulaError unless its order meets the formula.
+    # enumerate_group raises IndexFormulaError unless its order meets the formula.
     pairs = [(3, 5), (4, 3), (4, 5), (4, 7), (6, 5)]
     orders = ", ".join(str(cached_group(q, n).order) for q, n in pairs)
     return f"closure orders {orders} all equal the index formula"

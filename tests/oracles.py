@@ -14,7 +14,11 @@ are the element-level group operations (canonical keys, product, inverse,
 right-multiplication permutation, element order) looked up by key, the
 permutation inverse, the dart system's orbits, connectivity and
 automorphisms, the coordinate graph's degrees, and the translation T as the
-formula "add lam_q".
+formula "add lam_q".  Two former library passes are kept as references for
+the completion table: ``closure_bfs``, the breadth-first closure that
+enumerated the group and its Cayley table by products and sorted key
+lookups, and ``pair_test_graph``, the coordinate graph from the edge test
+on every pair of nodes.
 """
 
 import math
@@ -22,13 +26,14 @@ import math
 import numpy as np
 
 from hfmap import kernels
-from hfmap.coords import HFCoord, is_pole
+from hfmap.coords import HFCoord, adjacent_codes, coordinate_codes, is_pole
 from hfmap.group import parity
 from hfmap.maps import (
     CorrespondenceReport,
     MapInvariants,
     _walk,
     build_algebraic_map,
+    CoordGraph,
     build_coordinate_graph,
     canonical_form,
 )
@@ -38,11 +43,93 @@ from hfmap.polygon import Circuit, CosetDomainReport
 # -- group elements ----------------------------------------------------------
 
 
+def pack_components(comps: np.ndarray, n: int) -> np.ndarray:
+    """Pack (..., 8) component arrays into base-n int64 keys, most
+    significant digit first."""
+    return np.asarray(comps, dtype=np.int64) @ kernels._digit_weights(n)
+
+
+def unpack_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of pack_components; returns (..., 8) int64 components."""
+    keys = np.asarray(keys, dtype=np.int64)
+    out = np.empty(keys.shape + (8,), dtype=np.int64)
+    rem = keys.copy()
+    for i in range(7, -1, -1):
+        out[..., i] = rem % n
+        rem //= n
+    return out
+
+
 def canonical_keys(comps: np.ndarray, n: int) -> np.ndarray:
     """Canonical projective key: min over the global sign flip."""
     comps = np.asarray(comps, dtype=np.int64)
     neg = (-comps) % n
-    return np.minimum(kernels.pack_components(comps, n), kernels.pack_components(neg, n))
+    return np.minimum(pack_components(comps, n), pack_components(neg, n))
+
+
+def closure_bfs(
+    gens: np.ndarray, n: int, m: int, limit: int
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Breadth-first closure of canonical generator rows under right products.
+
+    Returns (keys, cayley, completed).  ``keys`` lists the canonical keys of
+    the elements level by level from the identity, ascending within a
+    level.  ``cayley[i, j]`` is the index in ``keys`` of keys[i] * gens[j].
+    Both are allocated once with ``limit`` rows.  ``completed`` is False when
+    the closure would exceed ``limit`` elements; keys and cayley then hold
+    the whole levels found so far, and the last level's cayley rows may
+    name the indices the next level would have taken.
+    """
+    kernels._check_modulus(n)
+    gens = np.asarray(gens, dtype=np.int64).reshape(-1, 8)
+    k = gens.shape[0]
+    # frontier @ maps gives each row's products with every generator, side
+    # by side, before reduction mod n.
+    maps = np.concatenate([kernels.right_mult_map(g, n, m) for g in gens], axis=1)
+    weights = kernels._digit_weights(n)
+    # The key of -g: sum over the nonzero digits c of (n - c) n**place.
+    flip_weights = n * weights
+    limit = max(limit, 1)
+    keys = np.empty(limit, dtype=np.int64)
+    cayley = np.empty((limit, k), dtype=np.int64)
+    frontier = np.array([[1, 0, 0, 0, 0, 0, 1, 0]], dtype=np.int64)
+    keys[0] = pack_components(frontier[0], n)
+    count = 1
+    # The keys seen so far in ascending order, with their element indices.
+    visited = keys[:1].copy()
+    visited_index = np.zeros(1, dtype=np.int64)
+    while True:
+        # The frontier is the last level, rows count - len(frontier) on.
+        prod = frontier @ maps
+        np.remainder(prod, n, out=prod)
+        prod = prod.reshape(-1, 8)
+        level = prod @ weights
+        np.minimum(level, np.minimum(prod, 1) @ flip_weights - level, out=level)
+
+        order = np.argsort(level)
+        ranked = level[order]
+        first = np.ones(ranked.size, dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        found = ranked[first]
+        pos = np.searchsorted(visited, found)
+        clipped = np.minimum(pos, visited.size - 1)
+        fresh = visited[clipped] != found
+        # Seen keys keep their index; fresh ones are numbered in key order.
+        rank = np.cumsum(fresh)
+        end = count + int(rank[-1])
+        index = np.where(fresh, rank + (count - 1), visited_index[clipped])
+        row_index = np.empty(level.size, dtype=np.int64)
+        row_index[order] = index[np.cumsum(first) - 1]
+        cayley[count - frontier.shape[0] : count] = row_index.reshape(-1, k)
+
+        if end == count or end > limit:
+            return keys[:count], cayley[:count], end == count
+        new = found[fresh]
+        keys[count:end] = new
+        visited = np.insert(visited, pos[fresh], new)
+        visited_index = np.insert(visited_index, pos[fresh], index[fresh])
+        count = end
+        frontier = unpack_keys(new, n)
 
 
 def right_mult_keys(comps: np.ndarray, g: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -188,6 +275,30 @@ def apply_to_coord(g, u, p):
     if w[0] == 0 and w[5] == 0:
         return normalize("B", w[1], w[4], p)
     raise ValueError(f"image column {w[0:2]}, {w[4:6]} matches no coordinate pattern")
+
+
+def pair_test_graph(p) -> CoordGraph:
+    """The coordinate graph by the edge test on every pair of nodes.
+
+    Sorted nodes put every kind A before every kind B, and for q in {4, 6}
+    only A-B pairs can be adjacent, so the A x B block is all that is
+    tested; for q = 3 it is every pair.
+    """
+    codes = coordinate_codes(p)
+    if p.q == 3:
+        row_end, col_start = codes.size, 0
+    else:
+        row_end = col_start = int(np.searchsorted(codes, p.n * p.n))  # first kind B
+    cols = np.arange(col_start, codes.size, dtype=np.int64)
+    step = max(1, (1 << 18) // max(1, cols.size))
+    blocks = [np.empty((0, 2), dtype=np.int64)]
+    for start in range(0, row_end, step):
+        rows = np.arange(start, min(start + step, row_end), dtype=np.int64)
+        hit = adjacent_codes(codes[rows, None], codes[cols], p)
+        hit &= cols > rows[:, None]
+        i, j = np.nonzero(hit)
+        blocks.append(np.stack([rows[i], cols[j]], axis=1))
+    return CoordGraph(params=p, codes=codes, pairs=np.concatenate(blocks))
 
 
 def translate(u, p):

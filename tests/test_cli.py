@@ -68,7 +68,7 @@ def test_out_of_memory_exits_2(capsys, monkeypatch, detail, line):
     def exhausted(*args):
         raise MemoryError(detail)
 
-    monkeypatch.setattr(kernels, "closure_bfs", exhausted)
+    monkeypatch.setattr(kernels, "product_keys", exhausted)
     code, out, err = run(capsys, "map", "--q", "4", "--n", "5")
     assert code == 2 and out == ""
     assert err == line + "\n"

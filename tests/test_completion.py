@@ -1,0 +1,105 @@
+"""The completion table, and the group and coordinate graph built from it,
+against the former breadth-first closure and the pair-test graph
+(``oracles.closure_bfs``, ``oracles.pair_test_graph``)."""
+
+import numpy as np
+import oracles
+import pytest
+
+from hfmap import coords, group as group_module
+from hfmap.cli import main
+from hfmap.coords import adjacent_codes, completion_table
+from hfmap.group import (
+    GroupCheckError,
+    HeckeParams,
+    enumerate_group,
+    generators,
+    principal_congruence_index,
+)
+from hfmap.maps import build_algebraic_map, build_coordinate_graph
+
+# n prime, composite, even, and divisible by m = 2 or 3, at every q.
+GROUP_CASES = [
+    (4, 96), (6, 90), (4, 53), (3, 97), (4, 101), (4, 5),
+    (3, 5), (6, 9), (4, 6), (3, 16), (6, 12), (4, 15),
+]
+
+GRAPH_CASES = [(q, n) for q in (3, 4, 6) for n in range(3, 32, 2)]
+GRAPH_CASES += [(4, 53), (3, 97), (6, 99)]
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (3, 4, 6) for n in range(3, 33)])
+def test_completion_solves_the_determinant(q, n):
+    p = HeckeParams(q, n)
+    tab = completion_table(p)
+    assert np.array_equal(tab.codes, coords._coordinate_classes(p))
+    kind, rest = np.divmod(tab.codes, n * n)
+    assert np.array_equal(tab.a * n + tab.c, rest)
+    assert np.all((tab.ka * tab.d0 - tab.kc * tab.b0) % n == 1)
+    # (ka, kc) is (a, m*c) for kind A, (m*a, c) for kind B.
+    assert np.array_equal(tab.ka, np.where(kind == 0, tab.a, p.m * tab.a) % n)
+    assert np.array_equal(tab.kc, np.where(kind == 0, p.m * tab.c, tab.c) % n)
+    assert tab.codes.size * n == principal_congruence_index(p)
+
+
+@pytest.mark.parametrize("q,n", GROUP_CASES)
+def test_group_matches_the_breadth_first_closure(q, n):
+    p = HeckeParams(q, n)
+    group = enumerate_group(p)
+    keys, cayley, done = oracles.closure_bfs(generators(p)[:2], n, p.m, group.order)
+    assert done and keys.shape[0] == group.order
+    # Same elements, each row the canonical representative.
+    ours = oracles.pack_components(group.comps, n)
+    assert np.array_equal(ours, oracles.canonical_keys(group.comps, n))
+    assert tuple(group.comps[0].tolist()) == (1, 0, 0, 0, 0, 0, 1, 0)
+    order = np.argsort(keys)
+    index = np.searchsorted(keys[order], ours)
+    assert np.array_equal(keys[order][index], ours)
+    relabel = order[index]  # closure index of each of our elements
+    # The Cayley tables agree under the relabelling.
+    assert np.array_equal(cayley[relabel], relabel[group.cayley])
+    oracle_map = build_algebraic_map(
+        group_module.FiniteHeckeGroup(p, oracles.unpack_keys(keys, n), cayley)
+    )
+    assert build_algebraic_map(group).invariants() == oracle_map.invariants()
+
+
+@pytest.mark.parametrize("q,n", GRAPH_CASES)
+def test_graph_matches_the_pair_test(q, n):
+    p = HeckeParams(q, n)
+    graph = build_coordinate_graph(p)
+    want = oracles.pair_test_graph(p)
+    assert np.array_equal(graph.codes, want.codes)
+    assert graph.pairs.dtype == want.pairs.dtype
+    assert np.array_equal(graph.pairs, want.pairs)
+    # adjacent_codes is the edge test, and it holds on every edge.
+    u, v = graph.codes[graph.pairs.T]
+    assert adjacent_codes(u, v, p).all()
+    assert np.all(np.bincount(graph.pairs.ravel(), minlength=graph.codes.size) == n)
+
+
+def test_graph_keeps_the_odd_modulus_guard():
+    with pytest.raises(ValueError, match="requires odd n"):
+        build_coordinate_graph(HeckeParams(4, 6))
+
+
+def test_corrupted_alpha_is_caught(monkeypatch, capsys):
+    # Every element sent to the next coordinate's block by S: the product
+    # check must refuse the table.
+    ranks = coords.Completion.ranks
+    monkeypatch.setattr(
+        coords.Completion, "ranks", lambda self, codes, p: (ranks(self, codes, p) + 1) % self.codes.size
+    )
+    with pytest.raises(GroupCheckError, match=r"disagrees with the product g\*S"):
+        enumerate_group(HeckeParams(4, 5))
+    # A failed check is a verification failure: exit 1, one line, no traceback.
+    assert main(["map", "--q", "4", "--n", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: Cayley table for q=4, n=7 disagrees with the product g*S\n"
+
+
+def test_disconnected_table_is_caught(monkeypatch):
+    monkeypatch.setattr(group_module.kernels, "breadth_first_tree", lambda nbrs: nbrs[:0, 0])
+    with pytest.raises(GroupCheckError, match="do not generate"):
+        enumerate_group(HeckeParams(4, 5))

@@ -1,4 +1,5 @@
-"""Packed-key kernels and the closure, checked against a pure-Python oracle."""
+"""The key and product kernels, and the reference closure, checked against a
+pure-Python oracle."""
 
 import numpy as np
 import oracles
@@ -7,6 +8,8 @@ from conftest import as_matrix
 
 from hfmap import kernels
 from hfmap.group import HeckeParams, enumerate_group, generators, principal_congruence_index
+
+IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
 from ring import RingParams, canonicalize, identity_matrix, mat_mul
 
 
@@ -14,16 +17,22 @@ def test_pack_unpack_roundtrip():
     rng = np.random.default_rng(7)
     for n in (3, 5, 7, 30, kernels.MAX_MODULUS):
         comps = rng.integers(0, n, size=(200, 8), dtype=np.int64)
-        assert np.array_equal(kernels.unpack_keys(kernels.pack_components(comps, n), n), comps)
+        assert np.array_equal(oracles.unpack_keys(oracles.pack_components(comps, n), n), comps)
 
 
 def test_max_modulus_is_the_int64_bound():
     n = kernels.MAX_MODULUS
     top = np.full(8, n - 1, dtype=np.int64)
-    key = kernels.pack_components(top, n)
+    key = oracles.pack_components(top, n)
     assert int(key) == n**8 - 1 < 2**63
-    assert np.array_equal(kernels.unpack_keys(key, n), top)
+    assert np.array_equal(oracles.unpack_keys(key, n), top)
     assert (n + 1) ** 8 >= 2**63
+    # The library's keys stay inside int64 at the largest modulus.
+    rng = np.random.default_rng(13)
+    rows = np.concatenate([top[None], rng.integers(0, n, size=(500, 8))])
+    for g in (IDENTITY, *generators(HeckeParams(6, n))[:2]):
+        want = oracles.right_mult_keys(rows, g, n, 3)
+        assert np.array_equal(kernels.product_keys(rows, g, n, 3), want)
 
 
 def test_canonical_key_matches_reference():
@@ -33,7 +42,8 @@ def test_canonical_key_matches_reference():
     keys = oracles.canonical_keys(comps, 7)
     for row, key in zip(comps, keys):
         g = canonicalize(as_matrix(row), p)
-        assert kernels.pack_components(np.asarray(g.components(), dtype=np.int64), 7) == key
+        assert oracles.pack_components(np.asarray(g.components(), dtype=np.int64), 7) == key
+    assert np.array_equal(kernels.product_keys(comps, IDENTITY, 7, 2), keys)
 
 
 @pytest.mark.parametrize(
@@ -71,8 +81,17 @@ def test_right_mult_map_matches_mat_mul_components(n, m):
         assert np.array_equal((rows @ linear) % n, kernels.mat_mul_components(rows, g, n, m))
 
 
+@pytest.mark.parametrize("n,m", [(3, 1), (5, 2), (30, 2), (180, 3), (kernels.MAX_MODULUS, 3)])
+def test_product_keys_match_the_general_product(n, m):
+    rng = np.random.default_rng(17)
+    rows = rng.integers(0, n, size=(300, 8), dtype=np.int64)
+    for g in rng.integers(0, n, size=(4, 8), dtype=np.int64):
+        assert np.array_equal(kernels.product_keys(rows, g, n, m),
+                              oracles.right_mult_keys(rows, g, n, m))
+
+
 def _key(g, n):
-    return int(kernels.pack_components(np.asarray(g.components(), dtype=np.int64), n))
+    return int(oracles.pack_components(np.asarray(g.components(), dtype=np.int64), n))
 
 
 def _reference_closure(p: HeckeParams):
@@ -104,7 +123,7 @@ CLOSURE_CASES = [(4, 3), (3, 5), (4, 5), (6, 5), (4, 7), (6, 7)]
 def test_numpy_closure_matches_python_oracle(q, n):
     p = HeckeParams(q, n)
     gens = generators(p)[:2]
-    keys, cayley, done = kernels.closure_bfs(gens, p.n, p.m, 10**6)
+    keys, cayley, done = oracles.closure_bfs(gens, p.n, p.m, 10**6)
     assert done
     assert cayley.shape == (keys.shape[0], 2)
     reference = _reference_closure(p)
@@ -129,7 +148,7 @@ def test_numpy_closure_matches_python_oracle(q, n):
 def test_closure_stopped_at_limit_keeps_whole_levels(q, n):
     p = HeckeParams(q, n)
     gens = generators(p)[:2]
-    keys, cayley, done = kernels.closure_bfs(gens, p.n, p.m, principal_congruence_index(p))
+    keys, cayley, done = oracles.closure_bfs(gens, p.n, p.m, principal_congruence_index(p))
     assert done
     reference = _reference_closure(p)
     levels = [reference[k][1] for k in keys.tolist()]
@@ -138,7 +157,7 @@ def test_closure_stopped_at_limit_keeps_whole_levels(q, n):
     starts.append(len(levels))
     limits = {b + d for b in starts for d in (-1, 0, 1)} & set(range(1, len(keys)))
     for limit in sorted(limits):
-        part_keys, part_cayley, part_done = kernels.closure_bfs(gens, p.n, p.m, limit)
+        part_keys, part_cayley, part_done = oracles.closure_bfs(gens, p.n, p.m, limit)
         count = part_keys.shape[0]
         assert not part_done
         # The levels that fit whole, and not one row of the next.
@@ -162,6 +181,8 @@ def test_cayley_table_matches_right_mult_perm(q, n):
 
 
 def test_modulus_bound():
+    with pytest.raises(ValueError, match="outside supported range"):
+        enumerate_group(HeckeParams(4, kernels.MAX_MODULUS + 1))
     gens = np.zeros((1, 8), dtype=np.int64)
     with pytest.raises(ValueError):
-        kernels.closure_bfs(gens, kernels.MAX_MODULUS + 1, 2, 100)
+        oracles.closure_bfs(gens, kernels.MAX_MODULUS + 1, 2, 100)

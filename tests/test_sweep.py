@@ -1,8 +1,8 @@
 """Every (q, n) the benchmark's sweep covers, plus the even moduli, end to end.
 
 For odd n both models are built and cross-checked; for even n the
-coordinate model does not exist, so the order and connectivity of the dart
-system are what is checked.
+coordinate model is not offered yet, so the order and connectivity of the
+dart system are what is checked.
 """
 
 import oracles
