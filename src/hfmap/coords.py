@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .group import HeckeParams, parity
-from .kernels import _check_modulus, distinct, mat_mul_components
+from .kernels import _check_modulus, mat_mul_components
 
 __all__ = [
     "HFCoord",
@@ -35,6 +35,7 @@ __all__ = [
     "require_odd_modulus",
     "Completion",
     "completion_table",
+    "code_rows",
     "coord_codes",
     "code_coord",
     "adjacent_codes",
@@ -144,9 +145,18 @@ def _coordinate_classes(p: HeckeParams) -> np.ndarray:
     """Codes of all coordinates mod n, ascending, for any n in range."""
     n = p.n
     _check_modulus(n)
-    kind, rest = np.divmod(np.arange((1 if p.q == 3 else 2) * n * n), n * n)
+    every = np.arange((1 if p.q == 3 else 2) * n * n)
+    kind, rest = np.divmod(every, n * n)
     codes, coprime, reached = _class_codes(kind, rest // n, rest % n, p)
-    return distinct(codes[coprime & reached])
+    # A class is kept once, as the code that is its own canonical code.
+    return np.flatnonzero((codes == every) & coprime & reached)
+
+
+def code_rows(table: np.ndarray, codes: np.ndarray, p: HeckeParams) -> np.ndarray:
+    """Row of each code in the code array table, or -1 for a code not in it."""
+    lookup = np.full(2 * p.n * p.n, -1, dtype=np.int64)
+    lookup[table] = np.arange(table.size)
+    return lookup[codes]
 
 
 class Completion(NamedTuple):
@@ -164,9 +174,7 @@ class Completion(NamedTuple):
 
     def ranks(self, codes: np.ndarray, p: HeckeParams) -> np.ndarray:
         """Row of each code in this table, or -1 for a code not in it."""
-        lookup = np.full(2 * p.n * p.n, -1, dtype=np.int64)
-        lookup[self.codes] = np.arange(self.codes.size)
-        return lookup[codes]
+        return code_rows(self.codes, codes, p)
 
     def second_columns(self, p: HeckeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(b, d, codes), each (V, n): row v holds the second columns

@@ -19,13 +19,13 @@ from .coords import (
     HFCoord,
     adjacent_codes,
     code_coord,
+    code_rows,
     coord_codes,
     completion_table,
     cusp_codes,
     require_odd_modulus,
 )
 from .group import FiniteHeckeGroup, HeckeParams, PermGroup
-from .kernels import distinct
 
 __all__ = [
     "MapStructure",
@@ -196,12 +196,20 @@ def invariants_json(p: HeckeParams, inv: MapInvariants, group_order: int) -> str
 @dataclass(frozen=True)
 class CoordGraph:
     """Adjacency-rule graph on the coordinates mod n: ascending node codes,
-    and edges as (E, 2) int64 rows (i, j) of node indices, i < j, in
-    lexicographic order.  ``nodes`` and ``edges`` are list views of them."""
+    and the (V, n) int64 table ``nbrs`` whose row i lists node i's
+    neighbours in ascending order.  ``pairs`` holds the edges as (E, 2) rows
+    (i, j), i < j, in lexicographic order; it and ``nodes`` and ``edges``
+    are views built on first use."""
 
     params: HeckeParams
     codes: np.ndarray
-    pairs: np.ndarray
+    nbrs: np.ndarray
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        rows = np.broadcast_to(np.arange(self.codes.size)[:, None], self.nbrs.shape)
+        above = self.nbrs > rows
+        return np.stack([rows[above], self.nbrs[above]], axis=1)
 
     @cached_property
     def nodes(self) -> list[HFCoord]:
@@ -217,17 +225,16 @@ class CoordGraph:
 
     def adjacency_matrix(self) -> np.ndarray:
         mat = np.zeros((self.codes.size,) * 2, dtype=bool)
-        mat[tuple(self.pairs.T)] = True
-        return mat | mat.T
+        mat[np.arange(self.codes.size)[:, None], self.nbrs] = True
+        return mat
 
     def is_bipartite_by_kind(self) -> bool:
-        kind = self.codes[self.pairs] // (self.params.n * self.params.n)
-        return bool(np.all(kind[:, 0] != kind[:, 1]))
+        kind = self.codes // (self.params.n * self.params.n)
+        return bool(np.all(kind[self.nbrs] != kind[:, None]))
 
 
 def build_coordinate_graph(p: HeckeParams) -> CoordGraph:
-    """Edges (i, j), i < j, in lexicographic order, n per node, with no
-    pair test.
+    """The n neighbours of every node, ascending, with no pair test.
 
     A node's neighbours are the classes of the n second columns that
     complete its first column (see ``coords.completion_table``), which are
@@ -237,21 +244,12 @@ def build_coordinate_graph(p: HeckeParams) -> CoordGraph:
     table = completion_table(p)
     nbrs = table.ranks(table.second_columns(p)[2], p)
     nbrs.sort(axis=1)
-    rows = np.arange(table.codes.size)[:, None]
-    above = nbrs > rows
-    pairs = np.stack([np.broadcast_to(rows, nbrs.shape)[above], nbrs[above]], axis=1)
-    return CoordGraph(params=p, codes=table.codes, pairs=pairs)
+    return CoordGraph(params=p, codes=table.codes, nbrs=nbrs)
 
 
 # ---------------------------------------------------------------------------
 # Correspondence between the two models.
 # ---------------------------------------------------------------------------
-
-
-def _pair_codes(pairs: np.ndarray, size: int) -> np.ndarray:
-    """One code per unordered pair of node indices below size, from (k, 2) rows."""
-    pairs = pairs.reshape(-1, 2)
-    return pairs.min(axis=1) * size + pairs.max(axis=1)
 
 
 @dataclass
@@ -284,12 +282,7 @@ def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
         values = {code_coord(cusps[d], p) for d in orbit}
         problems.append(f"vertex orbit {orbit[:4]}... has mixed cusps {values}")
         orbit_codes[k] = coord_codes([values.pop()], p)[0]
-    node_codes = graph.codes
-    orbit_set = distinct(orbit_codes)
-    bijection = (
-        orbit_set.size == orbit_codes.size
-        and np.array_equal(orbit_set, distinct(node_codes))
-    )
+    bijection = np.array_equal(np.sort(orbit_codes), graph.codes)
     if not bijection:
         problems.append("cusp map is not a bijection onto the coordinates")
 
@@ -302,16 +295,18 @@ def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
             f"edge darts project to non-adjacent {code_coord(ua[k], p)}, "
             f"{code_coord(ub[k], p)}"
         )
-    # A cusp that is not a node gets index -1, and its edge then matches none.
-    index = np.full(2 * p.n * p.n, -1, dtype=np.int64)
-    index[node_codes] = np.arange(node_codes.size)
-    size = node_codes.size
-    projected = _pair_codes(index[np.stack([ua[adj], ub[adj]], axis=1)], size)
-    graph_edges = distinct(_pair_codes(graph.pairs, size))
-    projected_set = distinct(projected)
-    edges_matched = (
-        projected.size == projected_set.size == graph_edges.size
-        and np.array_equal(projected_set, graph_edges)
+    # Both arcs of every projected edge, sorted, must be the table's arcs
+    # i*V + nbrs[i, j] in row-major order, which are distinct exactly when
+    # they ascend.  A cusp that is not a node has row -1 and matches none.
+    size = graph.codes.size
+    ends = code_rows(graph.codes, np.stack([ua[adj], ub[adj]]), p)
+    tail, head = ends
+    projected = np.sort(np.concatenate([tail * size + head, head * size + tail]))
+    arcs = (np.arange(size)[:, None] * size + graph.nbrs).ravel()
+    edges_matched = bool(
+        np.all(ends >= 0)
+        and np.all(arcs[1:] > arcs[:-1])
+        and np.array_equal(projected, arcs)
     )
     if not edges_matched:
         problems.append("edge orbits do not project bijectively onto graph edges")
@@ -335,7 +330,7 @@ def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
         vertex_bijection=bijection,
         edges_matched=edges_matched,
         vertex_count=int(roots.size),
-        edge_count=int(projected.size),
+        edge_count=int(tail.size),
         problems=problems,
         notes=notes,
     )

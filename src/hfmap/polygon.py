@@ -187,18 +187,14 @@ def search_circuits(
     graph = build_coordinate_graph(p)
     size = graph.codes.size
     start_idx = graph.node_index[start]
-    # Both directions of every edge, sorted once by (tail, head): node v's
-    # neighbours, ascending, are head[offsets[v]:offsets[v + 1]].
-    arcs = np.sort(np.concatenate([graph.pairs @ [size, 1], graph.pairs @ [1, size]]))
-    tail, head = np.divmod(arcs, size)
-    del arcs
-    offsets = np.searchsorted(tail, np.arange(size + 1))
     poles = graph.codes % p.n == 0
 
     ways = np.zeros((length + 1, size))
     ways[length, start_idx] = 1
     for k in range(length - 1, -1, -1):
-        row = np.bincount(tail, weights=ways[k + 1][head], minlength=size)
+        # Each term is at most MAX_CIRCUITS + 1 < 2**23 and a row has
+        # n < 2**8 of them, so the float64 sums are exact.
+        row = ways[k + 1][graph.nbrs].sum(axis=1)
         row[poles != (k in pole_positions)] = 0
         ways[k] = np.minimum(row, MAX_CIRCUITS + 1)
     if ways[0, start_idx] > MAX_CIRCUITS:
@@ -206,9 +202,8 @@ def search_circuits(
 
     nodes = graph.nodes
     live = (ways > 0).tolist()
-    offsets = offsets.tolist()
     # Neighbour lists of the nodes the walk enters, made on first entry.
-    nbrs: list[list[int] | None] = [None] * size
+    lists: list[list[int] | None] = [None] * size
     results: list[Circuit] = []
     path: list[int] = []
 
@@ -219,9 +214,9 @@ def search_circuits(
                 if pos == length:
                     results.append(Circuit(tuple(nodes[i] for i in path[:-1])))
                 else:
-                    if nbrs[w] is None:
-                        nbrs[w] = head[offsets[w] : offsets[w + 1]].tolist()
-                    extend(pos + 1, nbrs[w])
+                    if lists[w] is None:
+                        lists[w] = graph.nbrs[w].tolist()
+                    extend(pos + 1, lists[w])
                 path.pop()
 
     extend(0, [start_idx])

@@ -171,10 +171,9 @@ def _check_property_suites() -> str:
     for q, n in ((4, 3), (4, 5), (3, 5), (6, 5), (4, 7)):
         group = cached_group(q, n)
         amap = M.build_algebraic_map(group)
-        if n % 2:
-            rep = M.correspondence_check(group, amap, M.build_coordinate_graph(HeckeParams(q, n)))
-            if not rep.ok:
-                raise AssertionError(f"({q},{n}): correspondence fails: {rep.problems}")
+        rep = M.correspondence_check(group, amap, M.build_coordinate_graph(HeckeParams(q, n)))
+        if not rep.ok:
+            raise AssertionError(f"({q},{n}): correspondence fails: {rep.problems}")
         dom = P.coset_domain_check(group)
         if not dom.matches_map:
             raise AssertionError(

@@ -17,8 +17,8 @@ automorphisms, the coordinate graph's degrees, and the translation T as the
 formula "add lam_q".  Two former library passes are kept as references for
 the completion table: ``closure_bfs``, the breadth-first closure that
 enumerated the group and its Cayley table by products and sorted key
-lookups, and ``pair_test_graph``, the coordinate graph from the edge test
-on every pair of nodes.
+lookups, and ``pair_test_graph``, the coordinate graph's edges from the
+edge test on every pair of nodes.
 """
 
 import math
@@ -33,7 +33,6 @@ from hfmap.maps import (
     MapInvariants,
     _walk,
     build_algebraic_map,
-    CoordGraph,
     build_coordinate_graph,
     canonical_form,
 )
@@ -277,8 +276,10 @@ def apply_to_coord(g, u, p):
     raise ValueError(f"image column {w[0:2]}, {w[4:6]} matches no coordinate pattern")
 
 
-def pair_test_graph(p) -> CoordGraph:
-    """The coordinate graph by the edge test on every pair of nodes.
+def pair_test_graph(p) -> np.ndarray:
+    """Edges of the coordinate graph by the edge test on every pair of
+    nodes, as (E, 2) int64 rows (i, j) of node indices, i < j, in
+    lexicographic order.
 
     Sorted nodes put every kind A before every kind B, and for q in {4, 6}
     only A-B pairs can be adjacent, so the A x B block is all that is
@@ -298,7 +299,7 @@ def pair_test_graph(p) -> CoordGraph:
         hit &= cols > rows[:, None]
         i, j = np.nonzero(hit)
         blocks.append(np.stack([rows[i], cols[j]], axis=1))
-    return CoordGraph(params=p, codes=codes, pairs=np.concatenate(blocks))
+    return np.concatenate(blocks)
 
 
 def translate(u, p):

@@ -8,7 +8,7 @@ import pytest
 
 from hfmap import coords, group as group_module
 from hfmap.cli import main
-from hfmap.coords import adjacent_codes, completion_table
+from hfmap.coords import adjacent_codes, completion_table, coordinate_codes
 from hfmap.group import (
     GroupCheckError,
     HeckeParams,
@@ -69,13 +69,19 @@ def test_graph_matches_the_pair_test(q, n):
     p = HeckeParams(q, n)
     graph = build_coordinate_graph(p)
     want = oracles.pair_test_graph(p)
-    assert np.array_equal(graph.codes, want.codes)
-    assert graph.pairs.dtype == want.pairs.dtype
-    assert np.array_equal(graph.pairs, want.pairs)
+    assert np.array_equal(graph.codes, coordinate_codes(p))
+    assert graph.pairs.dtype == want.dtype
+    assert np.array_equal(graph.pairs, want)
     # adjacent_codes is the edge test, and it holds on every edge.
     u, v = graph.codes[graph.pairs.T]
     assert adjacent_codes(u, v, p).all()
     assert np.all(np.bincount(graph.pairs.ravel(), minlength=graph.codes.size) == n)
+    # The stored table: n neighbours per node, ascending, and symmetric.
+    size = graph.codes.size
+    assert graph.nbrs.dtype == np.int64 and graph.nbrs.shape == (size, n)
+    assert np.all(graph.nbrs[:, 1:] > graph.nbrs[:, :-1])
+    tail, head = np.repeat(np.arange(size), n), graph.nbrs.ravel()
+    assert np.array_equal(tail * size + head, np.sort(head * size + tail))
 
 
 def test_graph_keeps_the_odd_modulus_guard():

@@ -27,6 +27,7 @@ from hfmap.coords import (
 )
 from hfmap.group import HeckeParams, cached_group
 from hfmap.maps import (
+    CoordGraph,
     MapStructure,
     _orbit_labels,
     _orbit_sizes,
@@ -257,25 +258,50 @@ def test_correspondence_holds_at_q6_when_3_divides_n():
 @pytest.mark.parametrize("q,n", [(4, 5), (3, 7), (6, 7)])
 def test_correspondence_of_a_wrong_map_matches_scalar_oracle(q, n):
     """Vertex orbits of phi mix cusps; a random alpha joins non-adjacent
-    ones; two disjoint copies of the map cover every edge twice."""
+    ones; two disjoint copies of the map cover every edge twice; the right
+    map meets a neighbour table with every index moved on by one; two
+    copies meet a table that lists every neighbour twice."""
     p = HeckeParams(q, n)
     group = cached_group(q, n)
     amap = build_algebraic_map(group)
     graph = build_coordinate_graph(p)
     rng = np.random.default_rng(n)
     twice = SimpleNamespace(params=p, comps=np.concatenate([group.comps, group.comps]))
-    for g, wrong, problem, edges_matched in (
-        (group, MapStructure(sigma=amap.phi, alpha=amap.alpha), "has mixed cusps", True),
-        (group, MapStructure(sigma=amap.sigma, alpha=_random_map(rng, amap.darts).alpha),
+    twice_map = MapStructure(sigma=np.concatenate([amap.sigma, amap.sigma + amap.darts]),
+                             alpha=np.concatenate([amap.alpha, amap.alpha + amap.darts]))
+    moved = CoordGraph(params=p, codes=graph.codes,
+                       nbrs=np.sort((graph.nbrs + 1) % graph.codes.size, axis=1))
+    doubled = CoordGraph(params=p, codes=graph.codes, nbrs=np.repeat(graph.nbrs, 2, axis=1))
+    for g, wrong, wrong_graph, problem, edges_matched in (
+        (group, MapStructure(sigma=amap.phi, alpha=amap.alpha), graph, "has mixed cusps", True),
+        (group, MapStructure(sigma=amap.sigma, alpha=_random_map(rng, amap.darts).alpha), graph,
          "project to non-adjacent", False),
-        (twice, MapStructure(sigma=np.concatenate([amap.sigma, amap.sigma + amap.darts]),
-                             alpha=np.concatenate([amap.alpha, amap.alpha + amap.darts])),
-         "not a bijection", False),
+        (twice, twice_map, graph, "not a bijection", False),
+        (group, amap, moved, "edge orbits do not project bijectively onto graph edges", False),
+        (twice, twice_map, doubled, "not a bijection", False),
     ):
-        got = correspondence_check(g, wrong, graph)
+        got = correspondence_check(g, wrong, wrong_graph)
         assert problem in got.problems[0]
-        assert got.edges_matched == edges_matched
-        assert vars(got) == vars(oracles.correspondence_check(g, wrong, graph))
+        assert got.edges_matched is edges_matched
+        assert vars(got) == vars(oracles.correspondence_check(g, wrong, wrong_graph))
+
+
+def test_a_cusp_that_is_no_node_fails_the_edge_match():
+    # The last node's code becomes 0, the class of (0, 0), which no cusp
+    # has: the cusp it replaced has row -1 in every edge it ends.
+    p = HeckeParams(4, 5)
+    group = cached_group(4, 5)
+    graph = build_coordinate_graph(p)
+    codes = graph.codes.copy()
+    codes[-1] = 0
+    got = correspondence_check(
+        group, build_algebraic_map(group), CoordGraph(params=p, codes=codes, nbrs=graph.nbrs)
+    )
+    assert got.vertex_bijection is False and got.edges_matched is False
+    assert got.problems == [
+        "cusp map is not a bijection onto the coordinates",
+        "edge orbits do not project bijectively onto graph edges",
+    ]
 
 
 DOMAIN_CASES = [(q, n) for q in (3, 4, 6) for n in (3, 5, 7, 9, 15, 21, 29)]
