@@ -19,6 +19,11 @@ from . import verify as V
 from .group import GroupCheckError, HeckeParams, enumerate_group, principal_congruence_index
 
 
+# Circuits formatted and written per block: one write per block, and the
+# text of one block alive at a time.
+CIRCUIT_BLOCK = 1 << 16
+
+
 class VerificationFailure(Exception):
     pass
 
@@ -104,8 +109,9 @@ def cmd_circuit(args: argparse.Namespace) -> None:
             f"--poles must be comma-separated integers, got {args.poles!r}"
         ) from None
     found = P.search_circuits(start[0], args.length, poles, p)
-    for circuit in found:
-        print(P.format_circuit_text(circuit, p))
+    labels = P.circuit_labels(p)
+    for i in range(0, len(found), CIRCUIT_BLOCK):
+        sys.stdout.write(P.format_circuit_text(found[i:i + CIRCUIT_BLOCK], labels))
     print(f"# {len(found)} circuits")
 
 

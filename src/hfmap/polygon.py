@@ -25,6 +25,7 @@ from .coords import (
     apply_to_coord,
     code_coord,
     coord_codes,
+    enumerate_coords,
     is_pole,
     normalize,
     vertex_names,
@@ -56,6 +57,7 @@ __all__ = [
     "format_pairing_text",
     "parse_circuit_text",
     "format_circuit_text",
+    "circuit_labels",
 ]
 
 # Sides of the fundamental polygon of the genus-4 map.
@@ -167,15 +169,20 @@ def search_circuits(
     length: int,
     pole_positions: set[int],
     p: HeckeParams,
-) -> list[Circuit]:
+) -> np.ndarray:
     """All closed walks of the given length from start whose pole positions
-    are exactly the given set, in lexicographic order of node index (the
-    depth-first order).
+    are exactly the given set, as a (count, length) int32 table: row r
+    lists the walk's nodes by their index in
+    ``build_coordinate_graph(p).nodes``, and the rows run in lexicographic
+    order of those indices (the depth-first order).
 
     ways[k][v] counts the ways to finish such a walk from node v at
     position k (position ``length`` is the start again), clipped at
-    MAX_CIRCUITS + 1 so that float64 stays exact.  The walk enters only
-    nodes that can still finish, and ways[0][start] bounds the listing.
+    MAX_CIRCUITS + 1 so that float64 stays exact.  ways[0][start] bounds
+    the listing.  The table then grows one position at a time: each row
+    takes, in ascending order, the neighbours of its last node that can
+    still finish.  A node that can finish at position length - 1 is a
+    neighbour of the start, so every row of the last level closes.
     """
     if length > 16:
         raise ValueError(f"circuit search length {length} exceeds the bound 16")
@@ -200,27 +207,14 @@ def search_circuits(
     if ways[0, start_idx] > MAX_CIRCUITS:
         raise ValueError(f"circuit search would list more than {MAX_CIRCUITS} circuits")
 
-    nodes = graph.nodes
-    live = (ways > 0).tolist()
-    # Neighbour lists of the nodes the walk enters, made on first entry.
-    lists: list[list[int] | None] = [None] * size
-    results: list[Circuit] = []
-    path: list[int] = []
-
-    def extend(pos: int, candidates: list[int]) -> None:
-        for w in candidates:
-            if live[pos][w]:
-                path.append(w)
-                if pos == length:
-                    results.append(Circuit(tuple(nodes[i] for i in path[:-1])))
-                else:
-                    if lists[w] is None:
-                        lists[w] = graph.nbrs[w].tolist()
-                    extend(pos + 1, lists[w])
-                path.pop()
-
-    extend(0, [start_idx])
-    return results
+    live = ways > 0
+    nbrs = graph.nbrs.astype(np.int32)
+    rows = np.full((int(live[0, start_idx]), 1), start_idx, dtype=np.int32)
+    for pos in range(1, length):
+        cand = nbrs[rows[:, -1]]
+        parent, col = np.nonzero(live[pos][cand])
+        rows = np.column_stack([rows[parent], cand[parent, col]])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -589,11 +583,22 @@ def _parse_vertex(token: str, table: NameTable | None, p: HeckeParams) -> HFCoor
         raise ValueError(f"vertex {token!r}: {exc}") from None
 
 
-def format_circuit_text(c: Circuit, p: HeckeParams) -> str:
-    """Vertex names when the map has a name table, else kind:num/den triples."""
+def circuit_labels(p: HeckeParams) -> np.ndarray:
+    """The label of every node of ``build_coordinate_graph(p)``, in node
+    order, as an object array: vertex names when the map has a name table
+    that names every node, else kind:num/den triples."""
+    nodes = enumerate_coords(p)
     try:
         table = vertex_names(p)
-        return ",".join(table.name(u) for u in c.seq)
+        text = [table.name(u) for u in nodes]
     except (ValueError, KeyError):
-        pass
-    return ",".join(f"{u.kind}:{u.num}/{u.den}" for u in c.seq)
+        text = [f"{u.kind}:{u.num}/{u.den}" for u in nodes]
+    return np.array(text, dtype=object)
+
+
+def format_circuit_text(rows: np.ndarray, labels: np.ndarray) -> str:
+    """One line per row of a ``search_circuits`` table: the labels of its
+    nodes, comma-separated (see ``circuit_labels``)."""
+    if not len(rows):
+        return ""
+    return "\n".join(map(",".join, labels[rows].tolist())) + "\n"

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coords import HFCoord, coord_value_str, vertex_names
 from .group import RADICAND, HeckeParams
 from .kernels import mat_mul_exact
@@ -35,6 +37,19 @@ XMIN, XMAX, YMAX = -3.0, 3.0, 3.0
 WIDTH = 800
 SAMPLES = 48
 STROKE = "#1a1a80"
+
+# Sample k of a disk-model geodesic in the half-plane: the point at angle
+# pi*k/(SAMPLES - 1) on a half-circle (unit _COS, _SIN), or the height
+# _RAY[k] on a vertical ray.  A path is written with one template, which
+# formats each float as "{:.5f}" does.
+_ANGLES = [math.pi * k / (SAMPLES - 1) for k in range(SAMPLES)]
+_COS = np.array([math.cos(t) for t in _ANGLES])
+_SIN = np.array([math.sin(t) for t in _ANGLES])
+_RAY = np.array([YMAX * (k / (SAMPLES - 1)) ** 2 * 400 for k in range(SAMPLES)])
+_DISK_PATH = (
+    '<path d="M %.5f %.5f' + " L %.5f %.5f" * (SAMPLES - 1)
+    + f'" fill="none" stroke="{STROKE}" stroke-width="1"/>'
+)
 
 
 @dataclass(frozen=True, order=False)
@@ -178,32 +193,6 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def _halfplane_to_disk(x: float, y: float) -> tuple[float, float]:
-    """Conformal map (z - i)/(z + i): sends i to 0, the real line to the
-    unit circle."""
-    zr, zi = x, y - 1.0
-    wr, wi = x, y + 1.0
-    norm = wr * wr + wi * wi
-    return (zr * wr + zi * wi) / norm, (zi * wr - zr * wi) / norm
-
-
-def _sample_geodesic(geo: Geodesic, m: int, ymax: float) -> list[tuple[float, float]]:
-    """Points along the geodesic in the upper half-plane."""
-    if geo.b.is_infinity:
-        if geo.a.is_infinity:
-            raise ValueError("degenerate geodesic")
-        x = geo.a.value(m)
-        ys = [ymax * (k / (SAMPLES - 1)) ** 2 * 400 for k in range(SAMPLES)]
-        return [(x, y) for y in ys]
-    x1, x2 = geo.a.value(m), geo.b.value(m)
-    cx, r = (x1 + x2) / 2.0, abs(x2 - x1) / 2.0
-    return [
-        (cx + r * math.cos(math.pi * k / (SAMPLES - 1)),
-         r * math.sin(math.pi * k / (SAMPLES - 1)))
-        for k in range(SAMPLES)
-    ]
-
-
 def render_universal(q: int, cfg: RenderConfig) -> str:
     """SVG of the universal tessellation's edges down to the given depth."""
     geodesics = universal_geodesics(q, cfg.depth)
@@ -248,17 +237,41 @@ def render_universal(q: int, cfg: RenderConfig) -> str:
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
-    for geo in geodesics:
-        pts = _sample_geodesic(geo, m, YMAX)
-        page = []
-        for x, y in pts:
-            wx, wy = _halfplane_to_disk(x, y)
-            page.append((cx + radius * wx, cy - radius * wy))
-        d = "M " + " L ".join(f"{_fmt(px)} {_fmt(py)}" for px, py in page)
-        body.append(
-            f'<path d="{d}" fill="none" stroke="{STROKE}" stroke-width="1"/>'
-        )
+    body += _disk_paths(geodesics, m, cx, cy, radius)
     return _svg_document(width, height, body)
+
+
+def _disk_paths(geodesics: list[Geodesic], m: int, cx: float, cy: float,
+                radius: float) -> list[str]:
+    """One disk-model path per geodesic, through its SAMPLES points.
+
+    All points are sampled and projected at once, on (G, SAMPLES) arrays.
+    Every float comes from the same operations, in the same order, as a
+    point sampled and projected on its own, so the text is the same.
+    """
+    # Only b can be infinity: infinity sorts last and the ends differ.
+    ends = np.array([(geo.a.value(m), geo.b.value(m)) for geo in geodesics])
+    vertical = np.isinf(ends[:, 1])
+    xs = np.empty((len(geodesics), SAMPLES))
+    ys = np.empty_like(xs)
+    x1, x2 = ends[~vertical].T
+    center, r = (x1 + x2) / 2.0, np.abs(x2 - x1) / 2.0
+    xs[~vertical] = center[:, None] + r[:, None] * _COS
+    ys[~vertical] = r[:, None] * _SIN
+    xs[vertical] = ends[vertical, :1]
+    ys[vertical] = _RAY
+    # (z - i)/(z + i) sends i to 0 and the real line to the unit circle;
+    # with z = x + iy it is (x + i(y - 1)) / (x + i(y + 1)).
+    zi, wi = ys - 1.0, ys + 1.0
+    xx = xs * xs
+    norm = xx + wi * wi
+    page = np.empty((len(geodesics), 2 * SAMPLES))
+    page[:, 0::2] = cx + radius * ((xx + zi * wi) / norm)
+    page[:, 1::2] = cy - radius * ((zi * xs - xs * wi) / norm)
+    # The paths are the largest part of the document: free the samples,
+    # and unpack the page one row at a time, while they are written.
+    del ends, xs, ys, zi, wi, xx, norm
+    return [_DISK_PATH % tuple(row.tolist()) for row in page]
 
 
 # ---------------------------------------------------------------------------

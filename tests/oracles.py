@@ -8,8 +8,11 @@ or edge and walks the orbits with ``orbits``; ``coset_domain_check`` grows
 its spanning tree with a FIFO queue, walks the boundary side by side and
 unions corners over walk positions with ``polygon_corner_classes``;
 ``search_circuits`` prunes its walk by BFS distances to the start and
-checks poles and the closing edge as it goes.  The differential tests in
-test_vectorized.py require the library to agree with them.  Next to them
+checks poles and the closing edge as it goes, and returns ``Circuit``
+objects, which ``circuits_of`` makes of the library's walk table and
+``format_circuit`` writes one at a time; ``render_disk`` samples and
+projects the disk-model geodesics one point at a time.  The differential
+tests in test_vectorized.py require the library to agree with them.  Next to them
 are the element-level group operations (canonical keys, product, inverse,
 right-multiplication permutation, element order) looked up by key, the
 permutation inverse, the dart system's orbits, connectivity and
@@ -26,8 +29,8 @@ import math
 import numpy as np
 
 from hfmap import kernels
-from hfmap.coords import HFCoord, adjacent_codes, coordinate_codes, is_pole
-from hfmap.group import parity
+from hfmap.coords import HFCoord, adjacent_codes, coordinate_codes, is_pole, vertex_names
+from hfmap.group import RADICAND, parity
 from hfmap.maps import (
     CorrespondenceReport,
     MapInvariants,
@@ -37,6 +40,15 @@ from hfmap.maps import (
     canonical_form,
 )
 from hfmap.polygon import Circuit, CosetDomainReport
+from hfmap.render import (
+    SAMPLES,
+    STROKE,
+    WIDTH,
+    YMAX,
+    _fmt,
+    _svg_document,
+    universal_geodesics,
+)
 
 
 # -- group elements ----------------------------------------------------------
@@ -631,3 +643,71 @@ def search_circuits(start, length, pole_positions, p) -> list:
 
     extend(0)
     return results
+
+
+def circuits_of(rows: np.ndarray, p) -> list:
+    """The rows of a ``polygon.search_circuits`` table as Circuits."""
+    nodes = build_coordinate_graph(p).nodes
+    return [Circuit(tuple(nodes[i] for i in row)) for row in rows.tolist()]
+
+
+def format_circuit(c, p) -> str:
+    """Vertex names when the map has a name table, else kind:num/den triples."""
+    try:
+        table = vertex_names(p)
+        return ",".join(table.name(u) for u in c.seq)
+    except (ValueError, KeyError):
+        pass
+    return ",".join(f"{u.kind}:{u.num}/{u.den}" for u in c.seq)
+
+
+# -- disk-model render -------------------------------------------------------
+
+
+def halfplane_to_disk(x: float, y: float) -> tuple[float, float]:
+    """Conformal map (z - i)/(z + i): sends i to 0, the real line to the unit
+    circle."""
+    zr, zi = x, y - 1.0
+    wr, wi = x, y + 1.0
+    norm = wr * wr + wi * wi
+    return (zr * wr + zi * wi) / norm, (zi * wr - zr * wi) / norm
+
+
+def sample_geodesic(geo, m: int, ymax: float) -> list[tuple[float, float]]:
+    """Points along the geodesic in the upper half-plane."""
+    if geo.b.is_infinity:
+        if geo.a.is_infinity:
+            raise ValueError("degenerate geodesic")
+        x = geo.a.value(m)
+        ys = [ymax * (k / (SAMPLES - 1)) ** 2 * 400 for k in range(SAMPLES)]
+        return [(x, y) for y in ys]
+    x1, x2 = geo.a.value(m), geo.b.value(m)
+    cx, r = (x1 + x2) / 2.0, abs(x2 - x1) / 2.0
+    return [
+        (cx + r * math.cos(math.pi * k / (SAMPLES - 1)),
+         r * math.sin(math.pi * k / (SAMPLES - 1)))
+        for k in range(SAMPLES)
+    ]
+
+
+def render_disk(q: int, depth: int) -> str:
+    """The disk-model SVG of the universal tessellation, point by point."""
+    m = RADICAND[q]
+    width = height = WIDTH
+    radius = width * 0.48
+    cx = cy = width / 2.0
+    body = [
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
+        'fill="none" stroke="black" stroke-width="1"/>',
+    ]
+    for geo in universal_geodesics(q, depth):
+        page = []
+        for x, y in sample_geodesic(geo, m, YMAX):
+            wx, wy = halfplane_to_disk(x, y)
+            page.append((cx + radius * wx, cy - radius * wy))
+        d = "M " + " L ".join(f"{_fmt(px)} {_fmt(py)}" for px, py in page)
+        body.append(
+            f'<path d="{d}" fill="none" stroke="{STROKE}" stroke-width="1"/>'
+        )
+    return _svg_document(width, height, body)

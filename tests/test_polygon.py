@@ -7,6 +7,7 @@ import pytest
 from hfmap import polygon
 from hfmap.coords import vertex_names
 from hfmap.group import HeckeParams, cached_group
+from hfmap.maps import build_coordinate_graph
 from hfmap.polygon import (
     BRING_CIRCUIT_NAMES,
     BRING_SIDE_LABELS,
@@ -15,6 +16,7 @@ from hfmap.polygon import (
     boundary_from_circuit,
     bring_circuit,
     bring_side_pairing,
+    circuit_labels,
     coset_domain_check,
     format_circuit_text,
     format_pairing_text,
@@ -58,15 +60,16 @@ def test_two_step_walks(table):
 
 def test_search_finds_reference_circuit(table):
     found = search_circuits(table.coord("H2"), 12, {0, 3, 6, 9}, P45)
-    assert bring_circuit() in found
+    assert found.shape == (80_000, 12) and found.dtype == np.int32
+    assert bring_circuit() in oracles.circuits_of(found, P45)
     # deterministic ordering
     again = search_circuits(table.coord("H2"), 12, {0, 3, 6, 9}, P45)
-    assert found == again
+    assert np.array_equal(found, again)
 
 
 def test_search_edge_cases(table):
     h2 = table.coord("H2")
-    assert search_circuits(h2, 3, {0}, P45) == []  # bipartite: no odd walks
+    assert search_circuits(h2, 3, {0}, P45).shape == (0, 3)  # bipartite: no odd walks
     assert len(search_circuits(h2, 4, {0}, P45)) > 0  # quadrilateral faces
     with pytest.raises(ValueError):
         search_circuits(h2, 17, {0}, P45)
@@ -74,8 +77,14 @@ def test_search_edge_cases(table):
         search_circuits(h2, 0, set(), P45)
     with pytest.raises(ValueError, match=r"^pole position 12 is outside 0\.\.11$"):
         search_circuits(h2, 12, {0, 12}, P45)
-    # start poleness must match position 0
-    assert search_circuits(table.coord("E1"), 4, {0}, P45) == []
+    # start poleness must match position 0: the start row is not kept
+    found = search_circuits(table.coord("E1"), 4, {0}, P45)
+    assert found.shape == (0, 4) and found.dtype == np.int32
+    assert oracles.circuits_of(found, P45) == []
+    # two poles are never adjacent, so an all-pole walk does not exist
+    every = set(range(12))
+    assert search_circuits(h2, 12, every, P45).shape == (0, 12)
+    assert oracles.search_circuits(h2, 12, every, P45) == []
     # the exact count bounds the listing: 2,621,440 at length 12, 16x that at 14
     with pytest.raises(
         ValueError, match="^circuit search would list more than 4194304 circuits$"
@@ -311,17 +320,38 @@ def test_pairing_text_roundtrip():
         parse_pairing_text("1 2 3\n")
 
 
+def _rows(circuit, p):
+    """A one-row walk table of the circuit's node indices."""
+    index = build_coordinate_graph(p).node_index
+    return np.array([[index[u] for u in circuit.seq]], dtype=np.int32)
+
+
+@pytest.mark.parametrize("qn,count", [((4, 5), 24), ((4, 3), 8)])
+def test_name_tables_name_every_graph_node(qn, count):
+    """A name per node, not per circuit: the listing writes names on a map
+    with a name table only because the table names every graph node."""
+    p = HeckeParams(*qn)
+    table = vertex_names(p)
+    nodes = build_coordinate_graph(p).nodes
+    assert len(nodes) == count
+    names = [table.name(u) for u in nodes]
+    assert circuit_labels(p).tolist() == names
+
+
 def test_circuit_text_roundtrip(table):
     c = bring_circuit()
-    named = format_circuit_text(c, P45)
-    assert named == ",".join(BRING_CIRCUIT_NAMES)
+    named = format_circuit_text(_rows(c, P45), circuit_labels(P45))
+    assert named == ",".join(BRING_CIRCUIT_NAMES) + "\n"
+    assert named == oracles.format_circuit(c, P45) + "\n"
     assert parse_circuit_text(named, P45) == c
     raw = ",".join(f"{u.kind}:{u.num}/{u.den}" for u in c.seq)
     assert parse_circuit_text(raw, P45) == c
     # Without a name table the circuit is written as kind:num/den triples.
     p47 = HeckeParams(4, 7)
     c47 = parse_circuit_text("B:2/0, A:2/1", p47)
-    assert format_circuit_text(c47, p47) == "B:2/0,A:2/1"
+    assert format_circuit_text(_rows(c47, p47), circuit_labels(p47)) == "B:2/0,A:2/1\n"
+    assert oracles.format_circuit(c47, p47) == "B:2/0,A:2/1"
+    assert format_circuit_text(np.zeros((0, 2), dtype=np.int32), circuit_labels(p47)) == ""
     assert parse_circuit_text("B:2/0, A:2/1", P45) == Circuit(
         (table.coord("H2"), table.coord("E1"))
     )

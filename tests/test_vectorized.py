@@ -4,7 +4,8 @@
 ``enumerate_coords``, ``adjacent``, ``cusp_of``, ``apply_to_coord``), the
 per-element orbit walks, correspondence check and invariants, the
 coset-domain check with its queue BFS and side-by-side boundary walk, and
-the circuit search pruned by BFS distances.
+the circuit search pruned by BFS distances with its one-circuit-at-a-time
+text, and the disk-model render sampled one point at a time.
 """
 
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ import numpy as np
 import oracles
 import pytest
 
+from hfmap import cli, render
 from hfmap.coords import (
     adjacent_codes,
     apply_codes,
@@ -35,7 +37,13 @@ from hfmap.maps import (
     build_coordinate_graph,
     correspondence_check,
 )
-from hfmap.polygon import _glued_domain, coset_domain_check, search_circuits
+from hfmap.polygon import (
+    _glued_domain,
+    coset_domain_check,
+    parse_circuit_text,
+    search_circuits,
+)
+from hfmap.render import RenderConfig, render_universal
 
 CASES = [(q, n) for q in (3, 4, 6) for n in (3, 5, 7, 9, 15, 21)]
 
@@ -352,7 +360,7 @@ def test_search_circuits_matches_oracle_on_bring():
     h2 = vertex_names(p).coord("H2")
     got = search_circuits(h2, 12, {0, 3, 6, 9}, p)
     assert len(got) == 80_000
-    assert got == oracles.search_circuits(h2, 12, {0, 3, 6, 9}, p)
+    assert oracles.circuits_of(got, p) == oracles.search_circuits(h2, 12, {0, 3, 6, 9}, p)
 
 
 @pytest.mark.parametrize("q", [3, 4, 6])
@@ -372,6 +380,68 @@ def test_search_circuits_matches_oracle(q, n):
                 if is_pole(start) == (rng.random() < 0.8):
                     poles.add(0)
                 got = search_circuits(start, length, poles, p)
-                assert got == oracles.search_circuits(start, length, poles, p)
+                assert got.shape == (len(got), length) and got.dtype == np.int32
+                assert oracles.circuits_of(got, p) == oracles.search_circuits(
+                    start, length, poles, p
+                )
                 found.append(len(got))
     assert any(found)
+
+
+@pytest.mark.parametrize(
+    "q,n,start,length,poles,count",
+    [
+        (3, 7, "A:1/0", 6, "0", 3024),
+        (4, 3, "A:1/0", 8, "0,4", 144),
+        (4, 5, "E1", 4, "0", 0),
+        (4, 5, "H2", 12, ",".join(map(str, range(12))), 0),
+    ],
+)
+@pytest.mark.parametrize("block", [1000, cli.CIRCUIT_BLOCK])
+def test_circuit_listing_matches_oracle(capsys, monkeypatch, q, n, start, length,
+                                        poles, count, block):
+    """The CLI listing, written in blocks, is the oracle's circuits one line
+    each; (3, 7) has no name table, (4, 3) and (4, 5) have one."""
+    monkeypatch.setattr(cli, "CIRCUIT_BLOCK", block)
+    p = HeckeParams(q, n)
+    circuits = oracles.search_circuits(
+        parse_circuit_text(start, p).seq[0], length, {int(k) for k in poles.split(",")}, p
+    )
+    assert len(circuits) == count
+    expected = "".join(oracles.format_circuit(c, p) + "\n" for c in circuits)
+    argv = ["circuit", "--search", "--q", str(q), "--n", str(n), "--start", start,
+            "--length", str(length), "--poles", poles]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert _first_difference(out, expected + f"# {count} circuits\n") is None
+
+
+def _first_difference(got: str, want: str):
+    """None for equal texts, else the first line where they differ: a short
+    failure message for documents of megabytes."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    for i, (a, b) in enumerate(zip(got_lines, want_lines)):
+        if a != b:
+            return i, a, b
+    if len(got_lines) != len(want_lines):
+        return "line counts", len(got_lines), len(want_lines)
+    return None if got == want else "line ends"
+
+
+@pytest.mark.parametrize(
+    "q,depth", [(q, depth) for q in (3, 4, 6) for depth in range(9)] + [(4, 12)]
+)
+def test_disk_render_matches_oracle(q, depth):
+    got = render_universal(q, RenderConfig(model="disk", depth=depth))
+    assert _first_difference(got, oracles.render_disk(q, depth)) is None
+
+
+@pytest.mark.parametrize("q,depth", [(3, 6), (4, 12), (6, 6)])
+def test_disk_render_floats_match_oracle_bit_for_bit(monkeypatch, q, depth):
+    """Written with repr instead of five decimals, the two still agree:
+    every sampled and projected float is the same."""
+    monkeypatch.setattr(render, "_DISK_PATH", render._DISK_PATH.replace("%.5f", "%r"))
+    monkeypatch.setattr(render, "_fmt", repr)
+    monkeypatch.setattr(oracles, "_fmt", repr)
+    got = render_universal(q, RenderConfig(model="disk", depth=depth))
+    assert _first_difference(got, oracles.render_disk(q, depth)) is None
