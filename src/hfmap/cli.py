@@ -54,6 +54,7 @@ def cmd_map(args: argparse.Namespace) -> None:
     group = enumerate_group(p)
     amap = M.build_algebraic_map(group)
     inv = amap.invariants()
+    # Even n skips the cross-check: +0.17 s on n=96 (q=4) plus n=90 (q=6), over a third.
     if p.n % 2:
         rep = M.correspondence_check(group, amap, M.build_coordinate_graph(p))
         if not rep.ok:
@@ -142,11 +143,11 @@ def cmd_render(args: argparse.Namespace) -> None:
         cfg = R.RenderConfig(model=args.model, depth=args.depth)
         _write_out(R.render_universal(args.q, cfg), args.out)
         return
+    p = _params(args)
     if args.what == "quotient":
-        p = _params(args)
         _write_out(R.render_quotient(p, args.format), args.out)
         return
-    boundary = P.boundary_from_circuit(P.bring_circuit(), HeckeParams(4, 5))
+    boundary = P.boundary_from_circuit(_load_circuit("bring", p), p)
     _write_out(R.render_polygon(boundary, _load_pairing(args.pairing)), args.out)
 
 

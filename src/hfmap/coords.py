@@ -13,7 +13,8 @@ and each rule is written once, on arrays: the class rule
 the edge test (``adjacent_codes``).  ``completion_table`` completes every
 coordinate to the elements above it; the group and the coordinate graph
 are read off it.  ``HFCoord`` is the form coordinates are parsed, named and
-printed in.  The modulus range is the group's, [3, kernels.MAX_MODULUS].
+printed in.  Every n in the group's range [3, kernels.MAX_MODULUS], odd or
+even, is served.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "normalize",
     "enumerate_coords",
     "coordinate_codes",
-    "require_odd_modulus",
     "Completion",
     "completion_table",
     "code_rows",
@@ -125,24 +125,7 @@ def is_pole(u: HFCoord) -> bool:
 
 
 def coordinate_codes(p: HeckeParams) -> np.ndarray:
-    """Codes of all coordinates mod n, ascending; rejects even n.
-
-    The classes and their completions serve every n, and the group is built
-    from them for every n (see ``completion_table``).  The coordinate model
-    waits for the correspondence and coset-domain checks to cover even n.
-    """
-    require_odd_modulus(p)
-    return _coordinate_classes(p)
-
-
-def require_odd_modulus(p: HeckeParams) -> None:
-    """The coordinate model's guard: odd n only, for now."""
-    if p.n % 2 == 0:
-        raise ValueError("coordinate enumeration requires odd n")
-
-
-def _coordinate_classes(p: HeckeParams) -> np.ndarray:
-    """Codes of all coordinates mod n, ascending, for any n in range."""
+    """Codes of all coordinates mod n, ascending."""
     n = p.n
     _check_modulus(n)
     every = np.arange((1 if p.q == 3 else 2) * n * n)
@@ -172,10 +155,6 @@ class Completion(NamedTuple):
     b0: np.ndarray
     d0: np.ndarray
 
-    def ranks(self, codes: np.ndarray, p: HeckeParams) -> np.ndarray:
-        """Row of each code in this table, or -1 for a code not in it."""
-        return code_rows(self.codes, codes, p)
-
     def second_columns(self, p: HeckeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(b, d, codes), each (V, n): row v holds the second columns
         (b0 + t*ka, d0 + t*kc), t = 0..n-1, and the codes of their classes,
@@ -200,7 +179,7 @@ def completion_table(p: HeckeParams) -> Completion:
     offset of a solution (b, d) is t = d0*b - b0*d.  1/0 gets (0, 1).
     """
     n = p.n
-    codes = _coordinate_classes(p)
+    codes = coordinate_codes(p)
     kind, rest = np.divmod(codes, n * n)
     a, c = np.divmod(rest, n)
     ka, kc = a * p.m**kind % n, c * p.m ** (1 - kind) % n
@@ -218,7 +197,7 @@ def completion_table(p: HeckeParams) -> Completion:
 
 
 def enumerate_coords(p: HeckeParams) -> list[HFCoord]:
-    """All coordinates mod n in sorted order; rejects even n."""
+    """All coordinates mod n in sorted order."""
     return [code_coord(code, p) for code in coordinate_codes(p).tolist()]
 
 

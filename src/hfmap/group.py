@@ -170,7 +170,7 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     nothing with the table, and a breadth-first search proves that S and T
     reach every element; a failure raises ``GroupCheckError``.
     """
-    from .coords import Completion, completion_table  # coords imports this module
+    from .coords import Completion, code_rows, completion_table  # coords imports this module
 
     index = principal_congruence_index(p)
     n, m = p.n, p.m
@@ -191,7 +191,7 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     b, d, codes = tab.second_columns(p)
     # g*S has first column (b, d) and second column -(a, c), or (-b, -d) and
     # (a, c) when the class of (b, d) is that of (-b, -d).
-    nbr = tab.ranks(codes, p)
+    nbr = code_rows(tab.codes, codes, p)
     sign = np.where(codes % (n * n) == b * n + d, 1, -1)
     alpha = nbr * n + sign * (tab.b0[nbr] * tab.c[:, None] - tab.d0[nbr] * tab.a[:, None]) % n
     alpha = alpha.ravel()

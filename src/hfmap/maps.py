@@ -23,7 +23,6 @@ from .coords import (
     coord_codes,
     completion_table,
     cusp_codes,
-    require_odd_modulus,
 )
 from .group import FiniteHeckeGroup, HeckeParams, PermGroup
 
@@ -240,9 +239,8 @@ def build_coordinate_graph(p: HeckeParams) -> CoordGraph:
     complete its first column (see ``coords.completion_table``), which are
     the classes the edge test ``adjacent_codes`` accepts.
     """
-    require_odd_modulus(p)
     table = completion_table(p)
-    nbrs = table.ranks(table.second_columns(p)[2], p)
+    nbrs = code_rows(table.codes, table.second_columns(p)[2], p)
     nbrs.sort(axis=1)
     return CoordGraph(params=p, codes=table.codes, nbrs=nbrs)
 
@@ -260,7 +258,6 @@ class CorrespondenceReport:
     vertex_count: int
     edge_count: int
     problems: list[str]
-    notes: list[str]
 
 
 def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
@@ -311,20 +308,6 @@ def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
     if not edges_matched:
         problems.append("edge orbits do not project bijectively onto graph edges")
 
-    inv = amap.invariants()
-    notes = [
-        "vertices = darts/valency = "
-        f"{inv.darts}/{inv.vertex_valency or '?'} = {inv.vertices}; "
-        f"faces = darts/face_size = {inv.darts}/{inv.face_size or '?'} = {inv.faces}"
-    ]
-    if (p.q, p.n) == (4, 5):
-        # The per-orbit counts for this map are V=24, F=30; quotations of the
-        # family sometimes transpose them.  Euler characteristic is unaffected.
-        notes.append(
-            "erratum flag: V=24 and F=30 come from the orbit computation; "
-            "the transposed counts (30 vertices, 24 faces) are inconsistent "
-            "with the 24 coordinates"
-        )
     return CorrespondenceReport(
         ok=not problems,
         vertex_bijection=bijection,
@@ -332,7 +315,6 @@ def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
         vertex_count=int(roots.size),
         edge_count=int(tail.size),
         problems=problems,
-        notes=notes,
     )
 
 

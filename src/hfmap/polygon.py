@@ -435,8 +435,6 @@ def coset_domain_check(group: FiniteHeckeGroup) -> CosetDomainReport:
     side pairing.  ``tests/oracles.py`` keeps the scalar walk over polygon
     positions as the reference.
     """
-    if group.params.n % 2 == 0:
-        raise ValueError("coset domain check requires odd n")
     amap = build_algebraic_map(group)
     tree_edges, walk, pairs, classes, in_kernel = _glued_domain(amap.sigma, amap.alpha)
     chi = classes - pairs + 1

@@ -231,8 +231,6 @@ def _unreached(kind, a, c, p) -> bool:
 
 def enumerate_coords(p) -> list:
     """All coordinates mod n in sorted order, one residue pair at a time."""
-    if p.n % 2 == 0:
-        raise ValueError("coordinate enumeration requires odd n")
     kinds = ("A",) if p.q == 3 else ("A", "B")
     seen = set()
     for kind in kinds:
@@ -455,18 +453,6 @@ def correspondence_check(group, amap, graph) -> CorrespondenceReport:
     if not edges_matched:
         problems.append("edge orbits do not project bijectively onto graph edges")
 
-    inv = invariants(amap)
-    notes = [
-        "vertices = darts/valency = "
-        f"{inv.darts}/{inv.vertex_valency or '?'} = {inv.vertices}; "
-        f"faces = darts/face_size = {inv.darts}/{inv.face_size or '?'} = {inv.faces}"
-    ]
-    if (p.q, p.n) == (4, 5):
-        notes.append(
-            "erratum flag: V=24 and F=30 come from the orbit computation; "
-            "the transposed counts (30 vertices, 24 faces) are inconsistent "
-            "with the 24 coordinates"
-        )
     return CorrespondenceReport(
         ok=not problems,
         vertex_bijection=bijection,
@@ -474,13 +460,10 @@ def correspondence_check(group, amap, graph) -> CorrespondenceReport:
         vertex_count=len(vertex_orbits),
         edge_count=len(projected),
         problems=problems,
-        notes=notes,
     )
 
 
 def coset_domain_check(group) -> CosetDomainReport:
-    if group.params.n % 2 == 0:
-        raise ValueError("coset domain check requires odd n")
     amap = build_algebraic_map(group)
     tree_edges, walk, pairs, classes, kernel_checked = coset_domain(amap.sigma, amap.alpha)
     chi = classes - pairs + 1

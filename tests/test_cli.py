@@ -6,11 +6,13 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 from hfmap import group, kernels, maps, verify
 from hfmap.cli import main
-from hfmap.group import cached_group
+from hfmap.coords import coord_value_str
+from hfmap.group import HeckeParams, cached_group
 
 
 def run(capsys, *argv):
@@ -260,7 +262,6 @@ def test_circuit_file_with_unknown_name(capsys, tmp_path):
         ("map --n 235", "error: modulus 235 outside supported range [3, 234]"),
         ("index --q 4 --n 300 --check",
          "error: modulus 300 outside supported range [3, 234]"),
-        ("coords --q 4 --n 6", "error: coordinate enumeration requires odd n"),
         ("coords --q 3 --n 5 --names", "error: no name table for q=3, n=5"),
         ("circuit", "error: nothing to do: pass --verify or --search"),
         ("circuit --search --length 17",
@@ -276,6 +277,8 @@ def test_circuit_file_with_unknown_name(capsys, tmp_path):
         ("circuit --search --length 14 --poles 0",
          "error: circuit search would list more than 4194304 circuits"),
         ("circuit --q 4 --n 3 --verify bring",
+         "error: the built-in circuit 'bring' is on the q=4, n=5 map"),
+        ("render polygon --q 3 --n 7",
          "error: the built-in circuit 'bring' is on the q=4, n=5 map"),
         ("render universal --depth 13", "error: depth 13 exceeds the bound 12"),
         ("render universal --depth -1", "error: depth must be >= 0"),
@@ -293,6 +296,14 @@ def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and out == ""
     assert err == message + "\n"
+
+
+def test_coords_on_even_modulus(capsys):
+    p = HeckeParams(4, 6)
+    code, out, err = run(capsys, "coords", "--q", "4", "--n", "6")
+    want = "".join(coord_value_str(u, p) + "\n" for u in oracles.enumerate_coords(p))
+    assert (code, out, err) == (0, want, "")
+    assert len(out.splitlines()) == 16
 
 
 def test_missing_pairing_file_exits_2(capsys, tmp_path):

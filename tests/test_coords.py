@@ -65,17 +65,13 @@ def test_normalize_idempotent_exhaustive():
 
 @pytest.mark.parametrize(
     "p,count",
-    [(P45, 24), (P43, 8), (P35, 12), (HeckeParams(6, 5), 24), (HeckeParams(4, 7), 48)],
+    [(P45, 24), (P43, 8), (P35, 12), (HeckeParams(6, 5), 24), (HeckeParams(4, 7), 48),
+     (HeckeParams(4, 6), 16)],
 )
 def test_enumeration_count_is_group_order_over_n(p, count):
     coords = enumerate_coords(p)
     assert len(coords) == count
     assert len(coords) == cached_group(p.q, p.n).order // p.n
-
-
-def test_enumeration_rejects_even_n():
-    with pytest.raises(ValueError):
-        enumerate_coords(HeckeParams(4, 6))
 
 
 def test_names_table_is_bijective():

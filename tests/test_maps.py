@@ -91,11 +91,6 @@ def test_correspondence(qn):
     assert report.vertex_bijection and report.edges_matched
 
 
-def test_correspondence_flags_transposed_counts(group45, map45, graph45):
-    report = correspondence_check(group45, map45, graph45)
-    assert any("erratum" in note for note in report.notes)
-
-
 def _relabel(amap, perm):
     inv = np.argsort(perm)
     return MapStructure(sigma=perm[amap.sigma[inv]], alpha=perm[amap.alpha[inv]])

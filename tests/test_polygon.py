@@ -282,7 +282,7 @@ def test_side_label_fixture_multiset():
 
 @pytest.mark.parametrize(
     "qn,chi",
-    [((4, 5), -6), ((4, 3), 2), ((3, 5), 2), ((6, 5), -16), ((4, 7), -36)],
+    [((4, 5), -6), ((4, 3), 2), ((3, 5), 2), ((6, 5), -16), ((4, 7), -36), ((4, 6), -8)],
 )
 def test_coset_domain_chi(qn, chi):
     report = coset_domain_check(cached_group(*qn))
@@ -294,11 +294,6 @@ def test_coset_domain_chi(qn, chi):
     # tree + boundary bookkeeping
     assert report.tree_edges == report.tiles - 1
     assert report.boundary_sides == 2 * report.edge_pairs
-
-
-def test_coset_domain_rejects_even_modulus():
-    with pytest.raises(ValueError):
-        coset_domain_check(cached_group(4, 6))
 
 
 def test_polygon_corner_classes_square_torus():

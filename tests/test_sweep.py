@@ -1,11 +1,11 @@
-"""Every (q, n) the benchmark's sweep covers, plus the even moduli, end to end.
+"""Every (q, n) with q in {3, 4, 6} and n in 3..31, end to end.
 
-For odd n both models are built and cross-checked; for even n the
-coordinate model is not offered yet, so the order and connectivity of the
-dart system are what is checked.
+For every modulus, odd or even, both models are built and cross-checked,
+and the coset-domain chi must equal the map's.  A dart system that S and T
+do not connect fails the coset domain with "tile graph is disconnected".
+The odd and even moduli keep separate test names; the check is the same.
 """
 
-import oracles
 import pytest
 
 from hfmap.group import HeckeParams, enumerate_group, principal_congruence_index
@@ -16,8 +16,7 @@ ODD = [(q, n) for q in (3, 4, 6) for n in range(3, 32, 2)]
 EVEN = [(q, n) for q in (3, 4, 6) for n in range(4, 31, 2)]
 
 
-@pytest.mark.parametrize("q,n", ODD)
-def test_odd_modulus_models_agree(q, n):
+def _models_agree(q, n):
     p = HeckeParams(q, n)
     group = enumerate_group(p)
     order = group.order
@@ -32,9 +31,11 @@ def test_odd_modulus_models_agree(q, n):
     assert dom.matches_map and dom.chi == inv.vertices - inv.edges + inv.faces
 
 
+@pytest.mark.parametrize("q,n", ODD)
+def test_odd_modulus_models_agree(q, n):
+    _models_agree(q, n)
+
+
 @pytest.mark.parametrize("q,n", EVEN)
 def test_even_modulus_order_and_connectivity(q, n):
-    p = HeckeParams(q, n)
-    group = enumerate_group(p)
-    assert group.order == principal_congruence_index(p)
-    assert oracles.is_connected(build_algebraic_map(group))
+    _models_agree(q, n)

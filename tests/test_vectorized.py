@@ -45,10 +45,11 @@ from hfmap.polygon import (
 )
 from hfmap.render import RenderConfig, render_universal
 
-CASES = [(q, n) for q in (3, 4, 6) for n in (3, 5, 7, 9, 15, 21)]
+# Odd and even n; 2 | n with m = 2 | n at q = 4, and m = 3 | n at q = 6.
+CASES = [(q, n) for q in (3, 4, 6) for n in (3, 4, 5, 6, 7, 8, 9, 12, 15, 21)] + [(4, 30)]
 
-# The class rule's cases: n prime, a prime power, and 3 | n (m = 3 | n at q = 6).
-CLASS_CASES = [(q, n) for q in (3, 4, 6) for n in (3, 5, 9, 15, 21, 27)]
+# The class rule's cases: n prime, a prime power, even, and m | n.
+CLASS_CASES = [(q, n) for q in (3, 4, 6) for n in (3, 4, 5, 6, 8, 9, 12, 15, 21, 27, 30)]
 
 
 def _outcome(fn, *args):
@@ -312,7 +313,7 @@ def test_a_cusp_that_is_no_node_fails_the_edge_match():
     ]
 
 
-DOMAIN_CASES = [(q, n) for q in (3, 4, 6) for n in (3, 5, 7, 9, 15, 21, 29)]
+DOMAIN_CASES = [(q, n) for q in (3, 4, 6) for n in (3, 4, 5, 6, 7, 8, 9, 12, 15, 21, 29, 30)]
 
 
 @pytest.mark.parametrize("q,n", DOMAIN_CASES)
@@ -364,7 +365,7 @@ def test_search_circuits_matches_oracle_on_bring():
 
 
 @pytest.mark.parametrize("q", [3, 4, 6])
-@pytest.mark.parametrize("n", [3, 5, 7, 9])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
 def test_search_circuits_matches_oracle(q, n):
     """A pole start and a non-pole start, lengths 1-8, seeded random pole
     sets; position 0 mostly, not always, matches the start."""
