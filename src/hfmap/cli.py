@@ -1,13 +1,15 @@
 """Command-line surface: index, map, coords, circuit, polygon, render, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or out of
-memory.  Identical invocations produce byte-identical stdout.
+memory, 141 stdout closed by its reader.  Identical invocations produce
+byte-identical stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -241,6 +243,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: point fd 1 at devnull so that the final
+        # flush at exit does not raise again, and exit as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (VerificationFailure, GroupCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

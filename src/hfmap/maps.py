@@ -90,6 +90,11 @@ class MapInvariants:
     vertex_valency: int
     face_size: int
 
+    @property
+    def chi(self) -> int:
+        """Euler characteristic V - E + F = 2 - 2g."""
+        return 2 - 2 * self.genus
+
 
 @dataclass(frozen=True)
 class MapStructure:

@@ -6,9 +6,10 @@ by 2*pi/5 about the center 1/0).  Pole slots become polygon corners, sides
 are paired by equal coordinate labels, and the corner classes, orbits of a
 permutation of the corners, recover V - E + F = 2 - 2g.  An independent
 Euler-characteristic check glues a spanning-tree fundamental domain of coset
-tiles; the boundary walk of that disk and its corner classes are orbits of
-permutations of the boundary sides too.  Every orbit is computed by
-``maps._orbit_labels``.
+tiles into one large polygon.  A polygon with sides glued in pairs is a map
+with one face (Massey, *A Basic Course in Algebraic Topology*, GTM 127,
+ch. 1), so both polygons are ``MapStructure``s and ``MapStructure.invariants``
+is the only Euler characteristic and genus rule.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .coords import (
 )
 from .group import FiniteHeckeGroup, HeckeParams, generators
 from .kernels import _check_modulus, breadth_first_tree
-from .maps import _orbit_labels, build_algebraic_map, build_coordinate_graph
+from .maps import MapStructure, build_algebraic_map, build_coordinate_graph
 
 __all__ = [
     "Circuit",
@@ -60,7 +61,7 @@ __all__ = [
     "circuit_labels",
 ]
 
-# Sides of the fundamental polygon of the genus-4 map.
+# Sides of the paper's fundamental polygon of the genus-4 map.
 NUM_SIDES = 20
 
 # The most circuits search_circuits lists; larger searches are refused.
@@ -97,7 +98,7 @@ class Circuit:
 
 @dataclass(frozen=True)
 class PairingTable:
-    """Perfect matching on the polygon sides 1..20.
+    """Perfect matching on the polygon sides 1..2k, for any k >= 1 pairs.
 
     Each pair and the tuple of pairs are stored sorted, so equal matchings
     compare equal.
@@ -107,17 +108,11 @@ class PairingTable:
 
     def __post_init__(self) -> None:
         pairs = tuple(sorted(tuple(sorted(pair)) for pair in self.pairs))
-        if sorted(s for pair in pairs for s in pair) != list(range(1, NUM_SIDES + 1)):
+        sides = sorted(s for pair in pairs for s in pair)
+        # Two sides per pair, at least one pair, and together sides 1..2k.
+        if {len(pair) for pair in pairs} != {2} or sides != list(range(1, len(sides) + 1)):
             raise ValueError("pairs are not a perfect matching of the sides")
         object.__setattr__(self, "pairs", pairs)
-
-    def partner(self, k: int) -> int:
-        for a, b in self.pairs:
-            if k == a:
-                return b
-            if k == b:
-                return a
-        raise KeyError(k)
 
 
 @dataclass(frozen=True)
@@ -262,24 +257,25 @@ def boundary_from_circuit(c: Circuit, p: HeckeParams) -> BoundarySequence:
 
 
 def vertex_classes(t: PairingTable) -> CornerPartition:
-    """Identify the polygon corners a_1..a_20 under the side pairing.
+    """Identify the corners a_1..a_2k of a polygon under its side pairing.
 
     Corner a_k is the first corner of side k going around the boundary.
     Glued sides k and j run oppositely, so a_k is identified with a_(j+1):
     the classes are the orbits of k -> partner(k) + 1, listed by their
-    smallest corner.  Genus comes from V - E + F = 2 - 2g with E = 10 and
-    F = 1.
+    smallest corner.  They are the vertices of the one-face map whose darts
+    are the sides, alpha the pairing and sigma that step; its genus is the
+    polygon's.
     """
-    # 0-based, corner k - 1 goes to corner partner(k) mod 20.
-    step = np.array([t.partner(k) % NUM_SIDES for k in range(1, NUM_SIDES + 1)])
-    label = _orbit_labels(step)
-    roots = np.flatnonzero(label == np.arange(NUM_SIDES))
-    chi = roots.size - NUM_SIDES // 2 + 1
-    if chi % 2:
-        raise ValueError(f"odd Euler characteristic {chi} from corner classes")
+    sides = 2 * len(t.pairs)
+    a, b = (np.array(t.pairs, dtype=np.int64) - 1).T
+    mate = np.empty(sides, dtype=np.int64)
+    mate[a], mate[b] = b, a
+    polygon = MapStructure(sigma=(mate + 1) % sides, alpha=mate)
+    label = polygon.vertex_labels
+    roots = np.flatnonzero(label == np.arange(sides))
     return CornerPartition(
         classes=tuple(frozenset((np.flatnonzero(label == r) + 1).tolist()) for r in roots),
-        genus=(2 - chi) // 2,
+        genus=polygon.invariants().genus,
     )
 
 
@@ -361,7 +357,7 @@ def side_label_analysis(b: BoundarySequence) -> SideLabelReport:
         sorted(designation_counts) == want
         and all(v == 2 for v in designation_counts.values())
     )
-    fixture = [BRING_SIDE_LABELS[k] for k in range(1, 21)]
+    fixture = [BRING_SIDE_LABELS[k] for k in range(1, NUM_SIDES + 1)]
     fixture_counts = Counter(fixture)
     fixture_counts_ok = (
         sorted(fixture_counts) == want and all(v == 2 for v in fixture_counts.values())
@@ -371,7 +367,7 @@ def side_label_analysis(b: BoundarySequence) -> SideLabelReport:
     offsets = [
         r
         for r in range(num_spans)
-        if all(designated[(k - 1 + r) % num_spans] == fixture[k - 1] for k in range(1, 21))
+        if all(designated[(k + r) % num_spans] == label for k, label in enumerate(fixture))
     ]
 
     pairing_consistent = False
@@ -430,38 +426,41 @@ def coset_domain_check(group: FiniteHeckeGroup) -> CosetDomainReport:
     lie in the congruence kernel).  Corner identification then computes the
     surface's Euler characteristic independently of any orbit counting.
 
-    The walk and the corner classes are orbits of two permutations of the
-    boundary sides: the boundary successor, and the successor after the
-    side pairing.  ``tests/oracles.py`` keeps the scalar walk over polygon
-    positions as the reference.
+    That polygon is a one-face map (see ``_glued_domain``) whose invariants
+    give chi and genus; ``tests/oracles.py`` walks it side by side as the
+    reference.  A side's partner is by construction the matching side of the
+    tile across it, so ``pairings_in_kernel`` is the pair count.
     """
     amap = build_algebraic_map(group)
-    tree_edges, walk, pairs, classes, in_kernel = _glued_domain(amap.sigma, amap.alpha)
-    chi = classes - pairs + 1
+    tree_edges, boundary = _glued_domain(amap.sigma, amap.alpha)
+    poly = boundary.invariants()
+    if poly.faces != 1:
+        raise RuntimeError(f"boundary walk splits into {poly.faces} cycles, expected 1")
     inv = amap.invariants()
-    map_chi = inv.vertices - inv.edges + inv.faces
-    if chi % 2:
-        raise RuntimeError(f"odd Euler characteristic {chi} from coset domain")
     return CosetDomainReport(
         tiles=group.order,
         tree_edges=tree_edges,
-        boundary_sides=walk,
-        edge_pairs=pairs,
-        corner_classes=classes,
-        chi=chi,
-        genus=(2 - chi) // 2,
-        map_chi=map_chi,
-        matches_map=chi == map_chi,
-        pairings_in_kernel=in_kernel,
+        boundary_sides=poly.darts,
+        edge_pairs=poly.edges,
+        corner_classes=poly.vertices,
+        chi=poly.chi,
+        genus=poly.genus,
+        map_chi=inv.chi,
+        matches_map=poly.chi == inv.chi,
+        pairings_in_kernel=poly.edges,
     )
 
 
-def _glued_domain(sigma: np.ndarray, alpha: np.ndarray) -> tuple[int, int, int, int, int]:
-    """Tree edges, boundary walk length, edge pairs, corner classes and
-    pairings in the kernel of the disk glued from tiles g -> g*T, g*S.
+def _glued_domain(sigma: np.ndarray, alpha: np.ndarray) -> tuple[int, MapStructure]:
+    """Tree edges of the disk glued from tiles g -> g*T, g*S, and its
+    boundary polygon as a map.
 
     Side 4*g + k is side k (L=0, arc1=1, arc2=2, R=3, in boundary order)
-    of tile g.
+    of tile g.  The polygon's darts are the boundary sides, renumbered
+    0..B-1 in side order, and alpha pairs them.  Gluing sides i and j
+    identifies corner i with j+1 and i+1 with j, so sigma takes side s to
+    the successor of its partner.  phi = alpha o sigma is conjugate to the
+    successor: one face means the boundary walk covers every side.
     """
     size = sigma.shape[0]
     sides = 4 * size
@@ -500,26 +499,10 @@ def _glued_domain(sigma: np.ndarray, alpha: np.ndarray) -> tuple[int, int, int, 
         raise RuntimeError(f"boundary successor did not settle in {rounds} doubling rounds")
     successor = step[rotate]
 
-    # Both orbit computations run on the boundary sides, renumbered
-    # 0..B-1 in side order, so the walk starts at 0, the first of them.
     boundary = np.flatnonzero(~tree)
-    local = np.empty(sides, dtype=np.int64)
-    local[boundary] = np.arange(boundary.size, dtype=np.int64)
-    walk = int(np.count_nonzero(_orbit_labels(local[successor[boundary]]) == 0))
-    if walk != boundary.size:
-        raise RuntimeError(f"boundary walk covers {walk} sides, expected {boundary.size}")
-
-    # Gluing walk sides i and j identifies corner i with j+1 and i+1 with
-    # j: the start of side s with the start of the successor of its
-    # partner.  The corner classes are the orbits of that permutation.
-    corners = _orbit_labels(local[successor[partner[boundary]]])
-    classes = int(np.count_nonzero(corners == np.arange(boundary.size)))
-    # Each pair once, from its smaller side; the tile across the side is
-    # the one its partner lies on, i.e. the pairing is trivial mod n.
-    mate = partner[boundary]
-    lead = boundary < mate
-    in_kernel = int(np.count_nonzero(crossed[boundary[lead]] == mate[lead] // 4))
-    return tree_edges, walk, int(np.count_nonzero(lead)), classes, in_kernel
+    local = np.cumsum(~tree) - 1  # the rank of each boundary side
+    mate = local[partner[boundary]]
+    return tree_edges, MapStructure(sigma=local[successor[partner[boundary]]], alpha=mate)
 
 
 # ---------------------------------------------------------------------------

@@ -343,12 +343,14 @@ _PAIR_COLORS = [
 def render_polygon(b: BoundarySequence, t: PairingTable) -> str:
     """Schematic regular 20-gon: corner pole names, classical side numbers,
     interior labels, and one stroke color per side pair."""
+    num = len(b.pole_slots)
+    if 2 * len(t.pairs) != num:
+        raise ValueError(f"pairing has {2 * len(t.pairs)} sides, the polygon has {num}")
     p = b.params
     table = vertex_names(p)
     report = side_label_analysis(b)
     offset = report.alignment_offsets[0] if len(report.alignment_offsets) == 1 else 0
 
-    num = len(b.pole_slots)
     width = 720
     cx = cy = width / 2.0
     radius = width * 0.40

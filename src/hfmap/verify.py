@@ -168,7 +168,7 @@ def _check_property_suites() -> str:
         if q == 4 and not graph.is_bipartite_by_kind():
             raise AssertionError(f"({q},{n}): graph is not kind-bipartite")
     # Correspondence and the coset fundamental-domain characteristic.
-    for q, n in ((4, 3), (4, 5), (3, 5), (6, 5), (4, 7)):
+    for q, n in ((4, 3), (4, 5), (3, 5), (6, 5), (4, 7), (4, 6)):
         group = cached_group(q, n)
         amap = M.build_algebraic_map(group)
         rep = M.correspondence_check(group, amap, M.build_coordinate_graph(HeckeParams(q, n)))

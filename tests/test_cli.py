@@ -15,6 +15,10 @@ from hfmap.coords import coord_value_str
 from hfmap.group import HeckeParams, cached_group
 
 
+# A hexagon glued to the torus: sides 1-4, 2-5 and 3-6.
+HEXAGON = "1 4\n2 5\n3 6\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -166,7 +170,11 @@ def test_circuit_search(capsys):
     assert int(lines[-1].split()[1]) == len(lines) - 1 > 0
 
 
-def test_polygon(capsys):
+def test_polygon(capsys, tmp_path):
+    hexagon = tmp_path / "hexagon.txt"
+    hexagon.write_text(HEXAGON)
+    code, out, err = run(capsys, "polygon", "--classes", "--genus", "--pairing", str(hexagon))
+    assert (code, out, err) == (0, "class 1 3 5\nclass 2 4 6\ngenus 1\n", "")
     code, out, _ = run(capsys, "polygon", "--classes")
     assert code == 0
     assert out.splitlines() == [
@@ -185,6 +193,15 @@ def test_polygon_rejects_broken_pairing(capsys, tmp_path):
     path.write_text("\n".join(f"{k} {k + 10}" for k in range(1, 11)) + "\n")
     code, out, _ = run(capsys, "polygon", "--rule-check", "--pairing", str(path))
     assert code == 1 and "FAIL" in out
+    # A pairing on another number of sides fails the rule of the 20-gon.
+    path.write_text(HEXAGON)
+    code, out, _ = run(capsys, "polygon", "--pairing", str(path))
+    assert code == 1 and out == "rule-check FAIL\n"
+    # An empty table pairs no sides at all.
+    path.write_text("# no pairs\n")
+    code, out, err = run(capsys, "polygon", "--pairing", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: pairs are not a perfect matching of the sides\n"
 
 
 def test_render_to_file(capsys, tmp_path):
@@ -280,6 +297,8 @@ def test_circuit_file_with_unknown_name(capsys, tmp_path):
          "error: the built-in circuit 'bring' is on the q=4, n=5 map"),
         ("render polygon --q 3 --n 7",
          "error: the built-in circuit 'bring' is on the q=4, n=5 map"),
+        ("render polygon --pairing {hexagon}",
+         "error: pairing has 6 sides, the polygon has 20"),
         ("render universal --depth 13", "error: depth 13 exceeds the bound 12"),
         ("render universal --depth -1", "error: depth must be >= 0"),
         ("coords --q 4 --n 1001", "error: modulus 1001 outside supported range [3, 234]"),
@@ -292,8 +311,10 @@ def test_circuit_file_with_unknown_name(capsys, tmp_path):
          "3 divides the kind-A numerator"),
     ],
 )
-def test_usage_errors_exit_2(capsys, argv, message):
-    code, out, err = run(capsys, *argv.split())
+def test_usage_errors_exit_2(capsys, tmp_path, argv, message):
+    hexagon = tmp_path / "hexagon.txt"
+    hexagon.write_text(HEXAGON)
+    code, out, err = run(capsys, *argv.format(hexagon=hexagon).split())
     assert code == 2 and out == ""
     assert err == message + "\n"
 
@@ -311,3 +332,22 @@ def test_missing_pairing_file_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "polygon", "--pairing", str(missing))
     assert code == 2 and out == ""
     assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_closed_stdout_pipe_exits_141():
+    """A reader that stops early (``| head -1``) ends the listing quietly,
+    with the exit status of a process killed by SIGPIPE."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # About 2.5 MB of circuits, far more than a pipe buffers.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hfmap.cli", "circuit", "--search"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert first == b"H2,C1,I2,A1,A2,D1,H2,C1,I2,A1,A2,D1\n"
+    assert err == b""

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import oracles
@@ -155,23 +156,20 @@ def test_algebraic_map_is_built_once_per_group(monkeypatch):
 
     # One sweep problem, as the benchmark runs it: the group's sigma, alpha
     # and phi are labelled once each although three calls use the map.  The
-    # coset domain's walk and corner orbits are the two calls made through
-    # polygon's own reference.
-    counts = {"maps": 0, "polygon": 0}
+    # coset domain's boundary polygon is a map of its own on the 2N + 2
+    # boundary sides, and its three orbit kinds are labelled once each too.
+    counts = Counter()
     orbit_labels = maps._orbit_labels
 
-    def counting(module):
-        def wrapped(perm):
-            counts[module] += 1
-            return orbit_labels(perm)
-        return wrapped
+    def counting(perm):
+        counts[perm.shape[0]] += 1
+        return orbit_labels(perm)
 
-    monkeypatch.setattr(maps, "_orbit_labels", counting("maps"))
-    monkeypatch.setattr(polygon, "_orbit_labels", counting("polygon"))
+    monkeypatch.setattr(maps, "_orbit_labels", counting)
     p = HeckeParams(4, 29)
     group = enumerate_group(p)
     amap = build_algebraic_map(group)
     amap.invariants()
     correspondence_check(group, amap, build_coordinate_graph(p))
     polygon.coset_domain_check(group)
-    assert counts == {"maps": 3, "polygon": 2}
+    assert counts == {group.order: 3, 2 * group.order + 2: 3}

@@ -150,10 +150,10 @@ def test_pairing_rule():
     assert not pairing_rule_check(antipodal)
 
 
-def _random_matchings(seed, count):
+def _random_matchings(seed, count, num_sides=20):
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        sides = rng.permutation(20) + 1
+        sides = rng.permutation(num_sides) + 1
         yield PairingTable(pairs=tuple(zip(sides[::2].tolist(), sides[1::2].tolist())))
 
 
@@ -187,8 +187,12 @@ def test_rule_forces_the_unique_matching():
 
 
 def test_pairing_table_validation():
-    with pytest.raises(ValueError):
-        PairingTable(pairs=tuple([(1, 2)] * 10))
+    for pairs in ([(1, 2)] * 10, [], [(1, 2), (3, 5)], [(1, 2, 3), (4,)]):
+        with pytest.raises(ValueError, match="^pairs are not a perfect matching of the sides$"):
+            PairingTable(pairs=tuple(pairs))
+    # Any even number of sides: a digon, a hexagon.
+    assert PairingTable(pairs=((2, 1),)).pairs == ((1, 2),)
+    assert PairingTable(pairs=((4, 1), (2, 5), (6, 3))).pairs == ((1, 4), (2, 5), (3, 6))
 
 
 # -- corner classes ---------------------------------------------------------
@@ -229,10 +233,16 @@ def test_vertex_classes_all_nonnegative():
 
 
 def test_vertex_classes_match_union_find():
-    for t in [bring_side_pairing(), *_random_matchings(11, 2000)]:
+    """On the paper's 20-gon and on random matchings of 2k sides, k in 1..15."""
+    cases = [(20, t) for t in [bring_side_pairing(), *_random_matchings(11, 2000)]]
+    for k in range(1, 16):
+        cases += [(2 * k, t) for t in _random_matchings(k, 200, 2 * k)]
+    for num_sides, t in cases:
         zero_based = [(a - 1, b - 1) for a, b in t.pairs]
-        want = oracles.polygon_corner_classes(20, zero_based)
-        assert vertex_classes(t).classes == tuple(frozenset(c + 1 for c in cls) for cls in want)
+        want = oracles.polygon_corner_classes(num_sides, zero_based)
+        part = vertex_classes(t)
+        assert part.classes == tuple(frozenset(c + 1 for c in cls) for cls in want)
+        assert part.genus == (2 - (len(want) - num_sides // 2 + 1)) // 2
 
 
 def test_corner_classes_match_pole_labels(boundary, table):

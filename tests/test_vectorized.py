@@ -338,12 +338,13 @@ def test_glued_domain_on_random_maps():
     for darts in (2, 4, 6, 10, 24, 60, 200):
         for _ in range(8):
             amap = _connected_map(rng, darts)
-            got = _glued_domain(amap.sigma, amap.alpha)
+            tree_edges, boundary = _glued_domain(amap.sigma, amap.alpha)
+            poly = boundary.invariants()
+            got = (tree_edges, poly.darts, poly.edges, poly.vertices, poly.edges)
             assert got == oracles.coset_domain(amap.sigma, amap.alpha)
-            tree_edges, walk, pairs, classes, in_kernel = got
             inv = amap.invariants()
-            assert classes - pairs + 1 == inv.vertices - inv.edges + inv.faces
-            assert (tree_edges, walk, in_kernel) == (darts - 1, 2 * pairs, pairs)
+            assert poly.faces == 1 and poly.chi == inv.vertices - inv.edges + inv.faces
+            assert (tree_edges, poly.darts) == (darts - 1, 2 * poly.edges)
 
 
 def test_glued_domain_rejects_disconnected_tiles():
