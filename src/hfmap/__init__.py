@@ -2,10 +2,17 @@
 
 The package enumerates the finite quotients H_q / H_q(n) for q in {3, 4, 6}
 with exact arithmetic in Z_n[sqrt(m)], builds the associated regular maps in
-two independent models (dart systems on group elements and adjacency graphs
-on coordinates mod n), and reconstructs the fundamental 20-gon of the
-genus-4 map of type {5, 4} together with its side pairing and vertex
+two models (dart systems on group elements and adjacency graphs on
+coordinates mod n), and reconstructs the fundamental 20-gon of the genus-4
+map of type {5, 4} together with its side pairing and vertex
 identifications.
+
+Both models are read off one table, ``coords.completion_table``.  The
+runtime checks that share nothing with it are ``kernels.product_keys`` on
+every sigma and alpha entry, the generation breadth-first search in
+``enumerate_group``, and ``coords.adjacent_codes`` on every projected edge
+in ``maps.correspondence_check``.  The correspondence's vertex half reads
+back first columns written from that same table.
 """
 
 from .coords import HFCoord, apply_to_coord, enumerate_coords

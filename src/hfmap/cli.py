@@ -34,13 +34,6 @@ def _params(args: argparse.Namespace) -> HeckeParams:
     return HeckeParams(args.q, args.n)
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_index(args: argparse.Namespace) -> None:
     p = _params(args)
     idx = principal_congruence_index(p)
@@ -141,26 +134,18 @@ def cmd_polygon(args: argparse.Namespace) -> None:
 
 
 def cmd_render(args: argparse.Namespace) -> None:
-    if args.what == "universal":
-        cfg = R.RenderConfig(model=args.model, depth=args.depth)
-        _write_out(R.render_universal(args.q, cfg), args.out)
-        return
-    p = _params(args)
-    if args.what == "quotient":
-        _write_out(R.render_quotient(p, args.format), args.out)
-        return
-    boundary = P.boundary_from_circuit(_load_circuit("bring", p), p)
-    _write_out(R.render_polygon(boundary, _load_pairing(args.pairing)), args.out)
+    text = args.draw(args)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_verify(args: argparse.Namespace) -> None:
     circuit = None
-    pairing = None
-    if args.circuit:
+    if args.circuit is not None:
         circuit = _load_circuit(args.circuit, HeckeParams(4, 5))
-    if args.pairing:
-        pairing = _load_pairing(args.pairing)
-    results = V.run_checks(circuit=circuit, pairing=pairing)
+    results = V.run_checks(circuit=circuit, pairing=_load_pairing(args.pairing))
     if args.json:
         print(json.dumps(
             [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
@@ -202,9 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("circuit", help="verify or search circuits")
     add_qn(sp)
-    sp.add_argument("--verify", metavar="bring|FILE",
-                    help="validate the built-in circuit or a circuit file")
-    sp.add_argument("--search", action="store_true")
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--verify", metavar="bring|FILE",
+                      help="validate the built-in circuit or a circuit file")
+    mode.add_argument("--search", action="store_true")
     sp.add_argument("--start", default="H2")
     sp.add_argument("--length", type=int, default=12)
     sp.add_argument("--poles", default="0,3,6,9",
@@ -220,13 +206,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_polygon)
 
     sp = sub.add_parser("render", help="emit SVG/DOT documents")
-    sp.add_argument("what", choices=("universal", "quotient", "polygon"))
-    add_qn(sp)
-    sp.add_argument("--depth", type=int, default=4)
-    sp.add_argument("--model", choices=("halfplane", "disk"), default="halfplane")
-    sp.add_argument("--format", choices=("svg", "dot"), default="dot")
-    sp.add_argument("--out", metavar="PATH")
-    sp.add_argument("--pairing", metavar="FILE")
+    targets = sp.add_subparsers(dest="what", required=True)
+    tp = targets.add_parser("universal", help="SVG of the universal tessellation")
+    tp.add_argument("--q", type=int, default=4, choices=(3, 4, 6))
+    tp.add_argument("--depth", type=int, default=4)
+    tp.add_argument("--model", choices=("halfplane", "disk"), default="halfplane")
+    tp.set_defaults(draw=lambda a: R.render_universal(
+        a.q, R.RenderConfig(model=a.model, depth=a.depth)))
+    tp = targets.add_parser("quotient", help="DOT or SVG of the coordinate graph")
+    add_qn(tp)
+    tp.add_argument("--format", choices=("svg", "dot"), default="dot")
+    tp.set_defaults(draw=lambda a: R.render_quotient(_params(a), a.format))
+    tp = targets.add_parser("polygon", help="SVG of Bring's 20-gon")
+    tp.add_argument("--pairing", metavar="FILE")
+    tp.set_defaults(draw=lambda a: R.render_polygon(
+        P.boundary_from_circuit(P.bring_circuit(), HeckeParams(4, 5)),
+        _load_pairing(a.pairing)))
+    for tp in targets.choices.values():
+        tp.add_argument("--out", metavar="PATH")
     sp.set_defaults(fn=cmd_render)
 
     sp = sub.add_parser("verify", help="run the whole verification suite")

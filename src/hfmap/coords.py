@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .group import HeckeParams, parity
+from .group import HeckeParams, parity, parity_patterns
 from .kernels import _check_modulus, mat_mul_components
 
 __all__ = [
@@ -251,8 +251,7 @@ def cusp_codes(comps: np.ndarray, p: HeckeParams) -> np.ndarray:
         num, den = g[:, 0], g[:, 4]
         patterned = np.ones(g.shape[0], dtype=bool)
     else:
-        even = (g[:, 1] == 0) & (g[:, 7] == 0) & (g[:, 2] == 0) & (g[:, 4] == 0)
-        odd = (g[:, 0] == 0) & (g[:, 6] == 0) & (g[:, 3] == 0) & (g[:, 5] == 0)
+        even, odd = parity_patterns(g)
         kind = odd.astype(np.int64)
         num = np.where(even, g[:, 0], g[:, 1])
         den = np.where(even, g[:, 5], g[:, 4])

@@ -24,11 +24,14 @@ __all__ = [
     "GroupCheckError",
     "IndexFormulaError",
     "RADICAND",
+    "IDENTITY",
+    "exact_generators",
     "generators",
     "principal_congruence_index",
     "enumerate_group",
     "FiniteHeckeGroup",
     "parity",
+    "parity_patterns",
     "PermGroup",
     "s5_permutation_group",
 ]
@@ -36,7 +39,7 @@ __all__ = [
 # Radicand m of lam_q**2, keyed by q.
 RADICAND = {3: 1, 4: 2, 6: 3}
 
-_IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
+IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
 
 
 class GroupCheckError(RuntimeError):
@@ -66,16 +69,22 @@ class HeckeParams:
         return RADICAND[self.q]
 
 
-def generators(p: HeckeParams) -> np.ndarray:
-    """Canonical rows of S = [[0,-1],[1,0]], T = [[1,lam],[0,1]], R = T*S.
+def exact_generators(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Component rows over Z of S = [[0,-1],[1,0]] and T = [[1,lam],[0,1]].
 
-    Returns a (3, 8) int64 array.  lam_3 = 1 lives in the rational part;
-    lam_4 and lam_6 are pure sqrt(m).
+    lam_3 = 1 lives in the rational part; lam_4 and lam_6 are pure sqrt(m).
+    """
+    lam = (1, 0) if q == 3 else (0, 1)
+    return (0, 0, -1, 0, 1, 0, 0, 0), (1, 0, *lam, 0, 0, 1, 0)
+
+
+def generators(p: HeckeParams) -> np.ndarray:
+    """Canonical rows mod n of S, T (see ``exact_generators``) and R = T*S.
+
+    Returns a (3, 8) int64 array.
     """
     n = p.n
-    lam = (1, 0) if p.q == 3 else (0, 1)
-    s = [0, 0, n - 1, 0, 1, 0, 0, 0]
-    t = [1, 0, *lam, 0, 0, 1, 0]
+    s, t = ([v % n for v in g] for g in exact_generators(p.q))
     r = kernels.mat_mul_components(t, s, n, p.m).tolist()
     # The canonical sign of a packed key, compared as tuples so that any
     # modulus works: the lexicographically smaller of g and -g.
@@ -217,7 +226,7 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     del b, c, d
 
     gens = generators(p)
-    keys = kernels.product_keys(comps, _IDENTITY, n, m)
+    keys = kernels.product_keys(comps, IDENTITY, n, m)
     for name, gen, perm in (("S", gens[0], alpha), ("T", gens[1], sigma)):
         inside = 0 <= perm.min() and perm.max() < perm.size
         if not (inside and np.array_equal(kernels.product_keys(comps, gen, n, m), keys[perm])):
@@ -237,16 +246,27 @@ def cached_group(q: int, n: int) -> FiniteHeckeGroup:
     return enumerate_group(HeckeParams(q, n))
 
 
-def parity(g, p: HeckeParams) -> str:
-    """'even' for [[a, b*sqrt(m)], [c*sqrt(m), d]] patterns, 'odd' transposed.
+def parity_patterns(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the rows of an (..., 8) component table that match the even
+    pattern [[a, b*sqrt(m)], [c*sqrt(m), d]] and the odd one, its transpose.
 
-    ``g`` is a component row.  Defined only for q in {4, 6}; for q = 3 every
-    element is an integer matrix and the even/odd split does not exist.
+    A corrupted row may match both or neither.
+    """
+    g = np.asarray(comps)
+    even = (g[..., 1] == 0) & (g[..., 7] == 0) & (g[..., 2] == 0) & (g[..., 4] == 0)
+    odd = (g[..., 0] == 0) & (g[..., 6] == 0) & (g[..., 3] == 0) & (g[..., 5] == 0)
+    return even, odd
+
+
+def parity(g, p: HeckeParams) -> str:
+    """'even' or 'odd' by ``parity_patterns`` of the component row g.
+
+    Defined only for q in {4, 6}; for q = 3 every element is an integer
+    matrix and the even/odd split does not exist.
     """
     if p.q == 3:
         raise ValueError("parity is undefined for q=3 (all elements even)")
-    even = g[1] == 0 and g[7] == 0 and g[2] == 0 and g[4] == 0
-    odd = g[0] == 0 and g[6] == 0 and g[3] == 0 and g[5] == 0
+    even, odd = parity_patterns(g)
     if even and not odd:
         return "even"
     if odd and not even:

@@ -92,9 +92,6 @@ class Circuit:
 
     seq: tuple[HFCoord, ...]
 
-    def __len__(self) -> int:
-        return len(self.seq)
-
 
 @dataclass(frozen=True)
 class PairingTable:

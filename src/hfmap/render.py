@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import HFCoord, coord_value_str, vertex_names
-from .group import RADICAND, HeckeParams
+from .group import IDENTITY, RADICAND, HeckeParams, exact_generators
 from .kernels import mat_mul_exact
 from .maps import CoordGraph, build_coordinate_graph
 from .polygon import BoundarySequence, PairingTable, side_label_analysis
@@ -145,16 +145,13 @@ def universal_geodesics(q: int, depth: int) -> list[Geodesic]:
     if depth > MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the bound {MAX_DEPTH}")
     m = RADICAND[q]
-    lam = (1, 0) if q == 3 else (0, 1)
-    ident: _IntMat = (1, 0, 0, 0, 0, 0, 1, 0)
-    s: _IntMat = (0, 0, -1, 0, 1, 0, 0, 0)
-    t: _IntMat = (1, 0, lam[0], lam[1], 0, 0, 1, 0)
-    t_inv: _IntMat = (1, 0, -lam[0], -lam[1], 0, 0, 1, 0)
+    s, t = exact_generators(q)
+    t_inv = (*t[:2], -t[2], -t[3], *t[4:])  # lam negated
     gens = (s, t, t_inv)
 
-    seen = {ident}
-    frontier = [ident]
-    matrices = [ident]
+    seen = {IDENTITY}
+    frontier = [IDENTITY]
+    matrices = [IDENTITY]
     for _ in range(depth):
         nxt = []
         for g in frontier:

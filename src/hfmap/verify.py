@@ -225,8 +225,8 @@ def run_checks(
 
     Running out of memory is not a failed check, so MemoryError propagates.
     """
-    circuit = circuit or P.bring_circuit()
-    pairing = pairing or P.bring_side_pairing()
+    circuit = P.bring_circuit() if circuit is None else circuit
+    pairing = P.bring_side_pairing() if pairing is None else pairing
     table: list[tuple[str, Callable[[], str]]] = [
         ("index-formula", _check_index_formula),
         ("bring-map", _check_bring_map),

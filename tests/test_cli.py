@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -295,8 +296,6 @@ def test_circuit_file_with_unknown_name(capsys, tmp_path):
          "error: circuit search would list more than 4194304 circuits"),
         ("circuit --q 4 --n 3 --verify bring",
          "error: the built-in circuit 'bring' is on the q=4, n=5 map"),
-        ("render polygon --q 3 --n 7",
-         "error: the built-in circuit 'bring' is on the q=4, n=5 map"),
         ("render polygon --pairing {hexagon}",
          "error: pairing has 6 sides, the polygon has 20"),
         ("render universal --depth 13", "error: depth 13 exceeds the bound 12"),
@@ -317,6 +316,50 @@ def test_usage_errors_exit_2(capsys, tmp_path, argv, message):
     code, out, err = run(capsys, *argv.format(hexagon=hexagon).split())
     assert code == 2 and out == ""
     assert err == message + "\n"
+
+
+# Options that the render target or circuit mode does not read, and the
+# last line of argparse's usage error for each.
+FOREIGN_OPTIONS = {
+    "render universal --n 7": "hfmap: error: unrecognized arguments: --n 7",
+    "render universal --q 4 --n 77 --format svg --pairing /nonexistent --depth 1":
+        "hfmap: error: unrecognized arguments: --n 77 --format svg --pairing /nonexistent",
+    "render quotient --depth 3": "hfmap: error: unrecognized arguments: --depth 3",
+    "render polygon --q 4 --n 5": "hfmap: error: unrecognized arguments: --q 4 --n 5",
+    "render polygon --q 3 --n 7": "hfmap: error: unrecognized arguments: --q 3 --n 7",
+    "circuit --verify bring --search":
+        "hfmap circuit: error: argument --search: not allowed with argument --verify",
+}
+
+
+@pytest.mark.parametrize("argv", list(FOREIGN_OPTIONS))
+def test_foreign_option_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.startswith("usage: ")
+    assert out.err.endswith("\n" + FOREIGN_OPTIONS[argv] + "\n")
+
+
+@pytest.mark.parametrize("target", ["universal", "quotient", "polygon"])
+def test_render_help_lists_only_the_target_options(capsys, target):
+    reads = {
+        "universal": ["--q", "--depth", "--model", "--out"],
+        "quotient": ["--q", "--n", "--format", "--out"],
+        "polygon": ["--pairing", "--out"],
+    }
+    with pytest.raises(SystemExit) as exc:
+        main(["render", target, "--help"])
+    assert exc.value.code == 0
+    options = re.findall(r"^ +(?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+    assert options == ["--help", *reads[target]]
+
+
+def test_empty_circuit_file_fails_verify(capsys):
+    code, out, _ = run(capsys, "verify", "--circuit", os.devnull)
+    assert code == 1
+    assert "FAIL  circuit-boundary   circuit fails adjacency validation" in out.splitlines()
 
 
 def test_coords_on_even_modulus(capsys):
