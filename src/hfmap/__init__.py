@@ -9,10 +9,17 @@ identifications.
 
 Both models are read off one table, ``coords.completion_table``.  The
 runtime checks that share nothing with it are ``kernels.product_keys`` on
-every sigma and alpha entry, the generation breadth-first search in
-``enumerate_group``, and ``coords.adjacent_codes`` on every projected edge
-in ``maps.correspondence_check``.  The correspondence's vertex half reads
-back first columns written from that same table.
+every sigma and alpha entry and the generation breadth-first search in
+``enumerate_group``.  ``maps.projection_certificate``, which ``hfmap map``
+runs on every modulus, then proves that g -> g(infinity) carries the dart
+model onto the adjacency-rule graph, in the element numbering v*n + t:
+(a) the vertex orbits are the blocks v*n .. v*n + n - 1 and every row
+has its block head's first column up to sign; (b) the head cusps, sorted,
+are the coordinates; (c) ``coords.adjacent_codes`` holds on every arc
+(v, alpha(v*n + t) // n); (d) each row of the (V, n) table alpha // n has
+n distinct entries.  The rule graph is n-regular, so the projection is a
+bijection onto it.  (a) reads back first columns written from the table;
+(c) and (d) share nothing with it.
 """
 
 from .coords import HFCoord, apply_to_coord, enumerate_coords
@@ -33,6 +40,7 @@ from .maps import (
     correspondence_check,
     is_isomorphic,
     permutation_model_map,
+    projection_certificate,
 )
 from .polygon import (
     BoundarySequence,

@@ -25,6 +25,9 @@ from .group import GroupCheckError, HeckeParams, enumerate_group, principal_cong
 # text of one block alive at a time.
 CIRCUIT_BLOCK = 1 << 16
 
+# The options only ``circuit --search`` reads, with their defaults.
+SEARCH_DEFAULTS = {"start": "H2", "length": 12, "poles": "0,3,6,9"}
+
 
 class VerificationFailure(Exception):
     pass
@@ -32,6 +35,13 @@ class VerificationFailure(Exception):
 
 def _params(args: argparse.Namespace) -> HeckeParams:
     return HeckeParams(args.q, args.n)
+
+
+def _path(option: str, value: str) -> Path:
+    """The path given to option; an empty one would name the current directory."""
+    if not value:
+        raise ValueError(f"{option} needs a path, got ''")
+    return Path(value)
 
 
 def cmd_index(args: argparse.Namespace) -> None:
@@ -49,11 +59,9 @@ def cmd_map(args: argparse.Namespace) -> None:
     group = enumerate_group(p)
     amap = M.build_algebraic_map(group)
     inv = amap.invariants()
-    # Even n skips the cross-check: +0.17 s on n=96 (q=4) plus n=90 (q=6), over a third.
-    if p.n % 2:
-        rep = M.correspondence_check(group, amap, M.build_coordinate_graph(p))
-        if not rep.ok:
-            raise VerificationFailure("; ".join(rep.problems))
+    rep = M.projection_certificate(group, amap)
+    if not rep.ok:
+        raise VerificationFailure("; ".join(rep.problems))
     if args.json:
         print(M.invariants_json(p, inv, group.order))
     else:
@@ -77,24 +85,29 @@ def cmd_coords(args: argparse.Namespace) -> None:
         print(C.coord_value_str(u, p))
 
 
-def _load_circuit(spec: str, p: HeckeParams) -> P.Circuit:
+def _load_circuit(option: str, spec: str, p: HeckeParams) -> P.Circuit:
     if spec == "bring":
         if (p.q, p.n) != (4, 5):
             raise ValueError("the built-in circuit 'bring' is on the q=4, n=5 map")
         return P.bring_circuit()
-    return P.parse_circuit_text(Path(spec).read_text(encoding="utf-8"), p)
+    return P.parse_circuit_text(_path(option, spec).read_text(encoding="utf-8"), p)
 
 
 def cmd_circuit(args: argparse.Namespace) -> None:
     p = _params(args)
+    given = [f"--{name}" for name in SEARCH_DEFAULTS if name in vars(args)]
     if args.verify is not None:
-        circuit = _load_circuit(args.verify, p)
+        if given:
+            raise ValueError(f"--verify takes no search options, got {' '.join(given)}")
+        circuit = _load_circuit("--verify", args.verify, p)
         if not P.validate_circuit(circuit, p):
             raise VerificationFailure("circuit fails adjacency validation")
         print("OK")
         return
     if not args.search:
         raise ValueError("nothing to do: pass --verify or --search")
+    for name, value in SEARCH_DEFAULTS.items():
+        vars(args).setdefault(name, value)
     start = P.parse_circuit_text(args.start, p).seq
     if len(start) != 1:
         raise ValueError(f"--start must give exactly one vertex, got {args.start!r}")
@@ -114,7 +127,7 @@ def cmd_circuit(args: argparse.Namespace) -> None:
 def _load_pairing(path: str | None) -> P.PairingTable:
     if path is None:
         return P.bring_side_pairing()
-    return P.parse_pairing_text(Path(path).read_text(encoding="utf-8"))
+    return P.parse_pairing_text(_path("--pairing", path).read_text(encoding="utf-8"))
 
 
 def cmd_polygon(args: argparse.Namespace) -> None:
@@ -134,17 +147,18 @@ def cmd_polygon(args: argparse.Namespace) -> None:
 
 
 def cmd_render(args: argparse.Namespace) -> None:
+    out = None if args.out is None else _path("--out", args.out)
     text = args.draw(args)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
+    if out is None:
         sys.stdout.write(text)
+    else:
+        out.write_text(text, encoding="utf-8")
 
 
 def cmd_verify(args: argparse.Namespace) -> None:
     circuit = None
     if args.circuit is not None:
-        circuit = _load_circuit(args.circuit, HeckeParams(4, 5))
+        circuit = _load_circuit("--circuit", args.circuit, HeckeParams(4, 5))
     results = V.run_checks(circuit=circuit, pairing=_load_pairing(args.pairing))
     if args.json:
         print(json.dumps(
@@ -191,9 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--verify", metavar="bring|FILE",
                       help="validate the built-in circuit or a circuit file")
     mode.add_argument("--search", action="store_true")
-    sp.add_argument("--start", default="H2")
-    sp.add_argument("--length", type=int, default=12)
-    sp.add_argument("--poles", default="0,3,6,9",
+    # Absent from the namespace unless given, so that cmd_circuit can
+    # refuse them with --verify; their defaults are SEARCH_DEFAULTS.
+    sp.add_argument("--start", default=argparse.SUPPRESS)
+    sp.add_argument("--length", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--poles", default=argparse.SUPPRESS,
                     help="comma-separated pole positions")
     sp.set_defaults(fn=cmd_circuit)
 

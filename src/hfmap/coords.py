@@ -223,16 +223,20 @@ def adjacent_codes(u: np.ndarray, v: np.ndarray, p: HeckeParams) -> np.ndarray:
     For q = 3 every coordinate is kind A and the plain two-by-two
     determinant is used.  The result does not depend on the sign
     representatives.  Residues are below n <= kernels.MAX_MODULUS, so the
-    determinant stays far inside int64.
+    determinant is below 4*n*n in absolute value: int32 codes, which keep
+    the whole rule in int32, give the same result as int64 ones.
     """
     n = p.n
-    ku, nu, du = u // (n * n), u // n % n, u % n
-    kv, nv, dv = v // (n * n), v // n % n, v % n
+    # Residues by floor division, which numpy runs faster than %.
+    qu, qv = u // n, v // n
+    du, dv = u - qu * n, v - qv * n
+    ku, kv = qu // n, qv // n
+    nu, nv = qu - ku * n, qv - kv * n
     if p.q == 3:
         det = nu * dv - nv * du
     else:
         det = np.where(ku == 0, nu * dv - p.m * nv * du, nv * du - p.m * nu * dv)
-    det %= n
+    det -= det // n * n
     hit = (det == 1) | (det == n - 1)
     return hit if p.q == 3 else hit & (ku != kv)
 

@@ -20,8 +20,8 @@ from .coords import (
     adjacent_codes,
     code_coord,
     code_rows,
-    coord_codes,
     completion_table,
+    coordinate_codes,
     cusp_codes,
 )
 from .group import FiniteHeckeGroup, HeckeParams, PermGroup
@@ -32,6 +32,7 @@ __all__ = [
     "CoordGraph",
     "build_algebraic_map",
     "build_coordinate_graph",
+    "projection_certificate",
     "correspondence_check",
     "CorrespondenceReport",
     "permutation_model_map",
@@ -41,16 +42,6 @@ __all__ = [
     "graphs_isomorphic",
     "cube_graph_adjacency",
 ]
-
-
-def _walk(perm: np.ndarray, start: int) -> list[int]:
-    """The orbit of start under perm, in the order perm visits it."""
-    orbit = [start]
-    cur = int(perm[start])
-    while cur != start:
-        orbit.append(cur)
-        cur = int(perm[cur])
-    return orbit
 
 
 def _orbit_labels(perm: np.ndarray) -> np.ndarray:
@@ -265,60 +256,121 @@ class CorrespondenceReport:
     problems: list[str]
 
 
-def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
-                         graph: CoordGraph) -> CorrespondenceReport:
-    """Verify that g -> g(infinity) carries the dart model onto the graph.
+# Darts per chunk of the certificate's rule and distinctness passes, so that
+# their temporaries stay small at every modulus.
+CHUNK_DARTS = 1 << 16
 
-    Vertex orbits (cosets g<T>) must map bijectively onto coordinates, and
-    the edge orbits must project exactly onto the adjacency edges.
+
+def projection_certificate(group: FiniteHeckeGroup, amap: MapStructure) -> CorrespondenceReport:
+    """Certify that g -> g(infinity) carries the dart model onto the rule
+    graph, in the element numbering v*n + t of ``enumerate_group``.
+
+    Four facts, each on every element or dart:
+
+    (a) the vertex orbits of sigma are the blocks v*n .. v*n + n - 1, and
+        every row's first column is its block head's, up to sign;
+    (b) the cusps of the V block heads, sorted, are ``coordinate_codes``;
+    (c) ``adjacent_codes`` holds on every arc (v, alpha(v*n + t) // n);
+    (d) each row of the (V, n) table alpha // n has n distinct entries.
+
+    The rule graph is n-regular (see ``coords.completion_table``), so by
+    (c) and (d) the n darts of a vertex are its n arcs, and with (a) and (b)
+    the projection is a bijection onto the graph.  Only the head rows go
+    through the class rule of ``cusp_codes``; (c) and (d) run over chunks of
+    CHUNK_DARTS darts.  Reads only ``params`` and ``comps`` of the group.
     """
     p = group.params
+    n = p.n
+    size = amap.darts // n
     problems: list[str] = []
-    cusps = cusp_codes(group.comps, p)
 
+    # (a) and (b): vertex orbits, their first columns and their cusps.
     label = amap.vertex_labels
-    roots = np.flatnonzero(label == np.arange(amap.darts))
-    orbit_codes = cusps[roots]
-    for k in np.flatnonzero(np.isin(roots, label[cusps != cusps[label]])):
-        orbit = _walk(amap.sigma, int(roots[k]))
-        values = {code_coord(cusps[d], p) for d in orbit}
-        problems.append(f"vertex orbit {orbit[:4]}... has mixed cusps {values}")
-        orbit_codes[k] = coord_codes([values.pop()], p)[0]
-    bijection = np.array_equal(np.sort(orbit_codes), graph.codes)
+    blocks = bool(np.all(label.reshape(size, n) == np.arange(0, size * n, n)[:, None]))
+    if not blocks:
+        problems.append("vertex orbits of sigma are not the blocks of n consecutive elements")
+    # The first column is in slots 0, 1 (a) and 4, 5 (c) of a row; a row
+    # that differs from its block head's may hold its negative.
+    slots = [0, 1, 4, 5]
+    differ = np.zeros((size, n), dtype=bool)
+    for slot in slots:
+        col = group.comps[:, slot].reshape(size, n)
+        differ |= col != col[:, :1]
+    moved = np.flatnonzero(differ)
+    heads = group.comps[moved - moved % n][:, slots]
+    moved = moved[np.any(group.comps[moved][:, slots] != -heads % n, axis=1)]
+    if moved.size:
+        problems.append(
+            f"elements whose first column is not their block head's: {moved.size}, "
+            f"the first {moved[0]}"
+        )
+    # Codes are below 2*n*n < 2**31: the rule runs in int32.
+    codes = cusp_codes(group.comps[::n], p).astype(np.int32)
+    bijection = np.array_equal(np.sort(codes), coordinate_codes(p))
     if not bijection:
         problems.append("cusp map is not a bijection onto the coordinates")
 
-    # Edge orbits are the pairs (d, alpha(d)) with d < alpha(d), by smallest dart.
-    first = np.flatnonzero(np.arange(amap.darts) < amap.alpha)
-    ua, ub = cusps[first], cusps[amap.alpha[first]]
-    adj = adjacent_codes(ua, ub, p)
-    for k in np.flatnonzero(~adj):
+    # (c) and (d): the arcs of each vertex, a chunk of whole rows at a time.
+    alpha = amap.alpha.reshape(size, n)
+    step = max(1, CHUNK_DARTS // n)
+    far, twice = [], []
+    for lo in range(0, size, step):
+        nbr = alpha[lo:lo + step] // n
+        adj = adjacent_codes(codes[lo:lo + step, None], codes[nbr], p)
+        far.append(lo * n + np.flatnonzero(~adj))
+        nbr.sort(axis=1)
+        twice.append(lo + np.flatnonzero((nbr[:, 1:] == nbr[:, :-1]).any(axis=1)))
+    far, twice = np.concatenate(far), np.concatenate(twice)
+    if far.size:
+        d = int(far[0])
+        ends = sorted(code_coord(codes[e // n], p) for e in (d, int(amap.alpha[d])))
         problems.append(
-            f"edge darts project to non-adjacent {code_coord(ua[k], p)}, "
-            f"{code_coord(ub[k], p)}"
+            f"darts that project to non-adjacent coordinates: {far.size}, the first "
+            f"{ends[0]} and {ends[1]}"
         )
-    # Both arcs of every projected edge, sorted, must be the table's arcs
-    # i*V + nbrs[i, j] in row-major order, which are distinct exactly when
-    # they ascend.  A cusp that is not a node has row -1 and matches none.
-    size = graph.codes.size
-    ends = code_rows(graph.codes, np.stack([ua[adj], ub[adj]]), p)
-    tail, head = ends
-    projected = np.sort(np.concatenate([tail * size + head, head * size + tail]))
-    arcs = (np.arange(size)[:, None] * size + graph.nbrs).ravel()
-    edges_matched = bool(
-        np.all(ends >= 0)
-        and np.all(arcs[1:] > arcs[:-1])
-        and np.array_equal(projected, arcs)
-    )
-    if not edges_matched:
-        problems.append("edge orbits do not project bijectively onto graph edges")
+    if twice.size:
+        problems.append(
+            f"vertices that meet a neighbour twice: {twice.size}, the first "
+            f"{code_coord(codes[twice[0]], p)}"
+        )
 
     return CorrespondenceReport(
         ok=not problems,
-        vertex_bijection=bijection,
-        edges_matched=edges_matched,
-        vertex_count=int(roots.size),
-        edge_count=int(tail.size),
+        vertex_bijection=blocks and not moved.size and bijection,
+        edges_matched=not (far.size or twice.size),
+        vertex_count=int(np.count_nonzero(label == np.arange(label.size))),
+        # Both darts of an edge pass the symmetric rule or both fail it.
+        edge_count=(amap.darts - far.size) // 2,
+        problems=problems,
+    )
+
+
+def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
+                         graph: CoordGraph) -> CorrespondenceReport:
+    """``projection_certificate``, and the graph is the one it projects onto:
+    its nodes are the head cusps and, mapped to its rows and sorted, the
+    (V, n) table alpha // n is ``graph.nbrs`` row for row."""
+    p = group.params
+    n = p.n
+    rep = projection_certificate(group, amap)
+    problems = list(rep.problems)
+    codes = cusp_codes(group.comps[::n], p)
+    nodes = matched = np.array_equal(np.sort(codes), graph.codes)
+    if nodes:
+        rows = code_rows(graph.codes, codes, p)
+        table = np.empty((codes.size, n), dtype=np.int64)
+        table[rows] = np.sort(rows[amap.alpha.reshape(-1, n) // n], axis=1)
+        matched = np.array_equal(table, graph.nbrs)
+    else:
+        problems.append("cusp map is not a bijection onto the graph's nodes")
+    if rep.edges_matched and not matched:
+        problems.append("edge orbits do not project bijectively onto graph edges")
+    return CorrespondenceReport(
+        ok=not problems,
+        vertex_bijection=rep.vertex_bijection and nodes,
+        edges_matched=rep.edges_matched and matched,
+        vertex_count=rep.vertex_count,
+        edge_count=rep.edge_count,
         problems=problems,
     )
 

@@ -8,7 +8,7 @@ so repeated renders are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,7 +73,8 @@ class Cusp:
         return (self.p + self.q * math.sqrt(m)) / self.d
 
     def sort_key(self, m: int) -> tuple:
-        return (1, 0, 0, 0) if self.is_infinity else (0, self.value(m), self.p, self.q)
+        """Exact order of the boundary, infinity last; entry 1 is the value."""
+        return (int(self.is_infinity), self.value(m), self.p, self.q)
 
 
 def _make_cusp(p: int, q: int, d: int) -> Cusp:
@@ -99,18 +100,12 @@ def _column_cusp(top: tuple[int, int], bot: tuple[int, int], m: int) -> Cusp:
 
 @dataclass(frozen=True)
 class Geodesic:
-    """Unordered pair of distinct exact endpoints."""
+    """Unordered pair of distinct exact endpoints, a before b by
+    ``Cusp.sort_key``; ``ends`` holds their values, a's first."""
 
     a: Cusp
     b: Cusp
-
-
-def _make_geodesic(u: Cusp, v: Cusp, m: int) -> Geodesic:
-    if u == v:
-        raise ValueError("geodesic endpoints coincide")
-    if v.sort_key(m) < u.sort_key(m):
-        u, v = v, u
-    return Geodesic(u, v)
+    ends: tuple[float, float] = field(compare=False, repr=False)
 
 
 @dataclass
@@ -163,14 +158,20 @@ def universal_geodesics(q: int, depth: int) -> list[Geodesic]:
                     matrices.append(prod)
         frontier = nxt
 
-    geodesics = set()
+    # The sort key, and in it the value, of each distinct cusp, computed once.
+    keys: dict[Cusp, tuple] = {}
+    pairs = set()
     for g in matrices:
-        end_inf = _column_cusp((g[0], g[1]), (g[4], g[5]), m)
-        end_zero = _column_cusp((g[2], g[3]), (g[6], g[7]), m)
-        geodesics.add(_make_geodesic(end_inf, end_zero, m))
-    return sorted(
-        geodesics, key=lambda geo: (geo.a.sort_key(m), geo.b.sort_key(m))
-    )
+        u = _column_cusp((g[0], g[1]), (g[4], g[5]), m)
+        v = _column_cusp((g[2], g[3]), (g[6], g[7]), m)
+        if u == v:
+            raise ValueError("geodesic endpoints coincide")
+        for c in (u, v):
+            if c not in keys:
+                keys[c] = c.sort_key(m)
+        pairs.add((v, u) if keys[v] < keys[u] else (u, v))
+    ordered = sorted(pairs, key=lambda ends: (keys[ends[0]], keys[ends[1]]))
+    return [Geodesic(a, b, (keys[a][1], keys[b][1])) for a, b in ordered]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +194,6 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
 def render_universal(q: int, cfg: RenderConfig) -> str:
     """SVG of the universal tessellation's edges down to the given depth."""
     geodesics = universal_geodesics(q, cfg.depth)
-    m = RADICAND[q]
     width = WIDTH
     if cfg.model == "halfplane":
         scale = width / (XMAX - XMIN)
@@ -209,14 +209,14 @@ def render_universal(q: int, cfg: RenderConfig) -> str:
         ]
         for geo in geodesics:
             if geo.b.is_infinity:
-                x, _ = to_page(geo.a.value(m), 0.0)
+                x, _ = to_page(geo.ends[0], 0.0)
                 body.append(
                     f'<path d="M {_fmt(x)} {height} L {_fmt(x)} 0" fill="none" '
                     f'stroke="{STROKE}" stroke-width="1"/>'
                 )
             else:
-                x1, y1 = to_page(geo.a.value(m), 0.0)
-                x2, y2 = to_page(geo.b.value(m), 0.0)
+                x1, y1 = to_page(geo.ends[0], 0.0)
+                x2, y2 = to_page(geo.ends[1], 0.0)
                 r = abs(x2 - x1) / 2.0
                 body.append(
                     f'<path d="M {_fmt(x1)} {_fmt(y1)} A {_fmt(r)} {_fmt(r)} 0 0 1 '
@@ -234,11 +234,11 @@ def render_universal(q: int, cfg: RenderConfig) -> str:
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
-    body += _disk_paths(geodesics, m, cx, cy, radius)
+    body += _disk_paths(geodesics, cx, cy, radius)
     return _svg_document(width, height, body)
 
 
-def _disk_paths(geodesics: list[Geodesic], m: int, cx: float, cy: float,
+def _disk_paths(geodesics: list[Geodesic], cx: float, cy: float,
                 radius: float) -> list[str]:
     """One disk-model path per geodesic, through its SAMPLES points.
 
@@ -247,7 +247,7 @@ def _disk_paths(geodesics: list[Geodesic], m: int, cx: float, cy: float,
     point sampled and projected on its own, so the text is the same.
     """
     # Only b can be infinity: infinity sorts last and the ends differ.
-    ends = np.array([(geo.a.value(m), geo.b.value(m)) for geo in geodesics])
+    ends = np.array([geo.ends for geo in geodesics])
     vertical = np.isinf(ends[:, 1])
     xs = np.empty((len(geodesics), SAMPLES))
     ys = np.empty_like(xs)

@@ -34,7 +34,6 @@ from hfmap.group import RADICAND, parity
 from hfmap.maps import (
     CorrespondenceReport,
     MapInvariants,
-    _walk,
     build_algebraic_map,
     build_coordinate_graph,
     canonical_form,
@@ -320,6 +319,16 @@ def translate(u, p):
 
 
 # -- dart systems and graphs -------------------------------------------------
+
+
+def _walk(perm: np.ndarray, start: int) -> list[int]:
+    """The orbit of start under perm, in the order perm visits it."""
+    orbit = [start]
+    cur = int(perm[start])
+    while cur != start:
+        orbit.append(cur)
+        cur = int(perm[cur])
+    return orbit
 
 
 def orbits(perm: np.ndarray) -> list[list[int]]:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -122,6 +123,19 @@ def test_map_json(capsys):
     assert json.loads(out)["genus"] == 0
     code, out, _ = run(capsys, "map", "--q", "3", "--n", "5", "--json")
     assert json.loads(out)["genus"] == 0
+
+
+def test_map_with_a_failing_rule_exits_1(capsys, monkeypatch):
+    """The certificate runs on every modulus, even n too: a rule that holds
+    on no pair fails it with one error line."""
+    def nowhere(u, v, p):
+        return np.zeros(np.broadcast(u, v).shape, dtype=bool)
+
+    monkeypatch.setattr(maps, "adjacent_codes", nowhere)
+    code, out, err = run(capsys, "map", "--q", "4", "--n", "6")
+    assert code == 1 and out == ""
+    assert err.startswith("error: darts that project to non-adjacent coordinates: 96, ")
+    assert err.count("\n") == 1
 
 
 def test_map_counts_each_orbit_kind_once(capsys, monkeypatch):
@@ -308,12 +322,30 @@ def test_circuit_file_with_unknown_name(capsys, tmp_path):
         ("circuit --q 6 --n 9 --search --start A:3/1 --length 4 --poles 0",
          "error: vertex 'A:3/1': (3, 1) is not a coordinate mod 9: "
          "3 divides the kind-A numerator"),
+        # An empty path would name the current directory, or stdout for --out.
+        ("polygon --pairing ''", "error: --pairing needs a path, got ''"),
+        ("verify --pairing ''", "error: --pairing needs a path, got ''"),
+        ("render polygon --pairing ''", "error: --pairing needs a path, got ''"),
+        ("verify --circuit ''", "error: --circuit needs a path, got ''"),
+        ("circuit --verify ''", "error: --verify needs a path, got ''"),
+        ("render quotient --q 4 --n 5 --out ''", "error: --out needs a path, got ''"),
+        ("render universal --out ''", "error: --out needs a path, got ''"),
+        ("render polygon --out ''", "error: --out needs a path, got ''"),
+        # --verify reads none of the search options.
+        ("circuit --verify bring --start ZZ --length 99 --poles x",
+         "error: --verify takes no search options, got --start --length --poles"),
+        ("circuit --verify bring --start H2",
+         "error: --verify takes no search options, got --start"),
+        ("circuit --verify {hexagon} --length 12",
+         "error: --verify takes no search options, got --length"),
+        ("circuit --verify bring --poles 0,3,6,9",
+         "error: --verify takes no search options, got --poles"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv, message):
     hexagon = tmp_path / "hexagon.txt"
     hexagon.write_text(HEXAGON)
-    code, out, err = run(capsys, *argv.format(hexagon=hexagon).split())
+    code, out, err = run(capsys, *shlex.split(argv.format(hexagon=hexagon)))
     assert code == 2 and out == ""
     assert err == message + "\n"
 

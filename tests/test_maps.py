@@ -5,7 +5,8 @@ import numpy as np
 import oracles
 import pytest
 
-from hfmap import maps, polygon
+from hfmap import coords, maps, polygon
+from hfmap.cli import main
 from hfmap.coords import vertex_names
 from hfmap.group import HeckeParams, cached_group, enumerate_group, s5_permutation_group
 from hfmap.maps import (
@@ -173,3 +174,20 @@ def test_algebraic_map_is_built_once_per_group(monkeypatch):
     correspondence_check(group, amap, build_coordinate_graph(p))
     polygon.coset_domain_check(group)
     assert counts == {group.order: 3, 2 * group.order + 2: 3}
+
+
+def test_map_completes_the_coordinates_once(capsys, monkeypatch):
+    """One map run, odd n or even, takes the second columns of the
+    completion table once: the group's, which the certificate reads."""
+    calls = Counter()
+    second_columns = coords.Completion.second_columns
+
+    def counting(self, p):
+        calls[p] += 1
+        return second_columns(self, p)
+
+    monkeypatch.setattr(coords.Completion, "second_columns", counting)
+    for q, n in ((4, 5), (4, 6), (3, 7)):
+        assert main(["map", "--q", str(q), "--n", str(n)]) == 0
+    capsys.readouterr()
+    assert calls == {HeckeParams(4, 5): 1, HeckeParams(4, 6): 1, HeckeParams(3, 7): 1}

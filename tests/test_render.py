@@ -1,9 +1,10 @@
 import re
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 
-from hfmap.group import HeckeParams
+from hfmap.group import RADICAND, HeckeParams
 from hfmap.polygon import boundary_from_circuit, bring_circuit, bring_side_pairing
 from hfmap.render import (
     Cusp,
@@ -33,6 +34,30 @@ def test_principal_face_appears_at_depth_two():
 def test_edge_counts_strictly_increase(q):
     counts = [len(universal_geodesics(q, d)) for d in range(5)]
     assert all(a < b for a, b in zip(counts, counts[1:]))
+
+
+@pytest.mark.parametrize("model", ["halfplane", "disk"])
+def test_render_evaluates_each_cusp_once(monkeypatch, model):
+    """The value and sort key of every distinct endpoint are computed once
+    per render, and each geodesic carries its ends' values."""
+    calls = Counter()
+    value, sort_key = Cusp.value, Cusp.sort_key
+
+    def counted(name, method):
+        def wrapper(self, m):
+            calls[name, self] += 1
+            return method(self, m)
+        return wrapper
+
+    monkeypatch.setattr(Cusp, "value", counted("value", value))
+    monkeypatch.setattr(Cusp, "sort_key", counted("sort_key", sort_key))
+    render_universal(4, RenderConfig(model=model, depth=6))
+    monkeypatch.undo()
+    geos = universal_geodesics(4, 6)
+    cusps = {g.a for g in geos} | {g.b for g in geos}
+    assert calls == Counter({(name, c): 1 for name in ("value", "sort_key") for c in cusps})
+    m = RADICAND[4]
+    assert all(g.ends == (g.a.value(m), g.b.value(m)) for g in geos)
 
 
 def test_no_duplicate_endpoint_pairs():

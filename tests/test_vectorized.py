@@ -36,6 +36,7 @@ from hfmap.maps import (
     build_algebraic_map,
     build_coordinate_graph,
     correspondence_check,
+    projection_certificate,
 )
 from hfmap.polygon import (
     _glued_domain,
@@ -171,9 +172,18 @@ def test_corrupted_row_raises_the_scalar_error(q, n):
     with pytest.raises(ValueError) as exc:
         cusp_codes(rows, p)
     assert str(exc.value) == message
-    # correspondence_check reads only params and comps of the group.
+    # correspondence_check reads only params and comps of the group.  A
+    # block head goes through the class rule and raises its error; any
+    # other row is read back against its head's first column.
     amap = build_algebraic_map(group)
     graph = build_coordinate_graph(p)
+    got = correspondence_check(SimpleNamespace(params=p, comps=rows), amap, graph)
+    assert got.ok is False and got.vertex_bijection is False and got.edges_matched
+    assert got.problems == [
+        "elements whose first column is not their block head's: 1, the first 7"
+    ]
+    rows = group.comps.copy()
+    rows[n] = [1, 1, 0, 0, 0, 0, 1, 0]
     with pytest.raises(ValueError, match="matches no parity pattern"):
         correspondence_check(SimpleNamespace(params=p, comps=rows), amap, graph)
 
@@ -264,12 +274,36 @@ def test_correspondence_holds_at_q6_when_3_divides_n():
     assert rep.ok and rep.vertex_bijection and rep.edges_matched
 
 
+def _repaired_alpha(group, amap):
+    """alpha with two edges re-paired so that every arc still passes the
+    rule but some vertex meets one neighbour twice: the first such swap
+    from the lowest darts."""
+    p = group.params
+    n = p.n
+    codes = cusp_codes(group.comps[::n], p)
+    alpha = amap.alpha
+    firsts = np.flatnonzero(np.arange(amap.darts) < alpha)
+    for i in firsts.tolist():
+        for j in firsts[firsts > i].tolist():
+            for x, w, y, u in ((i, j, alpha[i], alpha[j]), (i, alpha[j], alpha[i], j)):
+                if not (adjacent_codes(codes[x // n], codes[w // n], p)
+                        and adjacent_codes(codes[y // n], codes[u // n], p)):
+                    continue
+                swapped = alpha.copy()
+                swapped[[x, w, y, u]] = [w, x, u, y]
+                rows = np.sort((swapped // n).reshape(-1, n), axis=1)
+                if np.any(rows[:, 1:] == rows[:, :-1]):
+                    return swapped
+    raise AssertionError("no re-pairing repeats a neighbour")
+
+
 @pytest.mark.parametrize("q,n", [(4, 5), (3, 7), (6, 7)])
-def test_correspondence_of_a_wrong_map_matches_scalar_oracle(q, n):
-    """Vertex orbits of phi mix cusps; a random alpha joins non-adjacent
-    ones; two disjoint copies of the map cover every edge twice; the right
-    map meets a neighbour table with every index moved on by one; two
-    copies meet a table that lists every neighbour twice."""
+def test_correspondence_of_a_wrong_map_fails(q, n):
+    """Vertex orbits of phi are not the blocks; a random alpha joins
+    non-adjacent coordinates; two re-paired edges meet a neighbour twice;
+    two disjoint copies of the map have every cusp twice; the right map
+    meets a neighbour table with every index moved on by one; two copies
+    meet a table that lists every neighbour twice."""
     p = HeckeParams(q, n)
     group = cached_group(q, n)
     amap = build_algebraic_map(group)
@@ -282,17 +316,39 @@ def test_correspondence_of_a_wrong_map_matches_scalar_oracle(q, n):
                        nbrs=np.sort((graph.nbrs + 1) % graph.codes.size, axis=1))
     doubled = CoordGraph(params=p, codes=graph.codes, nbrs=np.repeat(graph.nbrs, 2, axis=1))
     for g, wrong, wrong_graph, problem, edges_matched in (
-        (group, MapStructure(sigma=amap.phi, alpha=amap.alpha), graph, "has mixed cusps", True),
+        (group, MapStructure(sigma=amap.phi, alpha=amap.alpha), graph,
+         "vertex orbits of sigma are not the blocks of n consecutive elements", True),
         (group, MapStructure(sigma=amap.sigma, alpha=_random_map(rng, amap.darts).alpha), graph,
-         "project to non-adjacent", False),
-        (twice, twice_map, graph, "not a bijection", False),
+         "darts that project to non-adjacent coordinates: ", False),
+        (group, MapStructure(sigma=amap.sigma, alpha=_repaired_alpha(group, amap)), graph,
+         "vertices that meet a neighbour twice: ", False),
+        (twice, twice_map, graph, "cusp map is not a bijection onto the coordinates", False),
         (group, amap, moved, "edge orbits do not project bijectively onto graph edges", False),
-        (twice, twice_map, doubled, "not a bijection", False),
+        (twice, twice_map, doubled, "cusp map is not a bijection onto the coordinates", False),
     ):
         got = correspondence_check(g, wrong, wrong_graph)
-        assert problem in got.problems[0]
+        assert got.ok is False
+        assert got.problems[0].startswith(problem)
         assert got.edges_matched is edges_matched
-        assert vars(got) == vars(oracles.correspondence_check(g, wrong, wrong_graph))
+        # The certificate needs no graph: it refuses every wrong map.
+        assert projection_certificate(g, wrong).ok is (wrong is amap)
+
+
+def test_problem_strings_list_coordinates_sorted():
+    """Dart 0 sits on 1/0; paired with a dart on 0/1 it is the first
+    non-adjacent arc, and its ends print in coordinate order, 0/1 first."""
+    p = HeckeParams(4, 5)
+    group = cached_group(4, 5)
+    amap = build_algebraic_map(group)
+    zero, inf = normalize("A", 0, 1, p), normalize("A", 1, 0, p)
+    heads = [code_coord(c, p) for c in cusp_codes(group.comps[::5], p)]
+    assert heads[0] == inf
+    e = 5 * heads.index(zero)
+    alpha = amap.alpha.copy()
+    alpha[[0, e, amap.alpha[0], amap.alpha[e]]] = [e, 0, amap.alpha[e], amap.alpha[0]]
+    got = projection_certificate(group, MapStructure(sigma=amap.sigma, alpha=alpha))
+    assert got.problems[0].startswith("darts that project to non-adjacent coordinates: ")
+    assert got.problems[0].endswith(f", the first {zero} and {inf}")
 
 
 def test_a_cusp_that_is_no_node_fails_the_edge_match():
@@ -308,7 +364,7 @@ def test_a_cusp_that_is_no_node_fails_the_edge_match():
     )
     assert got.vertex_bijection is False and got.edges_matched is False
     assert got.problems == [
-        "cusp map is not a bijection onto the coordinates",
+        "cusp map is not a bijection onto the graph's nodes",
         "edge orbits do not project bijectively onto graph edges",
     ]
 
