@@ -40,6 +40,7 @@ __all__ = [
     "code_coord",
     "adjacent_codes",
     "cusp_codes",
+    "CuspError",
     "apply_codes",
     "apply_to_coord",
     "is_pole",
@@ -241,13 +242,24 @@ def adjacent_codes(u: np.ndarray, v: np.ndarray, p: HeckeParams) -> np.ndarray:
     return hit if p.q == 3 else hit & (ku != kv)
 
 
+class CuspError(ValueError):
+    """The class rule's error on the first row of a component table whose
+    first column is no cusp; ``row`` is that row's index."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 def cusp_codes(comps: np.ndarray, p: HeckeParams) -> np.ndarray:
     """Codes of g(infinity), read off the first column of each row g of an
-    (N, 8) component table: even [[a, b*sqrt(m)], [c*sqrt(m), d]] give
-    a/(c*sqrt(m)), odd ones the kind-B mirror, q = 3 the plain fraction.
+    (N, 8) component table of any integer dtype: even [[a, b*sqrt(m)],
+    [c*sqrt(m), d]] give a/(c*sqrt(m)), odd ones the kind-B mirror, q = 3
+    the plain fraction.
 
     The first row with no parity pattern, gcd > 1 or a class no cusp
-    reaches raises the ValueError of ``group.parity`` or ``normalize``.
+    reaches raises ``CuspError`` with the message of ``group.parity`` or
+    ``normalize``.
     """
     g = np.asarray(comps, dtype=np.int64)
     if p.q == 3:
@@ -264,9 +276,12 @@ def cusp_codes(comps: np.ndarray, p: HeckeParams) -> np.ndarray:
     bad = ~(patterned & coprime & reached)
     if bad.any():
         i = int(np.argmax(bad))
-        if p.q != 3:
-            parity(g[i], p)
-        normalize(_KINDS[kind[i]], int(num[i]), int(den[i]), p)
+        try:
+            if p.q != 3:
+                parity(g[i], p)
+            normalize(_KINDS[kind[i]], int(num[i]), int(den[i]), p)
+        except ValueError as exc:
+            raise CuspError(str(exc), i) from None
     return codes
 
 

@@ -7,7 +7,7 @@ g with -g yields a finite group; this module computes its order by the
 closed-form index formula, enumerates it, and classifies elements as
 even/odd.  The formula is the group's contract: a group of any other
 size raises ``IndexFormulaError``.  Elements are component rows (see
-``kernels``).
+``kernels``), stored as uint8.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "principal_congruence_index",
     "enumerate_group",
     "FiniteHeckeGroup",
+    "row_dtype",
     "parity",
     "parity_patterns",
     "PermGroup",
@@ -143,26 +144,39 @@ class FiniteHeckeGroup:
     """Enumerated quotient with 0-based element indices v*n + t (see
     ``enumerate_group``).
 
-    Elements are the rows of the (N, 8) component table ``comps``; the
-    identity has index 0.  ``cayley[i]`` holds the indices of i*S and i*T,
-    so ``cayley[0]`` holds those of S and T.  Immutable after construction.
+    Elements are the rows of the (N, 8) component table ``rows``, stored in
+    the smallest unsigned dtype that holds n - 1 (uint8 for every modulus
+    the library takes); ``comps`` widens them to int64.  The identity has
+    index 0.  ``cayley[i]`` holds the indices of i*S and i*T, as int32, so
+    ``cayley[0]`` holds those of S and T.  Immutable after construction.
     """
 
     params: HeckeParams
-    comps: np.ndarray
+    rows: np.ndarray
     cayley: np.ndarray = field(repr=False)
     # The algebraic map, built once by maps.build_algebraic_map.
     _algebraic_map: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def order(self) -> int:
-        return int(self.comps.shape[0])
+        return int(self.rows.shape[0])
+
+    @property
+    def comps(self) -> np.ndarray:
+        """The rows widened to an (N, 8) int64 table: a new array on every
+        call, for readers at small n."""
+        return self.rows.astype(np.int64)
 
 
 # Slots of a, c, b, d in the component rows [[a, b*sqrt(m)], [c*sqrt(m), d]]
 # (kind A), [[a*sqrt(m), b], [c, d*sqrt(m)]] (kind B) and, for q = 3,
 # [[a, b], [c, d]].
 _SLOTS = np.array([(0, 5, 3, 6), (1, 4, 2, 7), (0, 4, 2, 6)])
+
+
+def row_dtype(n: int) -> np.dtype:
+    """Dtype of the component rows mod n: the smallest that holds n - 1."""
+    return np.min_scalar_type(n - 1)
 
 
 def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
@@ -178,6 +192,15 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     alpha.  Both are checked against the general product, which shares
     nothing with the table, and a breadth-first search proves that S and T
     reach every element; a failure raises ``GroupCheckError``.
+
+    One pass over blocks of coordinates (``kernels.coordinate_blocks``)
+    writes each block's rows, in ``row_dtype(n)``, and alpha and sigma, as
+    int32 (N < 2**31 over the whole modulus range).  It keeps the canonical
+    keys of every element and of every g*S, and checks the keys of the
+    block's g*T against those at sigma, which stays in the block since g*T
+    has g's first column.  The keys at alpha, which leaves the block, are
+    compared after the pass.  The group keeps 16 bytes per element, 8 of
+    rows and 8 of Cayley table.
     """
     from .coords import Completion, code_rows, completion_table  # coords imports this module
 
@@ -197,47 +220,65 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
         )
     front = int(np.flatnonzero(tab.codes == n)[0])  # 1/0
     tab = Completion._make(np.roll(col, -front) for col in tab)
-    b, d, codes = tab.second_columns(p)
-    # g*S has first column (b, d) and second column -(a, c), or (-b, -d) and
-    # (a, c) when the class of (b, d) is that of (-b, -d).
-    nbr = code_rows(tab.codes, codes, p)
-    sign = np.where(codes % (n * n) == b * n + d, 1, -1)
-    alpha = nbr * n + sign * (tab.b0[nbr] * tab.c[:, None] - tab.d0[nbr] * tab.a[:, None]) % n
-    alpha = alpha.ravel()
-    sigma = np.arange(1, size * n + 1)
-    sigma[n - 1 :: n] -= n
-    del codes, nbr, sign
-
-    # A row is the lexicographically smaller of g and -g, in the slot order
-    # a, b, c, d of all three forms: the first column's sign settles it
-    # unless a = -a, and then (b, c, d) does.
-    c = np.repeat(tab.c[:, None], n, axis=1)
-    tied = np.flatnonzero(2 * tab.a % n == 0)
-    rest = np.stack([b[tied], c[tied], d[tied]])
-    neg = -rest % n
-    flip = (neg[0] * n + neg[1]) * n + neg[2] < (rest[0] * n + rest[1]) * n + rest[2]
-    b[tied], c[tied], d[tied] = np.where(flip, neg, rest)
-    # One plane per component; comps, their transpose, has contiguous columns.
-    planes = np.zeros((8, size, n), dtype=np.int64)
-    slots = _SLOTS[np.where(p.q == 3, 2, tab.codes // (n * n))]
-    for slot, col in zip(slots.T, (tab.a[:, None], c, b, d)):
-        planes[slot, np.arange(size)] = col
-    comps = planes.reshape(8, -1).T
-    del b, c, d
-
+    # Row of each class code, for the classes of the second columns.
+    row_of = code_rows(tab.codes, np.arange(2 * n * n), p)
     gens = generators(p)
-    keys = kernels.product_keys(comps, IDENTITY, n, m)
-    for name, gen, perm in (("S", gens[0], alpha), ("T", gens[1], sigma)):
-        inside = 0 <= perm.min() and perm.max() < perm.size
-        if not (inside and np.array_equal(kernels.product_keys(comps, gen, n, m), keys[perm])):
-            raise GroupCheckError(
-                f"Cayley table for q={p.q}, n={p.n} disagrees with the product g*{name}"
-            )
+    # One plane per component; rows, their transpose, has contiguous columns.
+    planes = np.zeros((8, size, n), dtype=row_dtype(n))
+    rows = planes.reshape(8, -1).T
+    # cayley, the transpose of (alpha, sigma), has contiguous columns too.
+    alpha, sigma = perms = np.empty((2, size * n), dtype=np.int32)
+    keys = np.empty(size * n, dtype=np.int64)
+    keys_s = np.empty(size * n, dtype=np.int64)
+
+    for block in kernels.coordinate_blocks(size, n):
+        part = Completion._make(col[block] for col in tab)
+        darts = slice(block.start * n, block.stop * n)
+        b, d, codes = part.second_columns(p)
+        # g*S has first column (b, d) and second column -(a, c), or (-b, -d)
+        # and (a, c) when the class of (b, d) is that of (-b, -d).
+        nbr = row_of[codes]
+        sign = np.where(codes % (n * n) == b * n + d, 1, -1)
+        offset = sign * (tab.b0[nbr] * part.c[:, None] - tab.d0[nbr] * part.a[:, None]) % n
+        alpha[darts] = (nbr * n + offset).ravel()
+        del codes, nbr, sign, offset
+        heads = np.arange(darts.start, darts.stop, n)
+        sigma[darts] = (heads[:, None] + (np.arange(n) + 1) % n).ravel()
+
+        # A row is the lexicographically smaller of g and -g, in the slot
+        # order a, b, c, d of all three forms: the first column's sign
+        # settles it unless a = -a, and then (b, c, d) does.
+        c = np.repeat(part.c[:, None], n, axis=1)
+        tied = np.flatnonzero(2 * part.a % n == 0)
+        rest = np.stack([b[tied], c[tied], d[tied]])
+        neg = -rest % n
+        flip = (neg[0] * n + neg[1]) * n + neg[2] < (rest[0] * n + rest[1]) * n + rest[2]
+        b[tied], c[tied], d[tied] = np.where(flip, neg, rest)
+        slots = _SLOTS[np.where(p.q == 3, 2, part.codes // (n * n))]
+        for slot, col in zip(slots.T, (part.a[:, None], c, b, d)):
+            planes[slot, np.arange(block.start, block.stop)] = col
+        del b, c, d
+
+        keys[darts] = kernels.product_keys(rows[darts], IDENTITY, n, m)
+        keys_s[darts] = kernels.product_keys(rows[darts], gens[0], n, m)
+        at = sigma[darts]
+        inside = darts.start <= at.min() and at.max() < darts.stop
+        if not (inside and np.array_equal(
+                kernels.product_keys(rows[darts], gens[1], n, m), keys[at])):
+            raise GroupCheckError(_product_error(p, "T"))
+    inside = 0 <= alpha.min() and alpha.max() < alpha.size
+    if not (inside and np.array_equal(keys_s, keys[alpha])):
+        raise GroupCheckError(_product_error(p, "S"))
+    del keys, keys_s
     # sigma cycles through each coordinate's n elements, so S and T reach
     # every element when alpha joins the coordinates into one graph.
     if kernels.breadth_first_tree((alpha // n).reshape(size, n)).size != size - 1:
         raise GroupCheckError(f"S and T do not generate the group for q={p.q}, n={p.n}")
-    return FiniteHeckeGroup(params=p, comps=comps, cayley=np.stack([alpha, sigma], axis=1))
+    return FiniteHeckeGroup(params=p, rows=rows, cayley=perms.T)
+
+
+def _product_error(p: HeckeParams, name: str) -> str:
+    return f"Cayley table for q={p.q}, n={p.n} disagrees with the product g*{name}"
 
 
 @lru_cache(maxsize=32)

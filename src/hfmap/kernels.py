@@ -3,16 +3,21 @@ one breadth-first search.
 
 Every group element in the library is a component row: 8 residues in
 [0, n) in the scan order e11.rat, e11.irr, e12.rat, e12.irr, e21.rat,
-e21.irr, e22.rat, e22.irr.  ``mat_mul_exact`` is the only place the matrix
-product is written out; it works on tuples of Python ints (exact, used by
-the renderer over Z) and on component arrays (reduced mod n by
-``mat_mul_components``).  Right multiplication by a fixed g is linear in the
-row, so ``right_mult_map`` turns it into an 8x8 integer matrix built by
-``mat_mul_exact`` from the 8 unit rows.  The 8 residues as base-n digits,
-most significant first, are an int64 key, and min(key(g), key(-g)) is the
-canonical projective key that ``product_keys`` gives the group's check of
-its Cayley table.  ``breadth_first_tree`` serves the group's connectivity
-pass and the coset-domain spanning tree.
+e21.irr, e22.rat, e22.irr.  The group stores its rows in the smallest
+unsigned dtype that holds n - 1 (uint8 over the whole modulus range), and
+every reader here widens them to int64 before it does arithmetic.
+``mat_mul_exact`` is the only place the matrix product is written out; it
+works on tuples of Python ints (exact, used by the renderer over Z) and on
+component arrays (reduced mod n by ``mat_mul_components``).  Right
+multiplication by a fixed g is linear in the row, so ``right_mult_map``
+turns it into an 8x8 integer matrix built by ``mat_mul_exact`` from the 8
+unit rows.  The 8 residues as base-n digits, most significant first, are
+an int64 key, and min(key(g), key(-g)) is the canonical projective key
+that ``product_keys`` gives the group's check of its Cayley table.
+``breadth_first_tree`` serves the group's connectivity pass and the
+coset-domain spanning tree.  ``coordinate_blocks`` cuts every pass over
+whole coordinates (n darts each) into blocks of at most ``CHUNK_DARTS``
+darts, so that its temporaries stay small at every modulus.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import numpy as np
 
 __all__ = [
     "MAX_MODULUS",
+    "CHUNK_DARTS",
+    "coordinate_blocks",
     "mat_mul_exact",
     "mat_mul_components",
     "right_mult_map",
@@ -34,10 +41,21 @@ __all__ = [
 # a row times a right_mult_map, are far smaller.
 MAX_MODULUS = 234
 
+# Darts per block of the passes over whole coordinates: the group's
+# construction and check, the coordinate graph and the map certificate.
+CHUNK_DARTS = 1 << 16
+
 
 def _check_modulus(n: int) -> None:
     if not 3 <= n <= MAX_MODULUS:
         raise ValueError(f"modulus {n} outside supported range [3, {MAX_MODULUS}]")
+
+
+def coordinate_blocks(size: int, n: int) -> list[slice]:
+    """Slices of size coordinates of n darts each, in order, each of
+    CHUNK_DARTS darts or fewer, or of one coordinate when n is larger."""
+    step = max(1, CHUNK_DARTS // n)
+    return [slice(lo, min(lo + step, size)) for lo in range(0, size, step)]
 
 
 def _digit_weights(n: int) -> np.ndarray:
@@ -84,27 +102,29 @@ def right_mult_map(g: np.ndarray, n: int, m: int) -> np.ndarray:
     return mat_mul_components(np.eye(8, dtype=np.int64), g, n, m)
 
 
-def product_keys(comps: np.ndarray, g, n: int, m: int) -> np.ndarray:
+def product_keys(rows: np.ndarray, g, n: int, m: int) -> np.ndarray:
     """Canonical keys min(key(h), key(-h)) of the products h of the rows of
-    an (N, 8) component table with g.
+    an (N, 8) component table, of any integer dtype, with g.
 
-    Component j of h sums comps[:, k] * M[k, j] over the nonzero entries of
+    Component j of h sums rows[:, k] * M[k, j] over the nonzero entries of
     M = right_mult_map(g), as signed residues: one or two per column, each
     1, -1 or m, for S, T and the identity, and a lone 1 copies a reduced
-    component.  key(-h) sums (n - c) n**place over the nonzero digits c, so
-    both keys build up a column at a time, with no (N, 8) product.
+    component.  Every column read is widened to int64 by the products,
+    which are taken in int64.  key(-h) sums (n - c) n**place over the
+    nonzero digits c, so both keys build up a column at a time, with no
+    (N, 8) product.
     """
     mat = right_mult_map(np.asarray(g, dtype=np.int64), n, m)
     mat = np.where(mat > n // 2, mat - n, mat)
-    key = np.zeros(comps.shape[0], dtype=np.int64)
-    nonzero = np.zeros(comps.shape[0], dtype=np.int64)
+    key = np.zeros(rows.shape[0], dtype=np.int64)
+    nonzero = np.zeros(rows.shape[0], dtype=np.int64)
     for j, weight in enumerate(_digit_weights(n).tolist()):
-        terms = [(comps[:, k], int(mat[k, j])) for k in np.flatnonzero(mat[:, j]).tolist()]
+        terms = [(rows[:, k], int(mat[k, j])) for k in np.flatnonzero(mat[:, j]).tolist()]
         if len(terms) == 1 and terms[0][1] == 1:
             digit = terms[0][0]
         else:
-            digit = sum(col * entry for col, entry in terms) % n
-        key += digit * weight
+            digit = sum(np.multiply(col, entry, dtype=np.int64) for col, entry in terms) % n
+        key += np.multiply(digit, weight, dtype=np.int64)
         np.add(nonzero, weight, out=nonzero, where=digit != 0)
     return np.minimum(key, n * nonzero - key)
 

@@ -16,6 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .coords import (
+    Completion,
+    CuspError,
     HFCoord,
     adjacent_codes,
     code_coord,
@@ -25,6 +27,7 @@ from .coords import (
     cusp_codes,
 )
 from .group import FiniteHeckeGroup, HeckeParams, PermGroup
+from .kernels import coordinate_blocks
 
 __all__ = [
     "MapStructure",
@@ -49,9 +52,10 @@ def _orbit_labels(perm: np.ndarray) -> np.ndarray:
 
     After k rounds label[i] is the minimum over i, perm(i), ...,
     perm^(2^k - 1)(i); once a round changes nothing every label is its
-    orbit's minimum.  ``tests/oracles.py`` walks the orbits as the reference.
+    orbit's minimum.  The labels have the dtype of perm.
+    ``tests/oracles.py`` walks the orbits as the reference.
     """
-    label = np.arange(perm.shape[0], dtype=np.int64)
+    label = np.arange(perm.shape[0], dtype=perm.dtype)
     step = perm
     while True:
         nxt = np.minimum(label, label[step])
@@ -233,10 +237,17 @@ def build_coordinate_graph(p: HeckeParams) -> CoordGraph:
 
     A node's neighbours are the classes of the n second columns that
     complete its first column (see ``coords.completion_table``), which are
-    the classes the edge test ``adjacent_codes`` accepts.
+    the classes the edge test ``adjacent_codes`` accepts.  The second
+    columns are taken a block of nodes at a time
+    (``kernels.coordinate_blocks``), and only their classes' rows are kept.
     """
     table = completion_table(p)
-    nbrs = code_rows(table.codes, table.second_columns(p)[2], p)
+    n = p.n
+    row_of = code_rows(table.codes, np.arange(2 * n * n), p)
+    nbrs = np.empty((table.codes.size, n), dtype=np.int64)
+    for block in coordinate_blocks(table.codes.size, n):
+        part = Completion._make(col[block] for col in table)
+        nbrs[block] = row_of[part.second_columns(p)[2]]
     nbrs.sort(axis=1)
     return CoordGraph(params=p, codes=table.codes, nbrs=nbrs)
 
@@ -256,11 +267,6 @@ class CorrespondenceReport:
     problems: list[str]
 
 
-# Darts per chunk of the certificate's rule and distinctness passes, so that
-# their temporaries stay small at every modulus.
-CHUNK_DARTS = 1 << 16
-
-
 def projection_certificate(group: FiniteHeckeGroup, amap: MapStructure) -> CorrespondenceReport:
     """Certify that g -> g(infinity) carries the dart model onto the rule
     graph, in the element numbering v*n + t of ``enumerate_group``.
@@ -276,9 +282,18 @@ def projection_certificate(group: FiniteHeckeGroup, amap: MapStructure) -> Corre
     The rule graph is n-regular (see ``coords.completion_table``), so by
     (c) and (d) the n darts of a vertex are its n arcs, and with (a) and (b)
     the projection is a bijection onto the graph.  Only the head rows go
-    through the class rule of ``cusp_codes``; (c) and (d) run over chunks of
-    CHUNK_DARTS darts.  Reads only ``params`` and ``comps`` of the group.
+    through the class rule of ``cusp_codes``, and a head that is no cusp is
+    one problem that names the first such head; (c) and (d) run over the
+    blocks of ``kernels.coordinate_blocks``.  Reads only ``params`` and
+    ``rows`` of the group.
     """
+    return _certificate(group, amap)[0]
+
+
+def _certificate(group: FiniteHeckeGroup,
+                 amap: MapStructure) -> tuple[CorrespondenceReport, np.ndarray | None]:
+    """``projection_certificate``, and the int32 cusp codes of the block
+    heads, or None when a head is no cusp."""
     p = group.params
     n = p.n
     size = amap.darts // n
@@ -286,40 +301,49 @@ def projection_certificate(group: FiniteHeckeGroup, amap: MapStructure) -> Corre
 
     # (a) and (b): vertex orbits, their first columns and their cusps.
     label = amap.vertex_labels
+    vertex_count = int(np.count_nonzero(label == np.arange(label.size)))
     blocks = bool(np.all(label.reshape(size, n) == np.arange(0, size * n, n)[:, None]))
     if not blocks:
         problems.append("vertex orbits of sigma are not the blocks of n consecutive elements")
     # The first column is in slots 0, 1 (a) and 4, 5 (c) of a row; a row
     # that differs from its block head's may hold its negative.
+    rows = group.rows
     slots = [0, 1, 4, 5]
     differ = np.zeros((size, n), dtype=bool)
     for slot in slots:
-        col = group.comps[:, slot].reshape(size, n)
+        col = rows[:, slot].reshape(size, n)
         differ |= col != col[:, :1]
     moved = np.flatnonzero(differ)
-    heads = group.comps[moved - moved % n][:, slots]
-    moved = moved[np.any(group.comps[moved][:, slots] != -heads % n, axis=1)]
+    # Negated in a signed dtype: the rows may be unsigned.
+    heads = rows[moved - moved % n][:, slots].astype(np.int64)
+    moved = moved[np.any(rows[moved][:, slots] != -heads % n, axis=1)]
     if moved.size:
         problems.append(
             f"elements whose first column is not their block head's: {moved.size}, "
             f"the first {moved[0]}"
         )
-    # Codes are below 2*n*n < 2**31: the rule runs in int32.
-    codes = cusp_codes(group.comps[::n], p).astype(np.int32)
+    try:
+        # Codes are below 2*n*n < 2**31: the rule runs in int32.
+        codes = cusp_codes(rows[::n], p).astype(np.int32)
+    except CuspError as exc:
+        problems.append(f"block heads that are no cusp, the first {exc.row * n}: {exc}")
+        return CorrespondenceReport(
+            ok=False, vertex_bijection=False, edges_matched=False,
+            vertex_count=vertex_count, edge_count=0, problems=problems,
+        ), None
     bijection = np.array_equal(np.sort(codes), coordinate_codes(p))
     if not bijection:
         problems.append("cusp map is not a bijection onto the coordinates")
 
-    # (c) and (d): the arcs of each vertex, a chunk of whole rows at a time.
+    # (c) and (d): the arcs of each vertex, a block of whole rows at a time.
     alpha = amap.alpha.reshape(size, n)
-    step = max(1, CHUNK_DARTS // n)
     far, twice = [], []
-    for lo in range(0, size, step):
-        nbr = alpha[lo:lo + step] // n
-        adj = adjacent_codes(codes[lo:lo + step, None], codes[nbr], p)
-        far.append(lo * n + np.flatnonzero(~adj))
+    for block in coordinate_blocks(size, n):
+        nbr = alpha[block] // n
+        adj = adjacent_codes(codes[block, None], codes[nbr], p)
+        far.append(block.start * n + np.flatnonzero(~adj))
         nbr.sort(axis=1)
-        twice.append(lo + np.flatnonzero((nbr[:, 1:] == nbr[:, :-1]).any(axis=1)))
+        twice.append(block.start + np.flatnonzero((nbr[:, 1:] == nbr[:, :-1]).any(axis=1)))
     far, twice = np.concatenate(far), np.concatenate(twice)
     if far.size:
         d = int(far[0])
@@ -338,11 +362,11 @@ def projection_certificate(group: FiniteHeckeGroup, amap: MapStructure) -> Corre
         ok=not problems,
         vertex_bijection=blocks and not moved.size and bijection,
         edges_matched=not (far.size or twice.size),
-        vertex_count=int(np.count_nonzero(label == np.arange(label.size))),
+        vertex_count=vertex_count,
         # Both darts of an edge pass the symmetric rule or both fail it.
         edge_count=(amap.darts - far.size) // 2,
         problems=problems,
-    )
+    ), codes
 
 
 def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
@@ -352,9 +376,10 @@ def correspondence_check(group: FiniteHeckeGroup, amap: MapStructure,
     (V, n) table alpha // n is ``graph.nbrs`` row for row."""
     p = group.params
     n = p.n
-    rep = projection_certificate(group, amap)
+    rep, codes = _certificate(group, amap)
+    if codes is None:
+        return rep
     problems = list(rep.problems)
-    codes = cusp_codes(group.comps[::n], p)
     nodes = matched = np.array_equal(np.sort(codes), graph.codes)
     if nodes:
         rows = code_rows(graph.codes, codes, p)

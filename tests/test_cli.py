@@ -138,6 +138,28 @@ def test_map_with_a_failing_rule_exits_1(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_map_with_a_corrupted_block_head_exits_1(capsys, monkeypatch):
+    """A block head that is no cusp fails the certificate: exit 1, not the
+    usage error's 2, with one error line that names the head."""
+    build = group.enumerate_group
+
+    def corrupted(p):
+        built = build(p)
+        rows = built.rows.copy()
+        rows[p.n] = [1, 1, 0, 0, 0, 0, 1, 0]  # both irrational slots of one column
+        return group.FiniteHeckeGroup(p, rows, built.cayley)
+
+    monkeypatch.setattr("hfmap.cli.enumerate_group", corrupted)
+    code, out, err = run(capsys, "map", "--q", "4", "--n", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert err.endswith(
+        "block heads that are no cusp, the first 5: component row "
+        "[1, 1, 0, 0, 0, 0, 1, 0] matches no parity pattern; corrupted element\n"
+    )
+    assert err.count("\n") == 1
+
+
 def test_map_counts_each_orbit_kind_once(capsys, monkeypatch):
     counted = []
     orbit_labels = maps._orbit_labels

@@ -6,7 +6,7 @@ import numpy as np
 import oracles
 import pytest
 
-from hfmap import coords, group as group_module
+from hfmap import coords, kernels, group as group_module
 from hfmap.cli import main
 from hfmap.coords import adjacent_codes, completion_table, coordinate_codes
 from hfmap.group import (
@@ -16,7 +16,7 @@ from hfmap.group import (
     generators,
     principal_congruence_index,
 )
-from hfmap.maps import build_algebraic_map, build_coordinate_graph
+from hfmap.maps import build_algebraic_map, build_coordinate_graph, projection_certificate
 
 # n prime, composite, even, and divisible by m = 2 or 3, at every q.
 GROUP_CASES = [
@@ -104,3 +104,84 @@ def test_disconnected_table_is_caught(monkeypatch):
     monkeypatch.setattr(group_module.kernels, "breadth_first_tree", lambda nbrs: nbrs[:0, 0])
     with pytest.raises(GroupCheckError, match="do not generate"):
         enumerate_group(HeckeParams(4, 5))
+
+
+# n odd and even at every q.
+BLOCK_CASES = [(3, 7), (3, 8), (4, 9), (4, 6), (6, 7), (6, 12)]
+
+
+@pytest.mark.parametrize("q,n", BLOCK_CASES)
+def test_blocks_of_one_coordinate_build_the_same_group(q, n, monkeypatch):
+    """One block and one block per coordinate give the same bytes: the
+    table, the Cayley table and the coordinate graph; the certificate holds."""
+    p = HeckeParams(q, n)
+    whole, graph = enumerate_group(p), build_coordinate_graph(p)
+    size = whole.order // n
+    assert len(kernels.coordinate_blocks(size, n)) == 1
+    monkeypatch.setattr(kernels, "CHUNK_DARTS", n)
+    assert kernels.coordinate_blocks(size, n) == [slice(v, v + 1) for v in range(size)]
+    blocked = enumerate_group(p)
+    for ours, want in ((blocked.rows, whole.rows), (blocked.cayley, whole.cayley),
+                       (build_coordinate_graph(p).nbrs, graph.nbrs)):
+        assert ours.dtype == want.dtype and ours.shape == want.shape
+        assert ours.tobytes() == want.tobytes()
+    assert projection_certificate(blocked, build_algebraic_map(blocked)).ok
+
+
+def test_alpha_corrupted_in_the_last_block_is_caught(monkeypatch):
+    """The classes of the last block's second columns rolled by one offset:
+    alpha sends those darts to other neighbours, the rows stay right, and
+    the check after the pass refuses the table."""
+    p = HeckeParams(4, 9)
+    size = principal_congruence_index(p) // p.n
+    monkeypatch.setattr(kernels, "CHUNK_DARTS", p.n)
+    calls = []
+    second_columns = coords.Completion.second_columns
+
+    def last_rolled(self, p):
+        b, d, codes = second_columns(self, p)
+        calls.append(self.codes.tolist())
+        if len(calls) == size:
+            codes = np.roll(codes, 1, axis=1)
+        return b, d, codes
+
+    monkeypatch.setattr(coords.Completion, "second_columns", last_rolled)
+    with pytest.raises(GroupCheckError, match=r"disagrees with the product g\*S"):
+        enumerate_group(p)
+    assert len(calls) == size and all(len(codes) == 1 for codes in calls)
+
+
+@pytest.mark.parametrize("power", [2, -1])
+def test_a_wrong_t_step_is_caught(power, monkeypatch):
+    """With T**2 or T**-1 in place of T, sigma is no longer the step g -> g*T
+    of the generator the check multiplies by, in any block."""
+    gens = group_module.generators
+
+    def wrong_t(p):
+        s, t, r = gens(p)
+        step = t
+        for _ in range(power % p.n - 1):
+            step = kernels.mat_mul_components(step, t, p.n, p.m)
+        return np.stack([s, step, r])
+
+    monkeypatch.setattr(group_module, "generators", wrong_t)
+    for chunk in (kernels.CHUNK_DARTS, 7):
+        monkeypatch.setattr(kernels, "CHUNK_DARTS", chunk)
+        with pytest.raises(GroupCheckError, match=r"disagrees with the product g\*T"):
+            enumerate_group(HeckeParams(4, 7))
+
+
+def test_group_dtypes_over_the_whole_modulus_range():
+    """uint8 rows and int32 Cayley entries up to kernels.MAX_MODULUS, read
+    off the dtype rule and the index formula at (4, 233) and at the top,
+    and off a small group."""
+    top = kernels.MAX_MODULUS
+    assert group_module.row_dtype(233) == group_module.row_dtype(top) == np.uint8
+    assert group_module.row_dtype(3) == np.uint8
+    assert principal_congruence_index(HeckeParams(4, 233)) == 12_649_104
+    assert max(
+        principal_congruence_index(HeckeParams(q, n)) for q in (3, 4, 6) for n in range(3, top + 1)
+    ) <= top**3 < np.iinfo(np.int32).max
+    group = enumerate_group(HeckeParams(4, 5))
+    assert group.rows.dtype == np.uint8 and group.cayley.dtype == np.int32
+    assert group.comps.dtype == np.int64 and np.array_equal(group.comps, group.rows)

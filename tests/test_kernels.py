@@ -6,8 +6,15 @@ import oracles
 import pytest
 from conftest import as_matrix
 
-from hfmap import kernels
-from hfmap.group import HeckeParams, enumerate_group, generators, principal_congruence_index
+from hfmap import group as group_module, kernels
+from hfmap.coords import CuspError, coordinate_codes, cusp_codes
+from hfmap.group import (
+    HeckeParams,
+    enumerate_group,
+    generators,
+    parity_patterns,
+    principal_congruence_index,
+)
 
 IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
 from ring import RingParams, canonicalize, identity_matrix, mat_mul
@@ -33,6 +40,40 @@ def test_max_modulus_is_the_int64_bound():
     for g in (IDENTITY, *generators(HeckeParams(6, n))[:2]):
         want = oracles.right_mult_keys(rows, g, n, 3)
         assert np.array_equal(kernels.product_keys(rows, g, n, 3), want)
+
+
+@pytest.mark.parametrize("q,n", [(3, 7), (4, 101), (3, 234), (4, 234), (6, 234)])
+def test_readers_agree_on_a_uint8_table(q, n):
+    """The group stores its rows as uint8: every reader of the table gives
+    on it what it gives on the int64 widening, residues up to n - 1."""
+    p = HeckeParams(q, n)
+    rng = np.random.default_rng(n + q)
+    wide = rng.integers(0, n, size=(2000, 8))
+    wide[0] = n - 1
+    assert group_module.row_dtype(n) == np.uint8
+    narrow = wide.astype(np.uint8)
+    for g in (IDENTITY, *generators(p)):
+        got = kernels.product_keys(narrow, g, n, p.m)
+        assert np.array_equal(got, kernels.product_keys(wide, g, n, p.m))
+        assert np.array_equal(got, oracles.right_mult_keys(wide, g, n, p.m))
+    for ours, want in zip(parity_patterns(narrow), parity_patterns(wide)):
+        assert np.array_equal(ours, want)
+    errors = []
+    for rows in (narrow, wide):
+        with pytest.raises(CuspError) as exc:
+            cusp_codes(rows, p)
+        errors.append((str(exc.value), exc.value.row))
+    assert errors[0] == errors[1]
+    # Rows whose first column is a coordinate, in the slots of its kind,
+    # with the rest of the pattern random: every row is a cusp.
+    codes = rng.choice(coordinate_codes(p), size=2000)
+    kind, rest = np.divmod(codes, n * n)
+    slots = group_module._SLOTS[np.where(q == 3, 2, kind)]
+    cols = np.stack([rest // n, rest % n, *rng.integers(0, n, size=(2, 2000))], axis=-1)
+    wide = np.zeros((2000, 8), dtype=np.int64)
+    np.put_along_axis(wide, slots, cols, axis=-1)
+    assert np.array_equal(cusp_codes(wide.astype(np.uint8), p), codes)
+    assert np.array_equal(cusp_codes(wide, p), codes)
 
 
 def test_canonical_key_matches_reference():

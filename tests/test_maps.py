@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -20,6 +21,7 @@ from hfmap.maps import (
     invariants_json,
     is_isomorphic,
     permutation_model_map,
+    projection_certificate,
 )
 
 
@@ -191,3 +193,21 @@ def test_map_completes_the_coordinates_once(capsys, monkeypatch):
         assert main(["map", "--q", str(q), "--n", str(n)]) == 0
     capsys.readouterr()
     assert calls == {HeckeParams(4, 5): 1, HeckeParams(4, 6): 1, HeckeParams(3, 7): 1}
+
+
+def test_map_memory_per_dart_is_bounded():
+    """The traced peak of the group, its invariants and the certificate at
+    (4, 53) is about 66 bytes per dart: uint8 rows, int32 permutations and
+    labels, and temporaries of one block.  An (N, 8) int64 table built
+    whole took 139."""
+    enumerate_group(HeckeParams(4, 5))  # imports and lazy set-up first
+    tracemalloc.start()
+    try:
+        group = enumerate_group(HeckeParams(4, 53))
+        amap = build_algebraic_map(group)
+        amap.invariants()
+        assert projection_certificate(group, amap).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * group.order

@@ -165,27 +165,35 @@ def _scalar_error(rows, p):
 def test_corrupted_row_raises_the_scalar_error(q, n):
     p = HeckeParams(q, n)
     group = cached_group(q, n)
-    rows = group.comps.copy()
+    rows = group.rows.copy()
     rows[7] = [1, 1, 0, 0, 0, 0, 1, 0]  # both irrational slots of one column
     message = _scalar_error(rows, p)
     assert "matches no parity pattern" in message
     with pytest.raises(ValueError) as exc:
         cusp_codes(rows, p)
     assert str(exc.value) == message
-    # correspondence_check reads only params and comps of the group.  A
-    # block head goes through the class rule and raises its error; any
-    # other row is read back against its head's first column.
+    # correspondence_check reads only params and rows of the group.  A
+    # block head goes through the class rule, and one that is no cusp is
+    # a problem that names it; any other row is read back against its
+    # head's first column.
     amap = build_algebraic_map(group)
     graph = build_coordinate_graph(p)
-    got = correspondence_check(SimpleNamespace(params=p, comps=rows), amap, graph)
+    got = correspondence_check(SimpleNamespace(params=p, rows=rows), amap, graph)
     assert got.ok is False and got.vertex_bijection is False and got.edges_matched
     assert got.problems == [
         "elements whose first column is not their block head's: 1, the first 7"
     ]
-    rows = group.comps.copy()
+    rows = group.rows.copy()
     rows[n] = [1, 1, 0, 0, 0, 0, 1, 0]
-    with pytest.raises(ValueError, match="matches no parity pattern"):
-        correspondence_check(SimpleNamespace(params=p, comps=rows), amap, graph)
+    message = _scalar_error(rows[n:n + 1], p)
+    assert "matches no parity pattern" in message
+    for check in (projection_certificate, lambda g, a: correspondence_check(g, a, graph)):
+        got = check(SimpleNamespace(params=p, rows=rows), amap)
+        assert got.ok is False and got.vertex_bijection is False
+        assert got.problems == [
+            f"elements whose first column is not their block head's: {n - 1}, the first {n + 1}",
+            f"block heads that are no cusp, the first {n}: {message}",
+        ]
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -309,7 +317,7 @@ def test_correspondence_of_a_wrong_map_fails(q, n):
     amap = build_algebraic_map(group)
     graph = build_coordinate_graph(p)
     rng = np.random.default_rng(n)
-    twice = SimpleNamespace(params=p, comps=np.concatenate([group.comps, group.comps]))
+    twice = SimpleNamespace(params=p, rows=np.concatenate([group.rows, group.rows]))
     twice_map = MapStructure(sigma=np.concatenate([amap.sigma, amap.sigma + amap.darts]),
                              alpha=np.concatenate([amap.alpha, amap.alpha + amap.darts]))
     moved = CoordGraph(params=p, codes=graph.codes,
