@@ -130,33 +130,28 @@ def product_keys(rows: np.ndarray, g, n: int, m: int) -> np.ndarray:
 
 
 def breadth_first_tree(nbrs: np.ndarray) -> np.ndarray:
-    """Tree edges of the breadth-first search from node 0, where node i has
-    the neighbours nbrs[i, 0], nbrs[i, 1], ...: the flat indices i*k + j
-    into the (N, k) table of the edges that first reach a node, level by
-    level.  Each node is reached across its first discovery in (frontier
-    order, column order), as a FIFO queue reaches it.  The graph is
-    connected exactly when the tree has N - 1 edges.
+    """Tree edges of a breadth-first spanning tree from node 0, where node i
+    has the neighbours nbrs[i, 0], nbrs[i, 1], ...: the flat indices i*k + j
+    into the (N, k) table of one edge into each newly reached node, level by
+    level.  Any spanning tree serves both callers.  Which edge reaches a
+    node when several do is not specified, but it is fixed for a given
+    input.  The graph is connected exactly when the tree has N - 1 edges.
     """
     size, k = nbrs.shape
-    flat = nbrs.ravel().astype(np.int64, copy=False)
+    flat = nbrs.ravel()
     seen = np.zeros(size, dtype=bool)
     seen[0] = True
+    via = np.empty(size, dtype=np.int64)
     frontier = np.zeros(1, dtype=np.int64)
     tree = [frontier[:0]]
     while frontier.size:
-        cand = (k * frontier[:, None] + np.arange(k)).ravel()
+        cand = (np.multiply(frontier, k, dtype=np.int64)[:, None] + np.arange(k)).ravel()
         reached = flat[cand]
         new = ~seen[reached]
         cand, reached = cand[new], reached[new]
-        # Sorted, the codes node * count + position put the first discovery
-        # of each node first; one sort of int64 codes beats a stable argsort.
-        count = cand.size
-        ranked = np.sort(reached * count + np.arange(count))
-        node = ranked // count
-        first = np.ones(count, dtype=bool)
-        first[1:] = node[1:] != node[:-1]
-        cand = cand[np.sort(ranked[first] - node[first] * count)]
-        frontier = flat[cand]
+        via[reached] = cand
+        keep = via[reached] == cand
+        cand, frontier = cand[keep], reached[keep]
         seen[frontier] = True
         tree.append(cand)
     return np.concatenate(tree)

@@ -417,7 +417,7 @@ def coset_domain_check(group: FiniteHeckeGroup) -> CosetDomainReport:
 
     Each group element is a tile shaped like the standard fundamental region:
     sides L, arc1, arc2, R in boundary order, with R(g) glued to L(g*T) and
-    arc1(g) to arc2(g*S).  Gluing tiles along a BFS spanning tree yields a
+    arc1(g) to arc2(g*S).  Gluing tiles along any spanning tree yields a
     disk; walking its boundary gives one big polygon whose sides are paired
     by the leftover gluings (all of which are trivial in the quotient, i.e.
     lie in the congruence kernel).  Corner identification then computes the
@@ -452,12 +452,14 @@ def _glued_domain(sigma: np.ndarray, alpha: np.ndarray) -> tuple[int, MapStructu
     """Tree edges of the disk glued from tiles g -> g*T, g*S, and its
     boundary polygon as a map.
 
-    Side 4*g + k is side k (L=0, arc1=1, arc2=2, R=3, in boundary order)
-    of tile g.  The polygon's darts are the boundary sides, renumbered
-    0..B-1 in side order, and alpha pairs them.  Gluing sides i and j
-    identifies corner i with j+1 and i+1 with j, so sigma takes side s to
-    the successor of its partner.  phi = alpha o sigma is conjugate to the
-    successor: one face means the boundary walk covers every side.
+    Any spanning tree of the tiles serves: the disk's counts do not depend
+    on which one ``breadth_first_tree`` returns.  Side 4*g + k is side k
+    (L=0, arc1=1, arc2=2, R=3, in boundary order) of tile g.  The polygon's
+    darts are the boundary sides, renumbered 0..B-1 in side order, and
+    alpha pairs them.  Gluing sides i and j identifies corner i with j+1
+    and i+1 with j, so sigma takes side s to the successor of its partner.
+    phi = alpha o sigma is conjugate to the successor: one face means the
+    boundary walk covers every side.
     """
     size = sigma.shape[0]
     sides = 4 * size
@@ -469,12 +471,9 @@ def _glued_domain(sigma: np.ndarray, alpha: np.ndarray) -> tuple[int, MapStructu
     crossed = np.stack([sigma_inv, alpha, alpha, sigma], axis=1).ravel()
     partner = 4 * crossed + np.tile(np.array([3, 2, 1, 0], dtype=np.int64), size)
 
-    # The breadth-first spanning tree of the tiles crosses sides in the order
-    # R, L, arc1, arc2, so its edge 4*g + j crosses side (j - 1) mod 4.
-    found = breadth_first_tree(np.roll(crossed.reshape(size, 4), 1, axis=1))
-    if found.size != size - 1:
+    cand = breadth_first_tree(crossed.reshape(size, 4))
+    if cand.size != size - 1:
         raise RuntimeError("tile graph is disconnected")
-    cand = found - found % 4 + (found + 3) % 4
     tree = np.zeros(sides, dtype=bool)
     tree[cand] = True
     tree[partner[cand]] = True
@@ -517,7 +516,10 @@ def parse_pairing_text(text: str) -> PairingTable:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected two side numbers, got {raw!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ValueError(f"line {lineno}: side numbers must be integers, got {raw!r}") from None
     return PairingTable(pairs=tuple(pairs))
 
 

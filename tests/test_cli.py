@@ -431,6 +431,15 @@ def test_missing_pairing_file_exits_2(capsys, tmp_path):
     assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
+@pytest.mark.parametrize("command", ["polygon", "verify", "render polygon"])
+def test_pairing_with_a_non_integer_side_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "pairing.txt"
+    path.write_text("# one bad line\n1 x\n")
+    code, out, err = run(capsys, *command.split(), "--pairing", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: side numbers must be integers, got '1 x'\n"
+
+
 def test_closed_stdout_pipe_exits_141():
     """A reader that stops early (``| head -1``) ends the listing quietly,
     with the exit status of a process killed by SIGPIPE."""

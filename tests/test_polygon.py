@@ -323,6 +323,8 @@ def test_pairing_text_roundtrip():
     assert parse_pairing_text(commented) == t
     with pytest.raises(ValueError):
         parse_pairing_text("1 2 3\n")
+    with pytest.raises(ValueError, match=r"^line 2: side numbers must be integers, got '3 4.5'$"):
+        parse_pairing_text("1 2\n3 4.5\n")
 
 
 def _rows(circuit, p):

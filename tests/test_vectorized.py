@@ -14,7 +14,7 @@ import numpy as np
 import oracles
 import pytest
 
-from hfmap import cli, render
+from hfmap import cli, kernels, polygon, render
 from hfmap.coords import (
     adjacent_codes,
     apply_codes,
@@ -386,6 +386,28 @@ def test_coset_domain_matches_scalar_oracle(q, n):
     got = coset_domain_check(group)
     assert vars(got) == vars(oracles.coset_domain_check(group))
     assert got.matches_map
+
+
+@pytest.mark.parametrize("q,n", DOMAIN_CASES[::5])
+def test_coset_domain_does_not_depend_on_the_tree(monkeypatch, q, n):
+    """Another spanning tree of the tiles, the one found with the columns of
+    the tile table reversed, glues a disk with the same counts."""
+    group = cached_group(q, n)
+    want = vars(coset_domain_check(group))
+    calls = []
+
+    def reversed_tree(nbrs):
+        found = kernels.breadth_first_tree(nbrs[:, ::-1])
+        tree = found - 2 * (found % 4) + 3
+        assert set(tree.tolist()) != set(kernels.breadth_first_tree(nbrs).tolist())
+        calls.append(tree.size)
+        return tree
+
+    monkeypatch.setattr(polygon, "breadth_first_tree", reversed_tree)
+    assert vars(coset_domain_check(group)) == want
+    amap = build_algebraic_map(group)
+    assert _glued_domain(amap.sigma, amap.alpha)[1].invariants().faces == 1
+    assert calls == [group.order - 1] * 2
 
 
 def _connected_map(rng, darts):
