@@ -5,6 +5,15 @@ vertex, alpha swaps the two darts of an edge.  Faces are the orbits of
 phi(d) = alpha(sigma(d)).  For the algebraic model the darts are the group
 elements themselves, with sigma(g) = g*T and alpha(g) = g*S acting by right
 multiplication, so left multiplication realizes the automorphisms.
+
+The counts read the structure each map is built with.  alpha is checked at
+construction to be a fixed-point-free involution, so E = darts / 2.  When
+sigma steps each block of k consecutive darts round by one
+(``MapStructure.block_width``), as ``enumerate_group`` numbers the algebraic
+map's elements, V = darts / k, every valency is k, and phi is alpha with
+each block rolled by one, taken without a gather.  Any other sigma (the
+polygons of ``polygon``, the degree-5 model) has its vertices counted from
+orbit labels.  The faces are always counted from the labels of phi.
 """
 
 from __future__ import annotations
@@ -95,8 +104,8 @@ class MapInvariants:
 class MapStructure:
     """Dart system (sigma, alpha) with phi = alpha o sigma.
 
-    The orbit labels are computed once per map and kept, so sigma and alpha
-    are fixed at construction.
+    The block width, the orbit labels and the invariants are computed once
+    per map and kept, so sigma and alpha are fixed at construction.
     """
 
     sigma: np.ndarray
@@ -115,8 +124,32 @@ class MapStructure:
     def darts(self) -> int:
         return int(self.sigma.shape[0])
 
+    @cached_property
+    def block_width(self) -> int:
+        """k when sigma sends each dart i*k + j to i*k + (j + 1) % k, else 0.
+
+        Such a sigma sends every dart j to j + 1 except the block ends
+        k - 1, 2k - 1, ..., which go back k - 1 places: one comparison with
+        j + 1 finds the ends, and k is 1 + the first of them.
+        """
+        sigma = self.sigma
+        d = sigma.shape[0]
+        ends = np.flatnonzero(sigma != np.arange(1, d + 1, dtype=sigma.dtype))
+        if not ends.size:  # no darts: a permutation sends d - 1 below d
+            return 0
+        k = int(ends[0]) + 1
+        if (np.array_equal(ends, np.arange(k - 1, d, k))
+                and np.array_equal(sigma[ends], ends - (k - 1))):
+            return k
+        return 0
+
     @property
     def phi(self) -> np.ndarray:
+        k = self.block_width
+        if k:
+            # sigma steps along each block, so alpha o sigma is alpha's
+            # blocks rolled by one.
+            return np.roll(self.alpha.reshape(-1, k), -1, axis=1).reshape(-1)
         return self.alpha[self.sigma]
 
     @cached_property
@@ -125,21 +158,25 @@ class MapStructure:
         return _orbit_labels(self.sigma)
 
     @cached_property
-    def edge_labels(self) -> np.ndarray:
-        """Smallest dart of each dart's edge (alpha) orbit."""
-        return _orbit_labels(self.alpha)
-
-    @cached_property
     def face_labels(self) -> np.ndarray:
         """Smallest dart of each dart's face (phi) orbit."""
         return _orbit_labels(self.phi)
 
     def invariants(self) -> MapInvariants:
-        vo, eo, fo = (
-            _orbit_sizes(labels)
-            for labels in (self.vertex_labels, self.edge_labels, self.face_labels)
-        )
-        v, e, f = len(vo), len(eo), len(fo)
+        """V, E, F and genus; see the module docstring for how each is counted."""
+        return self._invariants
+
+    @cached_property
+    def _invariants(self) -> MapInvariants:
+        k = self.block_width
+        if k:
+            v, valency = self.darts // k, k
+        else:
+            vo = _orbit_sizes(self.vertex_labels)
+            v, valency = len(vo), _common(vo)
+        e = self.darts // 2
+        fo = _orbit_sizes(self.face_labels)
+        f = len(fo)
         chi = v - e + f
         if chi % 2:
             raise ValueError(f"odd Euler characteristic {chi}: not an orientable map")
@@ -149,7 +186,7 @@ class MapStructure:
             edges=e,
             faces=f,
             genus=(2 - chi) // 2,
-            vertex_valency=_common(vo),
+            vertex_valency=valency,
             face_size=_common(fo),
         )
 
@@ -158,7 +195,7 @@ def build_algebraic_map(group: FiniteHeckeGroup) -> MapStructure:
     """Darts = group elements; sigma = *T, alpha = *S, read off the Cayley table.
 
     The map is frozen, so it is built once per group and kept on it; every
-    caller shares its orbit labels.
+    caller shares its block width, orbit labels and invariants.
     """
     if group._algebraic_map is None:
         alpha, sigma = group.cayley.T
@@ -273,8 +310,10 @@ def projection_certificate(group: FiniteHeckeGroup, amap: MapStructure) -> Corre
 
     Four facts, each on every element or dart:
 
-    (a) the vertex orbits of sigma are the blocks v*n .. v*n + n - 1, and
-        every row's first column is its block head's, up to sign;
+    (a) sigma steps each block v*n .. v*n + n - 1 round by one
+        (``MapStructure.block_width`` is n), so its vertex orbits are these
+        blocks, and every row's first column is its block head's, up to
+        sign;
     (b) the cusps of the V block heads, sorted, are ``coordinate_codes``;
     (c) ``adjacent_codes`` holds on every arc (v, alpha(v*n + t) // n);
     (d) each row of the (V, n) table alpha // n has n distinct entries.
@@ -300,10 +339,11 @@ def _certificate(group: FiniteHeckeGroup,
     problems: list[str] = []
 
     # (a) and (b): vertex orbits, their first columns and their cusps.
-    label = amap.vertex_labels
-    vertex_count = int(np.count_nonzero(label == np.arange(label.size)))
-    blocks = bool(np.all(label.reshape(size, n) == np.arange(0, size * n, n)[:, None]))
+    blocks = amap.block_width == n
+    vertex_count = size
     if not blocks:
+        label = amap.vertex_labels
+        vertex_count = int(np.count_nonzero(label == np.arange(label.size)))
         problems.append("vertex orbits of sigma are not the blocks of n consecutive elements")
     # The first column is in slots 0, 1 (a) and 4, 5 (c) of a row; a row
     # that differs from its block head's may hold its negative.

@@ -191,8 +191,8 @@ def search_circuits(
     ways = np.zeros((length + 1, size))
     ways[length, start_idx] = 1
     for k in range(length - 1, -1, -1):
-        # Each term is at most MAX_CIRCUITS + 1 < 2**23 and a row has
-        # n < 2**8 of them, so the float64 sums are exact.
+        # A row sums n terms of at most MAX_CIRCUITS + 1, and
+        # n * (MAX_CIRCUITS + 1) <= 2**53 keeps the float64 sums exact.
         row = ways[k + 1][graph.nbrs].sum(axis=1)
         row[poles != (k in pole_positions)] = 0
         ways[k] = np.minimum(row, MAX_CIRCUITS + 1)

@@ -409,7 +409,7 @@ def polygon_corner_classes(num_sides: int, pairs: list[tuple[int, int]]) -> list
 
 
 def invariants(amap) -> MapInvariants:
-    vo, eo, fo = orbits(amap.sigma), orbits(amap.alpha), orbits(amap.phi)
+    vo, eo, fo = orbits(amap.sigma), orbits(amap.alpha), orbits(amap.alpha[amap.sigma])
     v, e, f = len(vo), len(eo), len(fo)
     chi = v - e + f
     if chi % 2:

@@ -157,10 +157,12 @@ def test_algebraic_map_is_built_once_per_group(monkeypatch):
     g = cached_group(4, 5)
     assert build_algebraic_map(g) is build_algebraic_map(g)
 
-    # One sweep problem, as the benchmark runs it: the group's sigma, alpha
-    # and phi are labelled once each although three calls use the map.  The
-    # coset domain's boundary polygon is a map of its own on the 2N + 2
-    # boundary sides, and its three orbit kinds are labelled once each too.
+    # One sweep problem, as the benchmark runs it: of the group's map only
+    # phi is labelled, once, although three calls use the map; sigma is a
+    # block rotation and alpha's edges are pairs.  The coset domain's
+    # boundary polygon is a map of its own on the 2N + 2 boundary sides,
+    # whose sigma is no block rotation, so its sigma and phi are labelled
+    # once each.
     counts = Counter()
     orbit_labels = maps._orbit_labels
 
@@ -175,7 +177,9 @@ def test_algebraic_map_is_built_once_per_group(monkeypatch):
     amap.invariants()
     correspondence_check(group, amap, build_coordinate_graph(p))
     polygon.coset_domain_check(group)
-    assert counts == {group.order: 3, 2 * group.order + 2: 3}
+    assert counts == {group.order: 1, 2 * group.order + 2: 2}
+    # The invariants are counted once and kept on the map.
+    assert amap.invariants() is amap.invariants()
 
 
 def test_map_completes_the_coordinates_once(capsys, monkeypatch):

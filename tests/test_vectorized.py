@@ -224,13 +224,12 @@ def _check_labels(perm):
 @pytest.mark.parametrize("q,n", CASES)
 def test_orbit_labels_match_orbit_walks(q, n):
     amap = build_algebraic_map(cached_group(q, n))
-    for perm, labels in (
-        (amap.sigma, amap.vertex_labels),
-        (amap.alpha, amap.edge_labels),
-        (amap.phi, amap.face_labels),
-    ):
+    for perm in (amap.sigma, amap.alpha, amap.phi):
         _check_labels(perm)
-        assert np.array_equal(labels, _orbit_labels(perm))
+    assert np.array_equal(amap.vertex_labels, _orbit_labels(amap.sigma))
+    assert np.array_equal(amap.face_labels, _orbit_labels(amap.phi))
+    assert np.array_equal(amap.phi, amap.alpha[amap.sigma])
+    assert amap.block_width == n
     assert amap.invariants() == oracles.invariants(amap)
 
 
@@ -241,25 +240,63 @@ def test_orbit_labels_on_random_permutations():
             _check_labels(rng.permutation(size))
 
 
-def _random_map(rng, darts):
+def _random_alpha(rng, darts):
     pairs = rng.permutation(darts).reshape(-1, 2)
     alpha = np.empty(darts, dtype=np.int64)
     alpha[pairs[:, 0]], alpha[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    return alpha
+
+
+def _random_map(rng, darts):
+    alpha = _random_alpha(rng, darts)
     return MapStructure(sigma=rng.permutation(darts), alpha=alpha)
+
+
+def _block_rotation(darts, k):
+    """The sigma that steps each block of k consecutive darts round by one."""
+    return np.roll(np.arange(darts).reshape(-1, k), -1, axis=1).reshape(-1)
+
+
+def _check_invariants(amap):
+    try:
+        want = oracles.invariants(amap)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            amap.invariants()
+    else:
+        assert amap.invariants() == want
 
 
 def test_invariants_on_random_maps():
     rng = np.random.default_rng(9)
     for darts in (2, 8, 30, 200):
         for _ in range(10):
-            amap = _random_map(rng, darts)
-            try:
-                want = oracles.invariants(amap)
-            except ValueError as exc:
-                with pytest.raises(ValueError, match=str(exc)):
-                    amap.invariants()
-            else:
-                assert amap.invariants() == want
+            _check_invariants(_random_map(rng, darts))
+
+
+def test_block_width_selects_the_counting_path():
+    """A block rotation of any width is counted from its width, anything
+    else from its labels; both give the oracle's invariants and phi."""
+    swapped = _block_rotation(24, 6)
+    swapped[[19, 21]] = swapped[[21, 19]]
+    # Block ends in place, but the first and third blocks join one cycle.
+    crossed = _block_rotation(24, 6)
+    crossed[[5, 17]] = crossed[[17, 5]]
+    first_cycle = np.concatenate([[1, 2, 0], np.roll(np.arange(3, 20), -1)])
+    rng = np.random.default_rng(13)
+    for sigma, width in (
+        (_block_rotation(24, 6), 6),
+        (_block_rotation(24, 24), 24),
+        (swapped, 0),
+        (crossed, 0),
+        (first_cycle, 0),
+        (np.arange(20), 1),
+    ):
+        for _ in range(5):
+            amap = MapStructure(sigma=sigma, alpha=_random_alpha(rng, sigma.size))
+            assert amap.block_width == width
+            assert np.array_equal(amap.phi, amap.alpha[amap.sigma])
+            _check_invariants(amap)
 
 
 @pytest.mark.parametrize("q,n", CASES)
@@ -326,7 +363,7 @@ def test_correspondence_of_a_wrong_map_fails(q, n):
     for g, wrong, wrong_graph, problem, edges_matched in (
         (group, MapStructure(sigma=amap.phi, alpha=amap.alpha), graph,
          "vertex orbits of sigma are not the blocks of n consecutive elements", True),
-        (group, MapStructure(sigma=amap.sigma, alpha=_random_map(rng, amap.darts).alpha), graph,
+        (group, MapStructure(sigma=amap.sigma, alpha=_random_alpha(rng, amap.darts)), graph,
          "darts that project to non-adjacent coordinates: ", False),
         (group, MapStructure(sigma=amap.sigma, alpha=_repaired_alpha(group, amap)), graph,
          "vertices that meet a neighbour twice: ", False),
@@ -340,6 +377,23 @@ def test_correspondence_of_a_wrong_map_fails(q, n):
         assert got.edges_matched is edges_matched
         # The certificate needs no graph: it refuses every wrong map.
         assert projection_certificate(g, wrong).ok is (wrong is amap)
+
+
+@pytest.mark.parametrize("q,n", [(4, 5), (3, 7), (6, 7)])
+def test_certificate_refuses_blocks_of_another_width(q, n):
+    """A sigma that rotates blocks of width 1 or 2n fails fact (a), and the
+    vertex count is still its number of orbits."""
+    group = cached_group(q, n)
+    amap = build_algebraic_map(group)
+    for k in (1, 2 * n):
+        wrong = MapStructure(sigma=_block_rotation(amap.darts, k), alpha=amap.alpha)
+        assert wrong.block_width == k
+        got = projection_certificate(group, wrong)
+        assert got.ok is False
+        assert got.problems == [
+            "vertex orbits of sigma are not the blocks of n consecutive elements"
+        ]
+        assert got.vertex_count == amap.darts // k
 
 
 def test_problem_strings_list_coordinates_sorted():
