@@ -14,19 +14,22 @@ the edge test (``adjacent_codes``).  ``completion_table`` completes every
 coordinate to the elements above it; the group and the coordinate graph
 are read off it.  ``HFCoord`` is the form coordinates are parsed, named and
 printed in.  Every n in the group's range [3, kernels.MAX_MODULUS], odd or
-even, is served.
+even, is served.  Matrix columns sit in the slots of ``kernels._SLOTS``,
+and ``group`` builds on this module, never the reverse.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .group import HeckeParams, parity, parity_patterns
-from .kernels import _check_modulus, mat_mul_components
+from .kernels import _SLOTS, _check_modulus, mat_mul_components, parity, parity_patterns
+
+if TYPE_CHECKING:
+    from .group import HeckeParams
 
 __all__ = [
     "HFCoord",
@@ -258,19 +261,18 @@ def cusp_codes(comps: np.ndarray, p: HeckeParams) -> np.ndarray:
     the plain fraction.
 
     The first row with no parity pattern, gcd > 1 or a class no cusp
-    reaches raises ``CuspError`` with the message of ``group.parity`` or
+    reaches raises ``CuspError`` with the message of ``kernels.parity`` or
     ``normalize``.
     """
     g = np.asarray(comps, dtype=np.int64)
     if p.q == 3:
         kind = np.zeros(g.shape[0], dtype=np.int64)
-        num, den = g[:, 0], g[:, 4]
+        num, den = (g[:, slot] for slot in _SLOTS[2, :2])
         patterned = np.ones(g.shape[0], dtype=bool)
     else:
         even, odd = parity_patterns(g)
         kind = odd.astype(np.int64)
-        num = np.where(even, g[:, 0], g[:, 1])
-        den = np.where(even, g[:, 5], g[:, 4])
+        num, den = (np.where(even, g[:, a], g[:, b]) for a, b in _SLOTS[:2, :2].T)
         patterned = even != odd
     codes, coprime, reached = _class_codes(kind, num, den, p)
     bad = ~(patterned & coprime & reached)
@@ -289,17 +291,15 @@ def apply_codes(g, codes: np.ndarray, p: HeckeParams) -> np.ndarray:
     """Codes of the Moebius images of coordinates under component rows g.
 
     The image is ``cusp_codes`` of g times the matrix whose first column is
-    the coordinate's: num in slot 0 (kind A) or 1 (kind B), den in slot 5
-    (kind A), 4 (kind B) or 4 (q = 3).  g broadcasts against the codes:
-    rows of shape (N, 1, 8) and V codes give (N, V).
+    the coordinate's, num and den in the first-column slots of its kind
+    (``kernels._SLOTS``).  g broadcasts against the codes: rows of shape
+    (N, 1, 8) and V codes give (N, V).
     """
     n = p.n
     codes = np.asarray(codes, dtype=np.int64)
-    kind = codes // (n * n)
+    slots = _SLOTS[np.where(p.q == 3, 2, codes // (n * n)), :2]
     col = np.zeros(codes.shape + (8,), dtype=np.int64)
-    np.put_along_axis(col, kind[..., None], (codes // n % n)[..., None], axis=-1)
-    den_slot = 4 + (p.q != 3) * (1 - kind)
-    np.put_along_axis(col, den_slot[..., None], (codes % n)[..., None], axis=-1)
+    np.put_along_axis(col, slots, np.stack([codes // n % n, codes % n], axis=-1), axis=-1)
     prod = mat_mul_components(g, col, n, p.m)
     return cusp_codes(prod.reshape(-1, 8), p).reshape(prod.shape[:-1])
 

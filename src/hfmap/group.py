@@ -6,8 +6,8 @@ inversion S: z -> -1/z.  Reducing matrix entries modulo n and identifying
 g with -g yields a finite group; this module computes its order by the
 closed-form index formula, enumerates it, and classifies elements as
 even/odd.  The formula is the group's contract: a group of any other
-size raises ``IndexFormulaError``.  Elements are component rows (see
-``kernels``), stored as uint8.
+size raises ``IndexFormulaError``.  Elements are component rows, stored as
+uint8; ``kernels`` owns their layout, ``row_dtype`` and ``parity``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
+from . import coords, kernels
+from .kernels import _SLOTS, parity, parity_patterns, row_dtype
 
 __all__ = [
     "HeckeParams",
@@ -168,17 +169,6 @@ class FiniteHeckeGroup:
         return self.rows.astype(np.int64)
 
 
-# Slots of a, c, b, d in the component rows [[a, b*sqrt(m)], [c*sqrt(m), d]]
-# (kind A), [[a*sqrt(m), b], [c, d*sqrt(m)]] (kind B) and, for q = 3,
-# [[a, b], [c, d]].
-_SLOTS = np.array([(0, 5, 3, 6), (1, 4, 2, 7), (0, 4, 2, 6)])
-
-
-def row_dtype(n: int) -> np.dtype:
-    """Dtype of the component rows mod n: the smallest that holds n - 1."""
-    return np.min_scalar_type(n - 1)
-
-
 def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     """The quotient, one element per coordinate and offset.
 
@@ -194,19 +184,16 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     reach every element; a failure raises ``GroupCheckError``.
 
     One pass over blocks of coordinates (``kernels.coordinate_blocks``)
-    writes each block's rows, in ``row_dtype(n)``, and alpha and sigma, as
-    int32 (N < 2**31 over the whole modulus range).  It keeps the canonical
-    keys of every element and of every g*S, and checks the keys of the
-    block's g*T against those at sigma, which stays in the block since g*T
-    has g's first column.  The keys at alpha, which leaves the block, are
-    compared after the pass.  The group keeps 16 bytes per element, 8 of
-    rows and 8 of Cayley table.
+    writes each block's rows, in ``row_dtype(n)``, alpha and sigma, as
+    int32 (N < 2**31 over the whole modulus range), and the canonical key
+    of every element into one int64 array.  Then, for T and then S, the
+    permutation is range-checked and, block by block, the keys of the
+    products g*T (g*S) are compared with the keys at sigma (alpha).  The
+    group keeps 16 bytes per element, 8 of rows and 8 of Cayley table.
     """
-    from .coords import Completion, code_rows, completion_table  # coords imports this module
-
     index = principal_congruence_index(p)
     n, m = p.n, p.m
-    tab = completion_table(p)
+    tab = coords.completion_table(p)
     size = tab.codes.size
     if size * n > index:
         raise IndexFormulaError(
@@ -219,9 +206,9 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
             f"fewer than the index formula's {index}"
         )
     front = int(np.flatnonzero(tab.codes == n)[0])  # 1/0
-    tab = Completion._make(np.roll(col, -front) for col in tab)
+    tab = coords.Completion._make(np.roll(col, -front) for col in tab)
     # Row of each class code, for the classes of the second columns.
-    row_of = code_rows(tab.codes, np.arange(2 * n * n), p)
+    row_of = coords.code_rows(tab.codes, np.arange(2 * n * n), p)
     gens = generators(p)
     # One plane per component; rows, their transpose, has contiguous columns.
     planes = np.zeros((8, size, n), dtype=row_dtype(n))
@@ -229,10 +216,10 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     # cayley, the transpose of (alpha, sigma), has contiguous columns too.
     alpha, sigma = perms = np.empty((2, size * n), dtype=np.int32)
     keys = np.empty(size * n, dtype=np.int64)
-    keys_s = np.empty(size * n, dtype=np.int64)
+    blocks = kernels.coordinate_blocks(size, n)
 
-    for block in kernels.coordinate_blocks(size, n):
-        part = Completion._make(col[block] for col in tab)
+    for block in blocks:
+        part = coords.Completion._make(col[block] for col in tab)
         darts = slice(block.start * n, block.stop * n)
         b, d, codes = part.second_columns(p)
         # g*S has first column (b, d) and second column -(a, c), or (-b, -d)
@@ -260,16 +247,14 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
         del b, c, d
 
         keys[darts] = kernels.product_keys(rows[darts], IDENTITY, n, m)
-        keys_s[darts] = kernels.product_keys(rows[darts], gens[0], n, m)
-        at = sigma[darts]
-        inside = darts.start <= at.min() and at.max() < darts.stop
-        if not (inside and np.array_equal(
-                kernels.product_keys(rows[darts], gens[1], n, m), keys[at])):
-            raise GroupCheckError(_product_error(p, "T"))
-    inside = 0 <= alpha.min() and alpha.max() < alpha.size
-    if not (inside and np.array_equal(keys_s, keys[alpha])):
-        raise GroupCheckError(_product_error(p, "S"))
-    del keys, keys_s
+    for name, gen, perm in (("T", gens[1], sigma), ("S", gens[0], alpha)):
+        if perm.min() < 0 or perm.max() >= perm.size:
+            raise GroupCheckError(_product_error(p, name))
+        for block in blocks:
+            darts = slice(block.start * n, block.stop * n)
+            if not np.array_equal(kernels.product_keys(rows[darts], gen, n, m), keys[perm[darts]]):
+                raise GroupCheckError(_product_error(p, name))
+    del keys
     # sigma cycles through each coordinate's n elements, so S and T reach
     # every element when alpha joins the coordinates into one graph.
     if kernels.breadth_first_tree((alpha // n).reshape(size, n)).size != size - 1:
@@ -285,36 +270,6 @@ def _product_error(p: HeckeParams, name: str) -> str:
 def cached_group(q: int, n: int) -> FiniteHeckeGroup:
     """Memoized enumerate_group(HeckeParams(q, n)); groups are immutable."""
     return enumerate_group(HeckeParams(q, n))
-
-
-def parity_patterns(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the rows of an (..., 8) component table that match the even
-    pattern [[a, b*sqrt(m)], [c*sqrt(m), d]] and the odd one, its transpose.
-
-    A corrupted row may match both or neither.
-    """
-    g = np.asarray(comps)
-    even = (g[..., 1] == 0) & (g[..., 7] == 0) & (g[..., 2] == 0) & (g[..., 4] == 0)
-    odd = (g[..., 0] == 0) & (g[..., 6] == 0) & (g[..., 3] == 0) & (g[..., 5] == 0)
-    return even, odd
-
-
-def parity(g, p: HeckeParams) -> str:
-    """'even' or 'odd' by ``parity_patterns`` of the component row g.
-
-    Defined only for q in {4, 6}; for q = 3 every element is an integer
-    matrix and the even/odd split does not exist.
-    """
-    if p.q == 3:
-        raise ValueError("parity is undefined for q=3 (all elements even)")
-    even, odd = parity_patterns(g)
-    if even and not odd:
-        return "even"
-    if odd and not even:
-        return "odd"
-    raise ValueError(
-        f"component row {[int(v) for v in g]} matches no parity pattern; corrupted element"
-    )
 
 
 # ---------------------------------------------------------------------------

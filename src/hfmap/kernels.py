@@ -3,9 +3,12 @@ one breadth-first search.
 
 Every group element in the library is a component row: 8 residues in
 [0, n) in the scan order e11.rat, e11.irr, e12.rat, e12.irr, e21.rat,
-e21.irr, e22.rat, e22.irr.  The group stores its rows in the smallest
-unsigned dtype that holds n - 1 (uint8 over the whole modulus range), and
-every reader here widens them to int64 before it does arithmetic.
+e21.irr, e22.rat, e22.irr.  ``_SLOTS``, the one statement of the slots
+of a, c, b and d in each kind of row, is read by ``parity``, the group,
+the cusps and the map certificate.  The group stores its rows in
+``row_dtype(n)``, the smallest unsigned dtype that holds n - 1 (uint8
+over the whole modulus range), and every reader here widens them to int64
+before it does arithmetic.
 ``mat_mul_exact`` is the only place the matrix product is written out; it
 works on tuples of Python ints (exact, used by the renderer over Z) and on
 component arrays (reduced mod n by ``mat_mul_components``).  Right
@@ -22,12 +25,20 @@ darts, so that its temporaries stay small at every modulus.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    from .group import HeckeParams
 
 __all__ = [
     "MAX_MODULUS",
     "CHUNK_DARTS",
     "coordinate_blocks",
+    "row_dtype",
+    "parity_patterns",
+    "parity",
     "mat_mul_exact",
     "mat_mul_components",
     "right_mult_map",
@@ -46,6 +57,12 @@ MAX_MODULUS = 234
 CHUNK_DARTS = 1 << 16
 
 
+# Slots of a, c, b, d in the component rows [[a, b*sqrt(m)], [c*sqrt(m), d]]
+# (kind A, even), [[a*sqrt(m), b], [c, d*sqrt(m)]] (kind B, odd) and, for
+# q = 3, [[a, b], [c, d]].
+_SLOTS = np.array([(0, 5, 3, 6), (1, 4, 2, 7), (0, 4, 2, 6)])
+
+
 def _check_modulus(n: int) -> None:
     if not 3 <= n <= MAX_MODULUS:
         raise ValueError(f"modulus {n} outside supported range [3, {MAX_MODULUS}]")
@@ -56,6 +73,40 @@ def coordinate_blocks(size: int, n: int) -> list[slice]:
     CHUNK_DARTS darts or fewer, or of one coordinate when n is larger."""
     step = max(1, CHUNK_DARTS // n)
     return [slice(lo, min(lo + step, size)) for lo in range(0, size, step)]
+
+
+def row_dtype(n: int) -> np.dtype:
+    """Dtype of the component rows mod n: the smallest that holds n - 1."""
+    return np.min_scalar_type(n - 1)
+
+
+def parity_patterns(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the rows of an (..., 8) component table that match the even
+    pattern (kind A of ``_SLOTS``) and the odd one (kind B): a row of one
+    kind is zero in the other kind's slots.
+
+    A corrupted row may match both or neither.
+    """
+    g = np.asarray(comps)
+    even, odd = (np.logical_and.reduce([g[..., slot] == 0 for slot in other])
+                 for other in _SLOTS[[1, 0]].tolist())
+    return even, odd
+
+
+def parity(g, p: HeckeParams) -> str:
+    """'even' or 'odd' by ``parity_patterns`` of the component row g.
+
+    Defined only for q in {4, 6}; for q = 3 every element is an integer
+    matrix and the even/odd split does not exist.
+    """
+    if p.q == 3:
+        raise ValueError("parity is undefined for q=3 (all elements even)")
+    even, odd = parity_patterns(g)
+    if even != odd:
+        return "even" if even else "odd"
+    raise ValueError(
+        f"component row {[int(v) for v in g]} matches no parity pattern; corrupted element"
+    )
 
 
 def _digit_weights(n: int) -> np.ndarray:

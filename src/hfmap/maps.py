@@ -36,7 +36,7 @@ from .coords import (
     cusp_codes,
 )
 from .group import FiniteHeckeGroup, HeckeParams, PermGroup
-from .kernels import coordinate_blocks
+from .kernels import _SLOTS, coordinate_blocks
 
 __all__ = [
     "MapStructure",
@@ -76,7 +76,8 @@ def _orbit_labels(perm: np.ndarray) -> np.ndarray:
 
 def _orbit_sizes(label: np.ndarray) -> np.ndarray:
     """Orbit lengths, in order of their smallest dart, from _orbit_labels."""
-    return np.bincount(label)[np.flatnonzero(label == np.arange(label.shape[0]))]
+    counts = np.bincount(label)
+    return counts[counts > 0]
 
 
 def _common(sizes: np.ndarray) -> int:
@@ -342,13 +343,12 @@ def _certificate(group: FiniteHeckeGroup,
     blocks = amap.block_width == n
     vertex_count = size
     if not blocks:
-        label = amap.vertex_labels
-        vertex_count = int(np.count_nonzero(label == np.arange(label.size)))
+        vertex_count = len(_orbit_sizes(amap.vertex_labels))
         problems.append("vertex orbits of sigma are not the blocks of n consecutive elements")
-    # The first column is in slots 0, 1 (a) and 4, 5 (c) of a row; a row
+    # The first column (a, c) is in the first two slots of each kind; a row
     # that differs from its block head's may hold its negative.
     rows = group.rows
-    slots = [0, 1, 4, 5]
+    slots = sorted(set(_SLOTS[:, :2].ravel().tolist()))
     differ = np.zeros((size, n), dtype=bool)
     for slot in slots:
         col = rows[:, slot].reshape(size, n)

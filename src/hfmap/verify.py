@@ -19,7 +19,10 @@ from . import coords as C
 from . import maps as M
 from . import polygon as P
 from . import render as R
-from .group import HeckeParams, cached_group, generators, perm_order, s5_permutation_group
+from .group import (
+    HeckeParams, cached_group, generators, perm_order, principal_congruence_index,
+    s5_permutation_group,
+)
 
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
 
@@ -35,9 +38,7 @@ def _map_for(q: int, n: int) -> M.MapStructure:
     return M.build_algebraic_map(cached_group(q, n))
 
 
-def _check_index_formula() -> str:
-    from .group import principal_congruence_index
-
+def _check_index_formula(circuit: P.Circuit, pairing: P.PairingTable) -> str:
     if principal_congruence_index(HeckeParams(4, 5)) != 120:
         raise AssertionError("index(4,5) != 120")
     if principal_congruence_index(HeckeParams(4, 3)) != 24:
@@ -48,7 +49,7 @@ def _check_index_formula() -> str:
     return f"closure orders {orders} all equal the index formula"
 
 
-def _check_bring_map() -> str:
+def _check_bring_map(circuit: P.Circuit, pairing: P.PairingTable) -> str:
     group = cached_group(4, 5)
     inv = _map_for(4, 5).invariants()
     want = (120, 24, 60, 30, 4, 5, 4)
@@ -64,7 +65,7 @@ def _check_bring_map() -> str:
     return "darts=120 V=24 E=60 F=30 genus=4, vertices = the 24 named coordinates"
 
 
-def _check_cube() -> str:
+def _check_cube(circuit: P.Circuit, pairing: P.PairingTable) -> str:
     p = HeckeParams(4, 3)
     inv = _map_for(4, 3).invariants()
     if (inv.vertices, inv.edges, inv.faces, inv.genus) != (8, 12, 6, 0):
@@ -78,7 +79,7 @@ def _check_cube() -> str:
     return "V=8 E=12 F=6 genus=0, coordinate graph isomorphic to the 3-cube"
 
 
-def _check_icosahedron() -> str:
+def _check_icosahedron(circuit: P.Circuit, pairing: P.PairingTable) -> str:
     p = HeckeParams(3, 5)
     listed = {C.parse_fraction(s, p) for s in C.Q3_N5_FRACTIONS}
     if listed != set(C.enumerate_coords(p)):
@@ -92,7 +93,7 @@ def _check_icosahedron() -> str:
     return "12 fractions, 30 edges, F=20, genus=0"
 
 
-def _check_oracle_equivalence() -> str:
+def _check_oracle_equivalence(circuit: P.Circuit, pairing: P.PairingTable) -> str:
     pg = s5_permutation_group()
     if pg.order != 120:
         raise AssertionError(f"permutation group order {pg.order} != 120")
@@ -104,7 +105,7 @@ def _check_oracle_equivalence() -> str:
     return "order 120, generator orders (2,5,4), dart systems isomorphic"
 
 
-def _check_circuit_boundary(circuit: P.Circuit) -> str:
+def _check_circuit_boundary(circuit: P.Circuit, pairing: P.PairingTable) -> str:
     p = HeckeParams(4, 5)
     if not P.validate_circuit(circuit, p):
         raise AssertionError("circuit fails adjacency validation")
@@ -120,7 +121,7 @@ def _check_circuit_boundary(circuit: P.Circuit) -> str:
     return "60-slot boundary, poles H2:5 C2:5 B1:10, translation identities hold"
 
 
-def _check_pairing_genus(pairing: P.PairingTable) -> str:
+def _check_pairing_genus(circuit: P.Circuit, pairing: P.PairingTable) -> str:
     if not P.pairing_rule_check(pairing):
         raise AssertionError("pairing fails the side-pairing rule")
     part = P.vertex_classes(pairing)
@@ -136,7 +137,7 @@ def _check_pairing_genus(pairing: P.PairingTable) -> str:
     return "rule holds, unique forced matching, classes 10/5/5, genus 4"
 
 
-def _check_side_labels(circuit: P.Circuit) -> str:
+def _check_side_labels(circuit: P.Circuit, pairing: P.PairingTable) -> str:
     p = HeckeParams(4, 5)
     rep = P.side_label_analysis(P.boundary_from_circuit(circuit, p))
     if sorted(rep.orbit_b) != sorted(["F2", "E2", "K2", "B2", "J2"]):
@@ -153,7 +154,7 @@ def _check_side_labels(circuit: P.Circuit) -> str:
     )
 
 
-def _check_property_suites() -> str:
+def _check_property_suites(circuit: P.Circuit, pairing: P.PairingTable) -> str:
     # Equivariance of adjacency under the full group, exhaustively.
     for q, n in ((4, 3), (4, 5), (3, 5)):
         p = HeckeParams(q, n)
@@ -182,7 +183,7 @@ def _check_property_suites() -> str:
     return "equivariance, bipartiteness, correspondence and coset chi all hold"
 
 
-def _check_rendering() -> str:
+def _check_rendering(circuit: P.Circuit, pairing: P.PairingTable) -> str:
     geos = R.universal_geodesics(4, 2)
     endpoints = {g.a for g in geos} | {g.b for g in geos}
     principal = [R.Cusp(1, 0, 0), R.Cusp(0, 0, 1), R.Cusp(0, 1, 2), R.Cusp(0, 1, 1)]
@@ -203,18 +204,21 @@ def _check_rendering() -> str:
     return "principal face present, DOT counts exact, SVG well-formed and stable"
 
 
-CHECK_NAMES = [
-    "index-formula",
-    "bring-map",
-    "cube",
-    "icosahedron",
-    "oracle-equivalence",
-    "circuit-boundary",
-    "pairing-genus",
-    "side-labels",
-    "property-suites",
-    "rendering",
-]
+# Every check takes the circuit and the pairing and reads what it needs.
+_CHECKS: dict[str, Callable[[P.Circuit, P.PairingTable], str]] = {
+    "index-formula": _check_index_formula,
+    "bring-map": _check_bring_map,
+    "cube": _check_cube,
+    "icosahedron": _check_icosahedron,
+    "oracle-equivalence": _check_oracle_equivalence,
+    "circuit-boundary": _check_circuit_boundary,
+    "pairing-genus": _check_pairing_genus,
+    "side-labels": _check_side_labels,
+    "property-suites": _check_property_suites,
+    "rendering": _check_rendering,
+}
+
+CHECK_NAMES = list(_CHECKS)
 
 
 def run_checks(
@@ -227,22 +231,10 @@ def run_checks(
     """
     circuit = P.bring_circuit() if circuit is None else circuit
     pairing = P.bring_side_pairing() if pairing is None else pairing
-    table: list[tuple[str, Callable[[], str]]] = [
-        ("index-formula", _check_index_formula),
-        ("bring-map", _check_bring_map),
-        ("cube", _check_cube),
-        ("icosahedron", _check_icosahedron),
-        ("oracle-equivalence", _check_oracle_equivalence),
-        ("circuit-boundary", lambda: _check_circuit_boundary(circuit)),
-        ("pairing-genus", lambda: _check_pairing_genus(pairing)),
-        ("side-labels", lambda: _check_side_labels(circuit)),
-        ("property-suites", _check_property_suites),
-        ("rendering", _check_rendering),
-    ]
     results = []
-    for name, fn in table:
+    for name, fn in _CHECKS.items():
         try:
-            detail = fn()
+            detail = fn(circuit, pairing)
             results.append(CheckResult(name=name, ok=True, detail=detail))
         except MemoryError:
             raise

@@ -1,7 +1,7 @@
 """Run a command with its stdout passed through, and fail when its peak
 resident set size reaches a bound in MB.
 
-    python tests/peak_rss.py 580 timeout 120 hfmap map --q 4 --n 233 --json
+    python tests/peak_rss.py 550 timeout 120 hfmap map --q 4 --n 233 --json
 
 The peak is ru_maxrss over the waited-for children, which Linux reports in
 KiB, so a command run under ``timeout`` is covered too.  The peak goes to

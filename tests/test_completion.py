@@ -2,6 +2,8 @@
 against the former breadth-first closure and the pair-test graph
 (``oracles.closure_bfs``, ``oracles.pair_test_graph``)."""
 
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
@@ -100,6 +102,22 @@ def test_corrupted_alpha_is_caught(monkeypatch, capsys):
     assert err == "error: Cayley table for q=4, n=7 disagrees with the product g*S\n"
 
 
+def test_alpha_out_of_range_is_caught(monkeypatch, capsys):
+    """Every class row shifted down by V: the negative alpha entries wrap
+    onto the right elements in every numpy read, so only the range check
+    refuses the table."""
+    code_rows = coords.code_rows
+    monkeypatch.setattr(
+        coords, "code_rows", lambda table, codes, p: code_rows(table, codes, p) - table.size
+    )
+    with pytest.raises(GroupCheckError, match=r"disagrees with the product g\*S"):
+        enumerate_group(HeckeParams(4, 7))
+    assert main(["map", "--q", "4", "--n", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: Cayley table for q=4, n=7 disagrees with the product g*S\n"
+
+
 def test_disconnected_table_is_caught(monkeypatch):
     monkeypatch.setattr(group_module.kernels, "breadth_first_tree", lambda nbrs: nbrs[:0, 0])
     with pytest.raises(GroupCheckError, match="do not generate"):
@@ -185,3 +203,19 @@ def test_group_dtypes_over_the_whole_modulus_range():
     group = enumerate_group(HeckeParams(4, 5))
     assert group.rows.dtype == np.uint8 and group.cayley.dtype == np.int32
     assert group.comps.dtype == np.int64 and np.array_equal(group.comps, group.rows)
+
+
+def test_group_memory_per_element_is_bounded():
+    """The traced peak of enumerate_group at (4, 101) is about 34 bytes per
+    element: 8 of rows, 8 of Cayley table, 8 of identity keys and one
+    block's temporaries.  A second int64 key array, for the products with
+    S, took 42.4."""
+    enumerate_group(HeckeParams(4, 5))  # imports and lazy set-up first
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        group = enumerate_group(HeckeParams(4, 101))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 38 * group.order
