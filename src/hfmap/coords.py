@@ -13,16 +13,17 @@ and each rule is written once, on arrays: the class rule
 the edge test (``adjacent_codes``).  ``completion_table`` completes every
 coordinate to the elements above it; the group and the coordinate graph
 are read off it.  ``HFCoord`` is the form coordinates are parsed, named and
-printed in.  Every n in the group's range [3, kernels.MAX_MODULUS], odd or
-even, is served.  Matrix columns sit in the slots of ``kernels._SLOTS``,
-and ``group`` builds on this module, never the reverse.
+printed in, and ``coordinate_labels`` is the one rule for a node's label.
+Every n in the group's range [3, kernels.MAX_MODULUS], odd or even, is
+served.  Matrix columns sit in the slots of ``kernels._SLOTS``, and
+``group`` builds on this module, never the reverse.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,7 @@ __all__ = [
     "is_pole",
     "NameTable",
     "vertex_names",
+    "coordinate_labels",
     "coord_value_str",
     "Q3_N5_FRACTIONS",
     "parse_fraction",
@@ -94,7 +96,7 @@ def _class_codes(kind: np.ndarray, num: np.ndarray, den: np.ndarray, p: HeckePar
     cusp reaches when m > 1 divides n: read mod m, the determinant
     a*d - m*b*c = 1 of an even element forces m not to divide its kind-A
     numerator a, and m*a*d - b*c = 1 of an odd one forces m not to divide
-    its kind-B denominator c (the m | n branch of the index formula).
+    its kind-B denominator c (the 1 - 1/m factor of the index formula).
     """
     n = p.n
     _check_modulus(n)
@@ -393,3 +395,17 @@ def vertex_names(p: HeckeParams) -> NameTable:
     if (p.q, p.n) == (4, 3):
         return NameTable(p, _NAMES_Q4_N3)
     raise ValueError(f"no name table for q={p.q}, n={p.n}")
+
+
+def coordinate_labels(
+    p: HeckeParams, fallback: Callable[[HFCoord, HeckeParams], str]
+) -> list[str]:
+    """The label of every coordinate, in ``coordinate_codes`` order: its
+    customary name when the map has a name table, which names every
+    coordinate, else fallback(u, p)."""
+    nodes = enumerate_coords(p)
+    try:
+        table = vertex_names(p)
+    except ValueError:
+        return [fallback(u, p) for u in nodes]
+    return [table.name(u) for u in nodes]

@@ -4,10 +4,11 @@ The Hecke group H_q (q in {3, 4, 6}) is generated by the translation
 T: z -> z + lam_q (lam_q = 2cos(pi/q), so lam = 1, sqrt(2), sqrt(3)) and the
 inversion S: z -> -1/z.  Reducing matrix entries modulo n and identifying
 g with -g yields a finite group; this module computes its order by the
-closed-form index formula, enumerates it, and classifies elements as
-even/odd.  The formula is the group's contract: a group of any other
-size raises ``IndexFormulaError``.  Elements are component rows, stored as
-uint8; ``kernels`` owns their layout, ``row_dtype`` and ``parity``.
+closed-form index formula and enumerates it.  The formula is the group's
+contract: a group of any other size raises ``IndexFormulaError``.
+Elements are component rows, stored as uint8; their layout, dtype and
+parity are read from ``kernels``, and this module exports only its own
+names.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import coords, kernels
-from .kernels import _SLOTS, parity, parity_patterns, row_dtype
 
 __all__ = [
     "HeckeParams",
@@ -31,9 +31,6 @@ __all__ = [
     "principal_congruence_index",
     "enumerate_group",
     "FiniteHeckeGroup",
-    "row_dtype",
-    "parity",
-    "parity_patterns",
     "PermGroup",
     "s5_permutation_group",
 ]
@@ -108,34 +105,22 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def principal_congruence_index(p: HeckeParams) -> int:
-    """Order of the quotient H_q / H_q(n), for n > 2.
+    """Order of the quotient H_q / H_q(n), for n > 2: the one Euler product
 
-    For q in {4, 6} with m = 2, 3:
-        n^3 * prod_{p|n} (1 - 1/p^2)                     if gcd(n, m) = 1
-        n^3 * (1 - 1/m) * prod_{p|n, p != m} (1 - 1/p^2)  if m | n
-    For q = 3 the classical modular-group formula applies, including the
-    factor 1/2 from the projective identification g ~ -g.
+        n^3 / e * prod_{r | n prime} (1 - 1/r^2, or 1 - 1/m if r = m),
+
+    with m = ``RADICAND[q]`` and e = 2 for q = 3, the projective
+    identification g ~ -g of the modular group, else e = 1.  m = 1 for
+    q = 3 is no prime, so every factor there is 1 - 1/r^2.
     """
     n = p.n
     if n <= 2:
         raise ValueError(f"index formula requires n > 2, got {n}")
-    primes = _prime_factors(n)
-    num = n**3
-    den = 1
-    if p.q == 3:
-        for q in primes:
-            num *= q * q - 1
-            den *= q * q
-        den *= 2
-    else:
-        m = p.m
-        if n % m == 0:
-            num *= m - 1
-            den *= m
-            primes = [q for q in primes if q != m]
-        for q in primes:
-            num *= q * q - 1
-            den *= q * q
+    num, den = n**3, 2 if p.q == 3 else 1
+    for r in _prime_factors(n):
+        power = r if r == p.m else r * r
+        num *= power - 1
+        den *= power
     assert num % den == 0
     return num // den
 
@@ -147,9 +132,10 @@ class FiniteHeckeGroup:
 
     Elements are the rows of the (N, 8) component table ``rows``, stored in
     the smallest unsigned dtype that holds n - 1 (uint8 for every modulus
-    the library takes); ``comps`` widens them to int64.  The identity has
-    index 0.  ``cayley[i]`` holds the indices of i*S and i*T, as int32, so
-    ``cayley[0]`` holds those of S and T.  Immutable after construction.
+    the library takes); a reader that negates them widens them first.  The
+    identity has index 0.  ``cayley[i]`` holds the indices of i*S and i*T,
+    as int32, so ``cayley[0]`` holds those of S and T.  Immutable after
+    construction.
     """
 
     params: HeckeParams
@@ -161,12 +147,6 @@ class FiniteHeckeGroup:
     @property
     def order(self) -> int:
         return int(self.rows.shape[0])
-
-    @property
-    def comps(self) -> np.ndarray:
-        """The rows widened to an (N, 8) int64 table: a new array on every
-        call, for readers at small n."""
-        return self.rows.astype(np.int64)
 
 
 def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
@@ -211,7 +191,7 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     row_of = coords.code_rows(tab.codes, np.arange(2 * n * n), p)
     gens = generators(p)
     # One plane per component; rows, their transpose, has contiguous columns.
-    planes = np.zeros((8, size, n), dtype=row_dtype(n))
+    planes = np.zeros((8, size, n), dtype=kernels.row_dtype(n))
     rows = planes.reshape(8, -1).T
     # cayley, the transpose of (alpha, sigma), has contiguous columns too.
     alpha, sigma = perms = np.empty((2, size * n), dtype=np.int32)
@@ -241,7 +221,7 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
         neg = -rest % n
         flip = (neg[0] * n + neg[1]) * n + neg[2] < (rest[0] * n + rest[1]) * n + rest[2]
         b[tied], c[tied], d[tied] = np.where(flip, neg, rest)
-        slots = _SLOTS[np.where(p.q == 3, 2, part.codes // (n * n))]
+        slots = kernels._SLOTS[np.where(p.q == 3, 2, part.codes // (n * n))]
         for slot, col in zip(slots.T, (part.a[:, None], c, b, d)):
             planes[slot, np.arange(block.start, block.stop)] = col
         del b, c, d
@@ -298,7 +278,6 @@ def perm_order(f: Perm) -> int:
 class PermGroup:
     """Finite permutation group enumerated from generators, identity first."""
 
-    degree: int
     gens: dict[str, Perm]
     elements: list[Perm]
     index: dict[Perm, int]
@@ -329,7 +308,7 @@ def _enumerate_perm_group(degree: int, gens: dict[str, Perm]) -> PermGroup:
                     elements.append(h)
                     nxt.append(h)
         frontier = nxt
-    return PermGroup(degree=degree, gens=dict(gens), elements=elements, index=index)
+    return PermGroup(gens=dict(gens), elements=elements, index=index)
 
 
 def s5_permutation_group() -> PermGroup:

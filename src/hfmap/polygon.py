@@ -14,7 +14,7 @@ is the only Euler characteristic and genus rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .coords import (
     apply_to_coord,
     code_coord,
     coord_codes,
-    enumerate_coords,
+    coordinate_labels,
     is_pole,
     normalize,
     vertex_names,
@@ -169,12 +169,12 @@ def search_circuits(
     order of those indices (the depth-first order).
 
     ways[k][v] counts the ways to finish such a walk from node v at
-    position k (position ``length`` is the start again), clipped at
-    MAX_CIRCUITS + 1 so that float64 stays exact.  ways[0][start] bounds
-    the listing.  The table then grows one position at a time: each row
-    takes, in ascending order, the neighbours of its last node that can
-    still finish.  A node that can finish at position length - 1 is a
-    neighbour of the start, so every row of the last level closes.
+    position k (position ``length`` is the start again), in int64, clipped
+    at MAX_CIRCUITS + 1.  ways[0][start] bounds the listing.  The table
+    then grows one position at a time: each row takes, in ascending order,
+    the neighbours of its last node that can still finish.  A node that
+    can finish at position length - 1 is a neighbour of the start, so every
+    row of the last level closes.
     """
     if length > 16:
         raise ValueError(f"circuit search length {length} exceeds the bound 16")
@@ -188,11 +188,9 @@ def search_circuits(
     start_idx = graph.node_index[start]
     poles = graph.codes % p.n == 0
 
-    ways = np.zeros((length + 1, size))
+    ways = np.zeros((length + 1, size), dtype=np.int64)
     ways[length, start_idx] = 1
     for k in range(length - 1, -1, -1):
-        # A row sums n terms of at most MAX_CIRCUITS + 1, and
-        # n * (MAX_CIRCUITS + 1) <= 2**53 keeps the float64 sums exact.
         row = ways[k + 1][graph.nbrs].sum(axis=1)
         row[poles != (k in pole_positions)] = 0
         ways[k] = np.minimum(row, MAX_CIRCUITS + 1)
@@ -564,16 +562,9 @@ def _parse_vertex(token: str, table: NameTable | None, p: HeckeParams) -> HFCoor
 
 
 def circuit_labels(p: HeckeParams) -> np.ndarray:
-    """The label of every node of ``build_coordinate_graph(p)``, in node
-    order, as an object array: vertex names when the map has a name table
-    that names every node, else kind:num/den triples."""
-    nodes = enumerate_coords(p)
-    try:
-        table = vertex_names(p)
-        text = [table.name(u) for u in nodes]
-    except (ValueError, KeyError):
-        text = [f"{u.kind}:{u.num}/{u.den}" for u in nodes]
-    return np.array(text, dtype=object)
+    """``coordinate_labels`` of the graph's nodes as an object array, with
+    kind:num/den triples where the map has no name table."""
+    return np.array(coordinate_labels(p, lambda u, _: f"{u.kind}:{u.num}/{u.den}"), dtype=object)
 
 
 def format_circuit_text(rows: np.ndarray, labels: np.ndarray) -> str:

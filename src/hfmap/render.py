@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coords import HFCoord, coord_value_str, vertex_names
+from .coords import HFCoord, coord_value_str, coordinate_labels, vertex_names
 from .group import IDENTITY, RADICAND, HeckeParams, exact_generators
 from .kernels import mat_mul_exact
-from .maps import CoordGraph, build_coordinate_graph
+from .maps import build_coordinate_graph
 from .polygon import BoundarySequence, PairingTable, side_label_analysis
 
 __all__ = [
@@ -276,19 +276,10 @@ def _disk_paths(geodesics: list[Geodesic], cx: float, cy: float,
 # ---------------------------------------------------------------------------
 
 
-def _node_labels(graph: CoordGraph) -> list[str]:
-    p = graph.params
-    try:
-        table = vertex_names(p)
-        return [table.name(u) for u in graph.nodes]
-    except ValueError:
-        return [coord_value_str(u, p) for u in graph.nodes]
-
-
 def render_quotient(p: HeckeParams, fmt: str = "dot") -> str:
     """DOT or schematic SVG of the coordinate graph."""
     graph = build_coordinate_graph(p)
-    labels = _node_labels(graph)
+    labels = coordinate_labels(p, coord_value_str)
     if fmt == "dot":
         lines = ["graph {"]
         for name in labels:

@@ -60,7 +60,7 @@ def _check_bring_map(circuit: P.Circuit, pairing: P.PairingTable) -> str:
     p = HeckeParams(4, 5)
     table = C.vertex_names(p)
     named = C.coord_codes([table.coord(name) for name in table.names()], p)
-    if set(C.cusp_codes(group.comps, p).tolist()) != set(named.tolist()):
+    if set(C.cusp_codes(group.rows, p).tolist()) != set(named.tolist()):
         raise AssertionError("map vertices do not match the 24 named coordinates")
     return "darts=120 V=24 E=60 F=30 genus=4, vertices = the 24 named coordinates"
 
@@ -162,7 +162,7 @@ def _check_property_suites(circuit: P.Circuit, pairing: P.PairingTable) -> str:
         graph = M.build_coordinate_graph(p)
         adj = graph.adjacency_matrix()
         # Row i of perm is element i acting on the nodes, as node indices.
-        perm = np.searchsorted(graph.codes, C.apply_codes(group.comps[:, None], graph.codes, p))
+        perm = np.searchsorted(graph.codes, C.apply_codes(group.rows[:, None], graph.codes, p))
         broken = (adj[perm[:, :, None], perm[:, None, :]] != adj).any(axis=(1, 2))
         if broken.any():
             raise AssertionError(f"({q},{n}): element {int(np.argmax(broken))} breaks adjacency")

@@ -4,14 +4,18 @@
 
 The cap is RLIMIT_AS, set after hfmap.cli and numpy are imported, so it is
 the command itself that runs out of memory.  Exits with the CLI's code.
-Linux only: the current use is read from /proc/self/statm.
+hfmap is imported from the src/ of the checkout that holds this script, so
+it runs without an install and from any directory.  Linux only: the
+current use is read from /proc/self/statm.
 """
 
 import os
 import resource
 import sys
 
-from hfmap.cli import main
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+
+from hfmap.cli import main  # noqa: E402
 
 HEADROOM = 64 << 20
 

@@ -13,7 +13,8 @@ objects, which ``circuits_of`` makes of the library's walk table and
 ``format_circuit`` writes one at a time; ``render_disk`` samples and
 projects the disk-model geodesics one point at a time.  The differential
 tests in test_vectorized.py require the library to agree with them.  Next to them
-are the element-level group operations (canonical keys, product, inverse,
+are the index formula in the two branches the library once wrote, the
+element-level group operations (canonical keys, product, inverse,
 right-multiplication permutation, element order) looked up by key, the
 permutation inverse, the dart system's orbits, connectivity and
 automorphisms, the coordinate graph's degrees, and the translation T as the
@@ -30,7 +31,8 @@ import numpy as np
 
 from hfmap import kernels
 from hfmap.coords import HFCoord, adjacent_codes, coordinate_codes, is_pole, vertex_names
-from hfmap.group import RADICAND, parity
+from hfmap.group import RADICAND
+from hfmap.kernels import parity
 from hfmap.maps import (
     CorrespondenceReport,
     MapInvariants,
@@ -51,6 +53,39 @@ from hfmap.render import (
 
 
 # -- group elements ----------------------------------------------------------
+
+
+def index_formula(q: int, n: int) -> int:
+    """Order of H_q / H_q(n) in the two branches the library once wrote:
+    n^3/2 * prod_{p|n} (1 - 1/p^2) for q = 3, the modular group with g ~ -g;
+    for q in {4, 6} with m = 2, 3, n^3 * prod_{p|n} (1 - 1/p^2) if m does
+    not divide n, else n^3 * (1 - 1/m) * prod_{p|n, p != m} (1 - 1/p^2)."""
+    primes, rest, d = [], n, 2
+    while rest > 1:
+        if d * d > rest:
+            d = rest
+        if rest % d == 0:
+            primes.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    num, den = n**3, 1
+    if q == 3:
+        for p in primes:
+            num *= p * p - 1
+            den *= p * p
+        den *= 2
+    else:
+        m = RADICAND[q]
+        if n % m == 0:
+            num *= m - 1
+            den *= m
+            primes = [p for p in primes if p != m]
+        for p in primes:
+            num *= p * p - 1
+            den *= p * p
+    assert num % den == 0
+    return num // den
 
 
 def pack_components(comps: np.ndarray, n: int) -> np.ndarray:
@@ -171,7 +206,7 @@ def perm_inverse(f: tuple[int, ...]) -> tuple[int, ...]:
 
 def index_of_key(group, key: int) -> int:
     """Element index of a packed canonical key, by a scan of the keys."""
-    hits = np.flatnonzero(canonical_keys(group.comps, group.params.n) == key)
+    hits = np.flatnonzero(canonical_keys(group.rows, group.params.n) == key)
     if hits.size != 1:
         raise KeyError(f"key {key} is not an element of this group")
     return int(hits[0])
@@ -179,13 +214,13 @@ def index_of_key(group, key: int) -> int:
 
 def mult(group, i: int, j: int) -> int:
     p = group.params
-    key = right_mult_keys(group.comps[i], group.comps[j], p.n, p.m)
+    key = right_mult_keys(group.rows[i], group.rows[j], p.n, p.m)
     return index_of_key(group, int(key))
 
 
 def inv(group, i: int) -> int:
     """Index of the inverse, from the adjugate [[d, -b], [-c, a]]."""
-    c = group.comps[i]
+    c = group.rows[i].astype(np.int64)
     n = group.params.n
     adj = np.array(
         [c[6], c[7], -c[2] % n, -c[3] % n, -c[4] % n, -c[5] % n, c[0], c[1]],
@@ -197,8 +232,8 @@ def inv(group, i: int) -> int:
 def right_mult_perm(group, j: int) -> np.ndarray:
     """Permutation i -> i*j over all element indices, as an int64 array."""
     p = group.params
-    index = {key: i for i, key in enumerate(canonical_keys(group.comps, p.n).tolist())}
-    keys = right_mult_keys(group.comps, group.comps[j], p.n, p.m)
+    index = {key: i for i, key in enumerate(canonical_keys(group.rows, p.n).tolist())}
+    keys = right_mult_keys(group.rows, group.rows[j], p.n, p.m)
     return np.array([index[key] for key in keys.tolist()], dtype=np.int64)
 
 
@@ -430,7 +465,7 @@ def invariants(amap) -> MapInvariants:
 def correspondence_check(group, amap, graph) -> CorrespondenceReport:
     p = group.params
     problems: list[str] = []
-    cusps = [cusp_of(g, p) for g in group.comps.tolist()]
+    cusps = [cusp_of(g, p) for g in group.rows.tolist()]
 
     vertex_orbits = orbits(amap.sigma)
     orbit_coords = []

@@ -52,7 +52,7 @@ def test_c02_genus_four_map():
     assert inv.vertex_valency == 5
     assert inv.face_size == 4
     table = C.vertex_names(P45)
-    cusps = {oracles.cusp_of(group.comps[i], P45) for i in range(group.order)}
+    cusps = {oracles.cusp_of(g, P45) for g in group.rows.tolist()}
     assert cusps == {table.coord(name) for name in table.names()}
     assert len(cusps) == 24
     _report("criterion 2: genus-4 map of type {5,4} with the 24 named vertices")
@@ -142,8 +142,7 @@ def test_c09_property_suites():
         graph = M.build_coordinate_graph(p)
         index = graph.node_index
         adj = graph.adjacency_matrix()
-        for i in range(group.order):
-            g = group.comps[i]
+        for g in group.rows:
             perm = np.asarray([index[C.apply_to_coord(g, u, p)] for u in graph.nodes])
             assert np.array_equal(adj[np.ix_(perm, perm)], adj)
         if q == 4:

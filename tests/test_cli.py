@@ -93,18 +93,17 @@ def test_out_of_memory_in_verify_exits_2(capsys, monkeypatch):
     assert err == "error: out of memory: Unable to allocate 1.00 MiB\n"
 
 
-def test_address_space_cap_exits_2():
+def test_address_space_cap_exits_2(tmp_path):
+    """The documented command, run as a plain script: no PYTHONPATH, and
+    a working directory outside the checkout."""
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS") or not os.path.exists("/proc/self/statm"):
         pytest.skip("RLIMIT_AS or /proc/self/statm unavailable")
-    tests = Path(__file__).resolve().parent
-    src = str(tests.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = Path(__file__).resolve().parent / "memory_capped.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, str(tests / "memory_capped.py"),
-         "map", "--q", "4", "--n", "151", "--json"],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, str(script), "map", "--q", "4", "--n", "151", "--json"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: out of memory")

@@ -51,9 +51,9 @@ def test_group_matches_the_breadth_first_closure(q, n):
     keys, cayley, done = oracles.closure_bfs(generators(p)[:2], n, p.m, group.order)
     assert done and keys.shape[0] == group.order
     # Same elements, each row the canonical representative.
-    ours = oracles.pack_components(group.comps, n)
-    assert np.array_equal(ours, oracles.canonical_keys(group.comps, n))
-    assert tuple(group.comps[0].tolist()) == (1, 0, 0, 0, 0, 0, 1, 0)
+    ours = oracles.pack_components(group.rows, n)
+    assert np.array_equal(ours, oracles.canonical_keys(group.rows, n))
+    assert tuple(group.rows[0].tolist()) == (1, 0, 0, 0, 0, 0, 1, 0)
     order = np.argsort(keys)
     index = np.searchsorted(keys[order], ours)
     assert np.array_equal(keys[order][index], ours)
@@ -194,15 +194,14 @@ def test_group_dtypes_over_the_whole_modulus_range():
     off the dtype rule and the index formula at (4, 233) and at the top,
     and off a small group."""
     top = kernels.MAX_MODULUS
-    assert group_module.row_dtype(233) == group_module.row_dtype(top) == np.uint8
-    assert group_module.row_dtype(3) == np.uint8
+    assert kernels.row_dtype(233) == kernels.row_dtype(top) == np.uint8
+    assert kernels.row_dtype(3) == np.uint8
     assert principal_congruence_index(HeckeParams(4, 233)) == 12_649_104
     assert max(
         principal_congruence_index(HeckeParams(q, n)) for q in (3, 4, 6) for n in range(3, top + 1)
     ) <= top**3 < np.iinfo(np.int32).max
     group = enumerate_group(HeckeParams(4, 5))
     assert group.rows.dtype == np.uint8 and group.cayley.dtype == np.int32
-    assert group.comps.dtype == np.int64 and np.array_equal(group.comps, group.rows)
 
 
 def test_group_memory_per_element_is_bounded():

@@ -14,7 +14,8 @@ from hfmap.coords import (
     parse_fraction,
     vertex_names,
 )
-from hfmap.group import HeckeParams, cached_group, generators, parity
+from hfmap.group import HeckeParams, cached_group, generators
+from hfmap.kernels import parity
 from oracles import adjacent, cusp_of
 from ring import (
     RingElem,
@@ -133,14 +134,14 @@ def test_poles():
 def test_cusp_examples(group45):
     t = vertex_names(P45)
     s, _, r = generators(P45)
-    assert cusp_of(group45.comps[0], P45) == HFCoord("A", 1, 0)
+    assert cusp_of(group45.rows[0].tolist(), P45) == HFCoord("A", 1, 0)
     assert t.name(cusp_of(s, P45)) == "A2"  # S sends infinity to 0
     assert t.name(cusp_of(r, P45)) == "D2"  # R sends infinity to sqrt2/1
 
 
 def test_cusp_constant_on_translation_cosets(group45):
     sigma = oracles.right_mult_perm(group45, group45.cayley[0, 1])
-    cusps = [cusp_of(group45.comps[i], P45) for i in range(group45.order)]
+    cusps = [cusp_of(g, P45) for g in group45.rows.tolist()]
     for i in range(group45.order):
         assert cusps[int(sigma[i])] == cusps[i]
 
@@ -149,18 +150,18 @@ def test_cusp_constant_on_translation_cosets(group45):
 def test_cusp_fibers_have_size_n(qn):
     p = HeckeParams(*qn)
     group = cached_group(*qn)
-    fibers = Counter(cusp_of(group.comps[i], p) for i in range(group.order))
+    fibers = Counter(cusp_of(g, p) for g in group.rows.tolist())
     assert set(fibers.values()) == {p.n}
     assert sorted(fibers) == enumerate_coords(p)
 
 
 def test_even_columns_realize_the_adjacency_determinant(group45):
     # for even g with columns A(a,c), B(b,d): a*d - m*b*c = det = 1
-    odd = [parity(row, P45) == "odd" for row in group45.comps]
+    odd = [parity(row, P45) == "odd" for row in group45.rows]
     for i in range(group45.order):
         if odd[i]:
             continue
-        g = as_matrix(group45.comps[i])
+        g = as_matrix(group45.rows[i])
         a, c = g.e11.rat, g.e21.irr
         b, d = g.e12.irr, g.e22.rat
         assert (a * d - 2 * b * c) % 5 == 1
@@ -220,8 +221,7 @@ def test_adjacency_equivariance_exhaustive(qn):
     adj = {
         (u, v) for u in coords for v in coords if adjacent(u, v, p)
     }
-    for i in range(group.order):
-        g = group.comps[i]
+    for g in group.rows:
         images = {u: apply_to_coord(g, u, p) for u in coords}
         assert {(images[u], images[v]) for u, v in adj} == adj
 
@@ -282,7 +282,7 @@ def test_row_api_matches_ring_oracle(qn):
     infinity = normalize("A", 1, 0, p)
     odd = _word_parities(p) if p.q != 3 else None
     assert odd is None or len(odd) == group.order
-    for row in group.comps.tolist():
+    for row in group.rows.tolist():
         g = as_matrix(row)
         assert cusp_of(row, p) == _ring_image(g, infinity, p)
         assert [apply_to_coord(row, u, p) for u in coords] == [

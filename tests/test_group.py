@@ -9,12 +9,12 @@ from hfmap.group import (
     IndexFormulaError,
     enumerate_group,
     generators,
-    parity,
     perm_compose,
     perm_order,
     principal_congruence_index,
     s5_permutation_group,
 )
+from hfmap.kernels import parity
 from ring import RingParams, mat_mul, proj_eq
 
 
@@ -53,6 +53,14 @@ def test_index_formula_equals_enumeration(q, n, expected):
     assert enumerate_group(p).order == expected
 
 
+@pytest.mark.parametrize("q", [3, 4, 6])
+def test_index_formula_equals_the_two_branch_reference(q):
+    """The one Euler product against the q = 3 and m | n branches of
+    ``oracles.index_formula``, on every modulus up to 3000."""
+    got = [principal_congruence_index(HeckeParams(q, n)) for n in range(3, 3001)]
+    assert got == [oracles.index_formula(q, n) for n in range(3, 3001)]
+
+
 def test_index_rejects_small_modulus():
     with pytest.raises(ValueError):
         HeckeParams(4, 2)
@@ -76,9 +84,9 @@ def test_closure_short_of_the_index_formula(monkeypatch):
 
 def test_enumeration_deterministic(group45):
     again = enumerate_group(HeckeParams(4, 5))
-    assert np.array_equal(group45.comps, again.comps)
+    assert np.array_equal(group45.rows, again.rows)
     assert np.array_equal(group45.cayley, again.cayley)
-    assert tuple(group45.comps[0].tolist()) == (1, 0, 0, 0, 0, 0, 1, 0)
+    assert tuple(group45.rows[0].tolist()) == (1, 0, 0, 0, 0, 0, 1, 0)
 
 
 def test_group_relations(group45, group43, group35):
@@ -109,13 +117,13 @@ def test_parity_undefined_for_modular_group(group35):
     with pytest.raises(ValueError):
         parity(generators(HeckeParams(3, 5))[0], HeckeParams(3, 5))
     with pytest.raises(ValueError):
-        [parity(row, group35.params) for row in group35.comps]
+        [parity(row, group35.params) for row in group35.rows]
 
 
 @pytest.mark.parametrize("qn", [(4, 3), (4, 5), (6, 5)])
 def test_even_elements_form_index_two_subgroup(qn):
     group = enumerate_group(HeckeParams(*qn))
-    odd = np.array([parity(row, group.params) == "odd" for row in group.comps])
+    odd = np.array([parity(row, group.params) == "odd" for row in group.rows])
     assert odd.sum() * 2 == group.order
     # parity is a homomorphism to C2: check over all pairs via column perms
     for j in range(group.order):
@@ -139,7 +147,7 @@ def test_s5_model():
 
 def test_element_orders_spot(group45):
     p = group45.params
-    orders = {oracles.element_order(group45.comps[i], p) for i in range(group45.order)}
+    orders = {oracles.element_order(g, p) for g in group45.rows}
     # S5 spectrum again, via the matrix model
     assert orders == {1, 2, 3, 4, 5, 6}
 

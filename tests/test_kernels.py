@@ -8,15 +8,15 @@ import oracles
 import pytest
 from conftest import as_matrix
 
-from hfmap import group as group_module, kernels
+from hfmap import kernels
 from hfmap.coords import CuspError, coordinate_codes, cusp_codes
 from hfmap.group import (
     HeckeParams,
     enumerate_group,
     generators,
-    parity_patterns,
     principal_congruence_index,
 )
+from hfmap.kernels import parity_patterns
 
 IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
 from ring import RingParams, canonicalize, identity_matrix, mat_mul
@@ -52,7 +52,7 @@ def test_readers_agree_on_a_uint8_table(q, n):
     rng = np.random.default_rng(n + q)
     wide = rng.integers(0, n, size=(2000, 8))
     wide[0] = n - 1
-    assert group_module.row_dtype(n) == np.uint8
+    assert kernels.row_dtype(n) == np.uint8
     narrow = wide.astype(np.uint8)
     for g in (IDENTITY, *generators(p)):
         got = kernels.product_keys(narrow, g, n, p.m)
@@ -70,7 +70,7 @@ def test_readers_agree_on_a_uint8_table(q, n):
     # with the rest of the pattern random: every row is a cusp.
     codes = rng.choice(coordinate_codes(p), size=2000)
     kind, rest = np.divmod(codes, n * n)
-    slots = group_module._SLOTS[np.where(q == 3, 2, kind)]
+    slots = kernels._SLOTS[np.where(q == 3, 2, kind)]
     cols = np.stack([rest // n, rest % n, *rng.integers(0, n, size=(2, 2000))], axis=-1)
     wide = np.zeros((2000, 8), dtype=np.int64)
     np.put_along_axis(wide, slots, cols, axis=-1)

@@ -106,6 +106,23 @@ def test_quotient_dot_counts(qn, ve):
     assert dot == render_quotient(HeckeParams(*qn), "dot")
 
 
+def test_quotient_labels_without_a_name_table():
+    """Maps with no name table label their nodes by coord_value_str, not
+    by the kind:num/den triples of circuit listings."""
+    dot = render_quotient(HeckeParams(3, 5), "dot").splitlines()
+    assert dot[1:13] == [f'  "{u}";' for u in (
+        "0/1", "0/2", "1/0", "1/1", "1/2", "1/3", "1/4", "2/0", "2/1", "2/2", "2/3", "2/4",
+    )]
+    assert dot[13] == '  "0/1" -- "1/0";'
+    lines = render_quotient(HeckeParams(4, 7), "dot").splitlines()
+    first = ["0/(1sqrt2)", "0/(2sqrt2)", "0/(3sqrt2)", "1/(0sqrt2)"]
+    assert len(lines) == 218 and not any(":" in line for line in lines)
+    assert lines[1:5] == [f'  "{u}";' for u in first]
+    assert lines[-2] == '  "3/(6sqrt2)" -- "3sqrt2/3";'
+    labels = re.findall(r">([^<]+)</text>", render_quotient(HeckeParams(4, 7), "svg"))
+    assert labels[:4] == first and labels[-1] == "3sqrt2/6" and len(labels) == 48
+
+
 def test_quotient_svg():
     svg = render_quotient(HeckeParams(4, 5), "svg")
     _assert_well_formed(svg)

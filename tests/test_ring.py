@@ -111,7 +111,7 @@ def test_inverse_rejects_bad_determinant():
 def test_canonicalization_idempotent_and_sign_invariant(group45):
     p = RingParams(group45.params.n, group45.params.m)
     for i in range(group45.order):
-        g = as_matrix(group45.comps[i])
+        g = as_matrix(group45.rows[i])
         assert canonicalize(g, p) == g
         neg = ProjMatrix(
             RingElem(-g.e11.rat % p.n, -g.e11.irr % p.n),
@@ -126,7 +126,7 @@ def test_det_multiplicative_over_group(group43, group35):
     for group in (group43, group35):
         p = RingParams(group.params.n, group.params.m)
         one = RingElem(1, 0)
-        mats = [as_matrix(row) for row in group.comps]
+        mats = [as_matrix(row) for row in group.rows]
         for g in mats:
             assert mat_det(g, p) == one
         for g in mats[:12]:

@@ -138,8 +138,8 @@ def test_adjacent_codes_matches_adjacent(q, n):
 def test_cusp_codes_match_cusp_of(q, n):
     p = HeckeParams(q, n)
     group = cached_group(q, n)
-    got = [code_coord(c, p) for c in cusp_codes(group.comps, p)]
-    assert got == [oracles.cusp_of(row, p) for row in group.comps.tolist()]
+    got = [code_coord(c, p) for c in cusp_codes(group.rows, p)]
+    assert got == [oracles.cusp_of(row, p) for row in group.rows.tolist()]
 
 
 @pytest.mark.parametrize("q,n", [(4, 5), (6, 9), (3, 7), (4, 15)])
@@ -148,9 +148,9 @@ def test_apply_codes_matches_apply_to_coord(q, n):
     p = HeckeParams(q, n)
     group = cached_group(q, n)
     nodes = enumerate_coords(p)
-    got = apply_codes(group.comps[:, None], coord_codes(nodes, p), p)
+    got = apply_codes(group.rows[:, None], coord_codes(nodes, p), p)
     assert got.shape == (group.order, len(nodes))
-    want = [[oracles.apply_to_coord(g, u, p) for u in nodes] for g in group.comps.tolist()]
+    want = [[oracles.apply_to_coord(g, u, p) for u in nodes] for g in group.rows.tolist()]
     assert [[code_coord(c, p) for c in row] for row in got.tolist()] == want
 
 
@@ -199,7 +199,7 @@ def test_corrupted_row_raises_the_scalar_error(q, n):
 @pytest.mark.parametrize("q", [3, 4])
 def test_non_coordinate_row_raises_the_scalar_error(q):
     p = HeckeParams(q, 9)
-    rows = cached_group(q, 9).comps.copy()
+    rows = cached_group(q, 9).rows.astype(np.int64)
     # An even row whose cusp column is (3, 3): gcd 3 with n = 9.  A later
     # row without a parity pattern must not pre-empt it.
     rows[4] = [3, 0, 0, 0, 0, 3, 1, 0]
@@ -325,7 +325,7 @@ def _repaired_alpha(group, amap):
     from the lowest darts."""
     p = group.params
     n = p.n
-    codes = cusp_codes(group.comps[::n], p)
+    codes = cusp_codes(group.rows[::n], p)
     alpha = amap.alpha
     firsts = np.flatnonzero(np.arange(amap.darts) < alpha)
     for i in firsts.tolist():
@@ -403,7 +403,7 @@ def test_problem_strings_list_coordinates_sorted():
     group = cached_group(4, 5)
     amap = build_algebraic_map(group)
     zero, inf = normalize("A", 0, 1, p), normalize("A", 1, 0, p)
-    heads = [code_coord(c, p) for c in cusp_codes(group.comps[::5], p)]
+    heads = [code_coord(c, p) for c in cusp_codes(group.rows[::5], p)]
     assert heads[0] == inf
     e = 5 * heads.index(zero)
     alpha = amap.alpha.copy()
