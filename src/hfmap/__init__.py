@@ -8,11 +8,13 @@ map of type {5, 4} together with its side pairing and vertex
 identifications.
 
 Both models are read off one table, ``coords.completion_table``.  The
-runtime checks that share nothing with it are ``kernels.product_keys`` on
-every sigma and alpha entry and the generation breadth-first search in
-``enumerate_group``.  ``maps.projection_certificate``, which ``hfmap map``
-runs on every modulus, then proves that g -> g(infinity) carries the dart
-model onto the adjacency-rule graph, in the element numbering v*n + t:
+runtime checks that share nothing with it are the generation breadth-first
+search in ``enumerate_group`` and ``kernels.slot_product_keys`` on every
+sigma and alpha entry: it multiplies each stored row by S or T on the four
+slots of its kind, and keys the product by its kind and its four residues.
+``maps.projection_certificate``, which ``hfmap map`` runs on every modulus,
+then proves that g -> g(infinity) carries the dart model onto the
+adjacency-rule graph, in the element numbering v*n + t:
 (a) the vertex orbits are the blocks v*n .. v*n + n - 1 and every row
 has its block head's first column up to sign; (b) the head cusps, sorted,
 are the coordinates; (c) ``coords.adjacent_codes`` holds on every arc

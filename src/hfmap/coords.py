@@ -27,7 +27,14 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .kernels import _SLOTS, _check_modulus, mat_mul_components, parity, parity_patterns
+from .kernels import (
+    _SLOTS,
+    _check_modulus,
+    kind_slots,
+    mat_mul_components,
+    parity,
+    parity_patterns,
+)
 
 if TYPE_CHECKING:
     from .group import HeckeParams
@@ -299,7 +306,7 @@ def apply_codes(g, codes: np.ndarray, p: HeckeParams) -> np.ndarray:
     """
     n = p.n
     codes = np.asarray(codes, dtype=np.int64)
-    slots = _SLOTS[np.where(p.q == 3, 2, codes // (n * n)), :2]
+    slots = kind_slots(codes // (n * n), p.m)[..., :2]
     col = np.zeros(codes.shape + (8,), dtype=np.int64)
     np.put_along_axis(col, slots, np.stack([codes // n % n, codes % n], axis=-1), axis=-1)
     prod = mat_mul_components(g, col, n, p.m)

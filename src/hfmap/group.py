@@ -28,6 +28,7 @@ __all__ = [
     "IDENTITY",
     "exact_generators",
     "generators",
+    "INDEX_MAX_MODULUS",
     "principal_congruence_index",
     "enumerate_group",
     "FiniteHeckeGroup",
@@ -39,6 +40,10 @@ __all__ = [
 RADICAND = {3: 1, 4: 2, 6: 3}
 
 IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
+
+# The largest n the index formula takes: factoring n by trial division up
+# to sqrt(n) then takes at most 10**6 steps.
+INDEX_MAX_MODULUS = 10**12
 
 
 class GroupCheckError(RuntimeError):
@@ -111,11 +116,16 @@ def principal_congruence_index(p: HeckeParams) -> int:
 
     with m = ``RADICAND[q]`` and e = 2 for q = 3, the projective
     identification g ~ -g of the modular group, else e = 1.  m = 1 for
-    q = 3 is no prime, so every factor there is 1 - 1/r^2.
+    q = 3 is no prime, so every factor there is 1 - 1/r^2.  n above
+    ``INDEX_MAX_MODULUS`` raises ``ValueError``.
     """
     n = p.n
     if n <= 2:
         raise ValueError(f"index formula requires n > 2, got {n}")
+    if n > INDEX_MAX_MODULUS:
+        raise ValueError(
+            f"modulus {n} outside supported range [3, {INDEX_MAX_MODULUS}] of the index formula"
+        )
     num, den = n**3, 2 if p.q == 3 else 1
     for r in _prime_factors(n):
         power = r if r == p.m else r * r
@@ -166,10 +176,13 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     One pass over blocks of coordinates (``kernels.coordinate_blocks``)
     writes each block's rows, in ``row_dtype(n)``, alpha and sigma, as
     int32 (N < 2**31 over the whole modulus range), and the canonical key
-    of every element into one int64 array.  Then, for T and then S, the
-    permutation is range-checked and, block by block, the keys of the
-    products g*T (g*S) are compared with the keys at sigma (alpha).  The
-    group keeps 16 bytes per element, 8 of rows and 8 of Cayley table.
+    of every element into one int64 array: its kind and the four residues
+    the block writes into that kind's slots (``kernels.four_digit_keys``).
+    Then, for T and then S, the permutation is range-checked and, block by
+    block, cut where the kind changes, the keys of the products g*T
+    (g*S), taken from the stored rows by ``kernels.slot_product_keys``,
+    are compared with the keys at sigma (alpha).  The group keeps 16 bytes
+    per element, 8 of rows and 8 of Cayley table.
     """
     index = principal_congruence_index(p)
     n, m = p.n, p.m
@@ -197,6 +210,11 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     alpha, sigma = perms = np.empty((2, size * n), dtype=np.int32)
     keys = np.empty(size * n, dtype=np.int64)
     blocks = kernels.coordinate_blocks(size, n)
+    kinds = tab.codes // (n * n)
+    # The check's runs: the blocks, cut where the kind changes.  The codes
+    # ascend, so the rolled table holds at most three runs of one kind.
+    cuts = np.flatnonzero(np.diff(kinds)) + 1
+    ends = sorted({*(block.start for block in blocks), *cuts.tolist(), size})
 
     for block in blocks:
         part = coords.Completion._make(col[block] for col in tab)
@@ -215,24 +233,27 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
         # A row is the lexicographically smaller of g and -g, in the slot
         # order a, b, c, d of all three forms: the first column's sign
         # settles it unless a = -a, and then (b, c, d) does.
+        a = part.a[:, None]
         c = np.repeat(part.c[:, None], n, axis=1)
         tied = np.flatnonzero(2 * part.a % n == 0)
         rest = np.stack([b[tied], c[tied], d[tied]])
         neg = -rest % n
         flip = (neg[0] * n + neg[1]) * n + neg[2] < (rest[0] * n + rest[1]) * n + rest[2]
         b[tied], c[tied], d[tied] = np.where(flip, neg, rest)
-        slots = kernels._SLOTS[np.where(p.q == 3, 2, part.codes // (n * n))]
-        for slot, col in zip(slots.T, (part.a[:, None], c, b, d)):
+        slots = kernels.kind_slots(kinds[block], m)
+        for slot, col in zip(slots.T, (a, c, b, d)):
             planes[slot, np.arange(block.start, block.stop)] = col
+        kernels.four_digit_keys(kinds[block, None], (a, b, c, d), n, out=keys[darts].reshape(-1, n))
         del b, c, d
 
-        keys[darts] = kernels.product_keys(rows[darts], IDENTITY, n, m)
     for name, gen, perm in (("T", gens[1], sigma), ("S", gens[0], alpha)):
         if perm.min() < 0 or perm.max() >= perm.size:
             raise GroupCheckError(_product_error(p, name))
-        for block in blocks:
-            darts = slice(block.start * n, block.stop * n)
-            if not np.array_equal(kernels.product_keys(rows[darts], gen, n, m), keys[perm[darts]]):
+        steps = kernels.slot_maps(gen, n, m)
+        for lo, hi in zip(ends, ends[1:]):
+            darts = slice(lo * n, hi * n)
+            got = kernels.slot_product_keys(rows[darts], steps[kinds[lo]], n)
+            if not np.array_equal(got, keys[perm[darts]]):
                 raise GroupCheckError(_product_error(p, name))
     del keys
     # sigma cycles through each coordinate's n elements, so S and T reach

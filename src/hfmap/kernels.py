@@ -1,22 +1,26 @@
-"""The one 2x2 product over Z[sqrt(m)], canonical keys of products, and the
+"""The one 2x2 product over Z[sqrt(m)], four-digit keys of products, and the
 one breadth-first search.
 
 Every group element in the library is a component row: 8 residues in
 [0, n) in the scan order e11.rat, e11.irr, e12.rat, e12.irr, e21.rat,
 e21.irr, e22.rat, e22.irr.  ``_SLOTS``, the one statement of the slots
 of a, c, b and d in each kind of row, is read by ``parity``, the group,
-the cusps and the map certificate.  The group stores its rows in
-``row_dtype(n)``, the smallest unsigned dtype that holds n - 1 (uint8
-over the whole modulus range), and every reader here widens them to int64
-before it does arithmetic.
+the cusps and the map certificate; ``kind_slots`` picks its row for a kind.
+The group stores its rows in ``row_dtype(n)``, the smallest unsigned dtype
+that holds n - 1 (uint8 over the whole modulus range), and every reader
+here widens them before it does arithmetic.
 ``mat_mul_exact`` is the only place the matrix product is written out; it
 works on tuples of Python ints (exact, used by the renderer over Z) and on
 component arrays (reduced mod n by ``mat_mul_components``).  Right
 multiplication by a fixed g is linear in the row, so ``right_mult_map``
 turns it into an 8x8 integer matrix built by ``mat_mul_exact`` from the 8
-unit rows.  The 8 residues as base-n digits, most significant first, are
-an int64 key, and min(key(g), key(-g)) is the canonical projective key
-that ``product_keys`` gives the group's check of its Cayley table.
+unit rows.  A row's other four slots are zero, so its kind and the
+residues a, b, c, d in its kind's slots, as base-n digits after the kind,
+are an int64 key (``four_digit_keys``), and min(key(g), key(-g)) is the
+canonical projective key.  The group takes the keys of its elements from
+the residues it writes, and its check of the Cayley table takes those of
+the products with S and T from ``slot_product_keys``, which applies the
+(4, 4) blocks of ``right_mult_map`` (``slot_maps``) to the stored rows.
 ``breadth_first_tree`` serves the group's connectivity pass and the
 coset-domain spanning tree.  ``coordinate_blocks`` cuts every pass over
 whole coordinates (n darts each) into blocks of at most ``CHUNK_DARTS``
@@ -42,14 +46,23 @@ __all__ = [
     "mat_mul_exact",
     "mat_mul_components",
     "right_mult_map",
-    "product_keys",
+    "kind_slots",
+    "slot_maps",
+    "four_digit_keys",
+    "slot_product_keys",
     "breadth_first_tree",
     "resolve_backend",
 ]
 
-# Keys need n**8 <= 2**63: 234**8 < 2**63 < 235**8.  The largest
-# unreduced product sums, 4 * 3 * 233**2 in mat_mul_exact and 8 * 233**2 in
-# a row times a right_mult_map, are far smaller.
+# The top of the modulus range.  The library's own bounds lie above it:
+# its keys, below 2 * n**4, fit int64 up to n of about 46,000, the uint8
+# rows hold residues up to n = 256, and the int32 Cayley entries, below
+# n**3, up to n = 1,290.  234 is set by the test oracle: its 8-digit keys
+# need n**8 < 2**63 (234**8 < 2**63 < 235**8), and so it can check the
+# library's keys at any n in range.  A higher top waits for a measured
+# memory plan.  The largest unreduced product sums, 4 * 3 * 233**2 in
+# mat_mul_exact and 8 * 233**2 in a row times a right_mult_map, are far
+# smaller.
 MAX_MODULUS = 234
 
 # Darts per block of the passes over whole coordinates: the group's
@@ -61,6 +74,13 @@ CHUNK_DARTS = 1 << 16
 # (kind A, even), [[a*sqrt(m), b], [c, d*sqrt(m)]] (kind B, odd) and, for
 # q = 3, [[a, b], [c, d]].
 _SLOTS = np.array([(0, 5, 3, 6), (1, 4, 2, 7), (0, 4, 2, 6)])
+
+
+def kind_slots(kind, m: int) -> np.ndarray:
+    """Slots of a, c, b, d, along a last axis, in the rows of a kind or an
+    array of kinds: 0 is kind A, or the one form of q = 3 (m = 1), and 1 is
+    kind B."""
+    return _SLOTS[np.where(m == 1, 2, kind)]
 
 
 def _check_modulus(n: int) -> None:
@@ -109,11 +129,6 @@ def parity(g, p: HeckeParams) -> str:
     )
 
 
-def _digit_weights(n: int) -> np.ndarray:
-    """n**[7..0]: the place values of the 8 base-n digits of a key."""
-    return n ** np.arange(7, -1, -1, dtype=np.int64)
-
-
 def mat_mul_exact(a, b, m: int) -> tuple:
     """The 8 unreduced components of the 2x2 product a*b over Z[sqrt(m)].
 
@@ -153,31 +168,81 @@ def right_mult_map(g: np.ndarray, n: int, m: int) -> np.ndarray:
     return mat_mul_components(np.eye(8, dtype=np.int64), g, n, m)
 
 
-def product_keys(rows: np.ndarray, g, n: int, m: int) -> np.ndarray:
-    """Canonical keys min(key(h), key(-h)) of the products h of the rows of
-    an (N, 8) component table, of any integer dtype, with g.
+def slot_maps(g, n: int, m: int) -> list[tuple[np.ndarray, int, np.ndarray]]:
+    """Right multiplication by g on the four slots of each kind of row.
 
-    Component j of h sums rows[:, k] * M[k, j] over the nonzero entries of
-    M = right_mult_map(g), as signed residues: one or two per column, each
-    1, -1 or m, for S, T and the identity, and a lone 1 copies a reduced
-    component.  Every column read is widened to int64 by the products,
-    which are taken in int64.  key(-h) sums (n - c) n**place over the
-    nonzero digits c, so both keys build up a column at a time, with no
-    (N, 8) product.
+    Entry k, for the rows of kind k (kind 0 alone when m = 1), is
+    (slots, kind, M): ``kind_slots(k, m)``, the kind of the products, and
+    the (4, 4) block of ``right_mult_map(g)`` from those slots to the
+    product kind's slots of a, b, c, d, as signed residues in (-n/2, n/2].
+    The product kind is the one whose slots alone receive the products: S
+    flips the kind for q = 4 and 6, and T keeps it.
     """
     mat = right_mult_map(np.asarray(g, dtype=np.int64), n, m)
     mat = np.where(mat > n // 2, mat - n, mat)
-    key = np.zeros(rows.shape[0], dtype=np.int64)
-    nonzero = np.zeros(rows.shape[0], dtype=np.int64)
-    for j, weight in enumerate(_digit_weights(n).tolist()):
-        terms = [(rows[:, k], int(mat[k, j])) for k in np.flatnonzero(mat[:, j]).tolist()]
+    kinds = [0] if m == 1 else [0, 1]
+    out = []
+    for kind in kinds:
+        slots = kind_slots(kind, m)
+        part = mat[slots]
+        to, = (k for k in kinds if not np.delete(part, kind_slots(k, m), axis=1).any())
+        out.append((slots, to, part[:, kind_slots(to, m)[[0, 2, 1, 3]]]))
+    return out
+
+
+# Every op of the keys below names its dtype, so that numpy 2 (NEP 50) and
+# numpy 1.x (value-based casting), which pyproject.toml both allows,
+# promote alike.
+
+
+def four_digit_keys(kind, digits, n: int, out: np.ndarray) -> np.ndarray:
+    """kind*n**4 + ((a*n + b)*n + c)*n + d, written into the int64 array
+    out, for kinds and residues (a, b, c, d) that broadcast to its shape:
+    the key of a row of that kind whose slots hold a, b, c, d, and its
+    canonical key when the row is the lexicographically smaller of g and -g
+    in that order."""
+    out[...] = kind
+    for digit in digits:
+        np.multiply(out, n, out=out, dtype=np.int64)
+        np.add(out, digit, out=out, dtype=np.int64)
+    return out
+
+
+def slot_product_keys(rows: np.ndarray, step, n: int) -> np.ndarray:
+    """Canonical keys min(key(h), key(-h)) (see ``four_digit_keys``) of the
+    products h with g of the rows of an (N, 8) component table, all of one
+    kind, given that kind's entry of ``slot_maps(g, n, m)``.
+
+    Each digit of h sums the stored residues times their entries in the
+    block: one or two entries 1, -1, m or -m for S, T and the identity,
+    and a lone 1 copies the stored residue.  key(-h) is the kind part plus
+    the sum of (n - c) n**place over the nonzero digits c, so both keys
+    build up a digit at a time, with one digit alive at a time.
+    """
+    slots, kind, sub = step
+    cols = [rows[:, slot] for slot in slots.tolist()]
+    # The digit sums, below 2 * n**2 in absolute value for any g, and the
+    # first three digits of a key, below n**3, are int32; the key, below
+    # 2 * n**4, is int64.  A residue is taken by floor division, which
+    # numpy runs faster than %.
+    key = nonzero = 0
+    for entries, dtype in zip(sub.T.tolist(), (np.int32,) * 3 + (np.int64,)):
+        terms = [(col, e) for col, e in zip(cols, entries) if e]
         if len(terms) == 1 and terms[0][1] == 1:
             digit = terms[0][0]
         else:
-            digit = sum(np.multiply(col, entry, dtype=np.int64) for col, entry in terms) % n
-        key += np.multiply(digit, weight, dtype=np.int64)
-        np.add(nonzero, weight, out=nonzero, where=digit != 0)
-    return np.minimum(key, n * nonzero - key)
+            digit = 0
+            for col, e in terms:
+                digit = np.add(digit, np.multiply(col, e, dtype=np.int32), dtype=np.int32)
+            wraps = np.floor_divide(digit, n, dtype=np.int32)
+            digit = np.subtract(digit, np.multiply(wraps, n, dtype=np.int32), dtype=np.int32)
+        key = np.add(np.multiply(key, n, dtype=dtype), digit, dtype=dtype)
+        nonzero = np.add(np.multiply(nonzero, n, dtype=dtype), digit != 0, dtype=dtype)
+    # key(-h) - kind * n**4 into nonzero, then the canonical key into key.
+    np.multiply(nonzero, n, out=nonzero, dtype=np.int64)
+    np.subtract(nonzero, key, out=nonzero, dtype=np.int64)
+    np.minimum(key, nonzero, out=key, dtype=np.int64)
+    return np.add(key, kind * n**4, out=key, dtype=np.int64)
 
 
 def breadth_first_tree(nbrs: np.ndarray) -> np.ndarray:

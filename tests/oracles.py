@@ -14,9 +14,10 @@ objects, which ``circuits_of`` makes of the library's walk table and
 projects the disk-model geodesics one point at a time.  The differential
 tests in test_vectorized.py require the library to agree with them.  Next to them
 are the index formula in the two branches the library once wrote, the
-element-level group operations (canonical keys, product, inverse,
-right-multiplication permutation, element order) looked up by key, the
-permutation inverse, the dart system's orbits, connectivity and
+element-level group operations looked up by key (canonical keys of all 8
+components, the library's packing before it keyed a row by its kind's
+four slots; product, inverse, right-multiplication permutation, element
+order), the permutation inverse, the dart system's orbits, connectivity and
 automorphisms, the coordinate graph's degrees, and the translation T as the
 formula "add lam_q".  Two former library passes are kept as references for
 the completion table: ``closure_bfs``, the breadth-first closure that
@@ -88,10 +89,16 @@ def index_formula(q: int, n: int) -> int:
     return num // den
 
 
+def digit_weights(n: int) -> np.ndarray:
+    """n**[7..0]: the place values of the 8 base-n digits of an oracle key,
+    which fit int64 for n <= 234 (n**8 < 2**63)."""
+    return n ** np.arange(7, -1, -1, dtype=np.int64)
+
+
 def pack_components(comps: np.ndarray, n: int) -> np.ndarray:
     """Pack (..., 8) component arrays into base-n int64 keys, most
     significant digit first."""
-    return np.asarray(comps, dtype=np.int64) @ kernels._digit_weights(n)
+    return np.asarray(comps, dtype=np.int64) @ digit_weights(n)
 
 
 def unpack_keys(keys: np.ndarray, n: int) -> np.ndarray:
@@ -131,7 +138,7 @@ def closure_bfs(
     # frontier @ maps gives each row's products with every generator, side
     # by side, before reduction mod n.
     maps = np.concatenate([kernels.right_mult_map(g, n, m) for g in gens], axis=1)
-    weights = kernels._digit_weights(n)
+    weights = digit_weights(n)
     # The key of -g: sum over the nonzero digits c of (n - c) n**place.
     flip_weights = n * weights
     limit = max(limit, 1)

@@ -36,6 +36,24 @@ def test_index(capsys):
     assert code == 0 and out == "96\ncheck OK\n"
 
 
+def test_index_past_the_formula_bound_exits_2(capsys):
+    """Trial division of a 30-digit prime would not finish: a modulus above
+    INDEX_MAX_MODULUS is refused before it starts, with or without --check."""
+    assert group.INDEX_MAX_MODULUS == 10**12
+    for n in (10**12 + 1, 100000000000000000000000000319):
+        message = (
+            f"error: modulus {n} outside supported range [3, 1000000000000] of the index formula\n"
+        )
+        for argv in (f"index --q 4 --n {n}", f"index --q 6 --n {n} --check"):
+            code, out, err = run(capsys, *argv.split())
+            assert code == 2 and out == ""
+            assert err == message
+    # The largest prime in range is factored within the bound.
+    n = 999999999989
+    code, out, _ = run(capsys, "index", "--q", "4", "--n", str(n))
+    assert code == 0 and out == f"{n**3 - n}\n"
+
+
 def test_index_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["index", "--q", "5"])
@@ -76,7 +94,7 @@ def test_out_of_memory_exits_2(capsys, monkeypatch, detail, line):
     def exhausted(*args):
         raise MemoryError(detail)
 
-    monkeypatch.setattr(kernels, "product_keys", exhausted)
+    monkeypatch.setattr(kernels, "slot_product_keys", exhausted)
     code, out, err = run(capsys, "map", "--q", "4", "--n", "5")
     assert code == 2 and out == ""
     assert err == line + "\n"

@@ -3,6 +3,7 @@ against the former breadth-first closure and the pair-test graph
 (``oracles.closure_bfs``, ``oracles.pair_test_graph``)."""
 
 import tracemalloc
+import types
 
 import numpy as np
 import oracles
@@ -187,6 +188,30 @@ def test_a_wrong_t_step_is_caught(power, monkeypatch):
         monkeypatch.setattr(kernels, "CHUNK_DARTS", chunk)
         with pytest.raises(GroupCheckError, match=r"disagrees with the product g\*T"):
             enumerate_group(HeckeParams(4, 7))
+
+
+@pytest.mark.parametrize("kind", [0, 1])
+def test_rows_written_into_the_other_kinds_slots_are_caught(kind, monkeypatch):
+    """The n rows of the first coordinate of one kind are written into the
+    other kind's slots, while their keys stay right: the products, read
+    from the stored rows at their kind's slots, disagree."""
+    kind_slots, moved = kernels.kind_slots, []
+
+    def misplaced(kinds, m):
+        kinds = np.array(kinds)
+        first = np.flatnonzero(kinds == kind)[:1]
+        if first.size and not moved:
+            kinds[first] = 1 - kind
+            moved.append(first)
+        return kind_slots(kinds, m)
+
+    # The group's own lookups go through the stand-in; the kernels' go on
+    # reading the true slots.
+    stand_in = types.SimpleNamespace(**{**vars(kernels), "kind_slots": misplaced})
+    monkeypatch.setattr(group_module, "kernels", stand_in)
+    with pytest.raises(GroupCheckError, match=r"disagrees with the product g\*T"):
+        enumerate_group(HeckeParams(4, 7))
+    assert moved
 
 
 def test_group_dtypes_over_the_whole_modulus_range():

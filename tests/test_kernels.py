@@ -22,6 +22,56 @@ IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
 from ring import RingParams, canonicalize, identity_matrix, mat_mul
 
 
+QS = {1: 3, 2: 4, 3: 6}  # q of each radicand m
+
+
+def _kind_rows(rng, n, m, kind, size):
+    """Random rows of one kind: residues in the kind's four slots, and
+    zeros in the others."""
+    rows = np.zeros((size, 8), dtype=np.int64)
+    rows[:, kernels.kind_slots(kind, m)] = rng.integers(0, n, size=(size, 4))
+    return rows
+
+
+def _with_repeats(rows, n):
+    """rows, then the negatives and copies of some of them: the pairs whose
+    keys must be equal."""
+    return np.concatenate([rows, -rows[: len(rows) // 3] % n, rows[: len(rows) // 5]])
+
+
+def _named_generators(p):
+    s, t, r = generators(p)
+    return {"I": np.array(IDENTITY), "S": s, "T": t, "R": r}
+
+
+def _four_digit_oracle(rows, g, n, m, kind):
+    """The key of each row * g read off the 8-digit oracle: the kind of the
+    product, then the slots a, b, c, d of its canonical row, which is zero
+    in every other slot.  Also returns the 8-digit keys."""
+    keys = oracles.right_mult_keys(rows, g, n, m)
+    canon = oracles.unpack_keys(keys, n)
+    slots = kernels.kind_slots(kind, m)
+    assert not np.delete(canon, slots, axis=1).any()
+    return kind * n**4 + canon[:, slots[[0, 2, 1, 3]]] @ n ** np.arange(3, -1, -1), keys
+
+
+def _check_products(rows, p, n):
+    """slot_product_keys of rows of each kind, stored as uint8 and as
+    int64, with I, S, T and R against ``_four_digit_oracle``: the product
+    kinds, the keys, and equal keys exactly where the oracle's are equal."""
+    for kind, kind_rows in enumerate(rows):
+        for name, g in _named_generators(p).items():
+            step = kernels.slot_maps(g, n, p.m)[kind]
+            to = 0 if p.q == 3 else kind ^ (name in "SR")
+            assert step[1] == to
+            want, oracle = _four_digit_oracle(kind_rows, g, n, p.m, to)
+            got = kernels.slot_product_keys(kind_rows.astype(kernels.row_dtype(n)), step, n)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert np.array_equal(kernels.slot_product_keys(kind_rows, step, n), want)
+            assert np.array_equal(got[:, None] == got, oracle[:, None] == oracle)
+
+
 def test_pack_unpack_roundtrip():
     rng = np.random.default_rng(7)
     for n in (3, 5, 7, 30, kernels.MAX_MODULUS):
@@ -30,18 +80,37 @@ def test_pack_unpack_roundtrip():
 
 
 def test_max_modulus_is_the_int64_bound():
+    """Two bounds: the library's keys stay below 2 * n**4, far inside int64
+    at the top of the range, and the test oracle's 8-digit keys need
+    n**8 < 2**63, which holds at MAX_MODULUS and fails one above it."""
     n = kernels.MAX_MODULUS
+    top_key = kernels.four_digit_keys(1, [n - 1] * 4, n, out=np.empty((), dtype=np.int64))
+    assert int(top_key) == 2 * n**4 - 1
+    assert 2 * 46_000**4 < 2**63
     top = np.full(8, n - 1, dtype=np.int64)
     key = oracles.pack_components(top, n)
-    assert int(key) == n**8 - 1 < 2**63
+    assert int(key) == n**8 - 1 < 2**63 <= (n + 1) ** 8
     assert np.array_equal(oracles.unpack_keys(key, n), top)
-    assert (n + 1) ** 8 >= 2**63
-    # The library's keys stay inside int64 at the largest modulus.
-    rng = np.random.default_rng(13)
-    rows = np.concatenate([top[None], rng.integers(0, n, size=(500, 8))])
-    for g in (IDENTITY, *generators(HeckeParams(6, n))[:2]):
-        want = oracles.right_mult_keys(rows, g, n, 3)
-        assert np.array_equal(kernels.product_keys(rows, g, n, 3), want)
+
+
+@pytest.mark.parametrize("q", [3, 4, 6])
+def test_keys_at_the_top_of_the_range_do_not_wrap(q):
+    """Rows of all n - 1 at n = MAX_MODULUS in each kind's slots, and rows
+    with the largest canonical key: a sum of two uint8 residues would wrap,
+    and so would a key in int32."""
+    n = kernels.MAX_MODULUS
+    p = HeckeParams(q, n)
+    rows = []
+    for kind in ([0] if q == 3 else [0, 1]):
+        kind_rows = np.zeros((2, 8), dtype=np.int64)
+        kind_rows[:, kernels.kind_slots(kind, p.m)] = n - 1
+        kind_rows[1, kernels.kind_slots(kind, p.m)[0]] = n // 2 - 1
+        rows.append(kind_rows)
+    _check_products(rows, p, n)
+    # The kind-B keys pass 2**31; q = 3 has kind A alone, below n**4 / 2.
+    if q > 3:
+        kind_b = kernels.slot_maps(IDENTITY, n, p.m)[1]
+        assert kernels.slot_product_keys(rows[1], kind_b, n).max() > np.iinfo(np.int32).max
 
 
 @pytest.mark.parametrize("q,n", [(3, 7), (4, 101), (3, 234), (4, 234), (6, 234)])
@@ -50,14 +119,13 @@ def test_readers_agree_on_a_uint8_table(q, n):
     on it what it gives on the int64 widening, residues up to n - 1."""
     p = HeckeParams(q, n)
     rng = np.random.default_rng(n + q)
+    assert kernels.row_dtype(n) == np.uint8
+    _check_products(
+        [_with_repeats(_kind_rows(rng, n, p.m, kind, 600), n) for kind in range(1 + (q > 3))], p, n
+    )
     wide = rng.integers(0, n, size=(2000, 8))
     wide[0] = n - 1
-    assert kernels.row_dtype(n) == np.uint8
     narrow = wide.astype(np.uint8)
-    for g in (IDENTITY, *generators(p)):
-        got = kernels.product_keys(narrow, g, n, p.m)
-        assert np.array_equal(got, kernels.product_keys(wide, g, n, p.m))
-        assert np.array_equal(got, oracles.right_mult_keys(wide, g, n, p.m))
     for ours, want in zip(parity_patterns(narrow), parity_patterns(wide)):
         assert np.array_equal(ours, want)
     errors = []
@@ -86,7 +154,15 @@ def test_canonical_key_matches_reference():
     for row, key in zip(comps, keys):
         g = canonicalize(as_matrix(row), p)
         assert oracles.pack_components(np.asarray(g.components(), dtype=np.int64), 7) == key
-    assert np.array_equal(kernels.product_keys(comps, IDENTITY, 7, 2), keys)
+    # A row in a kind's slots keys as that kind and the slots a, b, c, d of
+    # the ring's canonical representative.
+    for kind in (0, 1):
+        rows = _kind_rows(rng, 7, 2, kind, 100)
+        step = kernels.slot_maps(IDENTITY, 7, 2)[kind]
+        abcd = kernels.kind_slots(kind, 2)[[0, 2, 1, 3]]
+        for row, key in zip(rows, kernels.slot_product_keys(rows, step, 7)):
+            digits = np.asarray(canonicalize(as_matrix(row), p).components())[abcd]
+            assert key == kind * 7**4 + int(digits @ 7 ** np.arange(3, -1, -1))
 
 
 @pytest.mark.parametrize(
@@ -126,11 +202,46 @@ def test_right_mult_map_matches_mat_mul_components(n, m):
 
 @pytest.mark.parametrize("n,m", [(3, 1), (5, 2), (30, 2), (180, 3), (kernels.MAX_MODULUS, 3)])
 def test_product_keys_match_the_general_product(n, m):
+    """Rows in the kind patterns of q = QS[m] times I, S, T and R, and also
+    times longer words in S and T, against the general product."""
     rng = np.random.default_rng(17)
-    rows = rng.integers(0, n, size=(300, 8), dtype=np.int64)
-    for g in rng.integers(0, n, size=(4, 8), dtype=np.int64):
-        assert np.array_equal(kernels.product_keys(rows, g, n, m),
-                              oracles.right_mult_keys(rows, g, n, m))
+    p = HeckeParams(QS[m], n)
+    rows = [_with_repeats(_kind_rows(rng, n, m, kind, 300), n) for kind in range(1 + (m > 1))]
+    _check_products(rows, p, n)
+    s, t = generators(p)[:2]
+    word = np.array(IDENTITY)
+    for letter in rng.integers(0, 2, size=12).tolist():
+        word = kernels.mat_mul_components(word, (s, t)[letter], n, m)
+        odd = m > 1 and bool(parity_patterns(word)[1])
+        for kind, kind_rows in enumerate(rows):
+            to = kind ^ odd
+            step = kernels.slot_maps(word, n, m)[kind]
+            want, _ = _four_digit_oracle(kind_rows, word, n, m, to)
+            assert step[1] == to
+            assert np.array_equal(kernels.slot_product_keys(kind_rows, step, n), want)
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (3, 4, 6) for n in (5, 7, 6, 8, 9)] + [(4, 96)])
+def test_identity_keys_are_distinct(q, n, monkeypatch):
+    """The keys the group builds for its elements from the residues it
+    writes are N distinct keys, each the key of its stored row."""
+    made = []
+    four_digit_keys = kernels.four_digit_keys
+
+    def kept(*args, **kwargs):
+        keys = four_digit_keys(*args, **kwargs)
+        made.append(keys.ravel().copy())
+        return keys
+
+    monkeypatch.setattr(kernels, "four_digit_keys", kept)
+    p = HeckeParams(q, n)
+    group = enumerate_group(p)
+    keys = np.concatenate(made)
+    assert keys.size == group.order == np.unique(keys).size
+    kinds = np.zeros(group.order, dtype=int) if q == 3 else parity_patterns(group.rows)[1]
+    for kind, step in enumerate(kernels.slot_maps(IDENTITY, n, p.m)):
+        rows = group.rows[kinds == kind]
+        assert np.array_equal(kernels.slot_product_keys(rows, step, n), keys[kinds == kind])
 
 
 def _key(g, n):
