@@ -12,11 +12,12 @@ and each rule is written once, on arrays: the class rule
 (``_class_codes``), the cusp read off a matrix column (``cusp_codes``) and
 the edge test (``adjacent_codes``).  ``completion_table`` completes every
 coordinate to the elements above it; the group and the coordinate graph
-are read off it.  ``HFCoord`` is the form coordinates are parsed, named and
-printed in, and ``coordinate_labels`` is the one rule for a node's label.
-Every n in the group's range [3, kernels.MAX_MODULUS], odd or even, is
-served.  Matrix columns sit in the slots of ``kernels._SLOTS``, and
-``group`` builds on this module, never the reverse.
+are read off it, and ``code_rows`` finds a code's row in a code array.
+``HFCoord`` is the form coordinates are parsed, named and printed in, and
+``coordinate_labels`` is the one rule for a node's label.  Every n in the
+group's range [3, kernels.MAX_MODULUS], odd or even, is served.  Matrix
+columns sit in the slots of ``kernels._SLOTS``, and ``group`` builds on
+this module, never the reverse.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .kernels import (
     _check_modulus,
     kind_slots,
     mat_mul_components,
-    parity,
     parity_patterns,
 )
 
@@ -54,7 +54,6 @@ __all__ = [
     "CuspError",
     "apply_codes",
     "apply_to_coord",
-    "is_pole",
     "NameTable",
     "vertex_names",
     "coordinate_labels",
@@ -131,10 +130,6 @@ def normalize(kind: str, num: int, den: int, p: HeckeParams) -> HFCoord:
             f"({num}, {den}) is not a coordinate mod {p.n}: {p.m} divides the kind-{kind} {part}"
         )
     return code_coord(code, p)
-
-
-def is_pole(u: HFCoord) -> bool:
-    return u.den == 0
 
 
 def coordinate_codes(p: HeckeParams) -> np.ndarray:
@@ -269,8 +264,10 @@ def cusp_codes(comps: np.ndarray, p: HeckeParams) -> np.ndarray:
     [c*sqrt(m), d]] give a/(c*sqrt(m)), odd ones the kind-B mirror, q = 3
     the plain fraction.
 
-    The first row with no parity pattern, gcd > 1 or a class no cusp
-    reaches raises ``CuspError`` with the message of ``kernels.parity`` or
+    The first row that matches no parity pattern (both masks of
+    ``kernels.parity_patterns`` or neither), or whose column has gcd > 1 or
+    a class no cusp reaches, raises ``CuspError``: "component row [...]
+    matches no parity pattern; corrupted element", or the message of
     ``normalize``.
     """
     g = np.asarray(comps, dtype=np.int64)
@@ -287,9 +284,10 @@ def cusp_codes(comps: np.ndarray, p: HeckeParams) -> np.ndarray:
     bad = ~(patterned & coprime & reached)
     if bad.any():
         i = int(np.argmax(bad))
+        if not patterned[i]:
+            raise CuspError(f"component row {g[i].tolist()} matches no parity pattern; "
+                            "corrupted element", i)
         try:
-            if p.q != 3:
-                parity(g[i], p)
             normalize(_KINDS[kind[i]], int(num[i]), int(den[i]), p)
         except ValueError as exc:
             raise CuspError(str(exc), i) from None

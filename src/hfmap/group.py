@@ -7,8 +7,8 @@ g with -g yields a finite group; this module computes its order by the
 closed-form index formula and enumerates it.  The formula is the group's
 contract: a group of any other size raises ``IndexFormulaError``.
 Elements are component rows, stored as uint8; their layout, dtype and
-parity are read from ``kernels``, and this module exports only its own
-names.
+parity patterns are read from ``kernels``, and this module exports only
+its own names.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ one breadth-first search.
 Every group element in the library is a component row: 8 residues in
 [0, n) in the scan order e11.rat, e11.irr, e12.rat, e12.irr, e21.rat,
 e21.irr, e22.rat, e22.irr.  ``_SLOTS``, the one statement of the slots
-of a, c, b and d in each kind of row, is read by ``parity``, the group,
-the cusps and the map certificate; ``kind_slots`` picks its row for a kind.
+of a, c, b and d in each kind of row, is read by the one row classifier
+``parity_patterns``, the group, the cusps and the map certificate;
+``kind_slots`` picks its row for a kind.
 The group stores its rows in ``row_dtype(n)``, the smallest unsigned dtype
 that holds n - 1 (uint8 over the whole modulus range), and every reader
 here widens them before it does arithmetic.
@@ -24,17 +25,13 @@ the products with S and T from ``slot_product_keys``, which applies the
 ``breadth_first_tree`` serves the group's connectivity pass and the
 coset-domain spanning tree.  ``coordinate_blocks`` cuts every pass over
 whole coordinates (n darts each) into blocks of at most ``CHUNK_DARTS``
-darts, so that its temporaries stay small at every modulus.
+darts, so that its temporaries stay small at every modulus.  The module
+imports nothing from the package.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
-
-if TYPE_CHECKING:
-    from .group import HeckeParams
 
 __all__ = [
     "MAX_MODULUS",
@@ -42,7 +39,6 @@ __all__ = [
     "coordinate_blocks",
     "row_dtype",
     "parity_patterns",
-    "parity",
     "mat_mul_exact",
     "mat_mul_components",
     "right_mult_map",
@@ -111,22 +107,6 @@ def parity_patterns(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     even, odd = (np.logical_and.reduce([g[..., slot] == 0 for slot in other])
                  for other in _SLOTS[[1, 0]].tolist())
     return even, odd
-
-
-def parity(g, p: HeckeParams) -> str:
-    """'even' or 'odd' by ``parity_patterns`` of the component row g.
-
-    Defined only for q in {4, 6}; for q = 3 every element is an integer
-    matrix and the even/odd split does not exist.
-    """
-    if p.q == 3:
-        raise ValueError("parity is undefined for q=3 (all elements even)")
-    even, odd = parity_patterns(g)
-    if even != odd:
-        return "even" if even else "odd"
-    raise ValueError(
-        f"component row {[int(v) for v in g]} matches no parity pattern; corrupted element"
-    )
 
 
 def mat_mul_exact(a, b, m: int) -> tuple:

@@ -50,9 +50,8 @@ __all__ = [
     "permutation_model_map",
     "canonical_form",
     "is_isomorphic",
+    "cube_map",
     "invariants_json",
-    "graphs_isomorphic",
-    "cube_graph_adjacency",
 ]
 
 
@@ -255,10 +254,6 @@ class CoordGraph:
     @cached_property
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j in self.pairs.tolist()]
-
-    @property
-    def node_index(self) -> dict[HFCoord, int]:
-        return {u: i for i, u in enumerate(self.nodes)}
 
     def adjacency_matrix(self) -> np.ndarray:
         mat = np.zeros((self.codes.size,) * 2, dtype=bool)
@@ -478,47 +473,17 @@ def is_isomorphic(m1: MapStructure, m2: MapStructure) -> bool:
     return any(canonical_form(m2, r) == code for r in range(m2.darts))
 
 
-# ---------------------------------------------------------------------------
-# Plain graph isomorphism (small graphs only).
-# ---------------------------------------------------------------------------
+def cube_map() -> MapStructure:
+    """The 3-cube as a dart system, which ``is_isomorphic`` matches with the
+    (4, 3) map.
 
-
-def graphs_isomorphic(adj1: np.ndarray, adj2: np.ndarray) -> bool:
-    """Backtracking isomorphism test on adjacency matrices (small n)."""
-    n = adj1.shape[0]
-    if adj2.shape[0] != n:
-        return False
-    deg1 = adj1.sum(axis=1)
-    deg2 = adj2.sum(axis=1)
-    if sorted(deg1) != sorted(deg2):
-        return False
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or deg1[i] != deg2[j]:
-                continue
-            if all(
-                adj1[i, k] == adj2[j, mapping[k]] for k in range(i) if mapping[k] >= 0
-            ):
-                mapping[i] = j
-                used[j] = True
-                if extend(i + 1):
-                    return True
-                mapping[i] = -1
-                used[j] = False
-        return False
-
-    return extend(0)
-
-
-def cube_graph_adjacency() -> np.ndarray:
-    """Reference 3-cube: vertices are 3-bit strings, edges flip one bit."""
-    adj = np.zeros((8, 8), dtype=bool)
-    for v in range(8):
-        for bit in (1, 2, 4):
-            adj[v, v ^ bit] = True
-    return adj
+    Dart 3v + j leaves the vertex v, a 3-bit string, along the edge that
+    flips bit j, so alpha sends it to 3(v ^ 2**j) + j.  sigma turns j to
+    j + 1 round the vertices of even weight and to j - 1 round the odd
+    ones, which makes the faces the six squares: V/E/F = 8/12/6, genus 0.
+    With the same turn at every vertex the graph is the same but the map
+    is a torus (F = 4, genus 1).
+    """
+    v, j = np.divmod(np.arange(24), 3)
+    odd = (v ^ (v >> 1) ^ (v >> 2)) & 1  # the parity of v's weight
+    return MapStructure(sigma=3 * v + (j + 1 - 2 * odd) % 3, alpha=3 * (v ^ (1 << j)) + j)

@@ -25,9 +25,9 @@ from .coords import (
     apply_codes,
     apply_to_coord,
     code_coord,
+    code_rows,
     coord_codes,
     coordinate_labels,
-    is_pole,
     normalize,
     vertex_names,
 )
@@ -164,9 +164,9 @@ def search_circuits(
 ) -> np.ndarray:
     """All closed walks of the given length from start whose pole positions
     are exactly the given set, as a (count, length) int32 table: row r
-    lists the walk's nodes by their index in
-    ``build_coordinate_graph(p).nodes``, and the rows run in lexicographic
-    order of those indices (the depth-first order).
+    lists the walk's nodes by their row in
+    ``build_coordinate_graph(p).codes``, and the rows run in lexicographic
+    order of those rows (the depth-first order).
 
     ways[k][v] counts the ways to finish such a walk from node v at
     position k (position ``length`` is the start again), in int64, clipped
@@ -185,7 +185,9 @@ def search_circuits(
         raise ValueError(f"pole position {outside[0]} is outside 0..{length - 1}")
     graph = build_coordinate_graph(p)
     size = graph.codes.size
-    start_idx = graph.node_index[start]
+    start_idx = int(code_rows(graph.codes, coord_codes([start], p), p)[0])
+    if start_idx < 0:
+        raise ValueError(f"start {start} is not a coordinate mod {p.n}")
     poles = graph.codes % p.n == 0
 
     ways = np.zeros((length + 1, size), dtype=np.int64)
@@ -220,14 +222,14 @@ def boundary_from_circuit(c: Circuit, p: HeckeParams) -> BoundarySequence:
     """Concatenate the n translates of the circuit and validate the seams."""
     if not validate_circuit(c, p):
         raise ValueError("circuit fails adjacency validation")
-    pole_positions = {i for i, u in enumerate(c.seq) if is_pole(u)}
+    blocks = [coord_codes(c.seq, p)]
+    pole_positions = set(np.flatnonzero(blocks[0] % p.n == 0).tolist())
     if len(c.seq) != 12 or pole_positions != {0, 3, 6, 9}:
         raise ValueError(
             "boundary construction expects a 12-vertex circuit with poles "
             f"at positions 0, 3, 6, 9; got length {len(c.seq)}, poles {sorted(pole_positions)}"
         )
     t = generators(p)[1]
-    blocks = [coord_codes(c.seq, p)]
     for _ in range(p.n - 1):
         blocks.append(apply_codes(t, blocks[-1], p))
     codes = np.concatenate(blocks)
@@ -239,11 +241,11 @@ def boundary_from_circuit(c: Circuit, p: HeckeParams) -> BoundarySequence:
     if moved.any():
         j = int(np.argmax(moved))
         raise ValueError(f"slot {j} does not translate onto slot {j + len(c.seq)}")
-    slots = [code_coord(code, p) for code in codes.tolist()]
-    pole_slots = tuple(j for j, u in enumerate(slots) if is_pole(u))
+    pole_slots = tuple(np.flatnonzero(codes % p.n == 0).tolist())
     if len(pole_slots) != p.n * len(pole_positions):
         raise ValueError("pole count mismatch after translation")
-    return BoundarySequence(params=p, slots=tuple(slots), pole_slots=pole_slots)
+    slots = tuple(code_coord(code, p) for code in codes.tolist())
+    return BoundarySequence(params=p, slots=slots, pole_slots=pole_slots)
 
 
 # ---------------------------------------------------------------------------

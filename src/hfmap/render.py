@@ -294,7 +294,7 @@ def render_quotient(p: HeckeParams, fmt: str = "dot") -> str:
     width = 640
     cx = cy = width / 2.0
     radius = width * 0.42
-    count = len(graph.nodes)
+    count = graph.codes.size
     pos = [
         (cx + radius * math.cos(2 * math.pi * i / count - math.pi / 2),
          cy + radius * math.sin(2 * math.pi * i / count - math.pi / 2))

@@ -66,16 +66,19 @@ def _check_bring_map(circuit: P.Circuit, pairing: P.PairingTable) -> str:
 
 
 def _check_cube(circuit: P.Circuit, pairing: P.PairingTable) -> str:
+    """The (4, 3) map is ``maps.cube_map`` as a rotation system, its 8
+    coordinates are the cube fractions, and ``correspondence_check``
+    projects it onto the coordinate graph, which is then the 3-cube's."""
     p = HeckeParams(4, 3)
-    inv = _map_for(4, 3).invariants()
-    if (inv.vertices, inv.edges, inv.faces, inv.genus) != (8, 12, 6, 0):
-        raise AssertionError(f"cube invariants wrong: {inv}")
+    amap = _map_for(4, 3)
+    if not M.is_isomorphic(M.cube_map(), amap):
+        raise AssertionError("map (4,3) is not isomorphic to the cube map")
     table = C.vertex_names(p)
     if {table.coord(nm) for nm in table.names()} != set(C.enumerate_coords(p)):
         raise AssertionError("coordinates do not match the 8 cube fractions")
-    graph = M.build_coordinate_graph(p)
-    if not M.graphs_isomorphic(graph.adjacency_matrix(), M.cube_graph_adjacency()):
-        raise AssertionError("coordinate graph is not the cube graph")
+    rep = M.correspondence_check(cached_group(4, 3), amap, M.build_coordinate_graph(p))
+    if not rep.ok:
+        raise AssertionError(f"coordinate graph is not the map's graph: {rep.problems}")
     return "V=8 E=12 F=6 genus=0, coordinate graph isomorphic to the 3-cube"
 
 
@@ -85,7 +88,7 @@ def _check_icosahedron(circuit: P.Circuit, pairing: P.PairingTable) -> str:
     if listed != set(C.enumerate_coords(p)):
         raise AssertionError("fraction list does not match the enumeration")
     graph = M.build_coordinate_graph(p)
-    if len(graph.nodes) != 12 or len(graph.edges) != 30:
+    if graph.codes.size != 12 or len(graph.edges) != 30:
         raise AssertionError("graph is not 12 vertices / 30 edges")
     inv = _map_for(3, 5).invariants()
     if (inv.vertices, inv.edges, inv.faces, inv.genus) != (12, 30, 20, 0):
@@ -162,7 +165,7 @@ def _check_property_suites(circuit: P.Circuit, pairing: P.PairingTable) -> str:
         graph = M.build_coordinate_graph(p)
         adj = graph.adjacency_matrix()
         # Row i of perm is element i acting on the nodes, as node indices.
-        perm = np.searchsorted(graph.codes, C.apply_codes(group.rows[:, None], graph.codes, p))
+        perm = C.code_rows(graph.codes, C.apply_codes(group.rows[:, None], graph.codes, p), p)
         broken = (adj[perm[:, :, None], perm[:, None, :]] != adj).any(axis=(1, 2))
         if broken.any():
             raise AssertionError(f"({q},{n}): element {int(np.argmax(broken))} breaks adjacency")

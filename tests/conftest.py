@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from hfmap.group import HeckeParams, cached_group
-from hfmap.maps import build_algebraic_map, build_coordinate_graph
+from hfmap.maps import MapStructure, build_algebraic_map, build_coordinate_graph
 from ring import ProjMatrix, RingElem
 
 
@@ -11,6 +12,13 @@ def as_matrix(row):
     return ProjMatrix(
         RingElem(c[0], c[1]), RingElem(c[2], c[3]), RingElem(c[4], c[5]), RingElem(c[6], c[7])
     )
+
+
+def same_turn_cube():
+    """A mutant of ``maps.cube_map``: the 3-cube's graph, every vertex turning
+    its bits the same way round, which is a torus map (F = 4, genus 1)."""
+    v, j = np.divmod(np.arange(24), 3)
+    return MapStructure(sigma=3 * v + (j + 1) % 3, alpha=3 * (v ^ (1 << j)) + j)
 
 
 @pytest.fixture(scope="session")

@@ -31,9 +31,8 @@ import math
 import numpy as np
 
 from hfmap import kernels
-from hfmap.coords import HFCoord, adjacent_codes, coordinate_codes, is_pole, vertex_names
+from hfmap.coords import HFCoord, adjacent_codes, coordinate_codes, vertex_names
 from hfmap.group import RADICAND
-from hfmap.kernels import parity
 from hfmap.maps import (
     CorrespondenceReport,
     MapInvariants,
@@ -300,6 +299,21 @@ def adjacent(u, v, p) -> bool:
     return d == 1 % n or d == -1 % n
 
 
+def parity(g, p) -> str:
+    """'even' or 'odd' for the component row g of q = 4 or 6: an even row
+    [[a, b*sqrt(m)], [c*sqrt(m), d]] is zero in slots 1, 2, 4 and 7, an odd
+    one [[a*sqrt(m), b], [c, d*sqrt(m)]] in slots 0, 3, 5 and 6.  q = 3 has
+    no such split, and a row of both patterns or neither is corrupted."""
+    if p.q == 3:
+        raise ValueError("parity is undefined for q=3 (all elements even)")
+    even = not any(g[i] for i in (1, 2, 4, 7))
+    if even == (not any(g[i] for i in (0, 3, 5, 6))):
+        raise ValueError(
+            f"component row {list(g)} matches no parity pattern; corrupted element"
+        )
+    return "even" if even else "odd"
+
+
 def cusp_of(g, p):
     """Coordinate of g(infinity), read off the first column of the row g."""
     if p.q == 3:
@@ -488,7 +502,7 @@ def correspondence_check(group, amap, graph) -> CorrespondenceReport:
     if not bijection:
         problems.append("cusp map is not a bijection onto the coordinates")
 
-    index = graph.node_index
+    index = {u: i for i, u in enumerate(graph.nodes)}
     graph_edges = {frozenset(e) for e in graph.edges}
     projected: list[frozenset[int]] = []
     for a, b in ((o[0], o[1]) for o in orbits(amap.alpha)):
@@ -628,7 +642,7 @@ def coset_domain(sigma, alpha) -> tuple[int, int, int, int, int]:
 def search_circuits(start, length, pole_positions, p) -> list:
     """Closed walks from start with exactly the given pole positions, in
     depth-first order over sorted neighbours, pruned by distance to start."""
-    if (0 in pole_positions) != is_pole(start):
+    if (0 in pole_positions) != (start.den == 0):
         return []
     graph = build_coordinate_graph(p)
     nodes = graph.nodes
@@ -638,9 +652,9 @@ def search_circuits(start, length, pole_positions, p) -> list:
         nbrs[b].append(a)
     for lst in nbrs:
         lst.sort()
-    pole_flags = [is_pole(u) for u in nodes]
+    pole_flags = [u.den == 0 for u in nodes]
 
-    start_idx = graph.node_index[start]
+    start_idx = nodes.index(start)
     dist = np.full(len(nodes), -1, dtype=np.int64)
     dist[start_idx] = 0
     queue = [start_idx]

@@ -60,12 +60,15 @@ def test_c02_genus_four_map():
 
 def test_c03_cube():
     p = HeckeParams(4, 3)
-    inv = M.build_algebraic_map(cached_group(4, 3)).invariants()
+    group = cached_group(4, 3)
+    amap = M.build_algebraic_map(group)
+    inv = M.cube_map().invariants()
     assert (inv.vertices, inv.edges, inv.faces, inv.genus) == (8, 12, 6, 0)
+    assert M.is_isomorphic(M.cube_map(), amap)
     table = C.vertex_names(p)
     assert {table.coord(nm) for nm in table.names()} == set(C.enumerate_coords(p))
-    graph = M.build_coordinate_graph(p)
-    assert M.graphs_isomorphic(graph.adjacency_matrix(), M.cube_graph_adjacency())
+    rep = M.correspondence_check(group, amap, M.build_coordinate_graph(p))
+    assert rep.ok and rep.vertex_bijection and rep.edges_matched
     _report("criterion 3: the 8 fractions mod 3 assemble into the cube")
 
 
@@ -140,7 +143,7 @@ def test_c09_property_suites():
         p = HeckeParams(q, n)
         group = cached_group(q, n)
         graph = M.build_coordinate_graph(p)
-        index = graph.node_index
+        index = {u: i for i, u in enumerate(graph.nodes)}
         adj = graph.adjacency_matrix()
         for g in group.rows:
             perm = np.asarray([index[C.apply_to_coord(g, u, p)] for u in graph.nodes])

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import oracles
 import pytest
+from conftest import same_turn_cube
 
 from hfmap import group, kernels, maps, verify
 from hfmap.cli import main
@@ -302,6 +303,16 @@ def test_verify_suite(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--pairing", str(corrupted))
     assert code == 1
     assert any(line.startswith("FAIL  pairing-genus") for line in out.splitlines())
+
+
+def test_verify_fails_a_cube_of_the_wrong_turn(capsys, monkeypatch):
+    """The cube check compares rotation systems, not graphs: with the cube's
+    graph turned the same way at every vertex, only the cube check fails."""
+    monkeypatch.setattr(maps, "cube_map", same_turn_cube)
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    failed = [line for line in out.splitlines() if not line.startswith("PASS")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL  cube ")
 
 
 @pytest.mark.parametrize(

@@ -8,14 +8,14 @@ from hfmap.coords import (
     HFCoord,
     Q3_N5_FRACTIONS,
     apply_to_coord,
+    coordinate_codes,
     enumerate_coords,
-    is_pole,
     normalize,
     parse_fraction,
     vertex_names,
 )
 from hfmap.group import HeckeParams, cached_group, generators
-from hfmap.kernels import parity
+from hfmap.kernels import parity_patterns
 from oracles import adjacent, cusp_of
 from ring import (
     RingElem,
@@ -120,7 +120,7 @@ def test_adjacency_is_kind_bipartite():
 
 
 def _poles(p):
-    return [u for u in enumerate_coords(p) if is_pole(u)]
+    return [u for u in enumerate_coords(p) if u.den == 0]
 
 
 def test_poles():
@@ -128,7 +128,8 @@ def test_poles():
     assert {t.name(u) for u in _poles(P45)} == {"A1", "B1", "C2", "H2"}
     assert {f"{u.num}/{u.den}" for u in _poles(P35)} == {"1/0", "2/0"}
     assert len(_poles(P43)) == 2
-    assert all(is_pole(u) for u in _poles(P43))
+    # The library finds poles by the den digit of their codes.
+    assert (coordinate_codes(P43) % P43.n == 0).sum() == 2
 
 
 def test_cusp_examples(group45):
@@ -157,7 +158,7 @@ def test_cusp_fibers_have_size_n(qn):
 
 def test_even_columns_realize_the_adjacency_determinant(group45):
     # for even g with columns A(a,c), B(b,d): a*d - m*b*c = det = 1
-    odd = [parity(row, P45) == "odd" for row in group45.rows]
+    odd = parity_patterns(group45.rows)[1]
     for i in range(group45.order):
         if odd[i]:
             continue
@@ -282,15 +283,14 @@ def test_row_api_matches_ring_oracle(qn):
     infinity = normalize("A", 1, 0, p)
     odd = _word_parities(p) if p.q != 3 else None
     assert odd is None or len(odd) == group.order
-    for row in group.rows.tolist():
+    even_rows, odd_rows = parity_patterns(group.rows)
+    for i, row in enumerate(group.rows.tolist()):
         g = as_matrix(row)
         assert cusp_of(row, p) == _ring_image(g, infinity, p)
         assert [apply_to_coord(row, u, p) for u in coords] == [
             _ring_image(g, u, p) for u in coords
         ]
         assert oracles.element_order(row, p) == _ring_order(g, p)
-        if odd is None:
-            with pytest.raises(ValueError):
-                parity(row, p)
-        else:
-            assert parity(row, p) == ("odd" if odd[g] else "even")
+        if odd is not None:
+            assert oracles.parity(row, p) == ("odd" if odd[g] else "even")
+            assert (even_rows[i], odd_rows[i]) == (not odd[g], odd[g])

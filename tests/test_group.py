@@ -14,7 +14,7 @@ from hfmap.group import (
     principal_congruence_index,
     s5_permutation_group,
 )
-from hfmap.kernels import parity
+from hfmap.kernels import parity_patterns
 from ring import RingParams, mat_mul, proj_eq
 
 
@@ -106,24 +106,31 @@ def test_group_relations(group45, group43, group35):
 def test_parity_examples(group45):
     p = HeckeParams(4, 5)
     s, t, _ = generators(p)
-    assert parity(t, p) == "even"
-    assert parity(s, p) == "odd"
     rp = RingParams(p.n, p.m)
     tst = mat_mul(mat_mul(as_matrix(t), as_matrix(s), rp), as_matrix(t), rp)
-    assert parity(tst.components(), p) == "odd"  # one S in the word
+    rows = np.array([t, s, tst.components()])  # one S in the word t*s*t
+    even, odd = parity_patterns(rows)
+    assert even.tolist() == [True, False, False]
+    assert odd.tolist() == [False, True, True]
+    assert [oracles.parity(row, p) for row in rows.tolist()] == ["even", "odd", "odd"]
 
 
 def test_parity_undefined_for_modular_group(group35):
+    """q = 3 has one form of row, so the even and odd masks do not split
+    its rows: T = [[1, 1], [0, 1]] matches neither."""
     with pytest.raises(ValueError):
-        parity(generators(HeckeParams(3, 5))[0], HeckeParams(3, 5))
-    with pytest.raises(ValueError):
-        [parity(row, group35.params) for row in group35.rows]
+        oracles.parity(generators(HeckeParams(3, 5))[1], HeckeParams(3, 5))
+    even, odd = parity_patterns(group35.rows)
+    assert not (even != odd).all()
+    even, odd = parity_patterns(generators(HeckeParams(3, 5))[1])
+    assert not even and not odd
 
 
 @pytest.mark.parametrize("qn", [(4, 3), (4, 5), (6, 5)])
 def test_even_elements_form_index_two_subgroup(qn):
     group = enumerate_group(HeckeParams(*qn))
-    odd = np.array([parity(row, group.params) == "odd" for row in group.rows])
+    even, odd = parity_patterns(group.rows)
+    assert (even != odd).all()
     assert odd.sum() * 2 == group.order
     # parity is a homomorphism to C2: check over all pairs via column perms
     for j in range(group.order):

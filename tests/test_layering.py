@@ -1,6 +1,7 @@
 """The package's imports run one way: the modules of ``src/hfmap`` import
 each other in an acyclic graph, and only at module level.  Imports inside an
-``if TYPE_CHECKING:`` block serve annotations alone and are not counted."""
+``if TYPE_CHECKING:`` block serve annotations alone and are not counted,
+except that ``kernels``, the leaf, imports nothing from the package at all."""
 
 import ast
 from pathlib import Path
@@ -12,11 +13,11 @@ def _is_type_checking(node: ast.AST) -> bool:
     return isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
 
 
-def _package_imports(node: ast.AST, in_function: bool = False):
+def _package_imports(node: ast.AST, in_function: bool = False, typing: bool = False):
     """(module imported, inside a function body) for every relative import
-    under node, skipping ``if TYPE_CHECKING:`` blocks."""
+    under node, skipping ``if TYPE_CHECKING:`` blocks unless typing is set."""
     for child in ast.iter_child_nodes(node):
-        if _is_type_checking(child):
+        if _is_type_checking(child) and not typing:
             continue
         if isinstance(child, ast.ImportFrom) and child.level > 0:
             if child.module:
@@ -25,7 +26,7 @@ def _package_imports(node: ast.AST, in_function: bool = False):
                 for alias in child.names:
                     yield alias.name, in_function
         inner = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-        yield from _package_imports(child, inner)
+        yield from _package_imports(child, inner, typing)
 
 
 def _import_graph() -> dict[str, list[tuple[str, bool]]]:
@@ -62,3 +63,9 @@ def test_the_import_graph_is_acyclic():
 
     for module in sorted(graph):
         visit(module, [])
+
+
+def test_kernels_is_a_leaf():
+    """``kernels`` imports nothing from the package, not even for annotations."""
+    path = PACKAGE / "kernels.py"
+    assert list(_package_imports(ast.parse(path.read_text(), str(path)), typing=True)) == []

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import oracles
 import pytest
+from conftest import same_turn_cube
 
 from hfmap import coords, maps, polygon
 from hfmap.cli import main
@@ -16,8 +17,7 @@ from hfmap.maps import (
     build_coordinate_graph,
     canonical_form,
     correspondence_check,
-    cube_graph_adjacency,
-    graphs_isomorphic,
+    cube_map,
     invariants_json,
     is_isomorphic,
     permutation_model_map,
@@ -78,11 +78,31 @@ def test_coordinate_graph_degrees(graph45, graph43, graph35):
     assert graph43.is_bipartite_by_kind()
 
 
-def test_cube_recognition(graph43):
-    assert graphs_isomorphic(graph43.adjacency_matrix(), cube_graph_adjacency())
-    # and the icosahedron graph is certainly not the cube
-    graph35 = build_coordinate_graph(HeckeParams(3, 5))
-    assert not graphs_isomorphic(graph35.adjacency_matrix(), cube_graph_adjacency())
+def _swap_alpha_pairs(amap, a, b):
+    """amap with the edges {a, alpha(a)} and {b, alpha(b)} rewired to
+    {a, b} and {alpha(a), alpha(b)}."""
+    alpha = amap.alpha.copy()
+    ea, eb = alpha[a], alpha[b]
+    alpha[[a, b, ea, eb]] = b, a, eb, ea
+    return MapStructure(sigma=amap.sigma, alpha=alpha)
+
+
+def test_cube_recognition(map43):
+    """The (4, 3) map is the cube as a rotation system, and the check tells
+    the cube from maps of its size that differ only in their turns or in
+    two edges."""
+    cube = cube_map()
+    inv = cube.invariants()
+    assert (inv.darts, inv.vertices, inv.edges, inv.faces, inv.genus) == (24, 8, 12, 6, 0)
+    assert is_isomorphic(cube, map43) and is_isomorphic(map43, cube)
+    assert is_isomorphic(cube, _relabel(cube, np.random.default_rng(3).permutation(24)))
+    torus = same_turn_cube()
+    assert (torus.invariants().faces, torus.invariants().genus) == (4, 1)
+    assert np.array_equal(torus.alpha, cube.alpha)
+    assert not is_isomorphic(cube, torus)
+    swapped = _swap_alpha_pairs(map43, 0, 3)
+    assert swapped.darts == 24 and oracles.is_connected(swapped)
+    assert not is_isomorphic(cube, swapped)
 
 
 @pytest.mark.parametrize("qn", [(4, 3), (4, 5), (3, 5), (6, 5), (4, 7)])

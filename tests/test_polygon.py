@@ -5,7 +5,7 @@ import oracles
 import pytest
 
 from hfmap import polygon
-from hfmap.coords import vertex_names
+from hfmap.coords import HFCoord, vertex_names
 from hfmap.group import HeckeParams, cached_group
 from hfmap.maps import build_coordinate_graph
 from hfmap.polygon import (
@@ -77,6 +77,9 @@ def test_search_edge_cases(table):
         search_circuits(h2, 0, set(), P45)
     with pytest.raises(ValueError, match=r"^pole position 12 is outside 0\.\.11$"):
         search_circuits(h2, 12, {0, 12}, P45)
+    # (4, 0) is no sign-canonical class: its code is no node's
+    with pytest.raises(ValueError, match=r"^start HFCoord\(kind='A', num=4, den=0\) is not"):
+        search_circuits(HFCoord("A", 4, 0), 4, {0}, P45)
     # start poleness must match position 0: the start row is not kept
     found = search_circuits(table.coord("E1"), 4, {0}, P45)
     assert found.shape == (0, 4) and found.dtype == np.int32
@@ -329,8 +332,8 @@ def test_pairing_text_roundtrip():
 
 def _rows(circuit, p):
     """A one-row walk table of the circuit's node indices."""
-    index = build_coordinate_graph(p).node_index
-    return np.array([[index[u] for u in circuit.seq]], dtype=np.int32)
+    nodes = build_coordinate_graph(p).nodes
+    return np.array([[nodes.index(u) for u in circuit.seq]], dtype=np.int32)
 
 
 @pytest.mark.parametrize("qn,count", [((4, 5), 24), ((4, 3), 8)])

@@ -4,16 +4,25 @@ For every modulus, odd or even, both models are built and cross-checked,
 and the coset-domain chi must equal the map's.  A dart system that S and T
 do not connect fails the coset domain with "tile graph is disconnected".
 The odd and even moduli keep separate test names; the check is the same.
+Past the sweep, a sample of moduli runs ``hfmap map --json`` against the
+closed forms of its invariants.
 """
+
+import json
+from fractions import Fraction
 
 import pytest
 
+from hfmap.cli import main
 from hfmap.group import HeckeParams, enumerate_group, principal_congruence_index
 from hfmap.maps import build_algebraic_map, build_coordinate_graph, correspondence_check
 from hfmap.polygon import coset_domain_check
 
 ODD = [(q, n) for q in (3, 4, 6) for n in range(3, 32, 2)]
 EVEN = [(q, n) for q in (3, 4, 6) for n in range(4, 31, 2)]
+# 2**5, 2**6 and 3**4, and one prime in each residue class mod 24, the
+# class that decides whether 2 and 3 are squares mod p.
+PAST = [(q, n) for q in (3, 4, 6) for n in (32, 37, 41, 43, 47, 53, 59, 64, 73, 79, 81)]
 
 
 def _models_agree(q, n):
@@ -39,3 +48,18 @@ def test_odd_modulus_models_agree(q, n):
 @pytest.mark.parametrize("q,n", EVEN)
 def test_even_modulus_order_and_connectivity(q, n):
     _models_agree(q, n)
+
+
+@pytest.mark.parametrize("q,n", PAST)
+def test_map_meets_the_closed_forms(capsys, q, n):
+    """darts = N, V = N/n, E = N/2, F = N/q and genus = 1 + N(1/2 - 1/n -
+    1/q)/2, with N the index formula."""
+    assert main(["map", "--q", str(q), "--n", str(n), "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    order = principal_congruence_index(HeckeParams(q, n))
+    assert got == {
+        "q": q, "n": n, "darts": order,
+        "vertices": Fraction(order, n), "edges": Fraction(order, 2), "faces": Fraction(order, q),
+        "genus": 1 + order * (Fraction(1, 2) - Fraction(1, n) - Fraction(1, q)) / 2,
+        "group_order": order,
+    }
