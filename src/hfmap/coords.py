@@ -34,6 +34,7 @@ from .kernels import (
     kind_slots,
     mat_mul_components,
     parity_patterns,
+    residues,
 )
 
 if TYPE_CHECKING:
@@ -87,8 +88,9 @@ _KINDS = ("A", "B")
 
 def _canonical_codes(kind, num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
     """Code of the sign-canonical representative min((num, den), (-num,
-    -den)) of residues num, den in [0, n)."""
-    flipped = (-num % n) * n + (-den % n)
+    -den)) of residues num, den in [0, n).  Every other operand is a Python
+    int, so int32 kinds and residues give int32 codes."""
+    flipped = residues(n - num, n) * n + residues(n - den, n)
     return kind * n * n + np.minimum(num * n + den, flipped)
 
 
@@ -164,14 +166,21 @@ class Completion(NamedTuple):
     d0: np.ndarray
 
     def second_columns(self, p: HeckeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(b, d, codes), each (V, n): row v holds the second columns
+        """(b, d, codes), each (V, n) int32: row v holds the second columns
         (b0 + t*ka, d0 + t*kc), t = 0..n-1, and the codes of their classes,
-        which are of the other kind (kind A for q = 3)."""
+        which are of the other kind (kind A for q = 3).
+
+        Every value is below n + n**2 < 2**31 (see ``kernels.MAX_MODULUS``).
+        The columns are cast to int32 and every other operand is a Python
+        int, so the pass stays int32 under numpy 2 and numpy 1.x alike.
+        """
         n = p.n
-        t = np.arange(n)
-        b = (self.b0[:, None] + t * self.ka[:, None]) % n
-        d = (self.d0[:, None] + t * self.kc[:, None]) % n
-        kind = 0 if p.q == 3 else 1 - self.codes[:, None] // (n * n)
+        t = np.arange(n, dtype=np.int32)
+        b0, ka, d0, kc, codes = (col.astype(np.int32)[:, None]
+                                 for col in (self.b0, self.ka, self.d0, self.kc, self.codes))
+        b = residues(b0 + t * ka, n)
+        d = residues(d0 + t * kc, n)
+        kind = 0 if p.q == 3 else 1 - codes // (n * n)
         return b, d, _canonical_codes(kind, b, d, n)
 
 

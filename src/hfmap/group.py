@@ -181,8 +181,11 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     Then, for T and then S, the permutation is range-checked and, block by
     block, cut where the kind changes, the keys of the products g*T
     (g*S), taken from the stored rows by ``kernels.slot_product_keys``,
-    are compared with the keys at sigma (alpha).  The group keeps 16 bytes
-    per element, 8 of rows and 8 of Cayley table.
+    are compared with the keys at sigma (alpha).  The block pass computes
+    the second columns, their class codes, alpha's offsets and sigma in
+    int32, with residues by floor division (``kernels.residues``); only the
+    keys are int64.  The group keeps 16 bytes per element, 8 of rows and 8
+    of Cayley table.
     """
     index = principal_congruence_index(p)
     n, m = p.n, p.m
@@ -199,9 +202,12 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
             f"fewer than the index formula's {index}"
         )
     front = int(np.flatnonzero(tab.codes == n)[0])  # 1/0
-    tab = coords.Completion._make(np.roll(col, -front) for col in tab)
+    # The block arithmetic runs in int32 (its bounds are stated at
+    # kernels.MAX_MODULUS), as second_columns does: every other operand is
+    # a Python int, which keeps int32 under numpy 2 and numpy 1.x alike.
+    tab = coords.Completion._make(np.roll(col, -front).astype(np.int32) for col in tab)
     # Row of each class code, for the classes of the second columns.
-    row_of = coords.code_rows(tab.codes, np.arange(2 * n * n), p)
+    row_of = coords.code_rows(tab.codes, np.arange(2 * n * n), p).astype(np.int32)
     gens = generators(p)
     # One plane per component; rows, their transpose, has contiguous columns.
     planes = np.zeros((8, size, n), dtype=kernels.row_dtype(n))
@@ -210,6 +216,7 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     alpha, sigma = perms = np.empty((2, size * n), dtype=np.int32)
     keys = np.empty(size * n, dtype=np.int64)
     blocks = kernels.coordinate_blocks(size, n)
+    succ = np.arange(1, n + 1, dtype=np.int32) % n  # sigma's step, t -> t + 1
     kinds = tab.codes // (n * n)
     # The check's runs: the blocks, cut where the kind changes.  The codes
     # ascend, so the rolled table holds at most three runs of one kind.
@@ -223,12 +230,13 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
         # g*S has first column (b, d) and second column -(a, c), or (-b, -d)
         # and (a, c) when the class of (b, d) is that of (-b, -d).
         nbr = row_of[codes]
-        sign = np.where(codes % (n * n) == b * n + d, 1, -1)
-        offset = sign * (tab.b0[nbr] * part.c[:, None] - tab.d0[nbr] * part.a[:, None]) % n
-        alpha[darts] = (nbr * n + offset).ravel()
-        del codes, nbr, sign, offset
-        heads = np.arange(darts.start, darts.stop, n)
-        sigma[darts] = (heads[:, None] + (np.arange(n) + 1) % n).ravel()
+        flip = kernels.residues(codes, n * n) != b * n + d
+        offset = tab.b0[nbr] * part.c[:, None] - tab.d0[nbr] * part.a[:, None]
+        np.negative(offset, out=offset, where=flip)
+        alpha[darts] = (nbr * n + kernels.residues(offset, n)).ravel()
+        del codes, nbr, flip, offset
+        heads = np.arange(darts.start, darts.stop, n, dtype=np.int32)
+        sigma[darts] = (heads[:, None] + succ).ravel()
 
         # A row is the lexicographically smaller of g and -g, in the slot
         # order a, b, c, d of all three forms: the first column's sign
@@ -237,7 +245,7 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
         c = np.repeat(part.c[:, None], n, axis=1)
         tied = np.flatnonzero(2 * part.a % n == 0)
         rest = np.stack([b[tied], c[tied], d[tied]])
-        neg = -rest % n
+        neg = kernels.residues(n - rest, n)
         flip = (neg[0] * n + neg[1]) * n + neg[2] < (rest[0] * n + rest[1]) * n + rest[2]
         b[tied], c[tied], d[tied] = np.where(flip, neg, rest)
         slots = kernels.kind_slots(kinds[block], m)

@@ -22,6 +22,8 @@ canonical projective key.  The group takes the keys of its elements from
 the residues it writes, and its check of the Cayley table takes those of
 the products with S and T from ``slot_product_keys``, which applies the
 (4, 4) blocks of ``right_mult_map`` (``slot_maps``) to the stored rows.
+``residues`` takes residues by floor division in the int32 passes: the
+product keys, the second columns and the group's block pass.
 ``breadth_first_tree`` serves the group's connectivity pass and the
 coset-domain spanning tree.  ``coordinate_blocks`` cuts every pass over
 whole coordinates (n darts each) into blocks of at most ``CHUNK_DARTS``
@@ -44,6 +46,7 @@ __all__ = [
     "right_mult_map",
     "kind_slots",
     "slot_maps",
+    "residues",
     "four_digit_keys",
     "slot_product_keys",
     "breadth_first_tree",
@@ -58,7 +61,10 @@ __all__ = [
 # library's keys at any n in range.  A higher top waits for a measured
 # memory plan.  The largest unreduced product sums, 4 * 3 * 233**2 in
 # mat_mul_exact and 8 * 233**2 in a row times a right_mult_map, are far
-# smaller.
+# smaller.  The group's block pass and Completion.second_columns run in
+# int32: their second columns, class codes and alpha offsets need
+# n + n**2 < 2**31 (n up to 46,340), and their element indices and sign
+# tie-break, below n**3, the Cayley entries' bound.
 MAX_MODULUS = 234
 
 # Darts per block of the passes over whole coordinates: the group's
@@ -170,6 +176,18 @@ def slot_maps(g, n: int, m: int) -> list[tuple[np.ndarray, int, np.ndarray]]:
     return out
 
 
+def residues(x, n: int):
+    """x mod n, taken by floor division, which numpy runs faster than %.
+
+    An array x is overwritten, and keeps its dtype: x // n and its product
+    with the Python int n stay in x's dtype under numpy 2 (NEP 50) and
+    numpy 1.x (value-based casting) alike, as long as n fits it.  A scalar
+    x gives a new scalar.
+    """
+    x -= x // n * n
+    return x
+
+
 # Every op of the keys below names its dtype, so that numpy 2 (NEP 50) and
 # numpy 1.x (value-based casting), which pyproject.toml both allows,
 # promote alike.
@@ -203,8 +221,7 @@ def slot_product_keys(rows: np.ndarray, step, n: int) -> np.ndarray:
     cols = [rows[:, slot] for slot in slots.tolist()]
     # The digit sums, below 2 * n**2 in absolute value for any g, and the
     # first three digits of a key, below n**3, are int32; the key, below
-    # 2 * n**4, is int64.  A residue is taken by floor division, which
-    # numpy runs faster than %.
+    # 2 * n**4, is int64.
     key = nonzero = 0
     for entries, dtype in zip(sub.T.tolist(), (np.int32,) * 3 + (np.int64,)):
         terms = [(col, e) for col, e in zip(cols, entries) if e]
@@ -214,8 +231,7 @@ def slot_product_keys(rows: np.ndarray, step, n: int) -> np.ndarray:
             digit = 0
             for col, e in terms:
                 digit = np.add(digit, np.multiply(col, e, dtype=np.int32), dtype=np.int32)
-            wraps = np.floor_divide(digit, n, dtype=np.int32)
-            digit = np.subtract(digit, np.multiply(wraps, n, dtype=np.int32), dtype=np.int32)
+            digit = residues(digit, n)
         key = np.add(np.multiply(key, n, dtype=dtype), digit, dtype=dtype)
         nonzero = np.add(np.multiply(nonzero, n, dtype=dtype), digit != 0, dtype=dtype)
     # key(-h) - kind * n**4 into nonzero, then the canonical key into key.

@@ -10,16 +10,19 @@ The counts read the structure each map is built with.  alpha is checked at
 construction to be a fixed-point-free involution, so E = darts / 2.  When
 sigma steps each block of k consecutive darts round by one
 (``MapStructure.block_width``), as ``enumerate_group`` numbers the algebraic
-map's elements, V = darts / k, every valency is k, and phi is alpha with
-each block rolled by one, taken without a gather.  Any other sigma (the
-polygons of ``polygon``, the degree-5 model) has its vertices counted from
-orbit labels.  The faces are always counted from the labels of phi.
+map's elements, V = darts / k and every valency is k.  Any other sigma (the
+polygons of ``polygon``, the degree-5 model, ``cube_map``) has its vertices
+counted from orbit labels.  On the algebraic map phi is right
+multiplication by R = T*S, so every face is a coset g<R> and has ord(R)
+darts: ``build_algebraic_map`` finds that width from R itself, and
+F = darts / ord(R) with no walk.  Every other map, a caller-built one
+included, counts its faces from the labels of phi.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,8 +38,8 @@ from .coords import (
     coordinate_codes,
     cusp_codes,
 )
-from .group import FiniteHeckeGroup, HeckeParams, PermGroup
-from .kernels import _SLOTS, coordinate_blocks
+from .group import IDENTITY, FiniteHeckeGroup, HeckeParams, PermGroup, generators
+from .kernels import _SLOTS, coordinate_blocks, mat_mul_components
 
 __all__ = [
     "MapStructure",
@@ -110,6 +113,9 @@ class MapStructure:
 
     sigma: np.ndarray
     alpha: np.ndarray
+    # The length of every phi orbit, when the builder knows it (see
+    # ``build_algebraic_map``), else 0: the faces are then labelled.
+    _face_width: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = self.sigma.shape[0]
@@ -145,11 +151,6 @@ class MapStructure:
 
     @property
     def phi(self) -> np.ndarray:
-        k = self.block_width
-        if k:
-            # sigma steps along each block, so alpha o sigma is alpha's
-            # blocks rolled by one.
-            return np.roll(self.alpha.reshape(-1, k), -1, axis=1).reshape(-1)
         return self.alpha[self.sigma]
 
     @cached_property
@@ -175,8 +176,11 @@ class MapStructure:
             vo = _orbit_sizes(self.vertex_labels)
             v, valency = len(vo), _common(vo)
         e = self.darts // 2
-        fo = _orbit_sizes(self.face_labels)
-        f = len(fo)
+        if self._face_width:
+            f, face_size = self.darts // self._face_width, self._face_width
+        else:
+            fo = _orbit_sizes(self.face_labels)
+            f, face_size = len(fo), _common(fo)
         chi = v - e + f
         if chi % 2:
             raise ValueError(f"odd Euler characteristic {chi}: not an orientable map")
@@ -187,20 +191,38 @@ class MapStructure:
             faces=f,
             genus=(2 - chi) // 2,
             vertex_valency=valency,
-            face_size=_common(fo),
+            face_size=face_size,
         )
 
 
 def build_algebraic_map(group: FiniteHeckeGroup) -> MapStructure:
     """Darts = group elements; sigma = *T, alpha = *S, read off the Cayley table.
 
-    The map is frozen, so it is built once per group and kept on it; every
-    caller shares its block width, orbit labels and invariants.
+    ``enumerate_group`` checks both against the general product on every
+    element, so phi(g) = g*T*S = g*R, and the phi orbit of g is the coset
+    g<R> of ord(R) darts.  The map's face width is that order, the least
+    k >= 1 with R**k = +-I, found in at most q products.  The map is frozen,
+    so it is built once per group and kept on it; every caller shares its
+    block width, face width and invariants.
     """
     if group._algebraic_map is None:
         alpha, sigma = group.cayley.T
-        group._algebraic_map = MapStructure(sigma=sigma, alpha=alpha)
+        amap = MapStructure(sigma=sigma, alpha=alpha)
+        object.__setattr__(amap, "_face_width", _order_up_to_sign(group.params))
+        group._algebraic_map = amap
     return group._algebraic_map
+
+
+def _order_up_to_sign(p: HeckeParams) -> int:
+    """The least k >= 1 with R**k = +-I mod n; R**q = -I over Z, so k <= q."""
+    r = generators(p)[2]
+    ends = (list(IDENTITY), [-v % p.n for v in IDENTITY])
+    power = r
+    for k in range(1, p.q + 1):
+        if power.tolist() in ends:
+            return k
+        power = mat_mul_components(power, r, p.n, p.m)
+    raise ValueError(f"R has no order dividing {p.q} mod {p.n}")
 
 
 def permutation_model_map(pg: PermGroup) -> MapStructure:

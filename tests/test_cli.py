@@ -15,7 +15,7 @@ from conftest import same_turn_cube
 from hfmap import group, kernels, maps, verify
 from hfmap.cli import main
 from hfmap.coords import coord_value_str
-from hfmap.group import HeckeParams, cached_group
+from hfmap.group import HeckeParams
 
 
 # A hexagon glued to the torus: sides 1-4, 2-5 and 3-6.
@@ -179,8 +179,8 @@ def test_map_with_a_corrupted_block_head_exits_1(capsys, monkeypatch):
 
 
 def test_map_counts_each_orbit_kind_once(capsys, monkeypatch):
-    """One map run labels phi once; sigma is a block rotation and alpha
-    pairs its darts, so neither is labelled."""
+    """One map run labels no orbit: sigma is a block rotation, alpha pairs
+    its darts, and every face has ord(R) darts."""
     counted = []
     orbit_labels = maps._orbit_labels
 
@@ -191,9 +191,7 @@ def test_map_counts_each_orbit_kind_once(capsys, monkeypatch):
     monkeypatch.setattr(maps, "_orbit_labels", counting)
     code, _, _ = run(capsys, "map", "--q", "4", "--n", "5")
     assert code == 0
-    amap = maps.build_algebraic_map(cached_group(4, 5))
-    assert len(counted) == 1
-    assert np.array_equal(counted[0], amap.phi)
+    assert counted == []
 
 
 def test_coords_names(capsys):

@@ -177,12 +177,12 @@ def test_algebraic_map_is_built_once_per_group(monkeypatch):
     g = cached_group(4, 5)
     assert build_algebraic_map(g) is build_algebraic_map(g)
 
-    # One sweep problem, as the benchmark runs it: of the group's map only
-    # phi is labelled, once, although three calls use the map; sigma is a
-    # block rotation and alpha's edges are pairs.  The coset domain's
-    # boundary polygon is a map of its own on the 2N + 2 boundary sides,
-    # whose sigma is no block rotation, so its sigma and phi are labelled
-    # once each.
+    # One sweep problem, as the benchmark runs it: the group's map labels
+    # no orbit, although three calls use it; sigma is a block rotation,
+    # alpha's edges are pairs and every face has ord(R) darts.  The coset
+    # domain's boundary polygon is a map of its own on the 2N + 2 boundary
+    # sides, whose sigma is no block rotation, so its sigma and phi are
+    # labelled once each.
     counts = Counter()
     orbit_labels = maps._orbit_labels
 
@@ -197,7 +197,7 @@ def test_algebraic_map_is_built_once_per_group(monkeypatch):
     amap.invariants()
     correspondence_check(group, amap, build_coordinate_graph(p))
     polygon.coset_domain_check(group)
-    assert counts == {group.order: 1, 2 * group.order + 2: 2}
+    assert counts == {2 * group.order + 2: 2}
     # The invariants are counted once and kept on the map.
     assert amap.invariants() is amap.invariants()
 

@@ -16,9 +16,11 @@ import pytest
 
 from hfmap import cli, kernels, polygon, render
 from hfmap.coords import (
+    Completion,
     adjacent_codes,
     apply_codes,
     code_coord,
+    completion_table,
     coord_codes,
     coordinate_codes,
     cusp_codes,
@@ -230,6 +232,42 @@ def test_orbit_labels_match_orbit_walks(q, n):
     assert np.array_equal(amap.phi, amap.alpha[amap.sigma])
     assert amap.block_width == n
     assert amap.invariants() == oracles.invariants(amap)
+
+
+# Faces of q darts, and moduli where m | n, prime powers and composites.
+FACE_CASES = [(q, n) for q in (3, 4, 6) for n in (3, 4, 5, 6, 8, 9, 12, 25, 49)]
+
+
+@pytest.mark.parametrize("q,n", FACE_CASES)
+def test_face_count_matches_the_face_walk(q, n):
+    """The group's map counts its faces from the order of R = T*S, with no
+    labels; the walk of alpha[sigma] must give the same F and face size."""
+    amap = build_algebraic_map(cached_group(q, n))
+    faces = oracles.orbits(amap.alpha[amap.sigma])
+    sizes = {len(face) for face in faces}
+    inv = amap.invariants()
+    assert inv.faces == len(faces)
+    assert inv.face_size == (sizes.pop() if len(sizes) == 1 else 0)
+
+
+@pytest.mark.parametrize("q", (3, 4, 6))
+@pytest.mark.parametrize("n", (3, 232, 233, 234))
+def test_second_columns_in_int32_match_the_int64_formula(q, n):
+    """At the top of the modulus range, the int32 second columns and class
+    codes equal the int64 formula with %, block by block."""
+    p = HeckeParams(q, n)
+    table = completion_table(p)
+    t = np.arange(n, dtype=np.int64)
+    for block in kernels.coordinate_blocks(table.codes.size, n):
+        part = Completion._make(col[block].astype(np.int64) for col in table)
+        got = part.second_columns(p)
+        assert [col.dtype for col in got] == [np.int32] * 3
+        b = (part.b0[:, None] + t * part.ka[:, None]) % n
+        d = (part.d0[:, None] + t * part.kc[:, None]) % n
+        kind = 0 if q == 3 else 1 - part.codes[:, None] // (n * n)
+        codes = kind * n * n + np.minimum(b * n + d, (-b % n) * n + (-d % n))
+        for col, want in zip(got, (b, d, codes)):
+            assert np.array_equal(col, want)
 
 
 def test_orbit_labels_on_random_permutations():
