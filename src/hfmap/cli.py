@@ -23,7 +23,7 @@ from .group import GroupCheckError, HeckeParams, enumerate_group, principal_cong
 
 # Circuits formatted and written per block: one write per block, and the
 # text of one block alive at a time.
-CIRCUIT_BLOCK = 1 << 16
+CIRCUIT_BLOCK = 1 << 13
 
 # The options only ``circuit --search`` reads, with their defaults.
 SEARCH_DEFAULTS = {"start": "H2", "length": 12, "poles": "0,3,6,9"}

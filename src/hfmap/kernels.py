@@ -11,8 +11,9 @@ The group stores its rows in ``row_dtype(n)``, the smallest unsigned dtype
 that holds n - 1 (uint8 over the whole modulus range), and every reader
 here widens them before it does arithmetic.
 ``mat_mul_exact`` is the only place the matrix product is written out; it
-works on tuples of Python ints (exact, used by the renderer over Z) and on
-component arrays (reduced mod n by ``mat_mul_components``).  Right
+works on tuples of Python ints (exact) and on component arrays: the
+renderer's int64 tables over Z, and those reduced mod n by
+``mat_mul_components``.  Right
 multiplication by a fixed g is linear in the row, so ``right_mult_map``
 turns it into an 8x8 integer matrix built by ``mat_mul_exact`` from the 8
 unit rows.  A row's other four slots are zero, so its kind and the

@@ -121,9 +121,10 @@ class MapStructure:
         d = self.sigma.shape[0]
         if self.alpha.shape[0] != d:
             raise ValueError("sigma and alpha act on different dart sets")
-        if np.any(self.alpha[self.alpha] != np.arange(d)):
+        darts = np.arange(d, dtype=self.alpha.dtype)
+        if np.any(self.alpha[self.alpha] != darts):
             raise ValueError("alpha is not an involution")
-        if np.any(self.alpha == np.arange(d)):
+        if np.any(self.alpha == darts):
             raise ValueError("alpha has fixed darts")
 
     @property

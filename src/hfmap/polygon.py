@@ -571,7 +571,22 @@ def circuit_labels(p: HeckeParams) -> np.ndarray:
 
 def format_circuit_text(rows: np.ndarray, labels: np.ndarray) -> str:
     """One line per row of a ``search_circuits`` table: the labels of its
-    nodes, comma-separated (see ``circuit_labels``)."""
+    nodes, comma-separated (see ``circuit_labels``).
+
+    Each label is encoded once, with a trailing comma.  One gather of
+    per-cell byte offsets copies every cell, and each row's last comma
+    becomes its newline.
+    """
     if not len(rows):
         return ""
-    return "\n".join(map(",".join, labels[rows].tolist())) + "\n"
+    cells = [f"{label},".encode() for label in labels]
+    table = np.frombuffer(b"".join(cells), dtype=np.uint8)
+    sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
+    cell_sizes = sizes[rows].ravel()
+    cell_ends = np.cumsum(cell_sizes)
+    # Byte k of a cell that starts at byte j of the text is byte k - j
+    # past its label's start in the table.
+    shift = (np.cumsum(sizes) - sizes)[rows].ravel() - (cell_ends - cell_sizes)
+    text = table[np.repeat(shift, cell_sizes) + np.arange(cell_ends[-1])]
+    text[cell_ends[rows.shape[1] - 1::rows.shape[1]] - 1] = ord("\n")
+    return text.tobytes().decode()

@@ -2,7 +2,11 @@
 
 All identity and deduplication decisions use exact integer arithmetic in
 Z[sqrt(m)]; floating point enters only when projecting to page coordinates,
-so repeated renders are byte-identical.
+so repeated renders are byte-identical.  The tessellation is searched on
+int64 tables: within ``MAX_DEPTH`` no matrix entry exceeds ``MAX_ENTRY``
+in absolute value, so every integer of the search, the cusp numerators and
+norms included, stays below 5 * 10**5, far inside int64 and exact in
+float64.
 """
 
 from __future__ import annotations
@@ -29,6 +33,12 @@ __all__ = [
 ]
 
 MAX_DEPTH = 12
+
+# The largest |entry| of a matrix of word length <= MAX_DEPTH, over every
+# q (reached at q = 6).  A cusp numerator or norm is a sum of two products
+# of entries, one times m <= 3, so it stays below 4 * MAX_ENTRY**2 < 5 * 10**5.
+# The tests pin this value: a larger MAX_DEPTH must re-derive the bound.
+MAX_ENTRY = 265
 
 # Page of the universal tessellation: the half-plane window
 # [XMIN, XMAX] x [0, YMAX], WIDTH pixels wide, edges drawn in STROKE, each
@@ -72,36 +82,12 @@ class Cusp:
             return math.inf
         return (self.p + self.q * math.sqrt(m)) / self.d
 
-    def sort_key(self, m: int) -> tuple:
-        """Exact order of the boundary, infinity last; entry 1 is the value."""
-        return (int(self.is_infinity), self.value(m), self.p, self.q)
-
-
-def _make_cusp(p: int, q: int, d: int) -> Cusp:
-    if d == 0:
-        return Cusp(1, 0, 0)
-    if d < 0:
-        p, q, d = -p, -q, -d
-    g = math.gcd(math.gcd(abs(p), abs(q)), d)
-    return Cusp(p // g, q // g, d // g)
-
-
-def _column_cusp(top: tuple[int, int], bot: tuple[int, int], m: int) -> Cusp:
-    """Exact value of (x + y*sqrt(m)) / (z + w*sqrt(m))."""
-    x, y = top
-    z, w = bot
-    if z == 0 and w == 0:
-        return Cusp(1, 0, 0)
-    norm = z * z - m * w * w
-    if norm == 0:
-        raise ZeroDivisionError("denominator has zero norm")
-    return _make_cusp(x * z - m * y * w, y * z - x * w, norm)
-
 
 @dataclass(frozen=True)
 class Geodesic:
-    """Unordered pair of distinct exact endpoints, a before b by
-    ``Cusp.sort_key``; ``ends`` holds their values, a's first."""
+    """Unordered pair of distinct exact endpoints, a before b in the
+    boundary order (by value, infinity last, then p and q); ``ends`` holds
+    their values, a's first."""
 
     a: Cusp
     b: Cusp
@@ -120,58 +106,82 @@ class RenderConfig:
             raise ValueError("depth must be >= 0")
 
 
-# Exact integer matrices: component rows as in the kernels, but over Z
-# rather than Z_n, multiplied by kernels.mat_mul_exact.
-_IntMat = tuple[int, int, int, int, int, int, int, int]
+def _geodesic_table(q: int, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``universal_geodesics`` as integer tables: the distinct cusps as (C, 3)
+    rows (p, q, d) in boundary order, their (C,) values, and the geodesics
+    as (G, 2) rows of cusp ranks, a < b, in order.
 
-
-def _int_mat_canon(a: _IntMat) -> _IntMat:
-    for v in a:
-        if v > 0:
-            return a
-        if v < 0:
-            return tuple(-x for x in a)
-    raise ValueError("zero matrix")
-
-
-def universal_geodesics(q: int, depth: int) -> list[Geodesic]:
-    """Distinct images of the imaginary axis under words of length <= depth
-    in S, T, T^-1, ordered by exact endpoints."""
+    Each BFS level is a (k, 8) table of component rows over Z, multiplied
+    by S, T and T^-1 in one broadcast ``mat_mul_exact``; g ~ -g is made
+    canonical by a positive first nonzero entry.
+    """
     if depth > MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the bound {MAX_DEPTH}")
     m = RADICAND[q]
     s, t = exact_generators(q)
     t_inv = (*t[:2], -t[2], -t[3], *t[4:])  # lam negated
-    gens = (s, t, t_inv)
+    gens = np.array([s, t, t_inv], dtype=np.int64).T[:, None, :]  # (8, 1, 3)
 
+    frontier = np.array([IDENTITY], dtype=np.int64)
     seen = {IDENTITY}
-    frontier = [IDENTITY]
-    matrices = [IDENTITY]
+    levels = [frontier]
     for _ in range(depth):
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = _int_mat_canon(mat_mul_exact(g, h, m))
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    matrices.append(prod)
-        frontier = nxt
+        prods = np.stack(mat_mul_exact(frontier.T[:, :, None], gens, m), axis=-1)
+        prods = prods.reshape(-1, 8)
+        lead = prods[np.arange(len(prods)), (prods != 0).argmax(axis=1)]
+        prods *= np.sign(lead)[:, None]
+        fresh = set(map(tuple, prods.tolist()))
+        fresh -= seen
+        seen |= fresh
+        frontier = np.array(list(fresh), dtype=np.int64).reshape(-1, 8)
+        levels.append(frontier)
+    mats = np.concatenate(levels)
 
-    # The sort key, and in it the value, of each distinct cusp, computed once.
-    keys: dict[Cusp, tuple] = {}
-    pairs = set()
-    for g in matrices:
-        u = _column_cusp((g[0], g[1]), (g[4], g[5]), m)
-        v = _column_cusp((g[2], g[3]), (g[6], g[7]), m)
-        if u == v:
-            raise ValueError("geodesic endpoints coincide")
-        for c in (u, v):
-            if c not in keys:
-                keys[c] = c.sort_key(m)
-        pairs.add((v, u) if keys[v] < keys[u] else (u, v))
-    ordered = sorted(pairs, key=lambda ends: (keys[ends[0]], keys[ends[1]]))
-    return [Geodesic(a, b, (keys[a][1], keys[b][1])) for a, b in ordered]
+    # Column j of g ends at (x + y*sqrt(m)) / (z + w*sqrt(m)), which is
+    # (x*z - m*y*w + (y*z - x*w)*sqrt(m)) / (z**2 - m*w**2), or infinity.
+    ends = np.empty((len(mats), 2, 3), dtype=np.int64)
+    for j, (x, y, z, w) in enumerate((mats.T[[0, 1, 4, 5]], mats.T[[2, 3, 6, 7]])):
+        norm = z * z - m * w * w
+        infinite = (z == 0) & (w == 0)
+        if np.any((norm == 0) & ~infinite):
+            raise ZeroDivisionError("denominator has zero norm")
+        end = np.stack([x * z - m * y * w, y * z - x * w, norm], axis=1)
+        end *= np.sign(norm)[:, None]
+        end[infinite] = (1, 0, 0)
+        end //= np.gcd.reduce(end, axis=1)[:, None]
+        ends[:, j] = end
+    if np.any(np.all(ends[:, 0] == ends[:, 1], axis=1)):
+        raise ValueError("geodesic endpoints coincide")
+
+    # Sort the endpoints in the boundary order (is infinity, value, p, q),
+    # then by d, so that equal cusps are adjacent, and rank the distinct ones.
+    flat = ends.reshape(-1, 3)
+    p, r, d = flat.T
+    finite = d != 0
+    value = np.full(len(flat), math.inf)
+    value[finite] = (p[finite] + r[finite] * math.sqrt(m)) / d[finite]
+    order = np.lexsort((d, r, p, value, ~finite))
+    ranked = flat[order]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    rank = np.empty(len(flat), dtype=np.int64)
+    rank[order] = np.cumsum(first) - 1
+
+    pairs = np.sort(rank.reshape(-1, 2), axis=1)
+    count = int(first.sum())
+    codes = np.sort(pairs[:, 0] * count + pairs[:, 1])
+    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+    return ranked[first], value[order][first], np.stack(np.divmod(codes, count), axis=1)
+
+
+def universal_geodesics(q: int, depth: int) -> list[Geodesic]:
+    """Distinct images of the imaginary axis under words of length <= depth
+    in S, T, T^-1, ordered by exact endpoints."""
+    cusps, values, geodesics = _geodesic_table(q, depth)
+    points = [Cusp(*c) for c in cusps.tolist()]
+    vals = values.tolist()
+    return [Geodesic(points[a], points[b], (vals[a], vals[b]))
+            for a, b in geodesics.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +203,9 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
 
 def render_universal(q: int, cfg: RenderConfig) -> str:
     """SVG of the universal tessellation's edges down to the given depth."""
-    geodesics = universal_geodesics(q, cfg.depth)
+    _, values, geodesics = _geodesic_table(q, cfg.depth)
+    # Only b can be infinity: infinity sorts last and the ends differ.
+    ends = values[geodesics]
     width = WIDTH
     if cfg.model == "halfplane":
         scale = width / (XMAX - XMIN)
@@ -207,16 +219,16 @@ def render_universal(q: int, cfg: RenderConfig) -> str:
             f'<line x1="0" y1="{height}" x2="{width}" y2="{height}" '
             'stroke="black" stroke-width="1"/>',
         ]
-        for geo in geodesics:
-            if geo.b.is_infinity:
-                x, _ = to_page(geo.ends[0], 0.0)
+        for a, b in ends.tolist():
+            if b == math.inf:
+                x, _ = to_page(a, 0.0)
                 body.append(
                     f'<path d="M {_fmt(x)} {height} L {_fmt(x)} 0" fill="none" '
                     f'stroke="{STROKE}" stroke-width="1"/>'
                 )
             else:
-                x1, y1 = to_page(geo.ends[0], 0.0)
-                x2, y2 = to_page(geo.ends[1], 0.0)
+                x1, y1 = to_page(a, 0.0)
+                x2, y2 = to_page(b, 0.0)
                 r = abs(x2 - x1) / 2.0
                 body.append(
                     f'<path d="M {_fmt(x1)} {_fmt(y1)} A {_fmt(r)} {_fmt(r)} 0 0 1 '
@@ -234,22 +246,21 @@ def render_universal(q: int, cfg: RenderConfig) -> str:
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
-    body += _disk_paths(geodesics, cx, cy, radius)
+    body += _disk_paths(ends, cx, cy, radius)
     return _svg_document(width, height, body)
 
 
-def _disk_paths(geodesics: list[Geodesic], cx: float, cy: float,
+def _disk_paths(ends: np.ndarray, cx: float, cy: float,
                 radius: float) -> list[str]:
-    """One disk-model path per geodesic, through its SAMPLES points.
+    """One disk-model path per row (a, b) of geodesic ends, b = inf for a
+    vertical ray, through its SAMPLES points.
 
     All points are sampled and projected at once, on (G, SAMPLES) arrays.
     Every float comes from the same operations, in the same order, as a
     point sampled and projected on its own, so the text is the same.
     """
-    # Only b can be infinity: infinity sorts last and the ends differ.
-    ends = np.array([geo.ends for geo in geodesics])
     vertical = np.isinf(ends[:, 1])
-    xs = np.empty((len(geodesics), SAMPLES))
+    xs = np.empty((len(ends), SAMPLES))
     ys = np.empty_like(xs)
     x1, x2 = ends[~vertical].T
     center, r = (x1 + x2) / 2.0, np.abs(x2 - x1) / 2.0
@@ -262,12 +273,12 @@ def _disk_paths(geodesics: list[Geodesic], cx: float, cy: float,
     zi, wi = ys - 1.0, ys + 1.0
     xx = xs * xs
     norm = xx + wi * wi
-    page = np.empty((len(geodesics), 2 * SAMPLES))
+    page = np.empty((len(ends), 2 * SAMPLES))
     page[:, 0::2] = cx + radius * ((xx + zi * wi) / norm)
     page[:, 1::2] = cy - radius * ((zi * xs - xs * wi) / norm)
     # The paths are the largest part of the document: free the samples,
     # and unpack the page one row at a time, while they are written.
-    del ends, xs, ys, zi, wi, xx, norm
+    del xs, ys, zi, wi, xx, norm
     return [_DISK_PATH % tuple(row.tolist()) for row in page]
 
 

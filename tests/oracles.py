@@ -10,8 +10,12 @@ unions corners over walk positions with ``polygon_corner_classes``;
 ``search_circuits`` prunes its walk by BFS distances to the start and
 checks poles and the closing edge as it goes, and returns ``Circuit``
 objects, which ``circuits_of`` makes of the library's walk table and
-``format_circuit`` writes one at a time; ``render_disk`` samples and
-projects the disk-model geodesics one point at a time.  The differential
+``format_circuit`` writes one at a time, and ``circuit_text`` writes a
+table of rows with ``",".join``; ``universal_geodesics`` grows the
+tessellation one matrix product and one cusp at a time
+(``tessellation_matrices``, ``column_cusp``, ``cusp_sort_key``), and
+``render_disk`` samples and projects its disk-model geodesics one point at
+a time.  The differential
 tests in test_vectorized.py require the library to agree with them.  Next to them
 are the index formula in the two branches the library once wrote, the
 element-level group operations looked up by key (canonical keys of all 8
@@ -32,7 +36,7 @@ import numpy as np
 
 from hfmap import kernels
 from hfmap.coords import HFCoord, adjacent_codes, coordinate_codes, vertex_names
-from hfmap.group import RADICAND
+from hfmap.group import IDENTITY, RADICAND, exact_generators
 from hfmap.maps import (
     CorrespondenceReport,
     MapInvariants,
@@ -46,9 +50,10 @@ from hfmap.render import (
     STROKE,
     WIDTH,
     YMAX,
+    Cusp,
+    Geodesic,
     _fmt,
     _svg_document,
-    universal_geodesics,
 )
 
 
@@ -707,6 +712,91 @@ def format_circuit(c, p) -> str:
     except (ValueError, KeyError):
         pass
     return ",".join(f"{u.kind}:{u.num}/{u.den}" for u in c.seq)
+
+
+def circuit_text(rows, labels) -> str:
+    """A circuit table's text, one ``",".join`` of labels per row."""
+    return "".join(",".join(labels[i] for i in row) + "\n" for row in rows)
+
+
+# -- universal tessellation --------------------------------------------------
+
+
+def cusp_sort_key(c: Cusp, m: int) -> tuple:
+    """Exact order of the boundary, infinity last; entry 1 is the value."""
+    return (int(c.is_infinity), c.value(m), c.p, c.q)
+
+
+def make_cusp(p: int, q: int, d: int) -> Cusp:
+    if d == 0:
+        return Cusp(1, 0, 0)
+    if d < 0:
+        p, q, d = -p, -q, -d
+    g = math.gcd(math.gcd(abs(p), abs(q)), d)
+    return Cusp(p // g, q // g, d // g)
+
+
+def column_cusp(top: tuple[int, int], bot: tuple[int, int], m: int) -> Cusp:
+    """Exact value of (x + y*sqrt(m)) / (z + w*sqrt(m))."""
+    x, y = top
+    z, w = bot
+    if z == 0 and w == 0:
+        return Cusp(1, 0, 0)
+    norm = z * z - m * w * w
+    if norm == 0:
+        raise ZeroDivisionError("denominator has zero norm")
+    return make_cusp(x * z - m * y * w, y * z - x * w, norm)
+
+
+def int_mat_canon(a: tuple) -> tuple:
+    """The one of a and -a whose first nonzero entry is positive."""
+    for v in a:
+        if v > 0:
+            return a
+        if v < 0:
+            return tuple(-x for x in a)
+    raise ValueError("zero matrix")
+
+
+def tessellation_matrices(q: int, depth: int) -> list[tuple]:
+    """Distinct g ~ -g of word length <= depth in S, T, T^-1, as tuples of
+    8 integer components, by a breadth-first search one product at a time."""
+    m = RADICAND[q]
+    s, t = exact_generators(q)
+    t_inv = (*t[:2], -t[2], -t[3], *t[4:])  # lam negated
+    seen = {IDENTITY}
+    frontier = [IDENTITY]
+    matrices = [IDENTITY]
+    for _ in range(depth):
+        nxt = []
+        for g in frontier:
+            for h in (s, t, t_inv):
+                prod = int_mat_canon(kernels.mat_mul_exact(g, h, m))
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+                    matrices.append(prod)
+        frontier = nxt
+    return matrices
+
+
+def universal_geodesics(q: int, depth: int) -> list[Geodesic]:
+    """The library's ``universal_geodesics`` one matrix and one cusp at a
+    time: endpoints by ``column_cusp``, ordered by ``cusp_sort_key``."""
+    m = RADICAND[q]
+    keys: dict[Cusp, tuple] = {}
+    pairs = set()
+    for g in tessellation_matrices(q, depth):
+        u = column_cusp((g[0], g[1]), (g[4], g[5]), m)
+        v = column_cusp((g[2], g[3]), (g[6], g[7]), m)
+        if u == v:
+            raise ValueError("geodesic endpoints coincide")
+        for c in (u, v):
+            if c not in keys:
+                keys[c] = cusp_sort_key(c, m)
+        pairs.add((v, u) if keys[v] < keys[u] else (u, v))
+    ordered = sorted(pairs, key=lambda ends: (keys[ends[0]], keys[ends[1]]))
+    return [Geodesic(a, b, (keys[a][1], keys[b][1])) for a, b in ordered]
 
 
 # -- disk-model render -------------------------------------------------------

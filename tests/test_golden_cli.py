@@ -31,8 +31,12 @@ INVOCATIONS = [
     "coords --q 4 --n 5 --names",
     "circuit --verify bring",
     "circuit --search --length 6 --poles 0,3",
+    "circuit --q 4 --n 5 --search",
     "polygon",
     "render universal --q 4 --depth 3 --model disk",
+    "render universal --q 4 --depth 12 --model disk",
+    "render universal --q 6 --depth 12",
+    "render universal --q 3 --depth 12 --model disk",
     "render quotient --q 4 --n 3",
     "render polygon",
     "verify",

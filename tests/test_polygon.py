@@ -4,7 +4,7 @@ import numpy as np
 import oracles
 import pytest
 
-from hfmap import polygon
+from hfmap import cli, polygon
 from hfmap.coords import HFCoord, vertex_names
 from hfmap.group import HeckeParams, cached_group
 from hfmap.maps import build_coordinate_graph
@@ -365,3 +365,32 @@ def test_circuit_text_roundtrip(table):
     assert parse_circuit_text("B:2/0, A:2/1", P45) == Circuit(
         (table.coord("H2"), table.coord("E1"))
     )
+
+
+# Label characters: ASCII, and code points of 2, 3 and 4 bytes in UTF-8.
+_LABEL_CHARS = list("AHz09:/-") + ["é", "λ", "√", "😀"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_circuit_text_matches_join(seed):
+    """The byte formatter writes what one ",".join per row writes, on random
+    tables of 1- to 8-character labels, with one column or many."""
+    rng = np.random.default_rng(seed)
+    labels = np.array(["".join(rng.choice(_LABEL_CHARS, size=rng.integers(1, 9)))
+                       for _ in range(rng.integers(1, 40))], dtype=object)
+    for width in (1, int(rng.integers(2, 17))):
+        rows = rng.integers(0, len(labels), size=(int(rng.integers(1, 60)), width))
+        rows = rows.astype(np.int32)
+        assert format_circuit_text(rows, labels) == oracles.circuit_text(rows, labels)
+    assert format_circuit_text(np.zeros((0, 1), dtype=np.int32), labels) == ""
+
+
+def test_circuit_listing_across_block_edges(monkeypatch, capsys, table):
+    """Blocks of 3 rows give the listing of the whole table: 200 circuits,
+    so the last block is short."""
+    found = search_circuits(table.coord("H2"), 6, {0, 3}, P45)
+    assert len(found) == 200
+    monkeypatch.setattr(cli, "CIRCUIT_BLOCK", 3)
+    assert cli.main(["circuit", "--search", "--length", "6", "--poles", "0,3"]) == 0
+    want = oracles.circuit_text(found, circuit_labels(P45)) + f"# {len(found)} circuits\n"
+    assert capsys.readouterr().out == want

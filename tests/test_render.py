@@ -4,10 +4,12 @@ from collections import Counter
 
 import pytest
 
+from hfmap import render
 from hfmap.group import RADICAND, HeckeParams
 from hfmap.polygon import boundary_from_circuit, bring_circuit, bring_side_pairing
 from hfmap.render import (
     Cusp,
+    Geodesic,
     RenderConfig,
     render_polygon,
     render_quotient,
@@ -37,27 +39,26 @@ def test_edge_counts_strictly_increase(q):
 
 
 @pytest.mark.parametrize("model", ["halfplane", "disk"])
-def test_render_evaluates_each_cusp_once(monkeypatch, model):
-    """The value and sort key of every distinct endpoint are computed once
-    per render, and each geodesic carries its ends' values."""
+def test_render_evaluates_no_cusp(monkeypatch, model):
+    """A render reads the geodesics' ends from integer tables: it builds no
+    Cusp or Geodesic, so it takes no cusp's value or scalar sort key.  Each
+    geodesic of the list still carries its ends' values."""
     calls = Counter()
-    value, sort_key = Cusp.value, Cusp.sort_key
 
     def counted(name, method):
-        def wrapper(self, m):
-            calls[name, self] += 1
-            return method(self, m)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(Cusp, "value", counted("value", value))
-    monkeypatch.setattr(Cusp, "sort_key", counted("sort_key", sort_key))
+    for cls in (Cusp, Geodesic):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    monkeypatch.setattr(Cusp, "value", counted("value", Cusp.value))
     render_universal(4, RenderConfig(model=model, depth=6))
     monkeypatch.undo()
-    geos = universal_geodesics(4, 6)
-    cusps = {g.a for g in geos} | {g.b for g in geos}
-    assert calls == Counter({(name, c): 1 for name in ("value", "sort_key") for c in cusps})
+    assert calls == Counter()
     m = RADICAND[4]
-    assert all(g.ends == (g.a.value(m), g.b.value(m)) for g in geos)
+    assert all(g.ends == (g.a.value(m), g.b.value(m)) for g in universal_geodesics(4, 6))
 
 
 def test_no_duplicate_endpoint_pairs():
@@ -74,6 +75,21 @@ def test_depth_bound():
         RenderConfig(depth=-1)
     with pytest.raises(ValueError):
         RenderConfig(model="sphere")
+
+
+@pytest.mark.parametrize("t,error", [
+    # [[1, 1], [1, 1]]: both columns end at 1.
+    ((1, 0, 1, 0, 1, 0, 1, 0), "geodesic endpoints coincide"),
+    # [[1, 0], [1 + sqrt(m), 1]] at m = 1: a column over a zero norm.
+    ((1, 0, 0, 0, 1, 1, 1, 0), "denominator has zero norm"),
+])
+def test_degenerate_generator_errors(monkeypatch, t, error):
+    """The search refuses what no Hecke group produces: a geodesic with one
+    endpoint, and a column whose denominator has zero norm."""
+    s = (0, 0, -1, 0, 1, 0, 0, 0)
+    monkeypatch.setattr(render, "exact_generators", lambda q: (s, t))
+    with pytest.raises((ValueError, ZeroDivisionError), match=error):
+        universal_geodesics(3, 1)
 
 
 def _assert_well_formed(svg: str) -> ET.Element:

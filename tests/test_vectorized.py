@@ -5,7 +5,8 @@
 per-element orbit walks, correspondence check and invariants, the
 coset-domain check with its queue BFS and side-by-side boundary walk, and
 the circuit search pruned by BFS distances with its one-circuit-at-a-time
-text, and the disk-model render sampled one point at a time.
+text, and the universal tessellation searched one product and one cusp at
+a time, with its disk-model render sampled one point at a time.
 """
 
 from types import SimpleNamespace
@@ -576,11 +577,13 @@ def test_search_circuits_matches_oracle(q, n):
         (4, 5, "H2", 12, ",".join(map(str, range(12))), 0),
     ],
 )
-@pytest.mark.parametrize("block", [1000, cli.CIRCUIT_BLOCK])
+@pytest.mark.parametrize("block", [1000, 1 << 16])
 def test_circuit_listing_matches_oracle(capsys, monkeypatch, q, n, start, length,
                                         poles, count, block):
-    """The CLI listing, written in blocks, is the oracle's circuits one line
-    each; (3, 7) has no name table, (4, 3) and (4, 5) have one."""
+    """The CLI listing, written in blocks of 1000 rows or in one block, as
+    the default ``CIRCUIT_BLOCK`` writes each table here, is the oracle's
+    circuits one line each; (3, 7) has no name table, (4, 3) and (4, 5)
+    have one."""
     monkeypatch.setattr(cli, "CIRCUIT_BLOCK", block)
     p = HeckeParams(q, n)
     circuits = oracles.search_circuits(
@@ -605,6 +608,43 @@ def _first_difference(got: str, want: str):
     if len(got_lines) != len(want_lines):
         return "line counts", len(got_lines), len(want_lines)
     return None if got == want else "line ends"
+
+
+@pytest.mark.parametrize(
+    "q,depth", [(q, depth) for q in (3, 4, 6) for depth in range(render.MAX_DEPTH + 1)]
+)
+def test_geodesics_match_the_scalar_search(q, depth):
+    """The integer-table search gives the scalar BFS's geodesics: the same
+    exact ends, in the same order, with the same values."""
+    got = render.universal_geodesics(q, depth)
+    want = oracles.universal_geodesics(q, depth)
+    assert [(g.a, g.b, g.ends) for g in got] == [(g.a, g.b, g.ends) for g in want]
+
+
+@pytest.mark.parametrize("q", [3, 4, 6])
+def test_geodesic_search_multiplies_each_matrix_once(monkeypatch, q):
+    """Each level multiplies only matrices not seen before, one of g and -g:
+    the rows multiplied down to depth 8 are the scalar search's matrices
+    down to depth 7.  Without the sign rule or the dedup the geodesics
+    stay the same, but the levels grow."""
+    rows = []
+
+    def counted(a, b, m):
+        rows.append(a.shape[1])
+        return kernels.mat_mul_exact(a, b, m)
+
+    monkeypatch.setattr(render, "mat_mul_exact", counted)
+    render.universal_geodesics(q, 8)
+    assert sum(rows) == len(oracles.tessellation_matrices(q, 7))
+
+
+def test_largest_geodesic_entry_is_pinned():
+    """``render.MAX_ENTRY``, on which its int64 bound rests, is the largest
+    |entry| within ``MAX_DEPTH`` over every q: a deeper search fails here
+    until the bound is re-derived."""
+    largest = max(abs(v) for q in (3, 4, 6)
+                  for g in oracles.tessellation_matrices(q, render.MAX_DEPTH) for v in g)
+    assert largest == render.MAX_ENTRY
 
 
 @pytest.mark.parametrize(
