@@ -6,23 +6,21 @@ phi(d) = alpha(sigma(d)).  For the algebraic model the darts are the group
 elements themselves, with sigma(g) = g*T and alpha(g) = g*S acting by right
 multiplication, so left multiplication realizes the automorphisms.
 
-The counts read the structure each map is built with.  alpha is checked at
-construction to be a fixed-point-free involution, so E = darts / 2.  When
-sigma steps each block of k consecutive darts round by one
-(``MapStructure.block_width``), as ``enumerate_group`` numbers the algebraic
-map's elements, V = darts / k and every valency is k.  Any other sigma (the
-polygons of ``polygon``, the degree-5 model, ``cube_map``) has its vertices
-counted from orbit labels.  On the algebraic map phi is right
-multiplication by R = T*S, so every face is a coset g<R> and has ord(R)
-darts: ``build_algebraic_map`` finds that width from R itself, and
-F = darts / ord(R) with no walk.  Every other map, a caller-built one
-included, counts its faces from the labels of phi.
+The counts follow one rule per kind of map.  On the group's map sigma =
+*T and phi = *R, R = T*S, act by right multiplication, so every vertex is
+a coset g<T> of ord(T) = n darts and every face a coset g<R> of ord(R)
+darts (orders up to sign): ``build_algebraic_map`` sets V = darts / n and
+F = darts / ord(R) with no walk.  Every other map (the polygons of
+``polygon``, the degree-5 model, ``cube_map``, a caller-built one) counts
+V and F from the orbit labels of sigma and phi.  alpha is checked at
+construction to be a fixed-point-free involution, so E = darts / 2 on
+both.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -107,15 +105,12 @@ class MapInvariants:
 class MapStructure:
     """Dart system (sigma, alpha) with phi = alpha o sigma.
 
-    The block width, the orbit labels and the invariants are computed once
-    per map and kept, so sigma and alpha are fixed at construction.
+    The orbit labels and the invariants are computed once per map and
+    kept, so sigma and alpha are fixed at construction.
     """
 
     sigma: np.ndarray
     alpha: np.ndarray
-    # The length of every phi orbit, when the builder knows it (see
-    # ``build_algebraic_map``), else 0: the faces are then labelled.
-    _face_width: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = self.sigma.shape[0]
@@ -130,25 +125,6 @@ class MapStructure:
     @property
     def darts(self) -> int:
         return int(self.sigma.shape[0])
-
-    @cached_property
-    def block_width(self) -> int:
-        """k when sigma sends each dart i*k + j to i*k + (j + 1) % k, else 0.
-
-        Such a sigma sends every dart j to j + 1 except the block ends
-        k - 1, 2k - 1, ..., which go back k - 1 places: one comparison with
-        j + 1 finds the ends, and k is 1 + the first of them.
-        """
-        sigma = self.sigma
-        d = sigma.shape[0]
-        ends = np.flatnonzero(sigma != np.arange(1, d + 1, dtype=sigma.dtype))
-        if not ends.size:  # no darts: a permutation sends d - 1 below d
-            return 0
-        k = int(ends[0]) + 1
-        if (np.array_equal(ends, np.arange(k - 1, d, k))
-                and np.array_equal(sigma[ends], ends - (k - 1))):
-            return k
-        return 0
 
     @property
     def phi(self) -> np.ndarray:
@@ -170,46 +146,45 @@ class MapStructure:
 
     @cached_property
     def _invariants(self) -> MapInvariants:
-        k = self.block_width
-        if k:
-            v, valency = self.darts // k, k
-        else:
-            vo = _orbit_sizes(self.vertex_labels)
-            v, valency = len(vo), _common(vo)
-        e = self.darts // 2
-        if self._face_width:
-            f, face_size = self.darts // self._face_width, self._face_width
-        else:
-            fo = _orbit_sizes(self.face_labels)
-            f, face_size = len(fo), _common(fo)
-        chi = v - e + f
-        if chi % 2:
-            raise ValueError(f"odd Euler characteristic {chi}: not an orientable map")
-        return MapInvariants(
-            darts=self.darts,
-            vertices=v,
-            edges=e,
-            faces=f,
-            genus=(2 - chi) // 2,
-            vertex_valency=valency,
-            face_size=face_size,
-        )
+        vo = _orbit_sizes(self.vertex_labels)
+        fo = _orbit_sizes(self.face_labels)
+        return _counted(self.darts, len(vo), _common(vo), len(fo), _common(fo))
+
+
+def _counted(darts: int, v: int, valency: int, f: int, face_size: int) -> MapInvariants:
+    """The invariants of a map with these vertex and face counts: E =
+    darts / 2, and an odd Euler characteristic is refused."""
+    chi = v - darts // 2 + f
+    if chi % 2:
+        raise ValueError(f"odd Euler characteristic {chi}: not an orientable map")
+    return MapInvariants(
+        darts=darts,
+        vertices=v,
+        edges=darts // 2,
+        faces=f,
+        genus=(2 - chi) // 2,
+        vertex_valency=valency,
+        face_size=face_size,
+    )
 
 
 def build_algebraic_map(group: FiniteHeckeGroup) -> MapStructure:
     """Darts = group elements; sigma = *T, alpha = *S, read off the Cayley table.
 
     ``enumerate_group`` checks both against the general product on every
-    element, so phi(g) = g*T*S = g*R, and the phi orbit of g is the coset
-    g<R> of ord(R) darts.  The map's face width is that order, the least
-    k >= 1 with R**k = +-I, found in at most q products.  The map is frozen,
-    so it is built once per group and kept on it; every caller shares its
-    block width, face width and invariants.
+    element, so sigma(g) = g*T and phi(g) = g*T*S = g*R.  One argument
+    counts both orbit kinds: the orbit of g under *X is the coset g<X>, of
+    ord(X) darts, the least k >= 1 with X**k = +-I mod n.  T**k = [[1,
+    k*lambda], [0, 1]], so ord(T) = n and V = darts / n; ord(R) <= q takes
+    at most q products, and F = darts / ord(R).  No orbit is labelled.  The
+    map is frozen, so it is built once per group and kept on it.
     """
     if group._algebraic_map is None:
         alpha, sigma = group.cayley.T
         amap = MapStructure(sigma=sigma, alpha=alpha)
-        object.__setattr__(amap, "_face_width", _order_up_to_sign(group.params))
+        n, r = group.params.n, _order_up_to_sign(group.params)
+        d = amap.darts
+        object.__setattr__(amap, "_invariants", _counted(d, d // n, n, d // r, r))
         group._algebraic_map = amap
     return group._algebraic_map
 
@@ -329,8 +304,8 @@ def projection_certificate(group: FiniteHeckeGroup, amap: MapStructure) -> Corre
 
     Four facts, each on every element or dart:
 
-    (a) sigma steps each block v*n .. v*n + n - 1 round by one
-        (``MapStructure.block_width`` is n), so its vertex orbits are these
+    (a) sigma steps each block v*n .. v*n + n - 1 round by one,
+        sigma(v*n + t) = v*n + (t + 1) % n, so its vertex orbits are these
         blocks, and every row's first column is its block head's, up to
         sign;
     (b) the cusps of the V block heads, sorted, are ``coordinate_codes``;
@@ -341,9 +316,9 @@ def projection_certificate(group: FiniteHeckeGroup, amap: MapStructure) -> Corre
     (c) and (d) the n darts of a vertex are its n arcs, and with (a) and (b)
     the projection is a bijection onto the graph.  Only the head rows go
     through the class rule of ``cusp_codes``, and a head that is no cusp is
-    one problem that names the first such head; (c) and (d) run over the
-    blocks of ``kernels.coordinate_blocks``.  Reads only ``params`` and
-    ``rows`` of the group.
+    one problem that names the first such head; sigma's step, (c) and (d)
+    run over the blocks of ``kernels.coordinate_blocks``.  Reads only
+    ``params`` and ``rows`` of the group.
     """
     return _certificate(group, amap)[0]
 
@@ -358,7 +333,10 @@ def _certificate(group: FiniteHeckeGroup,
     problems: list[str] = []
 
     # (a) and (b): vertex orbits, their first columns and their cusps.
-    blocks = amap.block_width == n
+    sigma = amap.sigma.reshape(size, n)
+    heads = np.arange(0, amap.darts, n, dtype=sigma.dtype)[:, None]
+    step = np.arange(1, n + 1, dtype=sigma.dtype) % n  # t -> t + 1 round the block
+    blocks = all(np.array_equal(sigma[b], heads[b] + step) for b in coordinate_blocks(size, n))
     vertex_count = size
     if not blocks:
         vertex_count = len(_orbit_sizes(amap.vertex_labels))

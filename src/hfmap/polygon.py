@@ -67,6 +67,8 @@ NUM_SIDES = 20
 # The most circuits search_circuits lists; larger searches are refused.
 MAX_CIRCUITS = 1 << 22
 
+SEARCH_BLOCK = 1 << 12  # walks that search_circuits extends in place at a time
+
 # The 12-vertex circuit through the boundary poles of the genus-4 map, and
 # the classical side labels / side pairing of its 20-gon (sides 1..20).
 BRING_CIRCUIT_NAMES = [
@@ -170,11 +172,13 @@ def search_circuits(
 
     ways[k][v] counts the ways to finish such a walk from node v at
     position k (position ``length`` is the start again), in int64, clipped
-    at MAX_CIRCUITS + 1.  ways[0][start] bounds the listing.  The table
-    then grows one position at a time: each row takes, in ascending order,
-    the neighbours of its last node that can still finish.  A node that
-    can finish at position length - 1 is a neighbour of the start, so every
-    row of the last level closes.
+    at MAX_CIRCUITS + 1.  ways[0][start] rows hold the listing, and the
+    walks grow in them one position at a time: each takes, in ascending
+    order, the neighbours of its last node that can still finish.  Each
+    has one or more, so walk i's extensions start at row i or later, and
+    the blocks of walks grow in place from the last down.  A node that can
+    finish at position length - 1 is a neighbour of the start, so every
+    walk of the last level closes.
     """
     if length > 16:
         raise ValueError(f"circuit search length {length} exceeds the bound 16")
@@ -201,11 +205,22 @@ def search_circuits(
 
     live = ways > 0
     nbrs = graph.nbrs.astype(np.int32)
-    rows = np.full((int(live[0, start_idx]), 1), start_idx, dtype=np.int32)
+    rows = np.empty((int(ways[0, start_idx]), length), dtype=np.int32)
+    if not len(rows):
+        return rows
+    rows[0, 0] = start_idx
+    walks = 1
     for pos in range(1, length):
-        cand = nbrs[rows[:, -1]]
-        parent, col = np.nonzero(live[pos][cand])
-        rows = np.column_stack([rows[parent], cand[parent, col]])
+        cand = nbrs[rows[:walks, pos - 1]]
+        keep = live[pos][cand]
+        fanout = keep.sum(axis=1)
+        ends = np.cumsum(fanout)
+        rows[:ends[-1], pos] = cand[keep]
+        for hi in range(walks, 0, -SEARCH_BLOCK):
+            lo = max(hi - SEARCH_BLOCK, 0)
+            first = ends[lo - 1] if lo else 0
+            rows[first:ends[hi - 1], :pos] = np.repeat(rows[lo:hi, :pos], fanout[lo:hi], axis=0)
+        walks = int(ends[-1])
     return rows
 
 
@@ -573,20 +588,22 @@ def format_circuit_text(rows: np.ndarray, labels: np.ndarray) -> str:
     """One line per row of a ``search_circuits`` table: the labels of its
     nodes, comma-separated (see ``circuit_labels``).
 
-    Each label is encoded once, with a trailing comma.  One gather of
-    per-cell byte offsets copies every cell, and each row's last comma
-    becomes its newline.
+    Each label is encoded once with a trailing comma and once with a
+    trailing newline, padded with zeros to the longest, and each padded
+    label is one fixed-width (void) item.  A row is then one gather of such
+    items, its last cell from the newline table, and the same gather of the
+    labels' byte masks drops the padding.
     """
     if not len(rows):
         return ""
     cells = [f"{label},".encode() for label in labels]
-    table = np.frombuffer(b"".join(cells), dtype=np.uint8)
-    sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
-    cell_sizes = sizes[rows].ravel()
-    cell_ends = np.cumsum(cell_sizes)
-    # Byte k of a cell that starts at byte j of the text is byte k - j
-    # past its label's start in the table.
-    shift = (np.cumsum(sizes) - sizes)[rows].ravel() - (cell_ends - cell_sizes)
-    text = table[np.repeat(shift, cell_sizes) + np.arange(cell_ends[-1])]
-    text[cell_ends[rows.shape[1] - 1::rows.shape[1]] - 1] = ord("\n")
-    return text.tobytes().decode()
+    sizes = np.array([len(cell) for cell in cells])
+    used = np.arange(sizes.max()) < sizes[:, None]
+    comma = np.zeros(used.shape, dtype=np.uint8)
+    comma[used] = np.frombuffer(b"".join(cells), dtype=np.uint8)
+    newline = comma.copy()
+    newline[np.arange(sizes.size), sizes - 1] = ord("\n")
+    cell = f"V{used.shape[1]}"
+    text = comma.view(cell)[rows, 0]
+    text[:, -1] = newline.view(cell)[rows[:, -1], 0]
+    return text.view(np.uint8)[used.view(cell)[rows, 0].view(bool)].tobytes().decode()

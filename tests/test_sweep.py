@@ -15,7 +15,12 @@ import pytest
 
 from hfmap.cli import main
 from hfmap.group import HeckeParams, enumerate_group, principal_congruence_index
-from hfmap.maps import build_algebraic_map, build_coordinate_graph, correspondence_check
+from hfmap.maps import (
+    MapStructure,
+    build_algebraic_map,
+    build_coordinate_graph,
+    correspondence_check,
+)
 from hfmap.polygon import coset_domain_check
 
 ODD = [(q, n) for q in (3, 4, 6) for n in range(3, 32, 2)]
@@ -36,6 +41,8 @@ def _models_agree(q, n):
     inv = amap.invariants()
     # sigma = *T has orbits of length n, alpha = *S of length 2, phi of length q.
     assert (inv.vertices, inv.edges, inv.faces) == (order // n, order // 2, order // q)
+    # The builder's counts from the orders of T and R are the label rule's.
+    assert inv == MapStructure(sigma=amap.sigma, alpha=amap.alpha).invariants()
     rep = correspondence_check(group, amap, build_coordinate_graph(p))
     assert rep.ok, rep.problems
     dom = coset_domain_check(group)

@@ -231,7 +231,6 @@ def test_orbit_labels_match_orbit_walks(q, n):
     assert np.array_equal(amap.vertex_labels, _orbit_labels(amap.sigma))
     assert np.array_equal(amap.face_labels, _orbit_labels(amap.phi))
     assert np.array_equal(amap.phi, amap.alpha[amap.sigma])
-    assert amap.block_width == n
     assert amap.invariants() == oracles.invariants(amap)
 
 
@@ -312,9 +311,10 @@ def test_invariants_on_random_maps():
             _check_invariants(_random_map(rng, darts))
 
 
-def test_block_width_selects_the_counting_path():
-    """A block rotation of any width is counted from its width, anything
-    else from its labels; both give the oracle's invariants and phi."""
+def test_block_rotations_are_counted_from_labels():
+    """A caller-built map counts V and F from its orbit labels, whether or
+    not sigma rotates blocks of consecutive darts; both give the oracle's
+    invariants and phi."""
     swapped = _block_rotation(24, 6)
     swapped[[19, 21]] = swapped[[21, 19]]
     # Block ends in place, but the first and third blocks join one cycle.
@@ -322,17 +322,16 @@ def test_block_width_selects_the_counting_path():
     crossed[[5, 17]] = crossed[[17, 5]]
     first_cycle = np.concatenate([[1, 2, 0], np.roll(np.arange(3, 20), -1)])
     rng = np.random.default_rng(13)
-    for sigma, width in (
-        (_block_rotation(24, 6), 6),
-        (_block_rotation(24, 24), 24),
-        (swapped, 0),
-        (crossed, 0),
-        (first_cycle, 0),
-        (np.arange(20), 1),
+    for sigma in (
+        _block_rotation(24, 6),
+        _block_rotation(24, 24),
+        swapped,
+        crossed,
+        first_cycle,
+        np.arange(20),
     ):
         for _ in range(5):
             amap = MapStructure(sigma=sigma, alpha=_random_alpha(rng, sigma.size))
-            assert amap.block_width == width
             assert np.array_equal(amap.phi, amap.alpha[amap.sigma])
             _check_invariants(amap)
 
@@ -419,13 +418,18 @@ def test_correspondence_of_a_wrong_map_fails(q, n):
 
 @pytest.mark.parametrize("q,n", [(4, 5), (3, 7), (6, 7)])
 def test_certificate_refuses_blocks_of_another_width(q, n):
-    """A sigma that rotates blocks of width 1 or 2n fails fact (a), and the
-    vertex count is still its number of orbits."""
+    """A sigma that rotates blocks of width 1 or 2n, or each block of n
+    backwards (t -> t - 1, the right orbits with the wrong step), fails
+    fact (a), and the vertex count is still its number of orbits."""
     group = cached_group(q, n)
     amap = build_algebraic_map(group)
-    for k in (1, 2 * n):
-        wrong = MapStructure(sigma=_block_rotation(amap.darts, k), alpha=amap.alpha)
-        assert wrong.block_width == k
+    backwards = np.roll(np.arange(amap.darts).reshape(-1, n), 1, axis=1).reshape(-1)
+    for sigma, k in (
+        (_block_rotation(amap.darts, 1), 1),
+        (_block_rotation(amap.darts, 2 * n), 2 * n),
+        (backwards, n),
+    ):
+        wrong = MapStructure(sigma=sigma, alpha=amap.alpha)
         got = projection_certificate(group, wrong)
         assert got.ok is False
         assert got.problems == [
