@@ -10,8 +10,8 @@ identifications.
 Both models are read off one table, ``coords.completion_table``.  The
 runtime checks that share nothing with it are the generation breadth-first
 search in ``enumerate_group`` and ``kernels.slot_product_keys`` on every
-sigma and alpha entry: it multiplies each stored row by S or T on the four
-slots of its kind, and keys the product by its kind and its four residues.
+element: each stored row times T (S) on the slots of its kind must key as
+the element at sigma, ``kernels.block_successor`` (at the stored alpha).
 ``maps.projection_certificate``, which ``hfmap map`` runs on every modulus,
 then proves that g -> g(infinity) carries the dart model onto the
 adjacency-rule graph, in the element numbering v*n + t:

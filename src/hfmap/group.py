@@ -143,14 +143,14 @@ class FiniteHeckeGroup:
     Elements are the rows of the (N, 8) component table ``rows``, stored in
     the smallest unsigned dtype that holds n - 1 (uint8 for every modulus
     the library takes); a reader that negates them widens them first.  The
-    identity has index 0.  ``cayley[i]`` holds the indices of i*S and i*T,
-    as int32, so ``cayley[0]`` holds those of S and T.  Immutable after
-    construction.
+    identity has index 0.  ``alpha[i]`` is the index of i*S, as int32;
+    i*T, the block step of ``kernels.block_successor``, is not stored.
+    Immutable after construction.
     """
 
     params: HeckeParams
     rows: np.ndarray
-    cayley: np.ndarray = field(repr=False)
+    alpha: np.ndarray = field(repr=False)
     # The algebraic map, built once by maps.build_algebraic_map.
     _algebraic_map: object = field(default=None, init=False, compare=False, repr=False)
 
@@ -174,18 +174,14 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     reach every element; a failure raises ``GroupCheckError``.
 
     One pass over blocks of coordinates (``kernels.coordinate_blocks``)
-    writes each block's rows, in ``row_dtype(n)``, alpha and sigma, as
-    int32 (N < 2**31 over the whole modulus range), and the canonical key
-    of every element into one int64 array: its kind and the four residues
-    the block writes into that kind's slots (``kernels.four_digit_keys``).
-    Then, for T and then S, the permutation is range-checked and, block by
-    block, cut where the kind changes, the keys of the products g*T
-    (g*S), taken from the stored rows by ``kernels.slot_product_keys``,
-    are compared with the keys at sigma (alpha).  The block pass computes
-    the second columns, their class codes, alpha's offsets and sigma in
-    int32, with residues by floor division (``kernels.residues``); only the
-    keys are int64.  The group keeps 16 bytes per element, 8 of rows and 8
-    of Cayley table.
+    writes each block's rows, in ``row_dtype(n)``, int32 alpha and the
+    int64 canonical keys (``kernels.four_digit_keys``).  Then, block by
+    block, cut where the kind changes, the keys of the products g*T (g*S),
+    from the stored rows by ``kernels.slot_product_keys``, are compared with
+    the keys at ``kernels.block_successor`` (at alpha, after a range check).
+    The block pass runs in int32 (bounds at ``kernels.MAX_MODULUS``), with
+    residues by floor division (``kernels.residues``).  The group keeps 12
+    bytes per element: 8 of rows, 4 of alpha.
     """
     index = principal_congruence_index(p)
     n, m = p.n, p.m
@@ -212,11 +208,9 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     # One plane per component; rows, their transpose, has contiguous columns.
     planes = np.zeros((8, size, n), dtype=kernels.row_dtype(n))
     rows = planes.reshape(8, -1).T
-    # cayley, the transpose of (alpha, sigma), has contiguous columns too.
-    alpha, sigma = perms = np.empty((2, size * n), dtype=np.int32)
+    alpha = np.empty(size * n, dtype=np.int32)
     keys = np.empty(size * n, dtype=np.int64)
     blocks = kernels.coordinate_blocks(size, n)
-    succ = np.arange(1, n + 1, dtype=np.int32) % n  # sigma's step, t -> t + 1
     kinds = tab.codes // (n * n)
     # The check's runs: the blocks, cut where the kind changes.  The codes
     # ascend, so the rolled table holds at most three runs of one kind.
@@ -235,8 +229,6 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
         np.negative(offset, out=offset, where=flip)
         alpha[darts] = (nbr * n + kernels.residues(offset, n)).ravel()
         del codes, nbr, flip, offset
-        heads = np.arange(darts.start, darts.stop, n, dtype=np.int32)
-        sigma[darts] = (heads[:, None] + succ).ravel()
 
         # A row is the lexicographically smaller of g and -g, in the slot
         # order a, b, c, d of all three forms: the first column's sign
@@ -254,21 +246,22 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
         kernels.four_digit_keys(kinds[block, None], (a, b, c, d), n, out=keys[darts].reshape(-1, n))
         del b, c, d
 
-    for name, gen, perm in (("T", gens[1], sigma), ("S", gens[0], alpha)):
-        if perm.min() < 0 or perm.max() >= perm.size:
-            raise GroupCheckError(_product_error(p, name))
+    if alpha.min() < 0 or alpha.max() >= alpha.size:
+        raise GroupCheckError(_product_error(p, "S"))
+    for name, gen in (("T", gens[1]), ("S", gens[0])):
         steps = kernels.slot_maps(gen, n, m)
         for lo, hi in zip(ends, ends[1:]):
             darts = slice(lo * n, hi * n)
+            at = alpha[darts] if name == "S" else kernels.block_successor(lo * n, hi * n, n)
             got = kernels.slot_product_keys(rows[darts], steps[kinds[lo]], n)
-            if not np.array_equal(got, keys[perm[darts]]):
+            if not np.array_equal(got, keys[at]):
                 raise GroupCheckError(_product_error(p, name))
     del keys
     # sigma cycles through each coordinate's n elements, so S and T reach
     # every element when alpha joins the coordinates into one graph.
     if kernels.breadth_first_tree((alpha // n).reshape(size, n)).size != size - 1:
         raise GroupCheckError(f"S and T do not generate the group for q={p.q}, n={p.n}")
-    return FiniteHeckeGroup(params=p, rows=rows, cayley=perms.T)
+    return FiniteHeckeGroup(params=p, rows=rows, alpha=alpha)
 
 
 def _product_error(p: HeckeParams, name: str) -> str:

@@ -20,9 +20,9 @@ unit rows.  A row's other four slots are zero, so its kind and the
 residues a, b, c, d in its kind's slots, as base-n digits after the kind,
 are an int64 key (``four_digit_keys``), and min(key(g), key(-g)) is the
 canonical projective key.  The group takes the keys of its elements from
-the residues it writes, and its check of the Cayley table takes those of
-the products with S and T from ``slot_product_keys``, which applies the
-(4, 4) blocks of ``right_mult_map`` (``slot_maps``) to the stored rows.
+the residues it writes, and its checks of sigma (``block_successor``) and
+alpha key the products from ``slot_product_keys``, which applies the (4, 4)
+blocks of ``right_mult_map`` (``slot_maps``) to the stored rows.
 ``residues`` takes residues by floor division in the int32 passes: the
 product keys, the second columns and the group's block pass.
 ``breadth_first_tree`` serves the group's connectivity pass and the
@@ -40,6 +40,7 @@ __all__ = [
     "MAX_MODULUS",
     "CHUNK_DARTS",
     "coordinate_blocks",
+    "block_successor",
     "row_dtype",
     "parity_patterns",
     "mat_mul_exact",
@@ -56,7 +57,7 @@ __all__ = [
 
 # The top of the modulus range.  The library's own bounds lie above it:
 # its keys, below 2 * n**4, fit int64 up to n of about 46,000, the uint8
-# rows hold residues up to n = 256, and the int32 Cayley entries, below
+# rows hold residues up to n = 256, and the int32 alpha entries, below
 # n**3, up to n = 1,290.  234 is set by the test oracle: its 8-digit keys
 # need n**8 < 2**63 (234**8 < 2**63 < 235**8), and so it can check the
 # library's keys at any n in range.  A higher top waits for a measured
@@ -65,7 +66,7 @@ __all__ = [
 # smaller.  The group's block pass and Completion.second_columns run in
 # int32: their second columns, class codes and alpha offsets need
 # n + n**2 < 2**31 (n up to 46,340), and their element indices and sign
-# tie-break, below n**3, the Cayley entries' bound.
+# tie-break, below n**3, the alpha entries' bound.
 MAX_MODULUS = 234
 
 # Darts per block of the passes over whole coordinates: the group's
@@ -96,6 +97,15 @@ def coordinate_blocks(size: int, n: int) -> list[slice]:
     CHUNK_DARTS darts or fewer, or of one coordinate when n is larger."""
     step = max(1, CHUNK_DARTS // n)
     return [slice(lo, min(lo + step, size)) for lo in range(0, size, step)]
+
+
+def block_successor(lo: int, hi: int, n: int) -> np.ndarray:
+    """sigma = *T on the darts [lo, hi) of whole blocks, as int32: v*n + t ->
+    v*n + (t + 1) % n.  It is *T because the T check of
+    ``group.enumerate_group`` keys every product g*T as the element here."""
+    step = np.arange(lo + 1, hi + 1, dtype=np.int32)
+    step[n - 1::n] -= n
+    return step
 
 
 def row_dtype(n: int) -> np.dtype:

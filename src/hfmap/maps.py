@@ -37,7 +37,7 @@ from .coords import (
     cusp_codes,
 )
 from .group import IDENTITY, FiniteHeckeGroup, HeckeParams, PermGroup, generators
-from .kernels import _SLOTS, coordinate_blocks, mat_mul_components
+from .kernels import _SLOTS, block_successor, coordinate_blocks, mat_mul_components
 
 __all__ = [
     "MapStructure",
@@ -169,10 +169,10 @@ def _counted(darts: int, v: int, valency: int, f: int, face_size: int) -> MapInv
 
 
 def build_algebraic_map(group: FiniteHeckeGroup) -> MapStructure:
-    """Darts = group elements; sigma = *T, alpha = *S, read off the Cayley table.
+    """Darts = group elements; sigma = *T is ``kernels.block_successor``.
 
-    ``enumerate_group`` checks both against the general product on every
-    element, so sigma(g) = g*T and phi(g) = g*T*S = g*R.  One argument
+    The T check of ``enumerate_group`` proves sigma(g) = g*T, and its S
+    check alpha(g) = g*S, on every element, so phi(g) = g*R.  One argument
     counts both orbit kinds: the orbit of g under *X is the coset g<X>, of
     ord(X) darts, the least k >= 1 with X**k = +-I mod n.  T**k = [[1,
     k*lambda], [0, 1]], so ord(T) = n and V = darts / n; ord(R) <= q takes
@@ -180,10 +180,8 @@ def build_algebraic_map(group: FiniteHeckeGroup) -> MapStructure:
     map is frozen, so it is built once per group and kept on it.
     """
     if group._algebraic_map is None:
-        alpha, sigma = group.cayley.T
-        amap = MapStructure(sigma=sigma, alpha=alpha)
-        n, r = group.params.n, _order_up_to_sign(group.params)
-        d = amap.darts
+        d, n, r = group.order, group.params.n, _order_up_to_sign(group.params)
+        amap = MapStructure(sigma=block_successor(0, d, n), alpha=group.alpha)
         object.__setattr__(amap, "_invariants", _counted(d, d // n, n, d // r, r))
         group._algebraic_map = amap
     return group._algebraic_map
@@ -304,10 +302,9 @@ def projection_certificate(group: FiniteHeckeGroup, amap: MapStructure) -> Corre
 
     Four facts, each on every element or dart:
 
-    (a) sigma steps each block v*n .. v*n + n - 1 round by one,
-        sigma(v*n + t) = v*n + (t + 1) % n, so its vertex orbits are these
-        blocks, and every row's first column is its block head's, up to
-        sign;
+    (a) sigma is ``kernels.block_successor``, v*n + t -> v*n + (t + 1) % n,
+        so its vertex orbits are the blocks of n elements, and every row's
+        first column is its block head's, up to sign;
     (b) the cusps of the V block heads, sorted, are ``coordinate_codes``;
     (c) ``adjacent_codes`` holds on every arc (v, alpha(v*n + t) // n);
     (d) each row of the (V, n) table alpha // n has n distinct entries.
@@ -317,8 +314,9 @@ def projection_certificate(group: FiniteHeckeGroup, amap: MapStructure) -> Corre
     the projection is a bijection onto the graph.  Only the head rows go
     through the class rule of ``cusp_codes``, and a head that is no cusp is
     one problem that names the first such head; sigma's step, (c) and (d)
-    run over the blocks of ``kernels.coordinate_blocks``.  Reads only
-    ``params`` and ``rows`` of the group.
+    run over the blocks of ``kernels.coordinate_blocks``.  A map with other
+    than one dart per element is one problem.  Reads only ``params`` and
+    ``rows`` of the group.
     """
     return _certificate(group, amap)[0]
 
@@ -328,15 +326,17 @@ def _certificate(group: FiniteHeckeGroup,
     """``projection_certificate``, and the int32 cusp codes of the block
     heads, or None when a head is no cusp."""
     p = group.params
-    n = p.n
-    size = amap.darts // n
+    n, order = p.n, group.rows.shape[0]
+    size = order // n
+    if amap.darts != order:
+        problem = f"map has {amap.darts} darts, the group {order} elements"
+        return CorrespondenceReport(False, False, False, 0, 0, [problem]), None
     problems: list[str] = []
 
     # (a) and (b): vertex orbits, their first columns and their cusps.
-    sigma = amap.sigma.reshape(size, n)
-    heads = np.arange(0, amap.darts, n, dtype=sigma.dtype)[:, None]
-    step = np.arange(1, n + 1, dtype=sigma.dtype) % n  # t -> t + 1 round the block
-    blocks = all(np.array_equal(sigma[b], heads[b] + step) for b in coordinate_blocks(size, n))
+    blocks = all(np.array_equal(amap.sigma[b.start * n:b.stop * n],
+                                block_successor(b.start * n, b.stop * n, n))
+                 for b in coordinate_blocks(size, n))
     vertex_count = size
     if not blocks:
         vertex_count = len(_orbit_sizes(amap.vertex_labels))
@@ -363,10 +363,7 @@ def _certificate(group: FiniteHeckeGroup,
         codes = cusp_codes(rows[::n], p).astype(np.int32)
     except CuspError as exc:
         problems.append(f"block heads that are no cusp, the first {exc.row * n}: {exc}")
-        return CorrespondenceReport(
-            ok=False, vertex_bijection=False, edges_matched=False,
-            vertex_count=vertex_count, edge_count=0, problems=problems,
-        ), None
+        return CorrespondenceReport(False, False, False, vertex_count, 0, problems), None
     bijection = np.array_equal(np.sort(codes), coordinate_codes(p))
     if not bijection:
         problems.append("cusp map is not a bijection onto the coordinates")

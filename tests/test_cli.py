@@ -165,7 +165,7 @@ def test_map_with_a_corrupted_block_head_exits_1(capsys, monkeypatch):
         built = build(p)
         rows = built.rows.copy()
         rows[p.n] = [1, 1, 0, 0, 0, 0, 1, 0]  # both irrational slots of one column
-        return group.FiniteHeckeGroup(p, rows, built.cayley)
+        return group.FiniteHeckeGroup(p, rows, built.alpha)
 
     monkeypatch.setattr("hfmap.cli.enumerate_group", corrupted)
     code, out, err = run(capsys, "map", "--q", "4", "--n", "5")

@@ -19,7 +19,12 @@ from hfmap.group import (
     generators,
     principal_congruence_index,
 )
-from hfmap.maps import build_algebraic_map, build_coordinate_graph, projection_certificate
+from hfmap.maps import (
+    MapStructure,
+    build_algebraic_map,
+    build_coordinate_graph,
+    projection_certificate,
+)
 
 # n prime, composite, even, and divisible by m = 2 or 3, at every q.
 GROUP_CASES = [
@@ -59,12 +64,12 @@ def test_group_matches_the_breadth_first_closure(q, n):
     index = np.searchsorted(keys[order], ours)
     assert np.array_equal(keys[order][index], ours)
     relabel = order[index]  # closure index of each of our elements
-    # The Cayley tables agree under the relabelling.
-    assert np.array_equal(cayley[relabel], relabel[group.cayley])
-    oracle_map = build_algebraic_map(
-        group_module.FiniteHeckeGroup(p, oracles.unpack_keys(keys, n), cayley)
-    )
-    assert build_algebraic_map(group).invariants() == oracle_map.invariants()
+    # The tables of (alpha, sigma) agree under the relabelling.
+    amap = build_algebraic_map(group)
+    assert np.array_equal(cayley[relabel], relabel[np.stack([amap.alpha, amap.sigma], axis=1)])
+    # The oracle's numbering is no block numbering: its map counts orbits.
+    oracle_map = MapStructure(sigma=cayley[:, 1], alpha=cayley[:, 0])
+    assert amap.invariants() == oracle_map.invariants()
 
 
 @pytest.mark.parametrize("q,n", GRAPH_CASES)
@@ -132,7 +137,7 @@ BLOCK_CASES = [(3, 7), (3, 8), (4, 9), (4, 6), (6, 7), (6, 12)]
 @pytest.mark.parametrize("q,n", BLOCK_CASES)
 def test_blocks_of_one_coordinate_build_the_same_group(q, n, monkeypatch):
     """One block and one block per coordinate give the same bytes: the
-    table, the Cayley table and the coordinate graph; the certificate holds."""
+    table, alpha and the coordinate graph; the certificate holds."""
     p = HeckeParams(q, n)
     whole, graph = enumerate_group(p), build_coordinate_graph(p)
     size = whole.order // n
@@ -140,7 +145,7 @@ def test_blocks_of_one_coordinate_build_the_same_group(q, n, monkeypatch):
     monkeypatch.setattr(kernels, "CHUNK_DARTS", n)
     assert kernels.coordinate_blocks(size, n) == [slice(v, v + 1) for v in range(size)]
     blocked = enumerate_group(p)
-    for ours, want in ((blocked.rows, whole.rows), (blocked.cayley, whole.cayley),
+    for ours, want in ((blocked.rows, whole.rows), (blocked.alpha, whole.alpha),
                        (build_coordinate_graph(p).nbrs, graph.nbrs)):
         assert ours.dtype == want.dtype and ours.shape == want.shape
         assert ours.tobytes() == want.tobytes()
@@ -215,9 +220,10 @@ def test_rows_written_into_the_other_kinds_slots_are_caught(kind, monkeypatch):
 
 
 def test_group_dtypes_over_the_whole_modulus_range():
-    """uint8 rows and int32 Cayley entries up to kernels.MAX_MODULUS, read
+    """uint8 rows and int32 alpha entries up to kernels.MAX_MODULUS, read
     off the dtype rule and the index formula at (4, 233) and at the top,
-    and off a small group."""
+    and off the groups at both ends of the range: 12 bytes per element, 8
+    of rows and 4 of alpha, and no stored sigma."""
     top = kernels.MAX_MODULUS
     assert kernels.row_dtype(233) == kernels.row_dtype(top) == np.uint8
     assert kernels.row_dtype(3) == np.uint8
@@ -225,15 +231,18 @@ def test_group_dtypes_over_the_whole_modulus_range():
     assert max(
         principal_congruence_index(HeckeParams(q, n)) for q in (3, 4, 6) for n in range(3, top + 1)
     ) <= top**3 < np.iinfo(np.int32).max
-    group = enumerate_group(HeckeParams(4, 5))
-    assert group.rows.dtype == np.uint8 and group.cayley.dtype == np.int32
+    for n in (3, 233, top):
+        group = enumerate_group(HeckeParams(4, n))
+        assert group.rows.dtype == np.uint8 and group.alpha.dtype == np.int32
+        assert group.rows.nbytes + group.alpha.nbytes == 12 * group.order
+        del group
 
 
 def test_group_memory_per_element_is_bounded():
-    """The traced peak of enumerate_group at (4, 101) is about 34 bytes per
-    element: 8 of rows, 8 of Cayley table, 8 of identity keys and one
-    block's temporaries.  A second int64 key array, for the products with
-    S, took 42.4."""
+    """The traced peak of enumerate_group at (4, 101) is about 29 bytes per
+    element: 8 of rows, 4 of alpha, 8 of identity keys and one block's
+    temporaries.  A stored sigma took 33.2, and a second int64 key array,
+    for the products with S, 42.4."""
     enumerate_group(HeckeParams(4, 5))  # imports and lazy set-up first
     tracemalloc.start()
     try:
@@ -242,4 +251,4 @@ def test_group_memory_per_element_is_bounded():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 38 * group.order
+    assert peak < 34 * group.order

@@ -140,8 +140,8 @@ def test_cusp_examples(group45):
     assert t.name(cusp_of(r, P45)) == "D2"  # R sends infinity to sqrt2/1
 
 
-def test_cusp_constant_on_translation_cosets(group45):
-    sigma = oracles.right_mult_perm(group45, group45.cayley[0, 1])
+def test_cusp_constant_on_translation_cosets(group45, map45):
+    sigma = oracles.right_mult_perm(group45, map45.sigma[0])
     cusps = [cusp_of(g, P45) for g in group45.rows.tolist()]
     for i in range(group45.order):
         assert cusps[int(sigma[i])] == cusps[i]

@@ -85,7 +85,7 @@ def test_closure_short_of_the_index_formula(monkeypatch):
 def test_enumeration_deterministic(group45):
     again = enumerate_group(HeckeParams(4, 5))
     assert np.array_equal(group45.rows, again.rows)
-    assert np.array_equal(group45.cayley, again.cayley)
+    assert np.array_equal(group45.alpha, again.alpha)
     assert tuple(group45.rows[0].tolist()) == (1, 0, 0, 0, 0, 0, 1, 0)
 
 

@@ -17,6 +17,7 @@ from hfmap.group import (
     principal_congruence_index,
 )
 from hfmap.kernels import parity_patterns
+from hfmap.maps import build_algebraic_map
 
 IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
 from ring import RingParams, canonicalize, identity_matrix, mat_mul
@@ -329,9 +330,10 @@ def test_cayley_table_matches_right_mult_perm(q, n):
     group = enumerate_group(HeckeParams(q, n))
     gens = oracles.canonical_keys(generators(group.params)[:2], n)
     s, t = (oracles.index_of_key(group, int(key)) for key in gens)
-    assert group.cayley[0].tolist() == [s, t]
-    assert np.array_equal(group.cayley[:, 0], oracles.right_mult_perm(group, s))
-    assert np.array_equal(group.cayley[:, 1], oracles.right_mult_perm(group, t))
+    sigma = build_algebraic_map(group).sigma
+    assert [int(group.alpha[0]), int(sigma[0])] == [s, t]
+    assert np.array_equal(group.alpha, oracles.right_mult_perm(group, s))
+    assert np.array_equal(sigma, oracles.right_mult_perm(group, t))
 
 
 def _bfs_levels(nbrs) -> dict[int, int]:
@@ -384,7 +386,7 @@ def test_breadth_first_tree_reads_the_group_table_in_place():
     traces about 12 bytes per entry.  Widening the table to int64 and
     sorting node codes per level took 28.6."""
     group = enumerate_group(HeckeParams(4, 101))
-    table = (group.cayley[:, 0] // 101).reshape(-1, 101)
+    table = (group.alpha // 101).reshape(-1, 101)
     assert table.dtype == np.int32
     tracemalloc.start()
     try:

@@ -438,6 +438,18 @@ def test_certificate_refuses_blocks_of_another_width(q, n):
         assert got.vertex_count == amap.darts // k
 
 
+@pytest.mark.parametrize("darts", [122, 100])
+def test_certificate_refuses_a_map_of_another_size(darts):
+    """A map with more or fewer darts than the group has elements is one
+    problem, found before any table is cut into the group's blocks."""
+    group = cached_group(4, 5)
+    wrong = MapStructure(sigma=np.roll(np.arange(darts), 1), alpha=np.arange(darts) ^ 1)
+    graph = build_coordinate_graph(group.params)
+    for got in (projection_certificate(group, wrong), correspondence_check(group, wrong, graph)):
+        assert got.ok is False and got.edge_count == 0
+        assert got.problems == [f"map has {darts} darts, the group 120 elements"]
+
+
 def test_problem_strings_list_coordinates_sorted():
     """Dart 0 sits on 1/0; paired with a dart on 0/1 it is the first
     non-adjacent arc, and its ends print in coordinate order, 0/1 first."""
