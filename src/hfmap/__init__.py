@@ -10,8 +10,12 @@ identifications.
 Both models are read off one table, ``coords.completion_table``.  The
 runtime checks that share nothing with it are the generation breadth-first
 search in ``enumerate_group`` and ``kernels.slot_product_keys`` on every
-element: each stored row times T (S) on the slots of its kind must key as
-the element at sigma, ``kernels.block_successor`` (at the stored alpha).
+element: each stored row (kind, a, b, c, d), the digits of its key, times
+T (S) must key as the element at sigma, ``kernels.block_successor`` (at
+the stored alpha).  A row of kind 0 is [[a, b*sqrt(m)], [c*sqrt(m), d]]
+(kind A, and [[a, b], [c, d]] for q = 3), one of kind 1 [[a*sqrt(m), b],
+[c, d*sqrt(m)]] (kind B); the group keeps 9 bytes per element, 5 of the
+uint8 row and 4 of int32 alpha.
 ``maps.projection_certificate``, which ``hfmap map`` runs on every modulus,
 then proves that g -> g(infinity) carries the dart model onto the
 adjacency-rule graph, in the element numbering v*n + t:

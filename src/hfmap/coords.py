@@ -15,9 +15,10 @@ coordinate to the elements above it; the group and the coordinate graph
 are read off it, and ``code_rows`` finds a code's row in a code array.
 ``HFCoord`` is the form coordinates are parsed, named and printed in, and
 ``coordinate_labels`` is the one rule for a node's label.  Every n in the
-group's range [3, kernels.MAX_MODULUS], odd or even, is served.  Matrix
-columns sit in the slots of ``kernels._SLOTS``, and ``group`` builds on
-this module, never the reverse.
+group's range [3, kernels.MAX_MODULUS], odd or even, is served.  Matrices
+are rows (kind, a, b, c, d) (see ``kernels``), whose first column (kind,
+a, c) is a coordinate's, and ``group`` builds on this module, never the
+reverse.
 """
 
 from __future__ import annotations
@@ -28,14 +29,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .kernels import (
-    _SLOTS,
-    _check_modulus,
-    kind_slots,
-    mat_mul_components,
-    parity_patterns,
-    residues,
-)
+from .kernels import _check_modulus, mat_mul_exact, residues
 
 if TYPE_CHECKING:
     from .group import HeckeParams
@@ -259,43 +253,34 @@ def adjacent_codes(u: np.ndarray, v: np.ndarray, p: HeckeParams) -> np.ndarray:
 
 
 class CuspError(ValueError):
-    """The class rule's error on the first row of a component table whose
-    first column is no cusp; ``row`` is that row's index."""
+    """The class rule's error on the first row of a table whose first
+    column is no cusp; ``row`` is that row's index."""
 
     def __init__(self, message: str, row: int):
         super().__init__(message)
         self.row = row
 
 
-def cusp_codes(comps: np.ndarray, p: HeckeParams) -> np.ndarray:
-    """Codes of g(infinity), read off the first column of each row g of an
-    (N, 8) component table of any integer dtype: even [[a, b*sqrt(m)],
-    [c*sqrt(m), d]] give a/(c*sqrt(m)), odd ones the kind-B mirror, q = 3
-    the plain fraction.
+def cusp_codes(rows: np.ndarray, p: HeckeParams) -> np.ndarray:
+    """Codes of g(infinity), read off the first column (kind, a, c) of each
+    row g of an (N, 5) table of any integer dtype: kind A [[a, b*sqrt(m)],
+    [c*sqrt(m), d]] gives a/(c*sqrt(m)), kind B its mirror a*sqrt(m)/c, and
+    q = 3 the plain fraction a/c.
 
-    The first row that matches no parity pattern (both masks of
-    ``kernels.parity_patterns`` or neither), or whose column has gcd > 1 or
-    a class no cusp reaches, raises ``CuspError``: "component row [...]
-    matches no parity pattern; corrupted element", or the message of
+    The first row whose kind is not 0 or 1 (not 0 for q = 3), or whose
+    column has gcd > 1 or a class no cusp reaches, raises ``CuspError``:
+    "row [...] has kind k; corrupted element", or the message of
     ``normalize``.
     """
-    g = np.asarray(comps, dtype=np.int64)
-    if p.q == 3:
-        kind = np.zeros(g.shape[0], dtype=np.int64)
-        num, den = (g[:, slot] for slot in _SLOTS[2, :2])
-        patterned = np.ones(g.shape[0], dtype=bool)
-    else:
-        even, odd = parity_patterns(g)
-        kind = odd.astype(np.int64)
-        num, den = (np.where(even, g[:, a], g[:, b]) for a, b in _SLOTS[:2, :2].T)
-        patterned = even != odd
+    g = np.asarray(rows, dtype=np.int64)
+    kind, num, den = g[:, 0], g[:, 1], g[:, 3]
     codes, coprime, reached = _class_codes(kind, num, den, p)
-    bad = ~(patterned & coprime & reached)
+    kinded = (kind == 0) | ((kind == 1) & (p.q != 3))
+    bad = ~(kinded & coprime & reached)
     if bad.any():
         i = int(np.argmax(bad))
-        if not patterned[i]:
-            raise CuspError(f"component row {g[i].tolist()} matches no parity pattern; "
-                            "corrupted element", i)
+        if not kinded[i]:
+            raise CuspError(f"row {g[i].tolist()} has kind {kind[i]}; corrupted element", i)
         try:
             normalize(_KINDS[kind[i]], int(num[i]), int(den[i]), p)
         except ValueError as exc:
@@ -304,24 +289,22 @@ def cusp_codes(comps: np.ndarray, p: HeckeParams) -> np.ndarray:
 
 
 def apply_codes(g, codes: np.ndarray, p: HeckeParams) -> np.ndarray:
-    """Codes of the Moebius images of coordinates under component rows g.
+    """Codes of the Moebius images of coordinates under rows g.
 
-    The image is ``cusp_codes`` of g times the matrix whose first column is
-    the coordinate's, num and den in the first-column slots of its kind
-    (``kernels._SLOTS``).  g broadcasts against the codes: rows of shape
-    (N, 1, 8) and V codes give (N, V).
+    The image is ``cusp_codes`` of g times the column (kind, num, 0, den,
+    0) of the coordinate.  g broadcasts against the codes: rows of shape
+    (N, 1, 5) and V codes give (N, V).
     """
     n = p.n
     codes = np.asarray(codes, dtype=np.int64)
-    slots = kind_slots(codes // (n * n), p.m)[..., :2]
-    col = np.zeros(codes.shape + (8,), dtype=np.int64)
-    np.put_along_axis(col, slots, np.stack([codes // n % n, codes % n], axis=-1), axis=-1)
-    prod = mat_mul_components(g, col, n, p.m)
-    return cusp_codes(prod.reshape(-1, 8), p).reshape(prod.shape[:-1])
+    zero = np.zeros_like(codes)
+    col = np.stack([codes // (n * n), codes // n % n, zero, codes % n, zero], axis=-1)
+    prod = mat_mul_exact(g, col, p.m)
+    return cusp_codes(prod.reshape(-1, 5), p).reshape(prod.shape[:-1])
 
 
 def apply_to_coord(g, u: HFCoord, p: HeckeParams) -> HFCoord:
-    """Moebius action of the component row g on one coordinate."""
+    """Moebius action of the row g on one coordinate."""
     return code_coord(apply_codes(g, coord_codes([u], p), p)[0], p)
 
 

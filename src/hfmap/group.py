@@ -6,9 +6,9 @@ inversion S: z -> -1/z.  Reducing matrix entries modulo n and identifying
 g with -g yields a finite group; this module computes its order by the
 closed-form index formula and enumerates it.  The formula is the group's
 contract: a group of any other size raises ``IndexFormulaError``.
-Elements are component rows, stored as uint8; their layout, dtype and
-parity patterns are read from ``kernels``, and this module exports only
-its own names.
+Elements are rows (kind, a, b, c, d), stored as uint8; their format and
+dtype are read from ``kernels``, and this module exports only its own
+names.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = [
 # Radicand m of lam_q**2, keyed by q.
 RADICAND = {3: 1, 4: 2, 6: 3}
 
-IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
+IDENTITY = (0, 1, 0, 0, 1)
 
 # The largest n the index formula takes: factoring n by trial division up
 # to sqrt(n) then takes at most 10**6 steps.
@@ -74,25 +74,27 @@ class HeckeParams:
 
 
 def exact_generators(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Component rows over Z of S = [[0,-1],[1,0]] and T = [[1,lam],[0,1]].
+    """Rows (kind, a, b, c, d) over Z of S = [[0,-1],[1,0]] and T =
+    [[1,lam],[0,1]].
 
-    lam_3 = 1 lives in the rational part; lam_4 and lam_6 are pure sqrt(m).
+    T is kind A for every q: lam_3 = 1, and lam_4 and lam_6 are sqrt(m).
+    S has a rational off-diagonal, so it is kind B for q = 4 and 6.
     """
-    lam = (1, 0) if q == 3 else (0, 1)
-    return (0, 0, -1, 0, 1, 0, 0, 0), (1, 0, *lam, 0, 0, 1, 0)
+    return (int(q != 3), 0, -1, 1, 0), (0, 1, 1, 0, 1)
 
 
 def generators(p: HeckeParams) -> np.ndarray:
     """Canonical rows mod n of S, T (see ``exact_generators``) and R = T*S.
 
-    Returns a (3, 8) int64 array.
+    Returns a (3, 5) int64 array.
     """
     n = p.n
-    s, t = ([v % n for v in g] for g in exact_generators(p.q))
-    r = kernels.mat_mul_components(t, s, n, p.m).tolist()
-    # The canonical sign of a packed key, compared as tuples so that any
-    # modulus works: the lexicographically smaller of g and -g.
-    return np.array([min(g, [-v % n for v in g]) for g in (s, t, r)], dtype=np.int64)
+    s, t = exact_generators(p.q)
+    r = kernels.mat_mul_exact(t, s, p.m).tolist()
+    # The canonical sign, compared as tuples so that any modulus works: the
+    # lexicographically smaller of (a, b, c, d) and its negative.
+    return np.array([[k, *min([v % n for v in g], [-v % n for v in g])]
+                     for k, *g in (s, t, r)], dtype=np.int64)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -140,12 +142,12 @@ class FiniteHeckeGroup:
     """Enumerated quotient with 0-based element indices v*n + t (see
     ``enumerate_group``).
 
-    Elements are the rows of the (N, 8) component table ``rows``, stored in
-    the smallest unsigned dtype that holds n - 1 (uint8 for every modulus
-    the library takes); a reader that negates them widens them first.  The
-    identity has index 0.  ``alpha[i]`` is the index of i*S, as int32;
-    i*T, the block step of ``kernels.block_successor``, is not stored.
-    Immutable after construction.
+    Elements are the rows (kind, a, b, c, d) of the (N, 5) table ``rows``,
+    stored in the smallest unsigned dtype that holds n - 1 (uint8 for every
+    modulus the library takes); a reader that negates them widens them
+    first.  The identity has index 0.  ``alpha[i]`` is the index of i*S, as
+    int32; i*T, the block step of ``kernels.block_successor``, is not
+    stored.  Immutable after construction.
     """
 
     params: HeckeParams
@@ -175,13 +177,14 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
 
     One pass over blocks of coordinates (``kernels.coordinate_blocks``)
     writes each block's rows, in ``row_dtype(n)``, int32 alpha and the
-    int64 canonical keys (``kernels.four_digit_keys``).  Then, block by
-    block, cut where the kind changes, the keys of the products g*T (g*S),
-    from the stored rows by ``kernels.slot_product_keys``, are compared with
-    the keys at ``kernels.block_successor`` (at alpha, after a range check).
+    int64 canonical keys, the rows' digits (``kernels.four_digit_keys``).
+    Then, block by block, cut where the kind changes, the keys of the
+    products g*T (g*S), from the stored rows by
+    ``kernels.slot_product_keys``, are compared with the keys at
+    ``kernels.block_successor`` (at alpha, after a range check).
     The block pass runs in int32 (bounds at ``kernels.MAX_MODULUS``), with
-    residues by floor division (``kernels.residues``).  The group keeps 12
-    bytes per element: 8 of rows, 4 of alpha.
+    residues by floor division (``kernels.residues``).  The group keeps 9
+    bytes per element: 5 of rows, 4 of alpha.
     """
     index = principal_congruence_index(p)
     n, m = p.n, p.m
@@ -205,9 +208,9 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
     # Row of each class code, for the classes of the second columns.
     row_of = coords.code_rows(tab.codes, np.arange(2 * n * n), p).astype(np.int32)
     gens = generators(p)
-    # One plane per component; rows, their transpose, has contiguous columns.
-    planes = np.zeros((8, size, n), dtype=kernels.row_dtype(n))
-    rows = planes.reshape(8, -1).T
+    # One plane per column; rows, their transpose, has contiguous columns.
+    planes = np.empty((5, size, n), dtype=kernels.row_dtype(n))
+    rows = planes.reshape(5, -1).T
     alpha = np.empty(size * n, dtype=np.int32)
     keys = np.empty(size * n, dtype=np.int64)
     blocks = kernels.coordinate_blocks(size, n)
@@ -230,9 +233,9 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
         alpha[darts] = (nbr * n + kernels.residues(offset, n)).ravel()
         del codes, nbr, flip, offset
 
-        # A row is the lexicographically smaller of g and -g, in the slot
-        # order a, b, c, d of all three forms: the first column's sign
-        # settles it unless a = -a, and then (b, c, d) does.
+        # A row is the lexicographically smaller of g and -g in the order
+        # a, b, c, d: the first column's sign settles it unless a = -a, and
+        # then (b, c, d) does.
         a = part.a[:, None]
         c = np.repeat(part.c[:, None], n, axis=1)
         tied = np.flatnonzero(2 * part.a % n == 0)
@@ -240,9 +243,8 @@ def enumerate_group(p: HeckeParams) -> FiniteHeckeGroup:
         neg = kernels.residues(n - rest, n)
         flip = (neg[0] * n + neg[1]) * n + neg[2] < (rest[0] * n + rest[1]) * n + rest[2]
         b[tied], c[tied], d[tied] = np.where(flip, neg, rest)
-        slots = kernels.kind_slots(kinds[block], m)
-        for slot, col in zip(slots.T, (a, c, b, d)):
-            planes[slot, np.arange(block.start, block.stop)] = col
+        for plane, col in zip(planes, (kinds[block, None], a, b, c, d)):
+            plane[block] = col
         kernels.four_digit_keys(kinds[block, None], (a, b, c, d), n, out=keys[darts].reshape(-1, n))
         del b, c, d
 

@@ -1,28 +1,25 @@
 """The one 2x2 product over Z[sqrt(m)], four-digit keys of products, and the
 one breadth-first search.
 
-Every group element in the library is a component row: 8 residues in
-[0, n) in the scan order e11.rat, e11.irr, e12.rat, e12.irr, e21.rat,
-e21.irr, e22.rat, e22.irr.  ``_SLOTS``, the one statement of the slots
-of a, c, b and d in each kind of row, is read by the one row classifier
-``parity_patterns``, the group, the cusps and the map certificate;
-``kind_slots`` picks its row for a kind.
-The group stores its rows in ``row_dtype(n)``, the smallest unsigned dtype
-that holds n - 1 (uint8 over the whole modulus range), and every reader
-here widens them before it does arithmetic.
-``mat_mul_exact`` is the only place the matrix product is written out; it
-works on tuples of Python ints (exact) and on component arrays: the
-renderer's int64 tables over Z, and those reduced mod n by
-``mat_mul_components``.  Right
-multiplication by a fixed g is linear in the row, so ``right_mult_map``
-turns it into an 8x8 integer matrix built by ``mat_mul_exact`` from the 8
-unit rows.  A row's other four slots are zero, so its kind and the
-residues a, b, c, d in its kind's slots, as base-n digits after the kind,
-are an int64 key (``four_digit_keys``), and min(key(g), key(-g)) is the
-canonical projective key.  The group takes the keys of its elements from
-the residues it writes, and its checks of sigma (``block_successor``) and
-alpha key the products from ``slot_product_keys``, which applies the (4, 4)
-blocks of ``right_mult_map`` (``slot_maps``) to the stored rows.
+Every group element in the library is a row (kind, a, b, c, d): kind 0 is
+[[a, b*sqrt(m)], [c*sqrt(m), d]] (kind A, and the one form [[a, b], [c,
+d]] of q = 3, m = 1) and kind 1 is [[a*sqrt(m), b], [c, d*sqrt(m)]] (kind
+B), with residues a, b, c, d in [0, n).  The group stores its rows in
+``row_dtype(n)``, the smallest unsigned dtype that holds n - 1 (uint8 over
+the whole modulus range), and every reader here widens them before it does
+arithmetic.  ``mat_mul_exact`` is the only place the matrix product is
+written out: on rows over Z (the renderer's int64 tables, and the group's
+generators, which their callers reduce mod n).  Right multiplication by a
+fixed g is linear in a row of a given kind, so ``slot_maps`` turns it into
+one 4x4 integer block per kind, built by ``mat_mul_exact`` from the unit
+rows.  A row read as base-n digits, kind*n**4 + a*n**3 + b*n**2 + c*n + d,
+is an int64 key (``four_digit_keys``), and min(key(g), key(-g)), where -g
+negates a, b, c, d and keeps the kind, is the canonical projective key.
+The group takes the keys of its elements from the residues it writes, and
+its checks of sigma (``block_successor``) and alpha key the products from
+``slot_product_keys``, which applies the blocks of ``slot_maps`` to
+columns 1 to 4 of the stored rows and reads the products' kind off column
+0.
 ``residues`` takes residues by floor division in the int32 passes: the
 product keys, the second columns and the group's block pass.
 ``breadth_first_tree`` serves the group's connectivity pass and the
@@ -42,11 +39,7 @@ __all__ = [
     "coordinate_blocks",
     "block_successor",
     "row_dtype",
-    "parity_patterns",
     "mat_mul_exact",
-    "mat_mul_components",
-    "right_mult_map",
-    "kind_slots",
     "slot_maps",
     "residues",
     "four_digit_keys",
@@ -57,34 +50,22 @@ __all__ = [
 
 # The top of the modulus range.  The library's own bounds lie above it:
 # its keys, below 2 * n**4, fit int64 up to n of about 46,000, the uint8
-# rows hold residues up to n = 256, and the int32 alpha entries, below
-# n**3, up to n = 1,290.  234 is set by the test oracle: its 8-digit keys
-# need n**8 < 2**63 (234**8 < 2**63 < 235**8), and so it can check the
-# library's keys at any n in range.  A higher top waits for a measured
-# memory plan.  The largest unreduced product sums, 4 * 3 * 233**2 in
-# mat_mul_exact and 8 * 233**2 in a row times a right_mult_map, are far
-# smaller.  The group's block pass and Completion.second_columns run in
-# int32: their second columns, class codes and alpha offsets need
-# n + n**2 < 2**31 (n up to 46,340), and their element indices and sign
-# tie-break, below n**3, the alpha entries' bound.
+# rows (kind, a, b, c, d) hold residues up to n = 256, and the int32 alpha
+# entries, below n**3, up to n = 1,290.  234 is set by the test oracle:
+# its 8-digit keys of the 8-slot form of a row need n**8 < 2**63 (234**8 <
+# 2**63 < 235**8), and so it can check the library's keys at any n in
+# range.  A higher top waits for a measured memory plan.  The largest
+# unreduced product sums, 2 * 3 * 233**2 in mat_mul_exact and 2 * 233**2
+# in slot_product_keys, are far smaller.  The group's block pass and
+# Completion.second_columns run in int32: their second columns, class
+# codes and alpha offsets need n + n**2 < 2**31 (n up to 46,340), and
+# their element indices and sign tie-break, below n**3, the alpha
+# entries' bound.
 MAX_MODULUS = 234
 
 # Darts per block of the passes over whole coordinates: the group's
 # construction and check, the coordinate graph and the map certificate.
 CHUNK_DARTS = 1 << 16
-
-
-# Slots of a, c, b, d in the component rows [[a, b*sqrt(m)], [c*sqrt(m), d]]
-# (kind A, even), [[a*sqrt(m), b], [c, d*sqrt(m)]] (kind B, odd) and, for
-# q = 3, [[a, b], [c, d]].
-_SLOTS = np.array([(0, 5, 3, 6), (1, 4, 2, 7), (0, 4, 2, 6)])
-
-
-def kind_slots(kind, m: int) -> np.ndarray:
-    """Slots of a, c, b, d, along a last axis, in the rows of a kind or an
-    array of kinds: 0 is kind A, or the one form of q = 3 (m = 1), and 1 is
-    kind B."""
-    return _SLOTS[np.where(m == 1, 2, kind)]
 
 
 def _check_modulus(n: int) -> None:
@@ -109,81 +90,51 @@ def block_successor(lo: int, hi: int, n: int) -> np.ndarray:
 
 
 def row_dtype(n: int) -> np.dtype:
-    """Dtype of the component rows mod n: the smallest that holds n - 1."""
+    """Dtype of the rows mod n: the smallest that holds n - 1."""
     return np.min_scalar_type(n - 1)
 
 
-def parity_patterns(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the rows of an (..., 8) component table that match the even
-    pattern (kind A of ``_SLOTS``) and the odd one (kind B): a row of one
-    kind is zero in the other kind's slots.
+def mat_mul_exact(x, y, m: int) -> np.ndarray:
+    """The unreduced product over Z[sqrt(m)] of rows (kind, a, b, c, d);
+    broadcasts (..., 5) integer arrays, tuples or lists to an int64 array.
 
-    A corrupted row may match both or neither.
+    Entry (i, j) of a kind-k row carries sqrt(m) iff (i != j) xor k: kind A
+    is [[a, b*sqrt(m)], [c*sqrt(m), d]], kind B [[a*sqrt(m), b], [c,
+    d*sqrt(m)]], and q = 3 (m = 1) has kind A alone.  A term x_ij*y_jl
+    carries m iff both factors carry sqrt(m), and the product's kind is
+    k1 xor k2, or 0 for m = 1.
     """
-    g = np.asarray(comps)
-    even, odd = (np.logical_and.reduce([g[..., slot] == 0 for slot in other])
-                 for other in _SLOTS[[1, 0]].tolist())
-    return even, odd
+    kx, a1, b1, c1, d1 = np.moveaxis(np.asarray(x, dtype=np.int64), -1, 0)
+    ky, a2, b2, c2, d2 = np.moveaxis(np.asarray(y, dtype=np.int64), -1, 0)
+    diag_x, diag_y = kx == 1, ky == 1  # kind B: the diagonal carries sqrt(m)
+
+    def lift(irr_x, irr_y):
+        return np.where(irr_x & irr_y, m, 1)
+
+    return np.stack(np.broadcast_arrays(
+        (kx ^ ky) * (m > 1),
+        a1 * a2 * lift(diag_x, diag_y) + b1 * c2 * lift(~diag_x, ~diag_y),
+        a1 * b2 * lift(diag_x, ~diag_y) + b1 * d2 * lift(~diag_x, diag_y),
+        c1 * a2 * lift(~diag_x, diag_y) + d1 * c2 * lift(diag_x, ~diag_y),
+        c1 * b2 * lift(~diag_x, ~diag_y) + d1 * d2 * lift(diag_x, diag_y),
+    ), axis=-1)
 
 
-def mat_mul_exact(a, b, m: int) -> tuple:
-    """The 8 unreduced components of the 2x2 product a*b over Z[sqrt(m)].
+def slot_maps(g, n: int, m: int) -> list[tuple[int, np.ndarray]]:
+    """Right multiplication by g on the rows of each kind.
 
-    Both arguments unpack into 8 components along their first axis: tuples
-    of Python ints give the exact product, arrays of shape (8, ...) give
-    broadcast arrays of sums.
+    Entry k, for the rows of kind k (kind 0 alone when m = 1), is (flip,
+    M): a row of kind k times g is of kind k xor flip, and M is the (4, 4)
+    matrix with (row[1:] @ M) % n the digits a, b, c, d of row * g, as
+    signed residues in (-n/2, n/2].  Row i of M is the product with g of
+    the kind-k unit row e_i.
     """
-    a0, a1, a2, a3, a4, a5, a6, a7 = a
-    b0, b1, b2, b3, b4, b5, b6, b7 = b
-    return (
-        a0 * b0 + m * a1 * b1 + a2 * b4 + m * a3 * b5,
-        a0 * b1 + a1 * b0 + a2 * b5 + a3 * b4,
-        a0 * b2 + m * a1 * b3 + a2 * b6 + m * a3 * b7,
-        a0 * b3 + a1 * b2 + a2 * b7 + a3 * b6,
-        a4 * b0 + m * a5 * b1 + a6 * b4 + m * a7 * b5,
-        a4 * b1 + a5 * b0 + a6 * b5 + a7 * b4,
-        a4 * b2 + m * a5 * b3 + a6 * b6 + m * a7 * b7,
-        a4 * b3 + a5 * b2 + a6 * b7 + a7 * b6,
-    )
-
-
-def mat_mul_components(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Product over Z_n[sqrt(m)] of (..., 8) component arrays; broadcasts."""
-    a = np.moveaxis(np.asarray(a, dtype=np.int64), -1, 0)
-    b = np.moveaxis(np.asarray(b, dtype=np.int64), -1, 0)
-    out = np.empty(np.broadcast_shapes(a.shape[1:], b.shape[1:]) + (8,), dtype=np.int64)
-    for i, comp in enumerate(mat_mul_exact(a, b, m)):
-        np.remainder(comp, n, out=out[..., i])
-    return out
-
-
-def right_mult_map(g: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The 8x8 matrix M with (rows @ M) % n equal to rows * g over Z_n[sqrt(m)].
-
-    Row k of M is the product of the k-th unit row with g.
-    """
-    return mat_mul_components(np.eye(8, dtype=np.int64), g, n, m)
-
-
-def slot_maps(g, n: int, m: int) -> list[tuple[np.ndarray, int, np.ndarray]]:
-    """Right multiplication by g on the four slots of each kind of row.
-
-    Entry k, for the rows of kind k (kind 0 alone when m = 1), is
-    (slots, kind, M): ``kind_slots(k, m)``, the kind of the products, and
-    the (4, 4) block of ``right_mult_map(g)`` from those slots to the
-    product kind's slots of a, b, c, d, as signed residues in (-n/2, n/2].
-    The product kind is the one whose slots alone receive the products: S
-    flips the kind for q = 4 and 6, and T keeps it.
-    """
-    mat = right_mult_map(np.asarray(g, dtype=np.int64), n, m)
-    mat = np.where(mat > n // 2, mat - n, mat)
-    kinds = [0] if m == 1 else [0, 1]
     out = []
-    for kind in kinds:
-        slots = kind_slots(kind, m)
-        part = mat[slots]
-        to, = (k for k in kinds if not np.delete(part, kind_slots(k, m), axis=1).any())
-        out.append((slots, to, part[:, kind_slots(to, m)[[0, 2, 1, 3]]]))
+    for kind in [0] if m == 1 else [0, 1]:
+        units = np.hstack([np.full((4, 1), kind), np.eye(4, dtype=np.int64)])
+        prod = mat_mul_exact(units, g, m)
+        block = prod[:, 1:] % n
+        out.append((int(prod[0, 0]) ^ kind, np.where(block > n // 2, block - n, block)))
     return out
 
 
@@ -207,9 +158,9 @@ def residues(x, n: int):
 def four_digit_keys(kind, digits, n: int, out: np.ndarray) -> np.ndarray:
     """kind*n**4 + ((a*n + b)*n + c)*n + d, written into the int64 array
     out, for kinds and residues (a, b, c, d) that broadcast to its shape:
-    the key of a row of that kind whose slots hold a, b, c, d, and its
-    canonical key when the row is the lexicographically smaller of g and -g
-    in that order."""
+    the key of the row (kind, a, b, c, d), and its canonical key when the
+    row is the lexicographically smaller of g and -g in the order a, b, c,
+    d."""
     out[...] = kind
     for digit in digits:
         np.multiply(out, n, out=out, dtype=np.int64)
@@ -219,8 +170,10 @@ def four_digit_keys(kind, digits, n: int, out: np.ndarray) -> np.ndarray:
 
 def slot_product_keys(rows: np.ndarray, step, n: int) -> np.ndarray:
     """Canonical keys min(key(h), key(-h)) (see ``four_digit_keys``) of the
-    products h with g of the rows of an (N, 8) component table, all of one
-    kind, given that kind's entry of ``slot_maps(g, n, m)``.
+    products h with g of the rows of an (N, 5) table, all of one kind,
+    given that kind's entry of ``slot_maps(g, n, m)``.  The kind of h is
+    read off each stored row's kind digit, so a row stored with the wrong
+    kind keys as the wrong element.
 
     Each digit of h sums the stored residues times their entries in the
     block: one or two entries 1, -1, m or -m for S, T and the identity,
@@ -228,8 +181,8 @@ def slot_product_keys(rows: np.ndarray, step, n: int) -> np.ndarray:
     the sum of (n - c) n**place over the nonzero digits c, so both keys
     build up a digit at a time, with one digit alive at a time.
     """
-    slots, kind, sub = step
-    cols = [rows[:, slot] for slot in slots.tolist()]
+    flip, sub = step
+    cols = [rows[:, j] for j in range(1, 5)]
     # The digit sums, below 2 * n**2 in absolute value for any g, and the
     # first three digits of a key, below n**3, are int32; the key, below
     # 2 * n**4, is int64.
@@ -249,7 +202,8 @@ def slot_product_keys(rows: np.ndarray, step, n: int) -> np.ndarray:
     np.multiply(nonzero, n, out=nonzero, dtype=np.int64)
     np.subtract(nonzero, key, out=nonzero, dtype=np.int64)
     np.minimum(key, nonzero, out=key, dtype=np.int64)
-    return np.add(key, kind * n**4, out=key, dtype=np.int64)
+    np.multiply(rows[:, 0] ^ flip, n**4, out=nonzero, dtype=np.int64)
+    return np.add(key, nonzero, out=key, dtype=np.int64)
 
 
 def breadth_first_tree(nbrs: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from .coords import (
     cusp_codes,
 )
 from .group import IDENTITY, FiniteHeckeGroup, HeckeParams, PermGroup, generators
-from .kernels import _SLOTS, block_successor, coordinate_blocks, mat_mul_components
+from .kernels import block_successor, coordinate_blocks, mat_mul_exact
 
 __all__ = [
     "MapStructure",
@@ -190,12 +190,12 @@ def build_algebraic_map(group: FiniteHeckeGroup) -> MapStructure:
 def _order_up_to_sign(p: HeckeParams) -> int:
     """The least k >= 1 with R**k = +-I mod n; R**q = -I over Z, so k <= q."""
     r = generators(p)[2]
-    ends = (list(IDENTITY), [-v % p.n for v in IDENTITY])
+    ends = (list(IDENTITY), [0, p.n - 1, 0, 0, p.n - 1])
     power = r
     for k in range(1, p.q + 1):
         if power.tolist() in ends:
             return k
-        power = mat_mul_components(power, r, p.n, p.m)
+        power = mat_mul_exact(power, r, p.m) % p.n
     raise ValueError(f"R has no order dividing {p.q} mod {p.n}")
 
 
@@ -341,18 +341,18 @@ def _certificate(group: FiniteHeckeGroup,
     if not blocks:
         vertex_count = len(_orbit_sizes(amap.vertex_labels))
         problems.append("vertex orbits of sigma are not the blocks of n consecutive elements")
-    # The first column (a, c) is in the first two slots of each kind; a row
-    # that differs from its block head's may hold its negative.
+    # The first column is (kind, a, c); a row that differs from its block
+    # head's may hold its negative, which keeps the kind.
     rows = group.rows
-    slots = sorted(set(_SLOTS[:, :2].ravel().tolist()))
+    first = [0, 1, 3]
     differ = np.zeros((size, n), dtype=bool)
-    for slot in slots:
-        col = rows[:, slot].reshape(size, n)
+    for j in first:
+        col = rows[:, j].reshape(size, n)
         differ |= col != col[:, :1]
     moved = np.flatnonzero(differ)
     # Negated in a signed dtype: the rows may be unsigned.
-    heads = rows[moved - moved % n][:, slots].astype(np.int64)
-    moved = moved[np.any(rows[moved][:, slots] != -heads % n, axis=1)]
+    heads = rows[moved - moved % n][:, first].astype(np.int64) * [1, -1, -1] % n
+    moved = moved[np.any(rows[moved][:, first] != heads, axis=1)]
     if moved.size:
         problems.append(
             f"elements whose first column is not their block head's: {moved.size}, "

@@ -14,6 +14,7 @@ is the only Euler characteristic and genus rule.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,8 +361,6 @@ def side_label_analysis(b: BoundarySequence) -> SideLabelReport:
         interiors.append((inner[0], inner[1]))
         in_a = [x for x in inner if x in orbit_a]
         designated.append(in_a[0] if in_a else next(x for x in inner if x in orbit_b))
-
-    from collections import Counter
 
     want = sorted(orbit_a + orbit_b)
     designation_counts = Counter(designated)

@@ -111,43 +111,41 @@ def _geodesic_table(q: int, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     rows (p, q, d) in boundary order, their (C,) values, and the geodesics
     as (G, 2) rows of cusp ranks, a < b, in order.
 
-    Each BFS level is a (k, 8) table of component rows over Z, multiplied
-    by S, T and T^-1 in one broadcast ``mat_mul_exact``; g ~ -g is made
-    canonical by a positive first nonzero entry.
+    Each BFS level is a (k, 5) table of rows (kind, a, b, c, d) over Z,
+    multiplied by S, T and T^-1 in one broadcast ``mat_mul_exact``; g ~ -g
+    is made canonical by a positive first nonzero of a, b, c, d.
     """
     if depth > MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the bound {MAX_DEPTH}")
     m = RADICAND[q]
     s, t = exact_generators(q)
-    t_inv = (*t[:2], -t[2], -t[3], *t[4:])  # lam negated
-    gens = np.array([s, t, t_inv], dtype=np.int64).T[:, None, :]  # (8, 1, 3)
+    t_inv = (*t[:2], -t[2], *t[3:])  # lam negated
+    gens = np.array([s, t, t_inv], dtype=np.int64)
 
     frontier = np.array([IDENTITY], dtype=np.int64)
     seen = {IDENTITY}
     levels = [frontier]
     for _ in range(depth):
-        prods = np.stack(mat_mul_exact(frontier.T[:, :, None], gens, m), axis=-1)
-        prods = prods.reshape(-1, 8)
-        lead = prods[np.arange(len(prods)), (prods != 0).argmax(axis=1)]
-        prods *= np.sign(lead)[:, None]
+        prods = mat_mul_exact(frontier[:, None], gens, m).reshape(-1, 5)
+        entries = prods[:, 1:]
+        lead = entries[np.arange(len(prods)), (entries != 0).argmax(axis=1)]
+        entries *= np.sign(lead)[:, None]
         fresh = set(map(tuple, prods.tolist()))
         fresh -= seen
         seen |= fresh
-        frontier = np.array(list(fresh), dtype=np.int64).reshape(-1, 8)
+        frontier = np.array(list(fresh), dtype=np.int64).reshape(-1, 5)
         levels.append(frontier)
-    mats = np.concatenate(levels)
+    kind, a, b, c, d = np.concatenate(levels).T
 
-    # Column j of g ends at (x + y*sqrt(m)) / (z + w*sqrt(m)), which is
-    # (x*z - m*y*w + (y*z - x*w)*sqrt(m)) / (z**2 - m*w**2), or infinity.
-    ends = np.empty((len(mats), 2, 3), dtype=np.int64)
-    for j, (x, y, z, w) in enumerate((mats.T[[0, 1, 4, 5]], mats.T[[2, 3, 6, 7]])):
-        norm = z * z - m * w * w
-        infinite = (z == 0) & (w == 0)
-        if np.any((norm == 0) & ~infinite):
-            raise ZeroDivisionError("denominator has zero norm")
-        end = np.stack([x * z - m * y * w, y * z - x * w, norm], axis=1)
-        end *= np.sign(norm)[:, None]
-        end[infinite] = (1, 0, 0)
+    # Column (a, c) ends at a/(c*sqrt(m)) = a*sqrt(m)/(m*c) in kind A,
+    # a*sqrt(m)/c in kind B and a/c for q = 3, and column (b, d) at
+    # b*sqrt(m)/d, b/(d*sqrt(m)) and b/d: (p, q, d) with d = 0 at infinity.
+    ends = np.empty((len(kind), 2, 3), dtype=np.int64)
+    for j, (top, bot) in enumerate(((a, m ** (1 - kind) * c), (b, m**kind * d))):
+        zero = np.zeros_like(top)
+        end = np.stack([top, zero, bot] if m == 1 else [zero, top, bot], axis=1)
+        end *= np.sign(bot)[:, None]
+        end[bot == 0] = (1, 0, 0)
         end //= np.gcd.reduce(end, axis=1)[:, None]
         ends[:, j] = end
     if np.any(np.all(ends[:, 0] == ends[:, 1], axis=1)):

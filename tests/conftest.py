@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from hfmap.group import HeckeParams, cached_group
@@ -6,8 +7,11 @@ from hfmap.maps import MapStructure, build_algebraic_map, build_coordinate_graph
 from ring import ProjMatrix, RingElem
 
 
-def as_matrix(row):
-    """The ring-oracle ProjMatrix of a component row."""
+def as_matrix(row, m=None):
+    """The ring-oracle ProjMatrix of a component row, or of a library row
+    (kind, a, b, c, d) over the radicand m."""
+    if m is not None:
+        row = oracles.eight_slots(row, m)
     c = [int(v) for v in row]
     return ProjMatrix(
         RingElem(c[0], c[1]), RingElem(c[2], c[3]), RingElem(c[4], c[5]), RingElem(c[6], c[7])

@@ -20,7 +20,7 @@ tests in test_vectorized.py require the library to agree with them.  Next to the
 are the index formula in the two branches the library once wrote, the
 element-level group operations looked up by key (canonical keys of all 8
 components, the library's packing before it keyed a row by its kind's
-four slots; product, inverse, right-multiplication permutation, element
+four digits; product, inverse, right-multiplication permutation, element
 order), the permutation inverse, the dart system's orbits, connectivity and
 automorphisms, the coordinate graph's degrees, and the translation T as the
 formula "add lam_q".  Two former library passes are kept as references for
@@ -28,6 +28,14 @@ the completion table: ``closure_bfs``, the breadth-first closure that
 enumerated the group and its Cayley table by products and sorted key
 lookups, and ``pair_test_graph``, the coordinate graph's edges from the
 edge test on every pair of nodes.
+
+The references work on the 8-slot component rows the library stored before
+it kept a row as (kind, a, b, c, d): 8 residues in the scan order e11.rat,
+e11.irr, e12.rat, e12.irr, e21.rat, e21.irr, e22.rat, e22.irr.  ``_SLOTS``
+names the slots of a, b, c, d in each form, ``mat_mul_exact`` is the
+8-component product over Z[sqrt(m)] and ``right_mult_map`` its linear map,
+and ``eight_slots`` writes the library's rows into 8 slots, which the
+references that take a group do themselves.
 """
 
 import math
@@ -36,7 +44,7 @@ import numpy as np
 
 from hfmap import kernels
 from hfmap.coords import HFCoord, adjacent_codes, coordinate_codes, vertex_names
-from hfmap.group import IDENTITY, RADICAND, exact_generators
+from hfmap.group import RADICAND, exact_generators
 from hfmap.maps import (
     CorrespondenceReport,
     MapInvariants,
@@ -58,6 +66,68 @@ from hfmap.render import (
 
 
 # -- group elements ----------------------------------------------------------
+
+# Slots of a, b, c, d in the component rows [[a, b*sqrt(m)], [c*sqrt(m), d]]
+# (kind A), [[a*sqrt(m), b], [c, d*sqrt(m)]] (kind B) and, for q = 3,
+# [[a, b], [c, d]].
+_SLOTS = np.array([(0, 3, 5, 6), (1, 2, 4, 7), (0, 2, 4, 6)])
+
+IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
+
+
+def eight_slots(rows, m: int) -> np.ndarray:
+    """Rows (kind, a, b, c, d) of the library, (..., 5), as (..., 8) int64
+    component rows: a, b, c, d in the slots of their kind, or of the q = 3
+    form when m = 1, and zeros in the other four.  The first row of a kind
+    other than 0 or 1, or other than 0 when m = 1, has no slots: it raises
+    ``ValueError``, with the message of ``coords.cusp_codes``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    kind = rows[..., 0]
+    bad = (kind != 0) & ((kind != 1) | (m == 1))
+    if bad.any():
+        row = rows.reshape(-1, 5)[int(np.argmax(bad.ravel()))].tolist()
+        raise ValueError(f"row {row} has kind {row[0]}; corrupted element")
+    slots = _SLOTS[np.where(m == 1, 2, kind)]
+    out = np.zeros(rows.shape[:-1] + (8,), dtype=np.int64)
+    np.put_along_axis(out, slots, rows[..., 1:], axis=-1)
+    return out
+
+
+def mat_mul_exact(a, b, m: int) -> tuple:
+    """The 8 unreduced components of the 2x2 product a*b over Z[sqrt(m)].
+
+    Both arguments unpack into 8 components along their first axis: tuples
+    of Python ints give the exact product, arrays of shape (8, ...) give
+    broadcast arrays of sums.
+    """
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    b0, b1, b2, b3, b4, b5, b6, b7 = b
+    return (
+        a0 * b0 + m * a1 * b1 + a2 * b4 + m * a3 * b5,
+        a0 * b1 + a1 * b0 + a2 * b5 + a3 * b4,
+        a0 * b2 + m * a1 * b3 + a2 * b6 + m * a3 * b7,
+        a0 * b3 + a1 * b2 + a2 * b7 + a3 * b6,
+        a4 * b0 + m * a5 * b1 + a6 * b4 + m * a7 * b5,
+        a4 * b1 + a5 * b0 + a6 * b5 + a7 * b4,
+        a4 * b2 + m * a5 * b3 + a6 * b6 + m * a7 * b7,
+        a4 * b3 + a5 * b2 + a6 * b7 + a7 * b6,
+    )
+
+
+def mat_mul_components(a, b, n: int, m: int) -> np.ndarray:
+    """Product over Z_n[sqrt(m)] of (..., 8) component arrays; broadcasts."""
+    a = np.moveaxis(np.asarray(a, dtype=np.int64), -1, 0)
+    b = np.moveaxis(np.asarray(b, dtype=np.int64), -1, 0)
+    return np.stack(np.broadcast_arrays(*mat_mul_exact(a, b, m)), axis=-1) % n
+
+
+def right_mult_map(g, n: int, m: int) -> np.ndarray:
+    """The 8x8 matrix M with (rows @ M) % n equal to rows * g over Z_n[sqrt(m)].
+
+    Row k of M is the product of the k-th unit row with g.
+    """
+    return mat_mul_components(np.eye(8, dtype=np.int64), g, n, m)
+
 
 
 def index_formula(q: int, n: int) -> int:
@@ -141,7 +211,7 @@ def closure_bfs(
     k = gens.shape[0]
     # frontier @ maps gives each row's products with every generator, side
     # by side, before reduction mod n.
-    maps = np.concatenate([kernels.right_mult_map(g, n, m) for g in gens], axis=1)
+    maps = np.concatenate([right_mult_map(g, n, m) for g in gens], axis=1)
     weights = digit_weights(n)
     # The key of -g: sum over the nonzero digits c of (n - c) n**place.
     flip_weights = n * weights
@@ -190,7 +260,7 @@ def closure_bfs(
 
 def right_mult_keys(comps: np.ndarray, g: np.ndarray, n: int, m: int) -> np.ndarray:
     """Canonical keys of (each row of comps) * g."""
-    return canonical_keys(kernels.mat_mul_components(comps, g, n, m), n)
+    return canonical_keys(mat_mul_components(comps, g, n, m), n)
 
 
 def element_order(g, p) -> int:
@@ -201,7 +271,7 @@ def element_order(g, p) -> int:
     acc = g
     k = 1
     while acc not in ident:
-        acc = tuple(v % n for v in kernels.mat_mul_exact(acc, g, p.m))
+        acc = tuple(v % n for v in mat_mul_exact(acc, g, p.m))
         k += 1
         if k > 4 * n**3:
             raise RuntimeError("element order exceeds group-theoretic bound")
@@ -215,9 +285,14 @@ def perm_inverse(f: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _slot_rows(group) -> np.ndarray:
+    """The group's rows in 8 slots."""
+    return eight_slots(group.rows, group.params.m)
+
+
 def index_of_key(group, key: int) -> int:
     """Element index of a packed canonical key, by a scan of the keys."""
-    hits = np.flatnonzero(canonical_keys(group.rows, group.params.n) == key)
+    hits = np.flatnonzero(canonical_keys(_slot_rows(group), group.params.n) == key)
     if hits.size != 1:
         raise KeyError(f"key {key} is not an element of this group")
     return int(hits[0])
@@ -225,13 +300,14 @@ def index_of_key(group, key: int) -> int:
 
 def mult(group, i: int, j: int) -> int:
     p = group.params
-    key = right_mult_keys(group.rows[i], group.rows[j], p.n, p.m)
+    rows = _slot_rows(group)
+    key = right_mult_keys(rows[i], rows[j], p.n, p.m)
     return index_of_key(group, int(key))
 
 
 def inv(group, i: int) -> int:
     """Index of the inverse, from the adjugate [[d, -b], [-c, a]]."""
-    c = group.rows[i].astype(np.int64)
+    c = _slot_rows(group)[i]
     n = group.params.n
     adj = np.array(
         [c[6], c[7], -c[2] % n, -c[3] % n, -c[4] % n, -c[5] % n, c[0], c[1]],
@@ -243,8 +319,9 @@ def inv(group, i: int) -> int:
 def right_mult_perm(group, j: int) -> np.ndarray:
     """Permutation i -> i*j over all element indices, as an int64 array."""
     p = group.params
-    index = {key: i for i, key in enumerate(canonical_keys(group.rows, p.n).tolist())}
-    keys = right_mult_keys(group.rows, group.rows[j], p.n, p.m)
+    rows = _slot_rows(group)
+    index = {key: i for i, key in enumerate(canonical_keys(rows, p.n).tolist())}
+    keys = right_mult_keys(rows, rows[j], p.n, p.m)
     return np.array([index[key] for key in keys.tolist()], dtype=np.int64)
 
 
@@ -336,7 +413,7 @@ def apply_to_coord(g, u, p):
         col = (u.num, 0, 0, 0, 0, u.den, 0, 0)
     else:
         col = (0, u.num, 0, 0, u.den, 0, 0, 0)
-    w = [v % p.n for v in kernels.mat_mul_exact(g, col, p.m)]
+    w = [v % p.n for v in mat_mul_exact(g, col, p.m)]
     if p.q == 3:
         return normalize("A", w[0], w[4], p)
     if w[1] == 0 and w[4] == 0:
@@ -491,7 +568,7 @@ def invariants(amap) -> MapInvariants:
 def correspondence_check(group, amap, graph) -> CorrespondenceReport:
     p = group.params
     problems: list[str] = []
-    cusps = [cusp_of(g, p) for g in group.rows.tolist()]
+    cusps = [cusp_of(g, p) for g in _slot_rows(group).tolist()]
 
     vertex_orbits = orbits(amap.sigma)
     orbit_coords = []
@@ -762,7 +839,7 @@ def tessellation_matrices(q: int, depth: int) -> list[tuple]:
     """Distinct g ~ -g of word length <= depth in S, T, T^-1, as tuples of
     8 integer components, by a breadth-first search one product at a time."""
     m = RADICAND[q]
-    s, t = exact_generators(q)
+    s, t = map(tuple, eight_slots(exact_generators(q), m).tolist())
     t_inv = (*t[:2], -t[2], -t[3], *t[4:])  # lam negated
     seen = {IDENTITY}
     frontier = [IDENTITY]
@@ -771,7 +848,7 @@ def tessellation_matrices(q: int, depth: int) -> list[tuple]:
         nxt = []
         for g in frontier:
             for h in (s, t, t_inv):
-                prod = int_mat_canon(kernels.mat_mul_exact(g, h, m))
+                prod = int_mat_canon(mat_mul_exact(g, h, m))
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)

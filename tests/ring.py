@@ -1,11 +1,11 @@
 """Scalar reference arithmetic in Z_n[sqrt(m)], which the tests compare against.
 
-The library works on component rows and multiplies them with
-``kernels.mat_mul_exact``.  This module is an independent oracle, written
-element by element: ``RingElem`` (a
-residue a + b*sqrt(m) mod n) and ``ProjMatrix`` (a 2x2 matrix stored in a
-canonical sign form, so that projective equality is plain structural
-equality).
+The library works on rows (kind, a, b, c, d) and multiplies them with
+``kernels.mat_mul_exact``; ``oracles.eight_slots`` writes such a row into
+the 8 components of a ``ProjMatrix``.  This module is an independent
+oracle, written element by element: ``RingElem`` (a residue a + b*sqrt(m)
+mod n) and ``ProjMatrix`` (a 2x2 matrix stored in a canonical sign form,
+so that projective equality is plain structural equality).
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ def test_c02_genus_four_map():
     assert inv.vertex_valency == 5
     assert inv.face_size == 4
     table = C.vertex_names(P45)
-    cusps = {oracles.cusp_of(g, P45) for g in group.rows.tolist()}
+    cusps = {oracles.cusp_of(g, P45) for g in oracles.eight_slots(group.rows, P45.m).tolist()}
     assert cusps == {table.coord(name) for name in table.names()}
     assert len(cusps) == 24
     _report("criterion 2: genus-4 map of type {5,4} with the 24 named vertices")

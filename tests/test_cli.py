@@ -164,7 +164,7 @@ def test_map_with_a_corrupted_block_head_exits_1(capsys, monkeypatch):
     def corrupted(p):
         built = build(p)
         rows = built.rows.copy()
-        rows[p.n] = [1, 1, 0, 0, 0, 0, 1, 0]  # both irrational slots of one column
+        rows[p.n] = [2, 1, 0, 0, 1]  # a kind digit that names no kind
         return group.FiniteHeckeGroup(p, rows, built.alpha)
 
     monkeypatch.setattr("hfmap.cli.enumerate_group", corrupted)
@@ -172,8 +172,8 @@ def test_map_with_a_corrupted_block_head_exits_1(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("error: ")
     assert err.endswith(
-        "block heads that are no cusp, the first 5: component row "
-        "[1, 1, 0, 0, 0, 0, 1, 0] matches no parity pattern; corrupted element\n"
+        "block heads that are no cusp, the first 5: row [2, 1, 0, 0, 1] has kind 2; "
+        "corrupted element\n"
     )
     assert err.count("\n") == 1
 

@@ -54,12 +54,14 @@ def test_completion_solves_the_determinant(q, n):
 def test_group_matches_the_breadth_first_closure(q, n):
     p = HeckeParams(q, n)
     group = enumerate_group(p)
-    keys, cayley, done = oracles.closure_bfs(generators(p)[:2], n, p.m, group.order)
+    gens = oracles.eight_slots(generators(p)[:2], p.m)
+    keys, cayley, done = oracles.closure_bfs(gens, n, p.m, group.order)
     assert done and keys.shape[0] == group.order
     # Same elements, each row the canonical representative.
-    ours = oracles.pack_components(group.rows, n)
-    assert np.array_equal(ours, oracles.canonical_keys(group.rows, n))
-    assert tuple(group.rows[0].tolist()) == (1, 0, 0, 0, 0, 0, 1, 0)
+    rows = oracles.eight_slots(group.rows, p.m)
+    ours = oracles.pack_components(rows, n)
+    assert np.array_equal(ours, oracles.canonical_keys(rows, n))
+    assert tuple(group.rows[0].tolist()) == (0, 1, 0, 0, 1)
     order = np.argsort(keys)
     index = np.searchsorted(keys[order], ours)
     assert np.array_equal(keys[order][index], ours)
@@ -185,7 +187,7 @@ def test_a_wrong_t_step_is_caught(power, monkeypatch):
         s, t, r = gens(p)
         step = t
         for _ in range(power % p.n - 1):
-            step = kernels.mat_mul_components(step, t, p.n, p.m)
+            step = kernels.mat_mul_exact(step, t, p.m) % p.n
         return np.stack([s, step, r])
 
     monkeypatch.setattr(group_module, "generators", wrong_t)
@@ -197,22 +199,20 @@ def test_a_wrong_t_step_is_caught(power, monkeypatch):
 
 @pytest.mark.parametrize("kind", [0, 1])
 def test_rows_written_into_the_other_kinds_slots_are_caught(kind, monkeypatch):
-    """The n rows of the first coordinate of one kind are written into the
-    other kind's slots, while their keys stay right: the products, read
-    from the stored rows at their kind's slots, disagree."""
-    kind_slots, moved = kernels.kind_slots, []
+    """The n rows of the first coordinate of one kind reach the check with
+    the other kind's digit, while their keys stay right: the products,
+    whose kind is read off the stored rows, disagree."""
+    product_keys, moved = kernels.slot_product_keys, []
 
-    def misplaced(kinds, m):
-        kinds = np.array(kinds)
-        first = np.flatnonzero(kinds == kind)[:1]
-        if first.size and not moved:
-            kinds[first] = 1 - kind
-            moved.append(first)
-        return kind_slots(kinds, m)
+    def misplaced(rows, step, n):
+        rows = rows.copy()
+        if rows[0, 0] == kind and not moved:
+            rows[:n, 0] = 1 - kind
+            moved.append(rows[:n])
+        return product_keys(rows, step, n)
 
-    # The group's own lookups go through the stand-in; the kernels' go on
-    # reading the true slots.
-    stand_in = types.SimpleNamespace(**{**vars(kernels), "kind_slots": misplaced})
+    # The group's own check goes through the stand-in.
+    stand_in = types.SimpleNamespace(**{**vars(kernels), "slot_product_keys": misplaced})
     monkeypatch.setattr(group_module, "kernels", stand_in)
     with pytest.raises(GroupCheckError, match=r"disagrees with the product g\*T"):
         enumerate_group(HeckeParams(4, 7))
@@ -222,8 +222,8 @@ def test_rows_written_into_the_other_kinds_slots_are_caught(kind, monkeypatch):
 def test_group_dtypes_over_the_whole_modulus_range():
     """uint8 rows and int32 alpha entries up to kernels.MAX_MODULUS, read
     off the dtype rule and the index formula at (4, 233) and at the top,
-    and off the groups at both ends of the range: 12 bytes per element, 8
-    of rows and 4 of alpha, and no stored sigma."""
+    and off the groups at both ends of the range: 9 bytes per element, 5
+    of rows (kind, a, b, c, d) and 4 of alpha, and no stored sigma."""
     top = kernels.MAX_MODULUS
     assert kernels.row_dtype(233) == kernels.row_dtype(top) == np.uint8
     assert kernels.row_dtype(3) == np.uint8
@@ -234,15 +234,17 @@ def test_group_dtypes_over_the_whole_modulus_range():
     for n in (3, 233, top):
         group = enumerate_group(HeckeParams(4, n))
         assert group.rows.dtype == np.uint8 and group.alpha.dtype == np.int32
-        assert group.rows.nbytes + group.alpha.nbytes == 12 * group.order
+        assert group.rows.shape[1] == 5
+        assert group.rows.nbytes + group.alpha.nbytes == 9 * group.order
         del group
 
 
 def test_group_memory_per_element_is_bounded():
-    """The traced peak of enumerate_group at (4, 101) is about 29 bytes per
-    element: 8 of rows, 4 of alpha, 8 of identity keys and one block's
-    temporaries.  A stored sigma took 33.2, and a second int64 key array,
-    for the products with S, 42.4."""
+    """The traced peak of enumerate_group at (4, 101) is about 26.2 bytes
+    per element: 5 of rows (kind, a, b, c, d), 4 of alpha, 8 of identity
+    keys and one block's temporaries.  Rows of 8 slots took 29.2, a stored
+    sigma 33.2, and a second int64 key array, for the products with S,
+    42.4."""
     enumerate_group(HeckeParams(4, 5))  # imports and lazy set-up first
     tracemalloc.start()
     try:
@@ -251,4 +253,4 @@ def test_group_memory_per_element_is_bounded():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 34 * group.order
+    assert peak < 31 * group.order

@@ -15,7 +15,6 @@ from hfmap.coords import (
     vertex_names,
 )
 from hfmap.group import HeckeParams, cached_group, generators
-from hfmap.kernels import parity_patterns
 from oracles import adjacent, cusp_of
 from ring import (
     RingElem,
@@ -134,15 +133,15 @@ def test_poles():
 
 def test_cusp_examples(group45):
     t = vertex_names(P45)
-    s, _, r = generators(P45)
-    assert cusp_of(group45.rows[0].tolist(), P45) == HFCoord("A", 1, 0)
+    s, _, r = oracles.eight_slots(generators(P45), P45.m)
+    assert cusp_of(oracles.eight_slots(group45.rows[0], P45.m), P45) == HFCoord("A", 1, 0)
     assert t.name(cusp_of(s, P45)) == "A2"  # S sends infinity to 0
     assert t.name(cusp_of(r, P45)) == "D2"  # R sends infinity to sqrt2/1
 
 
 def test_cusp_constant_on_translation_cosets(group45, map45):
     sigma = oracles.right_mult_perm(group45, map45.sigma[0])
-    cusps = [cusp_of(g, P45) for g in group45.rows.tolist()]
+    cusps = [cusp_of(g, P45) for g in oracles.eight_slots(group45.rows, P45.m).tolist()]
     for i in range(group45.order):
         assert cusps[int(sigma[i])] == cusps[i]
 
@@ -151,18 +150,17 @@ def test_cusp_constant_on_translation_cosets(group45, map45):
 def test_cusp_fibers_have_size_n(qn):
     p = HeckeParams(*qn)
     group = cached_group(*qn)
-    fibers = Counter(cusp_of(g, p) for g in group.rows.tolist())
+    fibers = Counter(cusp_of(g, p) for g in oracles.eight_slots(group.rows, p.m).tolist())
     assert set(fibers.values()) == {p.n}
     assert sorted(fibers) == enumerate_coords(p)
 
 
 def test_even_columns_realize_the_adjacency_determinant(group45):
     # for even g with columns A(a,c), B(b,d): a*d - m*b*c = det = 1
-    odd = parity_patterns(group45.rows)[1]
-    for i in range(group45.order):
-        if odd[i]:
+    for row in group45.rows:
+        if row[0]:
             continue
-        g = as_matrix(group45.rows[i])
+        g = as_matrix(row, P45.m)
         a, c = g.e11.rat, g.e21.irr
         b, d = g.e12.irr, g.e22.rat
         assert (a * d - 2 * b * c) % 5 == 1
@@ -259,7 +257,7 @@ def _ring_order(g, p):
 def _word_parities(p):
     """Oracle: number of S letters mod 2, over a BFS of words in S and T."""
     rp = RingParams(p.n, p.m)
-    s, t = (as_matrix(row) for row in generators(p)[:2])
+    s, t = (as_matrix(row, p.m) for row in generators(p)[:2])
     odd = {canonicalize(identity_matrix(rp), rp): False}
     frontier = list(odd)
     while frontier:
@@ -283,14 +281,13 @@ def test_row_api_matches_ring_oracle(qn):
     infinity = normalize("A", 1, 0, p)
     odd = _word_parities(p) if p.q != 3 else None
     assert odd is None or len(odd) == group.order
-    even_rows, odd_rows = parity_patterns(group.rows)
-    for i, row in enumerate(group.rows.tolist()):
-        g = as_matrix(row)
-        assert cusp_of(row, p) == _ring_image(g, infinity, p)
+    for row, slot_row in zip(group.rows.tolist(), oracles.eight_slots(group.rows, p.m).tolist()):
+        g = as_matrix(slot_row)
+        assert cusp_of(slot_row, p) == _ring_image(g, infinity, p)
         assert [apply_to_coord(row, u, p) for u in coords] == [
             _ring_image(g, u, p) for u in coords
         ]
-        assert oracles.element_order(row, p) == _ring_order(g, p)
+        assert oracles.element_order(slot_row, p) == _ring_order(g, p)
         if odd is not None:
-            assert oracles.parity(row, p) == ("odd" if odd[g] else "even")
-            assert (even_rows[i], odd_rows[i]) == (not odd[g], odd[g])
+            assert oracles.parity(slot_row, p) == ("odd" if odd[g] else "even")
+            assert row[0] == odd[g]

@@ -4,6 +4,7 @@ import pytest
 from conftest import as_matrix
 
 from hfmap import group as group_module
+from hfmap import kernels
 from hfmap.group import (
     HeckeParams,
     IndexFormulaError,
@@ -14,22 +15,26 @@ from hfmap.group import (
     principal_congruence_index,
     s5_permutation_group,
 )
-from hfmap.kernels import parity_patterns
 from ring import RingParams, mat_mul, proj_eq
+
+
+def _slot_generators(p):
+    """S, T and R in the oracle's 8 slots."""
+    return oracles.eight_slots(generators(p), p.m)
 
 
 def test_generator_orders():
     p = HeckeParams(4, 5)
-    s, t, r = generators(p)
+    s, t, r = _slot_generators(p)
     assert oracles.element_order(s, p) == 2
     assert oracles.element_order(t, p) == 5
     assert oracles.element_order(r, p) == 4
     # q = 3: lam = 1 and R has order 3
     p3 = HeckeParams(3, 5)
-    assert oracles.element_order(generators(p3)[2], p3) == 3
+    assert oracles.element_order(_slot_generators(p3)[2], p3) == 3
     # T^n = identity: translation order equals the modulus
     p43 = HeckeParams(4, 3)
-    assert oracles.element_order(generators(p43)[1], p43) == 3
+    assert oracles.element_order(_slot_generators(p43)[1], p43) == 3
 
 
 @pytest.mark.parametrize(
@@ -86,14 +91,14 @@ def test_enumeration_deterministic(group45):
     again = enumerate_group(HeckeParams(4, 5))
     assert np.array_equal(group45.rows, again.rows)
     assert np.array_equal(group45.alpha, again.alpha)
-    assert tuple(group45.rows[0].tolist()) == (1, 0, 0, 0, 0, 0, 1, 0)
+    assert tuple(group45.rows[0].tolist()) == (0, 1, 0, 0, 1)
 
 
 def test_group_relations(group45, group43, group35):
     for group in (group45, group43, group35):
         p = group.params
         rp = RingParams(p.n, p.m)
-        s, t, r = generators(p)
+        s, t, r = _slot_generators(p)
         assert proj_eq(mat_mul(as_matrix(t), as_matrix(s), rp), as_matrix(r), rp)
         assert oracles.element_order(s, p) == 2
         assert oracles.element_order(t, p) == p.n
@@ -104,33 +109,36 @@ def test_group_relations(group45, group43, group35):
 
 
 def test_parity_examples(group45):
+    """The kind digit is the parity of the oracle's slot patterns: T is
+    even, and S and t*s*t, one S, are odd."""
     p = HeckeParams(4, 5)
     s, t, _ = generators(p)
     rp = RingParams(p.n, p.m)
-    tst = mat_mul(mat_mul(as_matrix(t), as_matrix(s), rp), as_matrix(t), rp)
-    rows = np.array([t, s, tst.components()])  # one S in the word t*s*t
-    even, odd = parity_patterns(rows)
-    assert even.tolist() == [True, False, False]
-    assert odd.tolist() == [False, True, True]
-    assert [oracles.parity(row, p) for row in rows.tolist()] == ["even", "odd", "odd"]
+    tst = kernels.mat_mul_exact(kernels.mat_mul_exact(t, s, p.m), t, p.m) % p.n
+    want = mat_mul(mat_mul(as_matrix(t, p.m), as_matrix(s, p.m), rp), as_matrix(t, p.m), rp)
+    assert proj_eq(as_matrix(tst, p.m), want, rp)
+    rows = np.array([t, s, tst])
+    assert rows[:, 0].tolist() == [0, 1, 1]
+    slot_rows = oracles.eight_slots(rows, p.m).tolist()
+    assert [oracles.parity(row, p) for row in slot_rows] == ["even", "odd", "odd"]
 
 
 def test_parity_undefined_for_modular_group(group35):
-    """q = 3 has one form of row, so the even and odd masks do not split
-    its rows: T = [[1, 1], [0, 1]] matches neither."""
+    """q = 3 has one form of row, kind 0, and no even and odd slot
+    patterns: T = [[1, 1], [0, 1]] matches neither."""
+    p = HeckeParams(3, 5)
     with pytest.raises(ValueError):
-        oracles.parity(generators(HeckeParams(3, 5))[1], HeckeParams(3, 5))
-    even, odd = parity_patterns(group35.rows)
-    assert not (even != odd).all()
-    even, odd = parity_patterns(generators(HeckeParams(3, 5))[1])
-    assert not even and not odd
+        oracles.parity(_slot_generators(p)[1], p)
+    assert not group35.rows[:, 0].any() and not generators(p)[:, 0].any()
 
 
 @pytest.mark.parametrize("qn", [(4, 3), (4, 5), (6, 5)])
 def test_even_elements_form_index_two_subgroup(qn):
-    group = enumerate_group(HeckeParams(*qn))
-    even, odd = parity_patterns(group.rows)
-    assert (even != odd).all()
+    p = HeckeParams(*qn)
+    group = enumerate_group(p)
+    odd = group.rows[:, 0] == 1
+    slot_rows = oracles.eight_slots(group.rows, p.m).tolist()
+    assert [oracles.parity(row, p) == "odd" for row in slot_rows] == odd.tolist()
     assert odd.sum() * 2 == group.order
     # parity is a homomorphism to C2: check over all pairs via column perms
     for j in range(group.order):
@@ -154,7 +162,7 @@ def test_s5_model():
 
 def test_element_orders_spot(group45):
     p = group45.params
-    orders = {oracles.element_order(g, p) for g in group45.rows}
+    orders = {oracles.element_order(g, p) for g in oracles.eight_slots(group45.rows, p.m)}
     # S5 spectrum again, via the matrix model
     assert orders == {1, 2, 3, 4, 5, 6}
 
@@ -163,4 +171,4 @@ def test_element_orders_spot(group45):
 def test_rotation_has_period_q_for_every_modulus(n):
     for q in (3, 4, 6):
         p = HeckeParams(q, n)
-        assert oracles.element_order(generators(p)[2], p) == q
+        assert oracles.element_order(_slot_generators(p)[2], p) == q

@@ -11,33 +11,33 @@ from conftest import as_matrix
 from hfmap import kernels
 from hfmap.coords import CuspError, coordinate_codes, cusp_codes
 from hfmap.group import (
+    IDENTITY,
     HeckeParams,
     enumerate_group,
     generators,
     principal_congruence_index,
 )
-from hfmap.kernels import parity_patterns
 from hfmap.maps import build_algebraic_map
-
-IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
 from ring import RingParams, canonicalize, identity_matrix, mat_mul
 
 
 QS = {1: 3, 2: 4, 3: 6}  # q of each radicand m
 
+# -g negates a, b, c, d and keeps the kind.
+NEGATE = np.array([1, -1, -1, -1, -1])
 
-def _kind_rows(rng, n, m, kind, size):
-    """Random rows of one kind: residues in the kind's four slots, and
-    zeros in the others."""
-    rows = np.zeros((size, 8), dtype=np.int64)
-    rows[:, kernels.kind_slots(kind, m)] = rng.integers(0, n, size=(size, 4))
+
+def _kind_rows(rng, n, kind, size):
+    """Random rows (kind, a, b, c, d) of one kind, residues mod n."""
+    rows = rng.integers(0, n, size=(size, 5))
+    rows[:, 0] = kind
     return rows
 
 
 def _with_repeats(rows, n):
     """rows, then the negatives and copies of some of them: the pairs whose
     keys must be equal."""
-    return np.concatenate([rows, -rows[: len(rows) // 3] % n, rows[: len(rows) // 5]])
+    return np.concatenate([rows, rows[: len(rows) // 3] * NEGATE % n, rows[: len(rows) // 5]])
 
 
 def _named_generators(p):
@@ -49,11 +49,11 @@ def _four_digit_oracle(rows, g, n, m, kind):
     """The key of each row * g read off the 8-digit oracle: the kind of the
     product, then the slots a, b, c, d of its canonical row, which is zero
     in every other slot.  Also returns the 8-digit keys."""
-    keys = oracles.right_mult_keys(rows, g, n, m)
+    keys = oracles.right_mult_keys(oracles.eight_slots(rows, m), oracles.eight_slots(g, m), n, m)
     canon = oracles.unpack_keys(keys, n)
-    slots = kernels.kind_slots(kind, m)
+    slots = oracles._SLOTS[2 if m == 1 else kind]
     assert not np.delete(canon, slots, axis=1).any()
-    return kind * n**4 + canon[:, slots[[0, 2, 1, 3]]] @ n ** np.arange(3, -1, -1), keys
+    return kind * n**4 + canon[:, slots] @ n ** np.arange(3, -1, -1), keys
 
 
 def _check_products(rows, p, n):
@@ -64,7 +64,7 @@ def _check_products(rows, p, n):
         for name, g in _named_generators(p).items():
             step = kernels.slot_maps(g, n, p.m)[kind]
             to = 0 if p.q == 3 else kind ^ (name in "SR")
-            assert step[1] == to
+            assert kind ^ step[0] == to
             want, oracle = _four_digit_oracle(kind_rows, g, n, p.m, to)
             got = kernels.slot_product_keys(kind_rows.astype(kernels.row_dtype(n)), step, n)
             assert got.dtype == np.int64
@@ -103,9 +103,9 @@ def test_keys_at_the_top_of_the_range_do_not_wrap(q):
     p = HeckeParams(q, n)
     rows = []
     for kind in ([0] if q == 3 else [0, 1]):
-        kind_rows = np.zeros((2, 8), dtype=np.int64)
-        kind_rows[:, kernels.kind_slots(kind, p.m)] = n - 1
-        kind_rows[1, kernels.kind_slots(kind, p.m)[0]] = n // 2 - 1
+        kind_rows = np.full((2, 5), n - 1)
+        kind_rows[:, 0] = kind
+        kind_rows[1, 1] = n // 2 - 1
         rows.append(kind_rows)
     _check_products(rows, p, n)
     # The kind-B keys pass 2**31; q = 3 has kind A alone, below n**4 / 2.
@@ -122,27 +122,23 @@ def test_readers_agree_on_a_uint8_table(q, n):
     rng = np.random.default_rng(n + q)
     assert kernels.row_dtype(n) == np.uint8
     _check_products(
-        [_with_repeats(_kind_rows(rng, n, p.m, kind, 600), n) for kind in range(1 + (q > 3))], p, n
+        [_with_repeats(_kind_rows(rng, n, kind, 600), n) for kind in range(1 + (q > 3))], p, n
     )
-    wide = rng.integers(0, n, size=(2000, 8))
+    wide = rng.integers(0, n, size=(2000, 5))
     wide[0] = n - 1
     narrow = wide.astype(np.uint8)
-    for ours, want in zip(parity_patterns(narrow), parity_patterns(wide)):
-        assert np.array_equal(ours, want)
     errors = []
     for rows in (narrow, wide):
         with pytest.raises(CuspError) as exc:
             cusp_codes(rows, p)
         errors.append((str(exc.value), exc.value.row))
     assert errors[0] == errors[1]
-    # Rows whose first column is a coordinate, in the slots of its kind,
-    # with the rest of the pattern random: every row is a cusp.
+    # Rows whose first column (kind, a, c) is a coordinate, with b and d
+    # random: every row is a cusp.
     codes = rng.choice(coordinate_codes(p), size=2000)
     kind, rest = np.divmod(codes, n * n)
-    slots = kernels._SLOTS[np.where(q == 3, 2, kind)]
-    cols = np.stack([rest // n, rest % n, *rng.integers(0, n, size=(2, 2000))], axis=-1)
-    wide = np.zeros((2000, 8), dtype=np.int64)
-    np.put_along_axis(wide, slots, cols, axis=-1)
+    b, d = rng.integers(0, n, size=(2, 2000))
+    wide = np.stack([kind, rest // n, b, rest % n, d], axis=-1)
     assert np.array_equal(cusp_codes(wide.astype(np.uint8), p), codes)
     assert np.array_equal(cusp_codes(wide, p), codes)
 
@@ -155,14 +151,14 @@ def test_canonical_key_matches_reference():
     for row, key in zip(comps, keys):
         g = canonicalize(as_matrix(row), p)
         assert oracles.pack_components(np.asarray(g.components(), dtype=np.int64), 7) == key
-    # A row in a kind's slots keys as that kind and the slots a, b, c, d of
-    # the ring's canonical representative.
+    # A row keys as its kind and the slots a, b, c, d of the ring's
+    # canonical representative.
     for kind in (0, 1):
-        rows = _kind_rows(rng, 7, 2, kind, 100)
+        rows = _kind_rows(rng, 7, kind, 100)
         step = kernels.slot_maps(IDENTITY, 7, 2)[kind]
-        abcd = kernels.kind_slots(kind, 2)[[0, 2, 1, 3]]
         for row, key in zip(rows, kernels.slot_product_keys(rows, step, 7)):
-            digits = np.asarray(canonicalize(as_matrix(row), p).components())[abcd]
+            slots = oracles._SLOTS[kind]
+            digits = np.asarray(canonicalize(as_matrix(row, 2), p).components())[slots]
             assert key == kind * 7**4 + int(digits @ 7 ** np.arange(3, -1, -1))
 
 
@@ -170,20 +166,22 @@ def test_canonical_key_matches_reference():
     "n,m", [(3, 1), (5, 2), (7, 3), (30, 2), (180, 3), (kernels.MAX_MODULUS, 3)]
 )
 def test_mat_mul_components_matches_ring(n, m):
+    """The oracle's 8-component product, on which its closure and product
+    keys rest, against the element-by-element ring."""
     rng = np.random.default_rng(3)
     p = RingParams(n, m)
     a = rng.integers(0, n, size=(50, 8), dtype=np.int64)
     b = rng.integers(0, n, size=(50, 8), dtype=np.int64)
-    prods = kernels.mat_mul_components(a, b, n, m)
+    prods = oracles.mat_mul_components(a, b, n, m)
     for ra, rb, rp in zip(a, b, prods):
         want = mat_mul(as_matrix(ra), as_matrix(rb), p)
         got = canonicalize(as_matrix(rp), p)
         assert got == want
         # The exact product on Python ints reduces to the same residues.
-        exact = kernels.mat_mul_exact(tuple(ra.tolist()), tuple(rb.tolist()), m)
+        exact = oracles.mat_mul_exact(tuple(ra.tolist()), tuple(rb.tolist()), m)
         assert [v % n for v in exact] == rp.tolist()
     # Broadcasting: (k, 1, 8) x (2, 8) -> (k, 2, 8).
-    grid = kernels.mat_mul_components(a[:, None, :], b[:2], n, m)
+    grid = oracles.mat_mul_components(a[:, None, :], b[:2], n, m)
     assert grid.shape == (50, 2, 8)
     for i, ra in enumerate(a):
         for j in range(2):
@@ -193,12 +191,41 @@ def test_mat_mul_components_matches_ring(n, m):
 
 @pytest.mark.parametrize("n,m", [(3, 1), (5, 2), (30, 2), (180, 3), (kernels.MAX_MODULUS, 3)])
 def test_right_mult_map_matches_mat_mul_components(n, m):
+    """The oracle closure's linear map of right multiplication."""
     rng = np.random.default_rng(5)
     rows = rng.integers(0, n, size=(200, 8), dtype=np.int64)
     for g in rng.integers(0, n, size=(4, 8), dtype=np.int64):
-        linear = kernels.right_mult_map(g, n, m)
+        linear = oracles.right_mult_map(g, n, m)
         assert linear.shape == (8, 8)
-        assert np.array_equal((rows @ linear) % n, kernels.mat_mul_components(rows, g, n, m))
+        assert np.array_equal((rows @ linear) % n, oracles.mat_mul_components(rows, g, n, m))
+
+
+@pytest.mark.parametrize(
+    "n,m", [(3, 1), (5, 2), (7, 3), (30, 2), (180, 3), (kernels.MAX_MODULUS, 3)]
+)
+def test_kind_form_product_matches_the_oracle(n, m):
+    """mat_mul_exact on random rows (kind, a, b, c, d) of every kind of
+    the radicand, over Z with entries in (-n, n) and reduced mod n,
+    against the oracle's 8-component product of their 8-slot forms; the
+    product's kind is the xor of the factors' kinds."""
+    rng = np.random.default_rng(n + m)
+    kinds = [0] if m == 1 else [0, 1]
+    for kx in kinds:
+        for ky in kinds:
+            x = np.concatenate([np.full((300, 1), kx), rng.integers(1 - n, n, (300, 4))], axis=1)
+            y = np.concatenate([np.full((300, 1), ky), rng.integers(1 - n, n, (300, 4))], axis=1)
+            prod = kernels.mat_mul_exact(x, y, m)
+            assert prod.dtype == np.int64 and prod.shape == (300, 5)
+            assert (prod[:, 0] == (kx ^ ky)).all()
+            want = oracles.mat_mul_exact(*(oracles.eight_slots(g, m).T for g in (x, y)), m)
+            assert np.array_equal(oracles.eight_slots(prod, m), np.stack(want, axis=-1))
+            residues = oracles.mat_mul_components(
+                oracles.eight_slots(x % n, m), oracles.eight_slots(y % n, m), n, m)
+            assert np.array_equal(oracles.eight_slots(prod % n, m), residues)
+            # Broadcasting: (k, 1, 5) x (2, 5) -> (k, 2, 5), and tuples.
+            grid = kernels.mat_mul_exact(x[:, None], y[:2], m)
+            assert np.array_equal(grid[:, 1], kernels.mat_mul_exact(x, y[1], m))
+            assert kernels.mat_mul_exact(tuple(x[0]), tuple(y[0]), m).tolist() == prod[0].tolist()
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (5, 2), (30, 2), (180, 3), (kernels.MAX_MODULUS, 3)])
@@ -207,18 +234,20 @@ def test_product_keys_match_the_general_product(n, m):
     times longer words in S and T, against the general product."""
     rng = np.random.default_rng(17)
     p = HeckeParams(QS[m], n)
-    rows = [_with_repeats(_kind_rows(rng, n, m, kind, 300), n) for kind in range(1 + (m > 1))]
+    rows = [_with_repeats(_kind_rows(rng, n, kind, 300), n) for kind in range(1 + (m > 1))]
     _check_products(rows, p, n)
     s, t = generators(p)[:2]
     word = np.array(IDENTITY)
+    odd = 0
     for letter in rng.integers(0, 2, size=12).tolist():
-        word = kernels.mat_mul_components(word, (s, t)[letter], n, m)
-        odd = m > 1 and bool(parity_patterns(word)[1])
+        word = kernels.mat_mul_exact(word, (s, t)[letter], m) % n
+        odd ^= m > 1 and letter == 0  # one more S
+        assert word[0] == odd
         for kind, kind_rows in enumerate(rows):
             to = kind ^ odd
             step = kernels.slot_maps(word, n, m)[kind]
             want, _ = _four_digit_oracle(kind_rows, word, n, m, to)
-            assert step[1] == to
+            assert kind ^ step[0] == to
             assert np.array_equal(kernels.slot_product_keys(kind_rows, step, n), want)
 
 
@@ -239,7 +268,7 @@ def test_identity_keys_are_distinct(q, n, monkeypatch):
     group = enumerate_group(p)
     keys = np.concatenate(made)
     assert keys.size == group.order == np.unique(keys).size
-    kinds = np.zeros(group.order, dtype=int) if q == 3 else parity_patterns(group.rows)[1]
+    kinds = group.rows[:, 0]
     for kind, step in enumerate(kernels.slot_maps(IDENTITY, n, p.m)):
         rows = group.rows[kinds == kind]
         assert np.array_equal(kernels.slot_product_keys(rows, step, n), keys[kinds == kind])
@@ -254,7 +283,7 @@ def _reference_closure(p: HeckeParams):
 
     Returns {key: (matrix, BFS level)}.
     """
-    s, t = (as_matrix(row) for row in generators(p)[:2])
+    s, t = (as_matrix(row, p.m) for row in generators(p)[:2])
     rp = RingParams(p.n, p.m)
     ident = canonicalize(identity_matrix(rp), rp)
     order = [(ident, 0)]
@@ -277,7 +306,7 @@ CLOSURE_CASES = [(4, 3), (3, 5), (4, 5), (6, 5), (4, 7), (6, 7)]
 @pytest.mark.parametrize("q,n", CLOSURE_CASES)
 def test_numpy_closure_matches_python_oracle(q, n):
     p = HeckeParams(q, n)
-    gens = generators(p)[:2]
+    gens = oracles.eight_slots(generators(p)[:2], p.m)
     keys, cayley, done = oracles.closure_bfs(gens, p.n, p.m, 10**6)
     assert done
     assert cayley.shape == (keys.shape[0], 2)
@@ -302,7 +331,7 @@ def test_numpy_closure_matches_python_oracle(q, n):
 @pytest.mark.parametrize("q,n", [(4, 5), (3, 7), (6, 9)])
 def test_closure_stopped_at_limit_keeps_whole_levels(q, n):
     p = HeckeParams(q, n)
-    gens = generators(p)[:2]
+    gens = oracles.eight_slots(generators(p)[:2], p.m)
     keys, cayley, done = oracles.closure_bfs(gens, p.n, p.m, principal_congruence_index(p))
     assert done
     reference = _reference_closure(p)
@@ -328,7 +357,8 @@ MORE_CLOSURE_CASES = [(q, n) for q in (3, 4, 6) for n in (6, 8, 9, 12, 15, 16)]
 @pytest.mark.parametrize("q,n", CLOSURE_CASES + MORE_CLOSURE_CASES)
 def test_cayley_table_matches_right_mult_perm(q, n):
     group = enumerate_group(HeckeParams(q, n))
-    gens = oracles.canonical_keys(generators(group.params)[:2], n)
+    p = group.params
+    gens = oracles.canonical_keys(oracles.eight_slots(generators(p)[:2], p.m), n)
     s, t = (oracles.index_of_key(group, int(key)) for key in gens)
     sigma = build_algebraic_map(group).sigma
     assert [int(group.alpha[0]), int(sigma[0])] == [s, t]

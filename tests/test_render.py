@@ -79,16 +79,15 @@ def test_depth_bound():
 
 @pytest.mark.parametrize("t,error", [
     # [[1, 1], [1, 1]]: both columns end at 1.
-    ((1, 0, 1, 0, 1, 0, 1, 0), "geodesic endpoints coincide"),
-    # [[1, 0], [1 + sqrt(m), 1]] at m = 1: a column over a zero norm.
-    ((1, 0, 0, 0, 1, 1, 1, 0), "denominator has zero norm"),
+    ((0, 1, 1, 1, 1), "geodesic endpoints coincide"),
 ])
 def test_degenerate_generator_errors(monkeypatch, t, error):
     """The search refuses what no Hecke group produces: a geodesic with one
-    endpoint, and a column whose denominator has zero norm."""
-    s = (0, 0, -1, 0, 1, 0, 0, 0)
+    endpoint.  A column's denominator is c or m*c, so it is zero only at
+    infinity."""
+    s = (0, 0, -1, 1, 0)
     monkeypatch.setattr(render, "exact_generators", lambda q: (s, t))
-    with pytest.raises((ValueError, ZeroDivisionError), match=error):
+    with pytest.raises(ValueError, match=error):
         universal_geodesics(3, 1)
 
 

@@ -74,7 +74,7 @@ def test_ring_axioms_exhaustive(n, m):
 
 def test_mat_mul_identity_and_involution():
     p = HeckeParams(4, 5)
-    s, t, r = (as_matrix(row) for row in generators(p))
+    s, t, r = (as_matrix(row, p.m) for row in generators(p))
     ident = canonicalize(identity_matrix(P52), P52)
     assert mat_mul(s, ident, P52) == s
     assert mat_mul(s, s, P52) == ident  # S has order 2 projectively
@@ -90,7 +90,7 @@ def test_proj_eq_sign():
 
 def test_det_and_inverse_of_translation():
     p = HeckeParams(4, 5)
-    t = as_matrix(generators(p)[1])
+    t = as_matrix(generators(p)[1], p.m)
     assert mat_det(t, P52) == RingElem(1, 0)
     # T^-1 is the translation by -sqrt2
     t_inv = canonicalize(
@@ -111,7 +111,7 @@ def test_inverse_rejects_bad_determinant():
 def test_canonicalization_idempotent_and_sign_invariant(group45):
     p = RingParams(group45.params.n, group45.params.m)
     for i in range(group45.order):
-        g = as_matrix(group45.rows[i])
+        g = as_matrix(group45.rows[i], group45.params.m)
         assert canonicalize(g, p) == g
         neg = ProjMatrix(
             RingElem(-g.e11.rat % p.n, -g.e11.irr % p.n),
@@ -126,7 +126,7 @@ def test_det_multiplicative_over_group(group43, group35):
     for group in (group43, group35):
         p = RingParams(group.params.n, group.params.m)
         one = RingElem(1, 0)
-        mats = [as_matrix(row) for row in group.rows]
+        mats = [as_matrix(row, group.params.m) for row in group.rows]
         for g in mats:
             assert mat_det(g, p) == one
         for g in mats[:12]:

@@ -25,11 +25,13 @@ from hfmap.polygon import coset_domain_check
 
 ODD = [(q, n) for q in (3, 4, 6) for n in range(3, 32, 2)]
 EVEN = [(q, n) for q in (3, 4, 6) for n in range(4, 31, 2)]
-# 2**5, 2**6, 3**4, 5**2, 5**3 and 7**2, the product 5*7, and one prime
-# in each residue class mod 24, the class that decides whether 2 and 3 are
-# squares mod p.
+# 2**5, 2**6, 3**4, 5**2, 5**3 and 7**2, the products 5*7 and 5*11 of two
+# odd primes, the products 3*11, 3*13 and 2*19, where m = 3 (q = 6) or
+# m = 2 (q = 4) divides n beside a second prime, and one prime in each
+# residue class mod 24, the class that decides whether 2 and 3 are squares
+# mod p.
 PAST = [(q, n) for q in (3, 4, 6)
-        for n in (25, 32, 35, 37, 41, 43, 47, 49, 53, 59, 64, 73, 79, 81, 125)]
+        for n in (25, 32, 33, 35, 37, 38, 39, 41, 43, 47, 49, 53, 55, 59, 64, 73, 79, 81, 125)]
 
 
 def _models_agree(q, n):

@@ -141,7 +141,8 @@ def test_cusp_codes_match_cusp_of(q, n):
     p = HeckeParams(q, n)
     group = cached_group(q, n)
     got = [code_coord(c, p) for c in cusp_codes(group.rows, p)]
-    assert got == [oracles.cusp_of(row, p) for row in group.rows.tolist()]
+    rows = oracles.eight_slots(group.rows, p.m)
+    assert got == [oracles.cusp_of(row, p) for row in rows.tolist()]
 
 
 @pytest.mark.parametrize("q,n", [(4, 5), (6, 9), (3, 7), (4, 15)])
@@ -152,14 +153,15 @@ def test_apply_codes_matches_apply_to_coord(q, n):
     nodes = enumerate_coords(p)
     got = apply_codes(group.rows[:, None], coord_codes(nodes, p), p)
     assert got.shape == (group.order, len(nodes))
-    want = [[oracles.apply_to_coord(g, u, p) for u in nodes] for g in group.rows.tolist()]
+    rows = oracles.eight_slots(group.rows, p.m).tolist()
+    want = [[oracles.apply_to_coord(g, u, p) for u in nodes] for g in rows]
     assert [[code_coord(c, p) for c in row] for row in got.tolist()] == want
 
 
 def _scalar_error(rows, p):
     with pytest.raises(ValueError) as exc:
         for row in rows.tolist():
-            oracles.cusp_of(row, p)
+            oracles.cusp_of(oracles.eight_slots(row, p.m), p)
     return str(exc.value)
 
 
@@ -168,9 +170,9 @@ def test_corrupted_row_raises_the_scalar_error(q, n):
     p = HeckeParams(q, n)
     group = cached_group(q, n)
     rows = group.rows.copy()
-    rows[7] = [1, 1, 0, 0, 0, 0, 1, 0]  # both irrational slots of one column
+    rows[7, 0] = 2  # a kind digit that names no kind
     message = _scalar_error(rows, p)
-    assert "matches no parity pattern" in message
+    assert message.endswith("has kind 2; corrupted element")
     with pytest.raises(ValueError) as exc:
         cusp_codes(rows, p)
     assert str(exc.value) == message
@@ -186,9 +188,9 @@ def test_corrupted_row_raises_the_scalar_error(q, n):
         "elements whose first column is not their block head's: 1, the first 7"
     ]
     rows = group.rows.copy()
-    rows[n] = [1, 1, 0, 0, 0, 0, 1, 0]
+    rows[n, 0] = 2
     message = _scalar_error(rows[n:n + 1], p)
-    assert "matches no parity pattern" in message
+    assert message.endswith("has kind 2; corrupted element")
     for check in (projection_certificate, lambda g, a: correspondence_check(g, a, graph)):
         got = check(SimpleNamespace(params=p, rows=rows), amap)
         assert got.ok is False and got.vertex_bijection is False
@@ -202,15 +204,18 @@ def test_corrupted_row_raises_the_scalar_error(q, n):
 def test_non_coordinate_row_raises_the_scalar_error(q):
     p = HeckeParams(q, 9)
     rows = cached_group(q, 9).rows.astype(np.int64)
-    # An even row whose cusp column is (3, 3): gcd 3 with n = 9.  A later
-    # row without a parity pattern must not pre-empt it.
-    rows[4] = [3, 0, 0, 0, 0, 3, 1, 0]
-    rows[9] = [0, 0, 0, 0, 0, 0, 0, 0]
-    message = _scalar_error(rows, p)
-    assert "gcd > 1" in message
-    with pytest.raises(ValueError) as exc:
-        cusp_codes(rows, p)
-    assert str(exc.value) == message
+    # A kind-A row whose cusp column is (3, 3): gcd 3 with n = 9.  A later
+    # row with a kind digit that names no kind, 1 at q = 3 and 2 at q = 4,
+    # must not pre-empt it, and raises once the first row is mended.
+    rows[4] = [0, 3, 0, 3, 1]
+    rows[9] = [1 if q == 3 else 2, 0, 0, 0, 0]
+    for problem in ("gcd > 1", f"has kind {rows[9, 0]}; corrupted element"):
+        message = _scalar_error(rows, p)
+        assert problem in message
+        with pytest.raises(ValueError) as exc:
+            cusp_codes(rows, p)
+        assert str(exc.value) == message
+        rows[4] = rows[5]
 
 
 def _check_labels(perm):
@@ -646,7 +651,7 @@ def test_geodesic_search_multiplies_each_matrix_once(monkeypatch, q):
     rows = []
 
     def counted(a, b, m):
-        rows.append(a.shape[1])
+        rows.append(len(a))
         return kernels.mat_mul_exact(a, b, m)
 
     monkeypatch.setattr(render, "mat_mul_exact", counted)
