@@ -29,15 +29,19 @@ INVOCATIONS = [
     "index --q 4 --n 6 --check",
     "coords --q 4 --n 5",
     "coords --q 4 --n 5 --names",
+    "coords --q 3 --n 5",
+    "coords --q 6 --n 6",
     "circuit --verify bring",
     "circuit --search --length 6 --poles 0,3",
     "circuit --q 4 --n 5 --search",
+    "circuit --q 4 --n 6 --search --start A:1/0 --length 4 --poles 0",
     "polygon",
     "render universal --q 4 --depth 3 --model disk",
     "render universal --q 4 --depth 12 --model disk",
     "render universal --q 6 --depth 12",
     "render universal --q 3 --depth 12 --model disk",
     "render quotient --q 4 --n 3",
+    "render quotient --q 4 --n 6",
     "render polygon",
     "verify",
     "verify --json",
