@@ -28,7 +28,7 @@ bijection onto it.  (a) reads back first columns written from the table;
 (c) and (d) share nothing with it.
 """
 
-from .coords import HFCoord, apply_to_coord, enumerate_coords
+from .coords import HFCoord
 from .group import (
     FiniteHeckeGroup,
     HeckeParams,

@@ -81,8 +81,8 @@ def cmd_coords(args: argparse.Namespace) -> None:
         for name in table.names():
             print(f"{name}: {table.printed_value(name)}")
         return
-    for u in C.enumerate_coords(p):
-        print(C.coord_value_str(u, p))
+    for code in C.coordinate_codes(p).tolist():
+        print(C.coord_value_str(code, p))
 
 
 def _load_circuit(option: str, spec: str, p: HeckeParams) -> P.Circuit:

@@ -7,18 +7,20 @@ is the plain fraction num/den.  When m > 1 divides n, the classes with m
 dividing the kind-A numerator or the kind-B denominator are no cusps and
 are not coordinates.
 
-Inside the library a coordinate is an integer code (see ``coord_codes``),
-and each rule is written once, on arrays: the class rule
-(``_class_codes``), the cusp read off a matrix column (``cusp_codes``) and
-the edge test (``adjacent_codes``).  ``completion_table`` completes every
+A coordinate is its integer code kind*n*n + num*n + den (kind A = 0,
+B = 1) everywhere in the library: ``normalize`` and ``parse_fraction``
+return one, name tables are keyed by them, and each rule is written once,
+on arrays: the class rule (``_class_codes``), the cusp read off a matrix
+column (``cusp_codes``), the Moebius action (``apply_codes``) and the edge
+test (``adjacent_codes``).  ``completion_table`` completes every
 coordinate to the elements above it; the group and the coordinate graph
 are read off it, and ``code_rows`` finds a code's row in a code array.
-``HFCoord`` is the form coordinates are parsed, named and printed in, and
-``coordinate_labels`` is the one rule for a node's label.  Every n in the
-group's range [3, kernels.MAX_MODULUS], odd or even, is served.  Matrices
-are rows (kind, a, b, c, d) (see ``kernels``), whose first column (kind,
-a, c) is a coordinate's, and ``group`` builds on this module, never the
-reverse.
+``code_coord`` alone builds ``HFCoord``, the (kind, num, den) form a code
+is printed in, and ``coordinate_labels`` is the one rule for a node's
+label.  Every n in the group's range [3, kernels.MAX_MODULUS], odd or
+even, is served.  Matrices are rows (kind, a, b, c, d) (see ``kernels``),
+whose first column (kind, a, c) is a coordinate's, and ``group`` builds on
+this module, never the reverse.
 """
 
 from __future__ import annotations
@@ -37,18 +39,15 @@ if TYPE_CHECKING:
 __all__ = [
     "HFCoord",
     "normalize",
-    "enumerate_coords",
     "coordinate_codes",
     "Completion",
     "completion_table",
     "code_rows",
-    "coord_codes",
     "code_coord",
     "adjacent_codes",
     "cusp_codes",
     "CuspError",
     "apply_codes",
-    "apply_to_coord",
     "NameTable",
     "vertex_names",
     "coordinate_labels",
@@ -66,7 +65,7 @@ Q3_N5_FRACTIONS = [
 
 
 class HFCoord(NamedTuple):
-    """Sign-normalized coordinate: lexicographic minimum over +-(num, den)."""
+    """The printed form of a code (see ``code_coord``)."""
 
     kind: str
     num: int
@@ -110,8 +109,9 @@ def _class_codes(kind: np.ndarray, num: np.ndarray, den: np.ndarray, p: HeckePar
     return _canonical_codes(kind, num, den, n), coprime, reached
 
 
-def normalize(kind: str, num: int, den: int, p: HeckeParams) -> HFCoord:
-    """Reduce mod n and pick the canonical sign representative."""
+def normalize(kind: str, num: int, den: int, p: HeckeParams) -> int:
+    """Code of the coordinate of (kind, num, den): reduced mod n, with the
+    canonical sign representative."""
     if kind not in _KINDS:
         raise ValueError(f"coordinate kind must be 'A' or 'B', got {kind!r}")
     if p.q == 3 and kind == "B":
@@ -125,7 +125,7 @@ def normalize(kind: str, num: int, den: int, p: HeckeParams) -> HFCoord:
         raise ValueError(
             f"({num}, {den}) is not a coordinate mod {p.n}: {p.m} divides the kind-{kind} {part}"
         )
-    return code_coord(code, p)
+    return int(code)
 
 
 def coordinate_codes(p: HeckeParams) -> np.ndarray:
@@ -207,22 +207,8 @@ def completion_table(p: HeckeParams) -> Completion:
     return Completion(codes, a, c, ka, kc, b0, d0)
 
 
-def enumerate_coords(p: HeckeParams) -> list[HFCoord]:
-    """All coordinates mod n in sorted order."""
-    return [code_coord(code, p) for code in coordinate_codes(p).tolist()]
-
-
-def coord_codes(coords: list[HFCoord], p: HeckeParams) -> np.ndarray:
-    """Codes of canonical coordinates, as an int64 array."""
-    n = p.n
-    _check_modulus(n)
-    return np.array(
-        [_KINDS.index(u.kind) * n * n + u.num * n + u.den for u in coords], dtype=np.int64
-    )
-
-
 def code_coord(code: int, p: HeckeParams) -> HFCoord:
-    """Inverse of coord_codes for one code."""
+    """The digits (kind, num, den) of one code, as printed."""
     kind, rest = divmod(int(code), p.n * p.n)
     return HFCoord(_KINDS[kind], *divmod(rest, p.n))
 
@@ -303,23 +289,20 @@ def apply_codes(g, codes: np.ndarray, p: HeckeParams) -> np.ndarray:
     return cusp_codes(prod.reshape(-1, 5), p).reshape(prod.shape[:-1])
 
 
-def apply_to_coord(g, u: HFCoord, p: HeckeParams) -> HFCoord:
-    """Moebius action of the row g on one coordinate."""
-    return code_coord(apply_codes(g, coord_codes([u], p), p)[0], p)
-
-
-def coord_value_str(u: HFCoord, p: HeckeParams) -> str:
-    """Human-readable value, e.g. 2/(1sqrt2), 2sqrt2/0, or 2/1 for q=3."""
+def coord_value_str(code: int, p: HeckeParams) -> str:
+    """Human-readable value of a code, e.g. 2/(1sqrt2), 2sqrt2/0, or 2/1
+    for q=3."""
+    kind, num, den = code_coord(code, p)
     if p.q == 3:
-        return f"{u.num}/{u.den}"
+        return f"{num}/{den}"
     root = f"sqrt{p.m}"
-    if u.kind == "A":
-        return f"{u.num}/({u.den}{root})"
-    return f"{u.num}{root}/{u.den}"
+    if kind == "A":
+        return f"{num}/({den}{root})"
+    return f"{num}{root}/{den}"
 
 
-def parse_fraction(text: str, p: HeckeParams) -> HFCoord:
-    """Parse a plain q=3 fraction string like 3/2 into a coordinate."""
+def parse_fraction(text: str, p: HeckeParams) -> int:
+    """The code of a plain q=3 fraction string like 3/2."""
     if p.q != 3:
         raise ValueError("plain fractions exist only for q=3")
     num, den = text.strip().split("/", 1)
@@ -352,29 +335,31 @@ _NAMES_Q4_N3 = [
 
 
 class NameTable:
-    """Bijection between canonical coordinates and their customary names."""
+    """Bijection between coordinate codes and their customary names.  The
+    printed representative of a name, which need not be sign-canonical, is
+    kept as the code of its digits."""
 
     def __init__(self, p: HeckeParams, rows: list[tuple[str, str, int, int]]):
         self.params = p
-        self._by_name: dict[str, HFCoord] = {}
-        self._by_coord: dict[HFCoord, str] = {}
-        self._printed: dict[str, HFCoord] = {}
+        self._by_name: dict[str, int] = {}
+        self._by_code: dict[int, str] = {}
+        self._printed: dict[str, int] = {}
         for name, kind, num, den in rows:
-            u = normalize(kind, num, den, p)
-            if name in self._by_name or u in self._by_coord:
+            code = normalize(kind, num, den, p)
+            if name in self._by_name or code in self._by_code:
                 raise ValueError(f"duplicate name-table row {name}")
-            self._by_name[name] = u
-            self._by_coord[u] = name
-            self._printed[name] = HFCoord(kind, num, den)
+            self._by_name[name] = code
+            self._by_code[code] = name
+            self._printed[name] = (_KINDS.index(kind) * p.n + num) * p.n + den
 
     def names(self) -> list[str]:
         return list(self._by_name)
 
-    def coord(self, name: str) -> HFCoord:
+    def coord(self, name: str) -> int:
         return self._by_name[name]
 
-    def name(self, u: HFCoord) -> str:
-        return self._by_coord[u]
+    def name(self, code: int) -> str:
+        return self._by_code[code]
 
     def printed_value(self, name: str) -> str:
         """The customary (not necessarily sign-canonical) fraction string."""
@@ -394,15 +379,13 @@ def vertex_names(p: HeckeParams) -> NameTable:
     raise ValueError(f"no name table for q={p.q}, n={p.n}")
 
 
-def coordinate_labels(
-    p: HeckeParams, fallback: Callable[[HFCoord, HeckeParams], str]
-) -> list[str]:
+def coordinate_labels(p: HeckeParams, fallback: Callable[[int, HeckeParams], str]) -> list[str]:
     """The label of every coordinate, in ``coordinate_codes`` order: its
     customary name when the map has a name table, which names every
-    coordinate, else fallback(u, p)."""
-    nodes = enumerate_coords(p)
+    coordinate, else fallback(code, p)."""
+    codes = coordinate_codes(p).tolist()
     try:
         table = vertex_names(p)
     except ValueError:
-        return [fallback(u, p) for u in nodes]
-    return [table.name(u) for u in nodes]
+        return [fallback(code, p) for code in codes]
+    return [table.name(code) for code in codes]

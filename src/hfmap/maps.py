@@ -231,7 +231,9 @@ class CoordGraph:
     and the (V, n) int64 table ``nbrs`` whose row i lists node i's
     neighbours in ascending order.  ``pairs`` holds the edges as (E, 2) rows
     (i, j), i < j, in lexicographic order; it and ``nodes`` and ``edges``
-    are views built on first use."""
+    are views built on first use.  ``nodes`` is the codes' printed forms
+    (``coords.code_coord``), which the library never reads; it is kept for
+    the digest of the benchmark's sweep (``perfbench/workloads.py``)."""
 
     params: HeckeParams
     codes: np.ndarray

@@ -20,14 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import (
-    HFCoord,
     NameTable,
     adjacent_codes,
     apply_codes,
-    apply_to_coord,
     code_coord,
-    code_rows,
-    coord_codes,
     coordinate_labels,
     normalize,
     vertex_names,
@@ -91,9 +87,10 @@ _BRING_SIDE_PAIRS = [
 
 @dataclass(frozen=True)
 class Circuit:
-    """Closed walk of coordinates; the edge back to the start is implicit."""
+    """Closed walk of coordinate codes; the edge back to the start is
+    implicit."""
 
-    seq: tuple[HFCoord, ...]
+    seq: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -155,21 +152,22 @@ def validate_circuit(c: Circuit, p: HeckeParams) -> bool:
     """Adjacency-only validation; vertices and edges may repeat."""
     if len(c.seq) < 2:
         return False
-    codes = coord_codes(c.seq, p)
+    codes = np.array(c.seq, dtype=np.int64)
     return bool(adjacent_codes(codes, np.roll(codes, -1), p).all())
 
 
 def search_circuits(
-    start: HFCoord,
+    start: int,
     length: int,
     pole_positions: set[int],
     p: HeckeParams,
 ) -> np.ndarray:
-    """All closed walks of the given length from start whose pole positions
-    are exactly the given set, as a (count, length) int32 table: row r
-    lists the walk's nodes by their row in
+    """All closed walks of the given length from the coordinate code start
+    whose pole positions are exactly the given set, as a (count, length)
+    int32 table: row r lists the walk's nodes by their row in
     ``build_coordinate_graph(p).codes``, and the rows run in lexicographic
-    order of those rows (the depth-first order).
+    order of those rows (the depth-first order).  A start that is no
+    coordinate code of n, in or out of the code range, is a ValueError.
 
     ways[k][v] counts the ways to finish such a walk from node v at
     position k (position ``length`` is the start again), in int64, clipped
@@ -190,8 +188,8 @@ def search_circuits(
         raise ValueError(f"pole position {outside[0]} is outside 0..{length - 1}")
     graph = build_coordinate_graph(p)
     size = graph.codes.size
-    start_idx = int(code_rows(graph.codes, coord_codes([start], p), p)[0])
-    if start_idx < 0:
+    start_idx = int(np.searchsorted(graph.codes, start))
+    if start_idx == size or graph.codes[start_idx] != start:
         raise ValueError(f"start {start} is not a coordinate mod {p.n}")
     poles = graph.codes % p.n == 0
 
@@ -227,10 +225,11 @@ def search_circuits(
 
 @dataclass(frozen=True)
 class BoundarySequence:
-    """Cyclic sequence of boundary coordinates; slot j + L is T(slot j)."""
+    """Cyclic sequence of boundary coordinate codes, an int64 array; slot
+    j + L is T(slot j)."""
 
     params: HeckeParams
-    slots: tuple[HFCoord, ...]
+    slots: np.ndarray
     pole_slots: tuple[int, ...]
 
 
@@ -238,7 +237,7 @@ def boundary_from_circuit(c: Circuit, p: HeckeParams) -> BoundarySequence:
     """Concatenate the n translates of the circuit and validate the seams."""
     if not validate_circuit(c, p):
         raise ValueError("circuit fails adjacency validation")
-    blocks = [coord_codes(c.seq, p)]
+    blocks = [np.array(c.seq, dtype=np.int64)]
     pole_positions = set(np.flatnonzero(blocks[0] % p.n == 0).tolist())
     if len(c.seq) != 12 or pole_positions != {0, 3, 6, 9}:
         raise ValueError(
@@ -260,8 +259,7 @@ def boundary_from_circuit(c: Circuit, p: HeckeParams) -> BoundarySequence:
     pole_slots = tuple(np.flatnonzero(codes % p.n == 0).tolist())
     if len(pole_slots) != p.n * len(pole_positions):
         raise ValueError("pole count mismatch after translation")
-    slots = tuple(code_coord(code, p) for code in codes.tolist())
-    return BoundarySequence(params=p, slots=slots, pole_slots=pole_slots)
+    return BoundarySequence(params=p, slots=codes, pole_slots=pole_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +317,13 @@ class SideLabelReport:
 
 
 def _translate_orbit(name: str, table: NameTable, p: HeckeParams) -> list[str]:
-    t = generators(p)[1].tolist()
+    t = generators(p)[1]
     u = table.coord(name)
     orbit = [name]
-    v = apply_to_coord(t, u, p)
+    v = int(apply_codes(t, u, p))
     while v != u:
         orbit.append(table.name(v))
-        v = apply_to_coord(t, v, p)
+        v = int(apply_codes(t, v, p))
     return orbit
 
 
@@ -554,8 +552,9 @@ def parse_circuit_text(text: str, p: HeckeParams) -> Circuit:
     return Circuit(tuple(_parse_vertex(token, table, p) for token in tokens if token))
 
 
-def _parse_vertex(token: str, table: NameTable | None, p: HeckeParams) -> HFCoord:
-    """One vertex token; every malformed token is a ValueError naming it."""
+def _parse_vertex(token: str, table: NameTable | None, p: HeckeParams) -> int:
+    """The code of one vertex token; every malformed token is a ValueError
+    naming it."""
     if ":" not in token:
         if table is None:
             raise ValueError(
@@ -580,7 +579,8 @@ def _parse_vertex(token: str, table: NameTable | None, p: HeckeParams) -> HFCoor
 def circuit_labels(p: HeckeParams) -> np.ndarray:
     """``coordinate_labels`` of the graph's nodes as an object array, with
     kind:num/den triples where the map has no name table."""
-    return np.array(coordinate_labels(p, lambda u, _: f"{u.kind}:{u.num}/{u.den}"), dtype=object)
+    return np.array(coordinate_labels(p, lambda code, _: "%s:%d/%d" % code_coord(code, p)),
+                    dtype=object)
 
 
 def format_circuit_text(rows: np.ndarray, labels: np.ndarray) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coords import HFCoord, coord_value_str, coordinate_labels, vertex_names
+from .coords import coord_value_str, coordinate_labels, vertex_names
 from .group import IDENTITY, RADICAND, HeckeParams, exact_generators
 from .kernels import mat_mul_exact
 from .maps import build_coordinate_graph
@@ -388,7 +388,7 @@ def render_polygon(b: BoundarySequence, t: PairingTable) -> str:
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="12" font-weight="bold" '
             f'text-anchor="middle" class="corner">{name}</text>'
         )
-    center = table.name(HFCoord("A", 1, 0))  # the pole 1/0 sits at the center
+    center = table.name(p.n)  # the pole 1/0, code n, sits at the center
     body.append(
         f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" font-size="12" '
         f'text-anchor="middle">{center}</text>'

@@ -59,8 +59,8 @@ def _check_bring_map(circuit: P.Circuit, pairing: P.PairingTable) -> str:
         raise AssertionError(f"invariants {got} != {want}")
     p = HeckeParams(4, 5)
     table = C.vertex_names(p)
-    named = C.coord_codes([table.coord(name) for name in table.names()], p)
-    if set(C.cusp_codes(group.rows, p).tolist()) != set(named.tolist()):
+    named = {table.coord(name) for name in table.names()}
+    if set(C.cusp_codes(group.rows, p).tolist()) != named:
         raise AssertionError("map vertices do not match the 24 named coordinates")
     return "darts=120 V=24 E=60 F=30 genus=4, vertices = the 24 named coordinates"
 
@@ -74,7 +74,7 @@ def _check_cube(circuit: P.Circuit, pairing: P.PairingTable) -> str:
     if not M.is_isomorphic(M.cube_map(), amap):
         raise AssertionError("map (4,3) is not isomorphic to the cube map")
     table = C.vertex_names(p)
-    if {table.coord(nm) for nm in table.names()} != set(C.enumerate_coords(p)):
+    if {table.coord(nm) for nm in table.names()} != set(C.coordinate_codes(p).tolist()):
         raise AssertionError("coordinates do not match the 8 cube fractions")
     rep = M.correspondence_check(cached_group(4, 3), amap, M.build_coordinate_graph(p))
     if not rep.ok:
@@ -85,7 +85,7 @@ def _check_cube(circuit: P.Circuit, pairing: P.PairingTable) -> str:
 def _check_icosahedron(circuit: P.Circuit, pairing: P.PairingTable) -> str:
     p = HeckeParams(3, 5)
     listed = {C.parse_fraction(s, p) for s in C.Q3_N5_FRACTIONS}
-    if listed != set(C.enumerate_coords(p)):
+    if listed != set(C.coordinate_codes(p).tolist()):
         raise AssertionError("fraction list does not match the enumeration")
     graph = M.build_coordinate_graph(p)
     if graph.codes.size != 12 or len(graph.edges) != 30:
@@ -117,9 +117,9 @@ def _check_circuit_boundary(circuit: P.Circuit, pairing: P.PairingTable) -> str:
     counts = Counter(table.name(b.slots[i]) for i in b.pole_slots)
     if counts != {"H2": 5, "C2": 5, "B1": 10}:
         raise AssertionError(f"pole multiset {dict(counts)} wrong")
-    t = generators(p)[1].tolist()
+    t = generators(p)[1]
     for src, dst in (("E1", "G1"), ("F2", "E2"), ("H2", "H2")):
-        if C.apply_to_coord(t, table.coord(src), p) != table.coord(dst):
+        if C.apply_codes(t, table.coord(src), p) != table.coord(dst):
             raise AssertionError(f"translation {src} -> {dst} fails")
     return "60-slot boundary, poles H2:5 C2:5 B1:10, translation identities hold"
 

@@ -2,7 +2,8 @@
 
 These are the per-element loops the library used before its numpy passes:
 the coordinate rules one coordinate at a time (``normalize``,
-``enumerate_coords``, ``adjacent``, ``cusp_of``, ``apply_to_coord``);
+``enumerate_coords``, ``adjacent``, ``cusp_of``, ``apply_to_coord``), on
+``HFCoord`` triples, which ``code_of`` turns into the library's codes;
 ``correspondence_check`` calls ``cusp_of`` and ``adjacent`` once per dart
 or edge and walks the orbits with ``orbits``; ``coset_domain_check`` grows
 its spanning tree with a FIFO queue, walks the boundary side by side and
@@ -344,6 +345,11 @@ def normalize(kind, num, den, p):
             f"({num}, {den}) is not a coordinate mod {n}: {p.m} divides the kind-{kind} {part}"
         )
     return HFCoord(kind, *min((a, c), (-a % n, -c % n)))
+
+
+def code_of(u, p) -> int:
+    """The library's code kind*n*n + num*n + den of the coordinate u."""
+    return (("A", "B").index(u.kind) * p.n + u.num) * p.n + u.den
 
 
 def _unreached(kind, a, c, p) -> bool:
@@ -722,12 +728,14 @@ def coset_domain(sigma, alpha) -> tuple[int, int, int, int, int]:
 
 
 def search_circuits(start, length, pole_positions, p) -> list:
-    """Closed walks from start with exactly the given pole positions, in
-    depth-first order over sorted neighbours, pruned by distance to start."""
-    if (0 in pole_positions) != (start.den == 0):
-        return []
+    """Closed walks from the coordinate code start with exactly the given
+    pole positions, in depth-first order over sorted neighbours, pruned by
+    distance to start."""
     graph = build_coordinate_graph(p)
     nodes = graph.nodes
+    start_idx = graph.codes.tolist().index(start)
+    if (0 in pole_positions) != (nodes[start_idx].den == 0):
+        return []
     nbrs = [[] for _ in nodes]
     for a, b in graph.edges:
         nbrs[a].append(b)
@@ -736,7 +744,6 @@ def search_circuits(start, length, pole_positions, p) -> list:
         lst.sort()
     pole_flags = [u.den == 0 for u in nodes]
 
-    start_idx = nodes.index(start)
     dist = np.full(len(nodes), -1, dtype=np.int64)
     dist[start_idx] = 0
     queue = [start_idx]
@@ -757,7 +764,7 @@ def search_circuits(start, length, pole_positions, p) -> list:
         remaining = length - pos
         if remaining == 0:
             if cur == start_idx:
-                results.append(Circuit(tuple(nodes[i] for i in path[:-1])))
+                results.append(Circuit(tuple(code_of(nodes[i], p) for i in path[:-1])))
             return
         for w in nbrs[cur]:
             if dist[w] > remaining - 1:
@@ -777,8 +784,8 @@ def search_circuits(start, length, pole_positions, p) -> list:
 
 def circuits_of(rows: np.ndarray, p) -> list:
     """The rows of a ``polygon.search_circuits`` table as Circuits."""
-    nodes = build_coordinate_graph(p).nodes
-    return [Circuit(tuple(nodes[i] for i in row)) for row in rows.tolist()]
+    codes = build_coordinate_graph(p).codes.tolist()
+    return [Circuit(tuple(codes[i] for i in row)) for row in rows.tolist()]
 
 
 def format_circuit(c, p) -> str:
@@ -788,7 +795,8 @@ def format_circuit(c, p) -> str:
         return ",".join(table.name(u) for u in c.seq)
     except (ValueError, KeyError):
         pass
-    return ",".join(f"{u.kind}:{u.num}/{u.den}" for u in c.seq)
+    triples = (divmod(u, p.n) for u in c.seq)
+    return ",".join(f"{'AB'[top // p.n]}:{top % p.n}/{den}" for top, den in triples)
 
 
 def circuit_text(rows, labels) -> str:

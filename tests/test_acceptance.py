@@ -52,7 +52,8 @@ def test_c02_genus_four_map():
     assert inv.vertex_valency == 5
     assert inv.face_size == 4
     table = C.vertex_names(P45)
-    cusps = {oracles.cusp_of(g, P45) for g in oracles.eight_slots(group.rows, P45.m).tolist()}
+    cusps = {oracles.code_of(oracles.cusp_of(g, P45), P45)
+             for g in oracles.eight_slots(group.rows, P45.m).tolist()}
     assert cusps == {table.coord(name) for name in table.names()}
     assert len(cusps) == 24
     _report("criterion 2: genus-4 map of type {5,4} with the 24 named vertices")
@@ -66,7 +67,7 @@ def test_c03_cube():
     assert (inv.vertices, inv.edges, inv.faces, inv.genus) == (8, 12, 6, 0)
     assert M.is_isomorphic(M.cube_map(), amap)
     table = C.vertex_names(p)
-    assert {table.coord(nm) for nm in table.names()} == set(C.enumerate_coords(p))
+    assert {table.coord(nm) for nm in table.names()} == set(C.coordinate_codes(p).tolist())
     rep = M.correspondence_check(group, amap, M.build_coordinate_graph(p))
     assert rep.ok and rep.vertex_bijection and rep.edges_matched
     _report("criterion 3: the 8 fractions mod 3 assemble into the cube")
@@ -75,7 +76,7 @@ def test_c03_cube():
 def test_c04_icosahedron():
     p = HeckeParams(3, 5)
     listed = {C.parse_fraction(s, p) for s in C.Q3_N5_FRACTIONS}
-    assert listed == set(C.enumerate_coords(p))
+    assert listed == set(C.coordinate_codes(p).tolist())
     graph = M.build_coordinate_graph(p)
     assert len(graph.nodes) == 12
     assert len(graph.edges) == 30
@@ -104,10 +105,10 @@ def test_c06_circuit_and_boundary():
     table = C.vertex_names(P45)
     counts = Counter(table.name(boundary.slots[i]) for i in boundary.pole_slots)
     assert counts == {"H2": 5, "C2": 5, "B1": 10}
-    t = generators(P45)[1].tolist()
-    assert C.apply_to_coord(t, table.coord("E1"), P45) == table.coord("G1")
-    assert C.apply_to_coord(t, table.coord("F2"), P45) == table.coord("E2")
-    assert C.apply_to_coord(t, table.coord("H2"), P45) == table.coord("H2")
+    t = generators(P45)[1]
+    assert C.apply_codes(t, table.coord("E1"), P45) == table.coord("G1")
+    assert C.apply_codes(t, table.coord("F2"), P45) == table.coord("E2")
+    assert C.apply_codes(t, table.coord("H2"), P45) == table.coord("H2")
     _report("criterion 6: 12-circuit, 60-slot boundary, translation identities")
 
 
@@ -143,10 +144,10 @@ def test_c09_property_suites():
         p = HeckeParams(q, n)
         group = cached_group(q, n)
         graph = M.build_coordinate_graph(p)
-        index = {u: i for i, u in enumerate(graph.nodes)}
+        index = {u: i for i, u in enumerate(graph.codes.tolist())}
         adj = graph.adjacency_matrix()
         for g in group.rows:
-            perm = np.asarray([index[C.apply_to_coord(g, u, p)] for u in graph.nodes])
+            perm = np.asarray([index[int(C.apply_codes(g, u, p))] for u in graph.codes.tolist()])
             assert np.array_equal(adj[np.ix_(perm, perm)], adj)
         if q == 4:
             assert graph.is_bipartite_by_kind()

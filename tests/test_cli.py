@@ -224,6 +224,23 @@ def test_circuit_search(capsys):
     assert int(lines[-1].split()[1]) == len(lines) - 1 > 0
 
 
+@pytest.mark.parametrize("q,n,search", [
+    (4, 6, "--start A:1/0 --length 4 --poles 0"),  # raw kind:num/den triples
+    (4, 5, "--length 6 --poles 0,3"),  # vertex names
+])
+def test_searched_circuits_pass_verify(capsys, tmp_path, q, n, search):
+    """Every line of a search listing, written to a file, reads back as a
+    circuit that ``circuit --verify`` accepts."""
+    qn = ["--q", str(q), "--n", str(n)]
+    code, out, _ = run(capsys, "circuit", *qn, "--search", *search.split())
+    lines = out.splitlines()
+    assert code == 0 and len(lines) > 1 and lines[-1] == f"# {len(lines) - 1} circuits"
+    path = tmp_path / "circuit.txt"
+    for line in lines[:-1]:
+        path.write_text(line + "\n")
+        assert run(capsys, "circuit", *qn, "--verify", str(path)) == (0, "OK\n", "")
+
+
 def test_polygon(capsys, tmp_path):
     hexagon = tmp_path / "hexagon.txt"
     hexagon.write_text(HEXAGON)
@@ -446,7 +463,8 @@ def test_empty_circuit_file_fails_verify(capsys):
 def test_coords_on_even_modulus(capsys):
     p = HeckeParams(4, 6)
     code, out, err = run(capsys, "coords", "--q", "4", "--n", "6")
-    want = "".join(coord_value_str(u, p) + "\n" for u in oracles.enumerate_coords(p))
+    want = "".join(coord_value_str(oracles.code_of(u, p), p) + "\n"
+                   for u in oracles.enumerate_coords(p))
     assert (code, out, err) == (0, want, "")
     assert len(out.splitlines()) == 16
 

@@ -7,15 +7,16 @@ from conftest import as_matrix
 from hfmap.coords import (
     HFCoord,
     Q3_N5_FRACTIONS,
-    apply_to_coord,
+    apply_codes,
+    code_coord,
+    coord_value_str,
     coordinate_codes,
-    enumerate_coords,
     normalize,
     parse_fraction,
     vertex_names,
 )
 from hfmap.group import HeckeParams, cached_group, generators
-from oracles import adjacent, cusp_of
+from oracles import adjacent, code_of, cusp_of, enumerate_coords
 from ring import (
     RingElem,
     RingParams,
@@ -33,9 +34,9 @@ P35 = HeckeParams(3, 5)
 
 def test_normalize_sign_examples():
     # -(4,2) = (1,3) mod 5, and (1,3) is the canonical representative (F2)
-    assert normalize("B", 4, 2, P45) == HFCoord("B", 1, 3)
-    assert vertex_names(P45).name(HFCoord("B", 1, 3)) == "F2"
-    assert normalize("A", 1, 0, P45) == HFCoord("A", 1, 0)
+    assert code_coord(normalize("B", 4, 2, P45), P45) == HFCoord("B", 1, 3)
+    assert vertex_names(P45).name(normalize("B", 4, 2, P45)) == "F2"
+    assert normalize("A", 1, 0, P45) == P45.n  # 1/0 has code n
     # sqrt2/2 and 2sqrt2/1 are the same vertex of the cube map
     assert normalize("B", 1, 2, P43) == normalize("B", 2, 1, P43)
 
@@ -53,14 +54,15 @@ def test_normalize_rejects_non_coprime():
         normalize("A", 3, 1, p69)
     with pytest.raises(ValueError, match="3 divides the kind-B denominator"):
         normalize("B", 1, 6, p69)
-    assert normalize("B", 3, 1, p69) == HFCoord("B", 3, 1)
+    assert code_coord(normalize("B", 3, 1, p69), p69) == HFCoord("B", 3, 1)
 
 
 def test_normalize_idempotent_exhaustive():
     for p in (P45, P43, HeckeParams(4, 7)):
-        for u in enumerate_coords(p):
-            assert normalize(u.kind, u.num, u.den, p) == u
-            assert normalize(u.kind, -u.num, -u.den, p) == u
+        for code in coordinate_codes(p).tolist():
+            kind, num, den = code_coord(code, p)
+            assert normalize(kind, num, den, p) == code
+            assert normalize(kind, -num, -den, p) == code
 
 
 @pytest.mark.parametrize(
@@ -69,7 +71,7 @@ def test_normalize_idempotent_exhaustive():
      (HeckeParams(4, 6), 16)],
 )
 def test_enumeration_count_is_group_order_over_n(p, count):
-    coords = enumerate_coords(p)
+    coords = coordinate_codes(p)
     assert len(coords) == count
     assert len(coords) == cached_group(p.q, p.n).order // p.n
 
@@ -77,10 +79,10 @@ def test_enumeration_count_is_group_order_over_n(p, count):
 def test_names_table_is_bijective():
     t45 = vertex_names(P45)
     assert len(t45.names()) == 24
-    assert sorted(t45.coord(n) for n in t45.names()) == enumerate_coords(P45)
+    assert sorted(t45.coord(n) for n in t45.names()) == coordinate_codes(P45).tolist()
     t43 = vertex_names(P43)
     assert len(t43.names()) == 8
-    assert sorted(t43.coord(n) for n in t43.names()) == enumerate_coords(P43)
+    assert sorted(t43.coord(n) for n in t43.names()) == coordinate_codes(P43).tolist()
     with pytest.raises(ValueError):
         vertex_names(P35)
 
@@ -95,13 +97,17 @@ def test_name_table_is_built_once_per_params():
 def test_icosahedron_fraction_list():
     assert len(Q3_N5_FRACTIONS) == 12
     listed = {parse_fraction(s, P35) for s in Q3_N5_FRACTIONS}
-    assert listed == set(enumerate_coords(P35))
+    assert listed == set(coordinate_codes(P35).tolist())
+
+
+def _named(name, p):
+    """The coordinate of a customary name, as the oracles take it."""
+    return code_coord(vertex_names(p).coord(name), p)
 
 
 def test_adjacency_examples():
-    t = vertex_names(P45)
-    assert adjacent(t.coord("H2"), t.coord("E1"), P45)  # 2*0 - 2*2*1 = -4 = 1 mod 5
-    assert adjacent(t.coord("A1"), t.coord("A2"), P45)  # infinity joined to 0
+    assert adjacent(_named("H2", P45), _named("E1", P45), P45)  # 2*0 - 2*2*1 = -4 = 1 mod 5
+    assert adjacent(_named("A1", P45), _named("A2", P45), P45)  # infinity joined to 0
     for u in enumerate_coords(P45):
         assert not adjacent(u, u, P45)
     # symmetry
@@ -124,8 +130,8 @@ def _poles(p):
 
 def test_poles():
     t = vertex_names(P45)
-    assert {t.name(u) for u in _poles(P45)} == {"A1", "B1", "C2", "H2"}
-    assert {f"{u.num}/{u.den}" for u in _poles(P35)} == {"1/0", "2/0"}
+    assert {t.name(code_of(u, P45)) for u in _poles(P45)} == {"A1", "B1", "C2", "H2"}
+    assert {coord_value_str(code_of(u, P35), P35) for u in _poles(P35)} == {"1/0", "2/0"}
     assert len(_poles(P43)) == 2
     # The library finds poles by the den digit of their codes.
     assert (coordinate_codes(P43) % P43.n == 0).sum() == 2
@@ -135,8 +141,8 @@ def test_cusp_examples(group45):
     t = vertex_names(P45)
     s, _, r = oracles.eight_slots(generators(P45), P45.m)
     assert cusp_of(oracles.eight_slots(group45.rows[0], P45.m), P45) == HFCoord("A", 1, 0)
-    assert t.name(cusp_of(s, P45)) == "A2"  # S sends infinity to 0
-    assert t.name(cusp_of(r, P45)) == "D2"  # R sends infinity to sqrt2/1
+    assert t.name(code_of(cusp_of(s, P45), P45)) == "A2"  # S sends infinity to 0
+    assert t.name(code_of(cusp_of(r, P45), P45)) == "D2"  # R sends infinity to sqrt2/1
 
 
 def test_cusp_constant_on_translation_cosets(group45, map45):
@@ -152,7 +158,7 @@ def test_cusp_fibers_have_size_n(qn):
     group = cached_group(*qn)
     fibers = Counter(cusp_of(g, p) for g in oracles.eight_slots(group.rows, p.m).tolist())
     assert set(fibers.values()) == {p.n}
-    assert sorted(fibers) == enumerate_coords(p)
+    assert [code_of(u, p) for u in sorted(fibers)] == coordinate_codes(p).tolist()
 
 
 def test_even_columns_realize_the_adjacency_determinant(group45):
@@ -164,13 +170,18 @@ def test_even_columns_realize_the_adjacency_determinant(group45):
         a, c = g.e11.rat, g.e21.irr
         b, d = g.e12.irr, g.e22.rat
         assert (a * d - 2 * b * c) % 5 == 1
-        u = normalize("A", a, c, P45)
-        v = normalize("B", b, d, P45)
+        u = oracles.normalize("A", a, c, P45)
+        v = oracles.normalize("B", b, d, P45)
         assert adjacent(u, v, P45)
 
 
-def _translate(u, p):
-    return apply_to_coord(generators(p)[1].tolist(), u, p)
+def _apply(g, u, p):
+    """The library's action of the row g on the oracle coordinate u."""
+    return code_coord(apply_codes(g, code_of(u, p), p), p)
+
+
+def _translate(code, p):
+    return int(apply_codes(generators(p)[1], code, p))
 
 
 def test_translation_action_examples():
@@ -186,14 +197,14 @@ def test_translation_matches_matrix_action():
         p = HeckeParams(q, n)
         _, tmat, _ = generators(p)
         for u in enumerate_coords(p):
-            assert apply_to_coord(tmat, u, p) == oracles.translate(u, p)
+            assert _apply(tmat, u, p) == oracles.translate(u, p)
 
 
 def test_translation_orbit_structure():
     # fixed: the four poles; every other orbit has length 5
     sizes = Counter()
     seen = set()
-    for u in enumerate_coords(P45):
+    for u in coordinate_codes(P45).tolist():
         if u in seen:
             continue
         orbit = {u}
@@ -209,7 +220,7 @@ def test_translation_orbit_structure():
 def test_inversion_swaps_kinds():
     s, _, _ = generators(P45)
     for u in enumerate_coords(P45):
-        assert apply_to_coord(s, u, P45).kind != u.kind
+        assert _apply(s, u, P45).kind != u.kind
 
 
 @pytest.mark.parametrize("qn", [(4, 3), (4, 5), (3, 5)])
@@ -221,7 +232,7 @@ def test_adjacency_equivariance_exhaustive(qn):
         (u, v) for u in coords for v in coords if adjacent(u, v, p)
     }
     for g in group.rows:
-        images = {u: apply_to_coord(g, u, p) for u in coords}
+        images = {u: _apply(g, u, p) for u in coords}
         assert {(images[u], images[v]) for u, v in adj} == adj
 
 
@@ -237,11 +248,11 @@ def _ring_image(g, u, p):
     w1 = ring_add(ring_mul(g.e11, top, rp), ring_mul(g.e12, bot, rp), rp)
     w2 = ring_add(ring_mul(g.e21, top, rp), ring_mul(g.e22, bot, rp), rp)
     if p.q == 3:
-        return normalize("A", w1.rat, w2.rat, p)
+        return oracles.normalize("A", w1.rat, w2.rat, p)
     if w1.irr == 0 and w2.rat == 0:
-        return normalize("A", w1.rat, w2.irr, p)
+        return oracles.normalize("A", w1.rat, w2.irr, p)
     assert w1.rat == 0 and w2.irr == 0
-    return normalize("B", w1.irr, w2.rat, p)
+    return oracles.normalize("B", w1.irr, w2.rat, p)
 
 
 def _ring_order(g, p):
@@ -278,13 +289,13 @@ def test_row_api_matches_ring_oracle(qn):
     p = HeckeParams(*qn)
     group = cached_group(*qn)
     coords = enumerate_coords(p)
-    infinity = normalize("A", 1, 0, p)
+    infinity = oracles.normalize("A", 1, 0, p)
     odd = _word_parities(p) if p.q != 3 else None
     assert odd is None or len(odd) == group.order
     for row, slot_row in zip(group.rows.tolist(), oracles.eight_slots(group.rows, p.m).tolist()):
         g = as_matrix(slot_row)
         assert cusp_of(slot_row, p) == _ring_image(g, infinity, p)
-        assert [apply_to_coord(row, u, p) for u in coords] == [
+        assert [_apply(row, u, p) for u in coords] == [
             _ring_image(g, u, p) for u in coords
         ]
         assert oracles.element_order(slot_row, p) == _ring_order(g, p)

@@ -69,3 +69,21 @@ def test_kernels_is_a_leaf():
     """``kernels`` imports nothing from the package, not even for annotations."""
     path = PACKAGE / "kernels.py"
     assert list(_package_imports(ast.parse(path.read_text(), str(path)), typing=True)) == []
+
+
+def test_coordinates_are_codes_past_the_coords_module():
+    """A coordinate is its int code: ``polygon``, ``verify``, ``render`` and
+    ``cli`` name no ``HFCoord``, neither imported nor as a module attribute,
+    and ``coords`` defines none of the converters the two formats needed."""
+    for module in ("polygon", "verify", "render", "cli"):
+        path = PACKAGE / f"{module}.py"
+        tree = ast.parse(path.read_text(), str(path))
+        named = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.alias) and node.name == "HFCoord"
+                 or isinstance(node, ast.Name) and node.id == "HFCoord"
+                 or isinstance(node, ast.Attribute) and node.attr == "HFCoord"]
+        assert named == [], module
+    path = PACKAGE / "coords.py"
+    defined = {node.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined.isdisjoint({"coord_codes", "apply_to_coord", "enumerate_coords"})

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import oracles
@@ -103,6 +104,22 @@ def test_cube_recognition(map43):
     swapped = _swap_alpha_pairs(map43, 0, 3)
     assert swapped.darts == 24 and oracles.is_connected(swapped)
     assert not is_isomorphic(cube, swapped)
+
+
+def test_a_row_with_one_first_column_entry_negated_is_caught():
+    """Fact (a) takes a row's first column (kind, a, c) as its block head's
+    or the negative of both entries.  Element 6 of (4, 5) has 2a and 2c
+    nonzero mod 5, so (a, -c) is neither, and only fact (a) sees it: the
+    cusps are read off the heads alone."""
+    p = HeckeParams(4, 5)
+    group = cached_group(4, 5)
+    rows = group.rows.copy()
+    kind, a, c = (int(v) for v in rows[6, [0, 1, 3]])
+    assert 6 % p.n and kind == 0 and 2 * a % p.n and 2 * c % p.n
+    rows[6, 3] = -c % p.n
+    got = projection_certificate(SimpleNamespace(params=p, rows=rows), build_algebraic_map(group))
+    assert got.ok is False
+    assert got.problems == ["elements whose first column is not their block head's: 1, the first 6"]
 
 
 @pytest.mark.parametrize("qn", [(4, 3), (4, 5), (3, 5), (6, 5), (4, 7)])

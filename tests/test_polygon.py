@@ -6,7 +6,7 @@ import oracles
 import pytest
 
 from hfmap import cli, polygon
-from hfmap.coords import HFCoord, vertex_names
+from hfmap.coords import code_coord, vertex_names
 from hfmap.group import HeckeParams, cached_group
 from hfmap.maps import build_coordinate_graph
 from hfmap.polygon import (
@@ -78,9 +78,11 @@ def test_search_edge_cases(table):
         search_circuits(h2, 0, set(), P45)
     with pytest.raises(ValueError, match=r"^pole position 12 is outside 0\.\.11$"):
         search_circuits(h2, 12, {0, 12}, P45)
-    # (4, 0) is no sign-canonical class: its code is no node's
-    with pytest.raises(ValueError, match=r"^start HFCoord\(kind='A', num=4, den=0\) is not"):
-        search_circuits(HFCoord("A", 4, 0), 4, {0}, P45)
+    # Codes below 0 or from 2*n*n on are no coordinates, and neither is 20,
+    # A:4/0, which is no sign-canonical class: its code is no node's
+    for start in (-45, -1, 2 * 5 * 5, 20):
+        with pytest.raises(ValueError, match=rf"^start {start} is not a coordinate mod 5$"):
+            search_circuits(start, 4, {0}, P45)
     # start poleness must match position 0: the start row is not kept
     found = search_circuits(table.coord("E1"), 4, {0}, P45)
     assert found.shape == (0, 4) and found.dtype == np.int32
@@ -349,8 +351,8 @@ def test_pairing_text_roundtrip():
 
 def _rows(circuit, p):
     """A one-row walk table of the circuit's node indices."""
-    nodes = build_coordinate_graph(p).nodes
-    return np.array([[nodes.index(u) for u in circuit.seq]], dtype=np.int32)
+    codes = build_coordinate_graph(p).codes.tolist()
+    return np.array([[codes.index(u) for u in circuit.seq]], dtype=np.int32)
 
 
 @pytest.mark.parametrize("qn,count", [((4, 5), 24), ((4, 3), 8)])
@@ -359,9 +361,9 @@ def test_name_tables_name_every_graph_node(qn, count):
     with a name table only because the table names every graph node."""
     p = HeckeParams(*qn)
     table = vertex_names(p)
-    nodes = build_coordinate_graph(p).nodes
-    assert len(nodes) == count
-    names = [table.name(u) for u in nodes]
+    codes = build_coordinate_graph(p).codes.tolist()
+    assert len(codes) == count
+    names = [table.name(u) for u in codes]
     assert circuit_labels(p).tolist() == names
 
 
@@ -371,7 +373,7 @@ def test_circuit_text_roundtrip(table):
     assert named == ",".join(BRING_CIRCUIT_NAMES) + "\n"
     assert named == oracles.format_circuit(c, P45) + "\n"
     assert parse_circuit_text(named, P45) == c
-    raw = ",".join(f"{u.kind}:{u.num}/{u.den}" for u in c.seq)
+    raw = ",".join("%s:%d/%d" % code_coord(u, P45) for u in c.seq)
     assert parse_circuit_text(raw, P45) == c
     # Without a name table the circuit is written as kind:num/den triples.
     p47 = HeckeParams(4, 7)

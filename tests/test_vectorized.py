@@ -1,7 +1,8 @@
 """The array passes of the library against their scalar references.
 
 ``oracles`` holds the per-coordinate rules (``normalize``,
-``enumerate_coords``, ``adjacent``, ``cusp_of``, ``apply_to_coord``), the
+``enumerate_coords``, ``adjacent``, ``cusp_of``, ``apply_to_coord``), on
+triples that ``oracles.code_of`` turns into the library's codes, the
 per-element orbit walks, correspondence check and invariants, the
 coset-domain check with its queue BFS and side-by-side boundary walk, and
 the circuit search pruned by BFS distances with its one-circuit-at-a-time
@@ -22,10 +23,8 @@ from hfmap.coords import (
     apply_codes,
     code_coord,
     completion_table,
-    coord_codes,
     coordinate_codes,
     cusp_codes,
-    enumerate_coords,
     normalize,
     vertex_names,
 )
@@ -73,16 +72,17 @@ def test_normalize_matches_oracle(q, n):
         for num in values:
             for den in values:
                 got = _outcome(normalize, kind, num, den, p)
-                assert got == _outcome(oracles.normalize, kind, num, den, p)
-                assert not isinstance(got, tuple) or type(got.num) is int
+                want = _outcome(oracles.normalize, kind, num, den, p)
+                assert isinstance(got, str) or type(got) is int
+                assert got == (want if isinstance(want, str) else oracles.code_of(want, p))
 
 
 @pytest.mark.parametrize("q,n", CLASS_CASES + [(4, 233)])
 def test_enumerate_coords_matches_oracle(q, n):
     p = HeckeParams(q, n)
-    nodes = enumerate_coords(p)
-    assert nodes == oracles.enumerate_coords(p)
-    assert np.array_equal(coordinate_codes(p), coord_codes(nodes, p))
+    nodes = oracles.enumerate_coords(p)
+    assert [code_coord(c, p) for c in coordinate_codes(p).tolist()] == nodes
+    assert coordinate_codes(p).tolist() == [oracles.code_of(u, p) for u in nodes]
 
 
 @pytest.mark.parametrize("q,n", CASES)
@@ -102,7 +102,7 @@ def test_coordinate_graph_matches_scalar_rule(q, n):
     # The list views are the arrays, and the array forms agree with loops.
     assert graph.pairs.dtype == np.int64 and graph.pairs.shape == (len(want), 2)
     assert graph.edges == [tuple(r) for r in graph.pairs.tolist()]
-    assert np.array_equal(graph.codes, coord_codes(nodes, p))
+    assert graph.codes.tolist() == [oracles.code_of(u, p) for u in nodes]
     mat = np.zeros((len(nodes), len(nodes)), dtype=bool)
     for a, b in graph.edges:
         mat[a, b] = mat[b, a] = True
@@ -114,8 +114,8 @@ def test_coordinate_graph_matches_scalar_rule(q, n):
 @pytest.mark.parametrize("q,n", CASES)
 def test_coord_codes_follow_coordinate_order(q, n):
     p = HeckeParams(q, n)
-    nodes = enumerate_coords(p)
-    codes = coord_codes(nodes, p)
+    nodes = oracles.enumerate_coords(p)
+    codes = [oracles.code_of(u, p) for u in nodes]
     assert np.all(np.diff(codes) > 0)
     assert [code_coord(c, p) for c in codes] == nodes
 
@@ -126,12 +126,13 @@ def test_adjacent_codes_matches_adjacent(q, n):
     p = HeckeParams(q, n)
     rng = np.random.default_rng(q * n)
     kinds = "A" if q == 3 else "AB"
-    coords = []
-    while len(coords) < 60:
+    codes = []
+    while len(codes) < 60:
         a, c = (int(v) for v in rng.integers(0, n, size=2))
         if np.gcd.reduce([a, c, n]) == 1:
-            coords.append(normalize(kinds[len(coords) % len(kinds)], a, c, p))
-    codes = coord_codes(coords, p)
+            codes.append(normalize(kinds[len(codes) % len(kinds)], a, c, p))
+    coords = [code_coord(c, p) for c in codes]
+    codes = np.array(codes)
     got = adjacent_codes(codes[:, None], codes[None, :], p)
     assert got.tolist() == [[oracles.adjacent(u, v, p) for v in coords] for u in coords]
 
@@ -150,8 +151,8 @@ def test_apply_codes_matches_apply_to_coord(q, n):
     """Every element on every coordinate, in one call."""
     p = HeckeParams(q, n)
     group = cached_group(q, n)
-    nodes = enumerate_coords(p)
-    got = apply_codes(group.rows[:, None], coord_codes(nodes, p), p)
+    nodes = oracles.enumerate_coords(p)
+    got = apply_codes(group.rows[:, None], [oracles.code_of(u, p) for u in nodes], p)
     assert got.shape == (group.order, len(nodes))
     rows = oracles.eight_slots(group.rows, p.m).tolist()
     want = [[oracles.apply_to_coord(g, u, p) for u in nodes] for g in rows]
@@ -462,14 +463,14 @@ def test_problem_strings_list_coordinates_sorted():
     group = cached_group(4, 5)
     amap = build_algebraic_map(group)
     zero, inf = normalize("A", 0, 1, p), normalize("A", 1, 0, p)
-    heads = [code_coord(c, p) for c in cusp_codes(group.rows[::5], p)]
+    heads = cusp_codes(group.rows[::5], p).tolist()
     assert heads[0] == inf
     e = 5 * heads.index(zero)
     alpha = amap.alpha.copy()
     alpha[[0, e, amap.alpha[0], amap.alpha[e]]] = [e, 0, amap.alpha[e], amap.alpha[0]]
     got = projection_certificate(group, MapStructure(sigma=amap.sigma, alpha=alpha))
     assert got.problems[0].startswith("darts that project to non-adjacent coordinates: ")
-    assert got.problems[0].endswith(f", the first {zero} and {inf}")
+    assert got.problems[0].endswith(f", the first {code_coord(zero, p)} and {code_coord(inf, p)}")
 
 
 def test_a_cusp_that_is_no_node_fails_the_edge_match():
@@ -570,15 +571,15 @@ def test_search_circuits_matches_oracle(q, n):
     """A pole start and a non-pole start, lengths 1-8, seeded random pole
     sets; position 0 mostly, not always, matches the start."""
     p = HeckeParams(q, n)
-    nodes = enumerate_coords(p)
-    starts = [next(u for u in nodes if u.den == 0), next(u for u in nodes if u.den != 0)]
+    codes = coordinate_codes(p).tolist()
+    starts = [next(u for u in codes if u % n == 0), next(u for u in codes if u % n)]
     rng = np.random.default_rng(100 * q + n)
     found = []
     for start in starts:
         for length in range(1, 9):
             for _ in range(2):
                 poles = {k for k in range(1, length) if rng.random() < 0.4}
-                if (start.den == 0) == (rng.random() < 0.8):
+                if (start % n == 0) == (rng.random() < 0.8):
                     poles.add(0)
                 got = search_circuits(start, length, poles, p)
                 assert got.shape == (len(got), length) and got.dtype == np.int32
