@@ -23,10 +23,11 @@ columns 1 to 4 of the stored rows and reads the products' kind off column
 ``residues`` takes residues by floor division in the int32 passes: the
 product keys, the second columns and the group's block pass.
 ``breadth_first_tree`` serves the group's connectivity pass and the
-coset-domain spanning tree.  ``coordinate_blocks`` cuts every pass over
-whole coordinates (n darts each) into blocks of at most ``CHUNK_DARTS``
-darts, so that its temporaries stay small at every modulus.  The module
-imports nothing from the package.
+coset-domain spanning tree, a slice of each level at a time.
+``coordinate_blocks`` cuts every pass over whole coordinates (n darts
+each) into blocks of at most ``CHUNK_DARTS`` darts, so that its
+temporaries stay small at every modulus.  The module imports nothing from
+the package.
 """
 
 from __future__ import annotations
@@ -54,18 +55,29 @@ __all__ = [
 # entries, below n**3, up to n = 1,290.  234 is set by the test oracle:
 # its 8-digit keys of the 8-slot form of a row need n**8 < 2**63 (234**8 <
 # 2**63 < 235**8), and so it can check the library's keys at any n in
-# range.  A higher top waits for a measured memory plan.  The largest
-# unreduced product sums, 2 * 3 * 233**2 in mat_mul_exact and 2 * 233**2
-# in slot_product_keys, are far smaller.  The group's block pass and
+# range.  Memory does not hold the top down: every stage of ``map`` peaks
+# within one block of what it keeps (BENCH_pipeline.json).  At (4, 233)
+# the group keeps 9 bytes per element and peaks at 17.3 while its int64
+# keys live, and the map, the invariants and the certificate keep 13 and
+# peak at 13.0-13.7.  A higher top waits for an oracle key that is exact
+# past 234.  The largest unreduced product sums, 2 * 3 * 233**2 in
+# mat_mul_exact and 2 * 233**2 in slot_product_keys, are far smaller.  The group's block pass and
 # Completion.second_columns run in int32: their second columns, class
 # codes and alpha offsets need n + n**2 < 2**31 (n up to 46,340), and
 # their element indices and sign tie-break, below n**3, the alpha
 # entries' bound.
 MAX_MODULUS = 234
 
-# Darts per block of the passes over whole coordinates: the group's
-# construction and check, the coordinate graph and the map certificate.
-CHUNK_DARTS = 1 << 16
+# Darts per block of every pass over whole arrays: the group's
+# construction and check, the coordinate graph, the map certificate and
+# MapStructure's alpha checks; and candidate edges per slice of a level of
+# breadth_first_tree.  A block's temporaries are about 40 bytes a dart, and
+# with every pass in blocks they are most of the peak at small sizes.  On
+# a 2-vCPU x86-64 VM the perfbench map-even workload (about 0.4 million
+# darts a map) peaked at 45.2 MB of RSS in 0.15-0.17 s with 1 << 14, at
+# 46.0 MB in 0.16-0.17 s with 1 << 15 and at 48.0 MB in 0.19 s with
+# 1 << 16; ``map --q 4 --n 233`` peaked at 241 MB with each.
+CHUNK_DARTS = 1 << 14
 
 
 def _check_modulus(n: int) -> None:
@@ -213,6 +225,12 @@ def breadth_first_tree(nbrs: np.ndarray) -> np.ndarray:
     level.  Any spanning tree serves both callers.  Which edge reaches a
     node when several do is not specified, but it is fixed for a given
     input.  The graph is connected exactly when the tree has N - 1 edges.
+
+    Each level is walked in slices of CHUNK_DARTS // k frontier nodes, so
+    that its int64 candidate edges stay within one block whatever the
+    level's size.  The slices run last to first, and a node reached from
+    several slices takes its edge from the last, so the tree is the one the
+    whole level walked at once gives.
     """
     size, k = nbrs.shape
     flat = nbrs.ravel()
@@ -221,16 +239,23 @@ def breadth_first_tree(nbrs: np.ndarray) -> np.ndarray:
     via = np.empty(size, dtype=np.int64)
     frontier = np.zeros(1, dtype=np.int64)
     tree = [frontier[:0]]
+    step = max(1, CHUNK_DARTS // k)
     while frontier.size:
-        cand = (np.multiply(frontier, k, dtype=np.int64)[:, None] + np.arange(k)).ravel()
-        reached = flat[cand]
-        new = ~seen[reached]
-        cand, reached = cand[new], reached[new]
-        via[reached] = cand
-        keep = via[reached] == cand
-        cand, frontier = cand[keep], reached[keep]
-        seen[frontier] = True
-        tree.append(cand)
+        edges, nodes = [], []
+        for lo in reversed(range(0, frontier.size, step)):
+            cand = (np.multiply(frontier[lo:lo + step], k, dtype=np.int64)[:, None]
+                    + np.arange(k)).ravel()
+            reached = flat[cand]
+            new = ~seen[reached]
+            cand, reached = cand[new], reached[new]
+            via[reached] = cand
+            keep = via[reached] == cand
+            cand, reached = cand[keep], reached[keep]
+            seen[reached] = True
+            edges.append(cand)
+            nodes.append(reached)
+        tree.extend(reversed(edges))
+        frontier = nodes[0] if len(nodes) == 1 else np.concatenate(nodes[::-1])
     return np.concatenate(tree)
 
 

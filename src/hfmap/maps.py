@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import kernels
 from .coords import (
     Completion,
     CuspError,
@@ -106,7 +107,10 @@ class MapStructure:
     """Dart system (sigma, alpha) with phi = alpha o sigma.
 
     The orbit labels and the invariants are computed once per map and
-    kept, so sigma and alpha are fixed at construction.
+    kept, so sigma and alpha are fixed at construction.  Construction
+    checks that alpha is a fixed-point-free involution, over blocks of
+    ``kernels.CHUNK_DARTS`` darts, so the check holds no array of all the
+    darts beyond sigma and alpha.
     """
 
     sigma: np.ndarray
@@ -116,10 +120,15 @@ class MapStructure:
         d = self.sigma.shape[0]
         if self.alpha.shape[0] != d:
             raise ValueError("sigma and alpha act on different dart sets")
-        darts = np.arange(d, dtype=self.alpha.dtype)
-        if np.any(self.alpha[self.alpha] != darts):
-            raise ValueError("alpha is not an involution")
-        if np.any(self.alpha == darts):
+        fixed = False
+        step = kernels.CHUNK_DARTS
+        for lo in range(0, d, step):
+            part = self.alpha[lo:lo + step]
+            darts = np.arange(lo, lo + part.size, dtype=part.dtype)
+            if np.any(self.alpha[part] != darts):
+                raise ValueError("alpha is not an involution")
+            fixed = fixed or bool(np.any(part == darts))
+        if fixed:
             raise ValueError("alpha has fixed darts")
 
     @property
@@ -315,10 +324,11 @@ def projection_certificate(group: FiniteHeckeGroup, amap: MapStructure) -> Corre
     (c) and (d) the n darts of a vertex are its n arcs, and with (a) and (b)
     the projection is a bijection onto the graph.  Only the head rows go
     through the class rule of ``cusp_codes``, and a head that is no cusp is
-    one problem that names the first such head; sigma's step, (c) and (d)
-    run over the blocks of ``kernels.coordinate_blocks``.  A map with other
-    than one dart per element is one problem.  Reads only ``params`` and
-    ``rows`` of the group.
+    one problem that names the first such head; (a), (c) and (d) run over
+    the blocks of ``kernels.coordinate_blocks``, so that beyond the cusp
+    codes of the heads the certificate holds one block's temporaries.  A
+    map with other than one dart per element is one problem.  Reads only
+    ``params`` and ``rows`` of the group.
     """
     return _certificate(group, amap)[0]
 
@@ -335,26 +345,29 @@ def _certificate(group: FiniteHeckeGroup,
         return CorrespondenceReport(False, False, False, 0, 0, [problem]), None
     problems: list[str] = []
 
-    # (a) and (b): vertex orbits, their first columns and their cusps.
-    blocks = all(np.array_equal(amap.sigma[b.start * n:b.stop * n],
-                                block_successor(b.start * n, b.stop * n, n))
-                 for b in coordinate_blocks(size, n))
+    # (a) and (b): vertex orbits, their first columns and their cusps.  The
+    # first column is (kind, a, c); a row that differs from its block head's
+    # may hold its negative, which keeps the kind.
+    rows, first = group.rows, [0, 1, 3]
+    blocks, moved = True, []
+    for b in coordinate_blocks(size, n):
+        darts = slice(b.start * n, b.stop * n)
+        blocks = blocks and np.array_equal(amap.sigma[darts],
+                                           block_successor(darts.start, darts.stop, n))
+        part = rows[darts]
+        differ = np.zeros((b.stop - b.start, n), dtype=bool)
+        for j in first:
+            col = part[:, j].reshape(-1, n)
+            differ |= col != col[:, :1]
+        at = np.flatnonzero(differ)
+        # Negated in a signed dtype: the rows may be unsigned.
+        heads = part[at - at % n][:, first].astype(np.int64) * [1, -1, -1] % n
+        moved.append(darts.start + at[np.any(part[at][:, first] != heads, axis=1)])
+    moved = np.concatenate(moved)
     vertex_count = size
     if not blocks:
         vertex_count = len(_orbit_sizes(amap.vertex_labels))
         problems.append("vertex orbits of sigma are not the blocks of n consecutive elements")
-    # The first column is (kind, a, c); a row that differs from its block
-    # head's may hold its negative, which keeps the kind.
-    rows = group.rows
-    first = [0, 1, 3]
-    differ = np.zeros((size, n), dtype=bool)
-    for j in first:
-        col = rows[:, j].reshape(size, n)
-        differ |= col != col[:, :1]
-    moved = np.flatnonzero(differ)
-    # Negated in a signed dtype: the rows may be unsigned.
-    heads = rows[moved - moved % n][:, first].astype(np.int64) * [1, -1, -1] % n
-    moved = moved[np.any(rows[moved][:, first] != heads, axis=1)]
     if moved.size:
         problems.append(
             f"elements whose first column is not their block head's: {moved.size}, "

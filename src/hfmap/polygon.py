@@ -24,6 +24,7 @@ from .coords import (
     adjacent_codes,
     apply_codes,
     code_coord,
+    coordinate_codes,
     coordinate_labels,
     normalize,
     vertex_names,
@@ -149,10 +150,16 @@ def pairing_rule_check(t: PairingTable) -> bool:
 
 
 def validate_circuit(c: Circuit, p: HeckeParams) -> bool:
-    """Adjacency-only validation; vertices and edges may repeat."""
+    """Every vertex is a coordinate, one of ``coordinate_codes``, and every
+    step, the closing one too, is an edge of ``adjacent_codes``; vertices
+    and edges may repeat.  The edge test alone reads any kind digit but 0
+    as kind B and ignores the sign representative, so it would pass codes
+    that name no coordinate."""
     if len(c.seq) < 2:
         return False
     codes = np.array(c.seq, dtype=np.int64)
+    if not np.isin(codes, coordinate_codes(p)).all():
+        return False
     return bool(adjacent_codes(codes, np.roll(codes, -1), p).all())
 
 
@@ -474,43 +481,48 @@ def _glued_domain(sigma: np.ndarray, alpha: np.ndarray) -> tuple[int, MapStructu
     boundary walk covers every side.
     """
     size = sigma.shape[0]
-    sides = 4 * size
-    ids = np.arange(sides, dtype=np.int64)
-    sigma_inv = np.empty(size, dtype=np.int64)
-    sigma_inv[sigma] = ids[:size]
-    # The tile across each side (L -> g*T^-1, arc1/arc2 -> g*S, R -> g*T),
-    # and the side it is glued to there.
+    sigma_inv = np.empty(size, dtype=np.intp)
+    sigma_inv[sigma] = np.arange(size)
+    # The tile across each side (L -> g*T^-1, arc1/arc2 -> g*S, R -> g*T);
+    # side s is glued to side 4*crossed[s] + 3 - s % 4 there, its partner.
     crossed = np.stack([sigma_inv, alpha, alpha, sigma], axis=1).ravel()
-    partner = 4 * crossed + np.tile(np.array([3, 2, 1, 0], dtype=np.int64), size)
+    del sigma_inv
 
     cand = breadth_first_tree(crossed.reshape(size, 4))
     if cand.size != size - 1:
         raise RuntimeError("tile graph is disconnected")
-    tree = np.zeros(sides, dtype=bool)
+    tree = np.zeros(4 * size, dtype=bool)
     tree[cand] = True
-    tree[partner[cand]] = True
+    tree[4 * crossed[cand] + 3 - cand % 4] = True
     tree_edges = int(cand.size)
+    del cand
 
-    # Boundary successor: from the side after s on its tile, cross glued
-    # (tree) sides around the corner until a boundary side is reached.
-    # step is that crossing, fixed on boundary sides; pointer doubling
-    # iterates it to its fixed point.
-    rotate = ids + 1
-    rotate[3::4] -= 4
-    step = np.where(tree, rotate[partner], ids)
-    rounds = (sides - 1).bit_length() + 1
-    for _ in range(rounds):
-        if not tree[step].any():
-            break
-        step = step[step]
-    else:
-        raise RuntimeError(f"boundary successor did not settle in {rounds} doubling rounds")
-    successor = step[rotate]
-
+    # turn[s] = 4*crossed[s] + (0, 3, 2, 1)[s % 4] is the side after s's
+    # partner on the partner's tile.  sigma takes a boundary side s to the
+    # successor of its partner: from turn[s], cross glued (tree) sides round
+    # the corner until a boundary side is reached.  Every tree side is
+    # crossed once, on the walk of one corner, so the walks take at most
+    # as many steps as there are tree sides.
+    turn = crossed  # in place: crossed is not read again
+    turn *= 4
+    turn.reshape(size, 4)[:] += [0, 3, 2, 1]
     boundary = np.flatnonzero(~tree)
+    ends = turn[boundary]
+    tree_sides = 2 * tree_edges
+    active = np.flatnonzero(tree[ends])
+    for _ in range(tree_sides):
+        if not active.size:
+            break
+        crossing = turn[ends[active]]
+        ends[active] = crossing
+        active = active[tree[crossing]]
+    if active.size:
+        raise RuntimeError(f"boundary successor did not settle in {tree_sides} steps")
+    partner = turn[boundary] // 4 * 4 + 3 - boundary % 4
+    del turn, crossed
+
     local = np.cumsum(~tree) - 1  # the rank of each boundary side
-    mate = local[partner[boundary]]
-    return tree_edges, MapStructure(sigma=local[successor[partner[boundary]]], alpha=mate)
+    return tree_edges, MapStructure(sigma=local[ends], alpha=local[partner])
 
 
 # ---------------------------------------------------------------------------

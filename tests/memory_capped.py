@@ -1,6 +1,6 @@
 """Run the hfmap CLI with its address space capped at current use + 64 MiB.
 
-    python tests/memory_capped.py map --q 4 --n 151 --json
+    python tests/memory_capped.py map --q 4 --n 233 --json
 
 The cap is RLIMIT_AS, set after hfmap.cli and numpy are imported, so it is
 the command itself that runs out of memory.  Exits with the CLI's code.

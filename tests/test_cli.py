@@ -121,7 +121,7 @@ def test_address_space_cap_exits_2(tmp_path):
     script = Path(__file__).resolve().parent / "memory_capped.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, str(script), "map", "--q", "4", "--n", "151", "--json"],
+        [sys.executable, str(script), "map", "--q", "4", "--n", "233", "--json"],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 2 and proc.stdout == ""

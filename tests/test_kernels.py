@@ -411,10 +411,23 @@ def test_breadth_first_tree_spans_what_a_queue_reaches():
         assert [level[h] for h in heads] == sorted(level[h] for h in heads)
 
 
+def test_breadth_first_tree_does_not_depend_on_the_slices(monkeypatch):
+    """A level walked in slices gives the tree of the level walked whole."""
+    rng = np.random.default_rng(7)
+    tables = list(_random_tables(rng))
+    monkeypatch.setattr(kernels, "CHUNK_DARTS", 1 << 30)
+    whole = [kernels.breadth_first_tree(nbrs).tobytes() for nbrs in tables]
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(kernels, "CHUNK_DARTS", chunk)
+        assert [kernels.breadth_first_tree(nbrs).tobytes() for nbrs in tables] == whole
+
+
 def test_breadth_first_tree_reads_the_group_table_in_place():
     """The generation pass's tree on the int32 (V, n) table of alpha // n
-    traces about 12 bytes per entry.  Widening the table to int64 and
-    sorting node codes per level took 28.6."""
+    traces about 0.5 bytes per entry: candidate edges of one slice of a
+    level at a time, and per-node arrays.  Candidates for a whole level
+    took 12.4, and widening the table to int64 and sorting node codes per
+    level 28.6."""
     group = enumerate_group(HeckeParams(4, 101))
     table = (group.alpha // 101).reshape(-1, 101)
     assert table.dtype == np.int32
@@ -426,7 +439,25 @@ def test_breadth_first_tree_reads_the_group_table_in_place():
     finally:
         tracemalloc.stop()
     assert tree.size == table.shape[0] - 1
-    assert peak < 16 * table.size
+    assert peak < table.size
+
+
+def test_breadth_first_tree_walks_a_level_in_slices():
+    """On the complete graph of 1,024 nodes level 1 holds every node but
+    the root, and its candidate edges are the whole table.  Walked in
+    slices of CHUNK_DARTS // k nodes the tree traces about 21 times
+    CHUNK_DARTS bytes; the whole level at once took 209 times."""
+    size = 1024
+    nbrs = ((np.arange(size)[:, None] + np.arange(size)) % size).astype(np.int32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tree = kernels.breadth_first_tree(nbrs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(tree, np.arange(1, size))
+    assert peak < 32 * kernels.CHUNK_DARTS
 
 
 def test_modulus_bound():

@@ -8,7 +8,7 @@ import oracles
 import pytest
 from conftest import same_turn_cube
 
-from hfmap import coords, maps, polygon
+from hfmap import coords, kernels, maps, polygon
 from hfmap.cli import main
 from hfmap.coords import vertex_names
 from hfmap.group import HeckeParams, cached_group, enumerate_group, s5_permutation_group
@@ -120,6 +120,41 @@ def test_a_row_with_one_first_column_entry_negated_is_caught():
     got = projection_certificate(SimpleNamespace(params=p, rows=rows), build_algebraic_map(group))
     assert got.ok is False
     assert got.problems == ["elements whose first column is not their block head's: 1, the first 6"]
+
+
+def test_alpha_checks_and_fact_a_run_by_block(monkeypatch):
+    """With blocks of 4 darts, and of one coordinate of (4, 5), each check
+    reports what it reports on the whole array: an alpha that is no
+    involution in a later block than a fixed dart fails as no involution,
+    and fact (a) counts its elements over every block and names the
+    first."""
+    monkeypatch.setattr(kernels, "CHUNK_DARTS", 4)
+    pairs = np.arange(12) ^ 1
+    sigma = np.arange(12)
+    alpha = pairs.copy()
+    alpha[[0, 1]] = [0, 1]
+    alpha[9] = 10
+    with pytest.raises(ValueError, match="^alpha is not an involution$"):
+        MapStructure(sigma=sigma, alpha=alpha)
+    alpha = pairs.copy()
+    alpha[[10, 11]] = [10, 11]
+    with pytest.raises(ValueError, match="^alpha has fixed darts$"):
+        MapStructure(sigma=sigma, alpha=alpha)
+
+    p = HeckeParams(4, 5)
+    group = cached_group(4, 5)
+    amap = build_algebraic_map(group)
+    rows = group.rows.copy()
+    kind, a, c = (rows[:, j].astype(np.int64) for j in (0, 1, 3))
+    bad = np.flatnonzero((np.arange(group.order) % p.n > 0) & (kind == 0)
+                         & (2 * a % p.n > 0) & (2 * c % p.n > 0))
+    bad = bad[np.unique(bad // p.n, return_index=True)[1]][:3]
+    assert len(set(bad // p.n)) == 3
+    rows[bad, 3] = -c[bad] % p.n
+    got = projection_certificate(SimpleNamespace(params=p, rows=rows), amap)
+    assert got.problems == [
+        f"elements whose first column is not their block head's: 3, the first {bad[0]}"
+    ]
 
 
 @pytest.mark.parametrize("qn", [(4, 3), (4, 5), (3, 5), (6, 5), (4, 7)])
@@ -238,11 +273,12 @@ def test_map_completes_the_coordinates_once(capsys, monkeypatch):
 
 def test_map_memory_per_dart_is_bounded():
     """The traced peak of the group, its invariants and the certificate at
-    (4, 53) is about 35.3 bytes per dart: uint8 rows of 5 columns, int32
+    (4, 53) is about 23.5 bytes per dart: uint8 rows of 5 columns, int32
     alpha and sigma, the group's int64 keys while it is built, and
-    temporaries of one block.  Rows of 8 slots took 38.3, with sigma stored
-    in the group it was 41.4, and an (N, 8) int64 table built whole took
-    139."""
+    temporaries of one block.  The connectivity tree's candidates for a
+    whole level and the alpha checks over all darts at once took 35.3,
+    rows of 8 slots 38.3, with sigma stored in the group it was 41.4, and
+    an (N, 8) int64 table built whole took 139."""
     enumerate_group(HeckeParams(4, 5))  # imports and lazy set-up first
     tracemalloc.start()
     try:
@@ -253,4 +289,4 @@ def test_map_memory_per_dart_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 41 * group.order
+    assert peak < 28 * group.order

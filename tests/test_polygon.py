@@ -6,8 +6,8 @@ import oracles
 import pytest
 
 from hfmap import cli, polygon
-from hfmap.coords import code_coord, vertex_names
-from hfmap.group import HeckeParams, cached_group
+from hfmap.coords import adjacent_codes, code_coord, vertex_names
+from hfmap.group import HeckeParams, cached_group, enumerate_group
 from hfmap.maps import build_coordinate_graph
 from hfmap.polygon import (
     BRING_CIRCUIT_NAMES,
@@ -57,6 +57,21 @@ def test_two_step_walks(table):
     assert validate_circuit(ok, P45)
     bad = Circuit((table.coord("H2"), table.coord("C2")))  # both kind B
     assert not validate_circuit(bad, P45)
+
+
+def test_codes_that_name_no_coordinate_fail_validation(table):
+    """H2 -- E1 is an edge.  H2's code plus 2n**2 (kind digit 2), plus 4n**2
+    and minus 2n**2 pass the edge test, which reads any nonzero kind digit
+    as kind B, and so does H2 written with its other sign representative;
+    none is a coordinate."""
+    h2, e1 = table.coord("H2"), table.coord("E1")
+    n = P45.n
+    for code in (h2 + 2 * n * n, h2 + 4 * n * n, h2 - 2 * n * n):
+        assert not validate_circuit(Circuit((code, e1)), P45)
+    kind, x, y = h2 // (n * n), h2 // n % n, h2 % n
+    other_sign = kind * n * n + (-x % n) * n + -y % n
+    assert other_sign != h2 and adjacent_codes(other_sign, e1, P45)
+    assert not validate_circuit(Circuit((other_sign, e1)), P45)
 
 
 def test_search_finds_reference_circuit(table):
@@ -326,6 +341,24 @@ def test_coset_domain_chi(qn, chi):
     # tree + boundary bookkeeping
     assert report.tree_edges == report.tiles - 1
     assert report.boundary_sides == 2 * report.edge_pairs
+
+
+def test_coset_domain_memory_per_tile_is_bounded():
+    """The traced peak of coset_domain_check at (4, 31), with the algebraic
+    map built inside it, is about 138 bytes per tile: the int64 tile table,
+    rewritten in place into the turn at each side, the boundary walk from
+    the boundary sides only, and the polygon.  Pointer doubling over six
+    int64 arrays of all 4N sides took 330."""
+    coset_domain_check(enumerate_group(P45))  # imports and lazy set-up first
+    group = enumerate_group(HeckeParams(4, 31))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        coset_domain_check(group)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 170 * group.order
 
 
 def test_polygon_corner_classes_square_torus():
