@@ -83,15 +83,16 @@ def wall_times(p: HeckeParams) -> dict[str, float]:
 def traced_bytes(p: HeckeParams, order: int) -> tuple[dict, dict]:
     """Traced bytes per element kept after each stage and peaking in it."""
     kept, peak = {}, {}
-    current = [None]
+    current = None
 
     def between(stage):
+        nonlocal current
         now, top = tracemalloc.get_traced_memory()
-        if current[0] is not None:
-            kept[current[0]] = round((now - base) / order, 1)
-            peak[current[0]] = round((top - base) / order, 1)
+        if current is not None:
+            kept[current] = round((now - base) / order, 1)
+            peak[current] = round((top - base) / order, 1)
         tracemalloc.reset_peak()
-        current[0] = stage
+        current = stage
 
     tracemalloc.start()
     try:
