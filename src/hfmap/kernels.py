@@ -22,8 +22,8 @@ columns 1 to 4 of the stored rows and reads the products' kind off column
 0.
 ``residues`` takes residues by floor division in the int32 passes: the
 product keys, the second columns and the group's block pass.
-``breadth_first_tree`` serves the group's connectivity pass and the
-coset-domain spanning tree, a slice of each level at a time.
+``breadth_first_tree`` searches the block table alpha // n a slice of
+each level at a time, for the group's connectivity and the coset domain.
 ``coordinate_blocks`` cuts every pass over whole coordinates (n darts
 each) into blocks of at most ``CHUNK_DARTS`` darts, so that its
 temporaries stay small at every modulus.  The module imports nothing from
@@ -222,9 +222,11 @@ def breadth_first_tree(nbrs: np.ndarray) -> np.ndarray:
     """Tree edges of a breadth-first spanning tree from node 0, where node i
     has the neighbours nbrs[i, 0], nbrs[i, 1], ...: the flat indices i*k + j
     into the (N, k) table of one edge into each newly reached node, level by
-    level.  Any spanning tree serves both callers.  Which edge reaches a
-    node when several do is not specified, but it is fixed for a given
-    input.  The graph is connected exactly when the tree has N - 1 edges.
+    level.  Both callers, the group's connectivity check and
+    ``polygon._glued_domain``, pass the (V, n) block table alpha // n, and
+    any spanning tree serves both.  Which edge reaches a node when several
+    do is not specified, but it is fixed for a given input.  The graph is
+    connected exactly when the tree has N - 1 edges.
 
     Each level is walked in slices of CHUNK_DARTS // k frontier nodes, so
     that its int64 candidate edges stay within one block whatever the

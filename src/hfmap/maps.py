@@ -10,11 +10,11 @@ The counts follow one rule per kind of map.  On the group's map sigma =
 *T and phi = *R, R = T*S, act by right multiplication, so every vertex is
 a coset g<T> of ord(T) = n darts and every face a coset g<R> of ord(R)
 darts (orders up to sign): ``build_algebraic_map`` sets V = darts / n and
-F = darts / ord(R) with no walk.  Every other map (the polygons of
-``polygon``, the degree-5 model, ``cube_map``, a caller-built one) counts
-V and F from the orbit labels of sigma and phi.  alpha is checked at
-construction to be a fixed-point-free involution, so E = darts / 2 on
-both.
+F = darts / ord(R), walking the identity's face alone.  Every other map
+(the polygons of ``polygon``, the degree-5 model, ``cube_map``, a
+caller-built one) counts V and F from the orbit labels of sigma and phi.
+alpha is checked at construction to be a fixed-point-free involution, so
+E = darts / 2 on both.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .coords import (
     coordinate_codes,
     cusp_codes,
 )
-from .group import IDENTITY, FiniteHeckeGroup, HeckeParams, PermGroup, generators
-from .kernels import block_successor, coordinate_blocks, mat_mul_exact
+from .group import FiniteHeckeGroup, HeckeParams, PermGroup
+from .kernels import block_successor, coordinate_blocks
 
 __all__ = [
     "MapStructure",
@@ -184,28 +184,23 @@ def build_algebraic_map(group: FiniteHeckeGroup) -> MapStructure:
     check alpha(g) = g*S, on every element, so phi(g) = g*R.  One argument
     counts both orbit kinds: the orbit of g under *X is the coset g<X>, of
     ord(X) darts, the least k >= 1 with X**k = +-I mod n.  T**k = [[1,
-    k*lambda], [0, 1]], so ord(T) = n and V = darts / n; ord(R) <= q takes
-    at most q products, and F = darts / ord(R).  No orbit is labelled.  The
-    map is frozen, so it is built once per group and kept on it.
+    k*lambda], [0, 1]], so ord(T) = n and V = darts / n.  R**q = -I over Z,
+    so ord(R), the length of the identity's face, takes at most q reads of
+    the checked alpha from dart 0; F = darts / ord(R).  No orbit is labelled.
+    The map is frozen, so it is built once per group and kept on it.
     """
     if group._algebraic_map is None:
-        d, n, r = group.order, group.params.n, _order_up_to_sign(group.params)
+        d, (q, n), dart = group.order, (group.params.q, group.params.n), 0
         amap = MapStructure(sigma=block_successor(0, d, n), alpha=group.alpha)
+        for r in range(1, q + 1):
+            dart = int(amap.alpha[amap.sigma[dart]])
+            if dart == 0:
+                break
+        else:
+            raise ValueError(f"R has no order dividing {q} mod {n}")
         object.__setattr__(amap, "_invariants", _counted(d, d // n, n, d // r, r))
         group._algebraic_map = amap
     return group._algebraic_map
-
-
-def _order_up_to_sign(p: HeckeParams) -> int:
-    """The least k >= 1 with R**k = +-I mod n; R**q = -I over Z, so k <= q."""
-    r = generators(p)[2]
-    ends = (list(IDENTITY), [0, p.n - 1, 0, 0, p.n - 1])
-    power = r
-    for k in range(1, p.q + 1):
-        if power.tolist() in ends:
-            return k
-        power = mat_mul_exact(power, r, p.m) % p.n
-    raise ValueError(f"R has no order dividing {p.q} mod {p.n}")
 
 
 def permutation_model_map(pg: PermGroup) -> MapStructure:

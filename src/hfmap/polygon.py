@@ -30,7 +30,7 @@ from .coords import (
     vertex_names,
 )
 from .group import FiniteHeckeGroup, HeckeParams, generators
-from .kernels import _check_modulus, breadth_first_tree
+from .kernels import _check_modulus, block_successor, breadth_first_tree
 from .maps import MapStructure, build_algebraic_map, build_coordinate_graph
 
 __all__ = [
@@ -442,13 +442,13 @@ def coset_domain_check(group: FiniteHeckeGroup) -> CosetDomainReport:
     lie in the congruence kernel).  Corner identification then computes the
     surface's Euler characteristic independently of any orbit counting.
 
-    That polygon is a one-face map (see ``_glued_domain``) whose invariants
-    give chi and genus; ``tests/oracles.py`` walks it side by side as the
-    reference.  A side's partner is by construction the matching side of the
-    tile across it, so ``pairings_in_kernel`` is the pair count.
+    The polygon is a one-face map (see ``_glued_domain``) whose invariants
+    give chi and genus; ``tests/oracles.py`` grows its own tree and walks it
+    as the reference.  A side's partner is by construction the matching
+    side of the tile across it, so ``pairings_in_kernel`` is the pair count.
     """
     amap = build_algebraic_map(group)
-    tree_edges, boundary = _glued_domain(amap.sigma, amap.alpha)
+    tree_edges, boundary = _glued_domain(group.alpha, group.params.n)
     poly = boundary.invariants()
     if poly.faces != 1:
         raise RuntimeError(f"boundary walk splits into {poly.faces} cycles, expected 1")
@@ -467,45 +467,48 @@ def coset_domain_check(group: FiniteHeckeGroup) -> CosetDomainReport:
     )
 
 
-def _glued_domain(sigma: np.ndarray, alpha: np.ndarray) -> tuple[int, MapStructure]:
-    """Tree edges of the disk glued from tiles g -> g*T, g*S, and its
-    boundary polygon as a map.
+def _glued_domain(alpha: np.ndarray, n: int) -> tuple[int, MapStructure]:
+    """Tree edges of the disk glued from tiles g -> g*T (``block_successor``
+    on blocks of n) and g -> g*S (alpha), and its boundary polygon as a map.
 
-    Any spanning tree of the tiles serves: the disk's counts do not depend
-    on which one ``breadth_first_tree`` returns.  Side 4*g + k is side k
-    (L=0, arc1=1, arc2=2, R=3, in boundary order) of tile g.  The polygon's
-    darts are the boundary sides, renumbered 0..B-1 in side order, and
-    alpha pairs them.  Gluing sides i and j identifies corner i with j+1
-    and i+1 with j, so sigma takes side s to the successor of its partner.
-    phi = alpha o sigma is conjugate to the successor: one face means the
-    boundary walk covers every side.
+    Side 4*g + k is side k (L=0, arc1=1, arc2=2, R=3, in boundary order)
+    of tile g.  The R sides of all tiles but the last of a block join its
+    tiles into a path, and the arc1 sides of the edges ``breadth_first_tree``
+    finds on the (V, n) table alpha // n join the V paths: N - 1 edges.
+    The disk's counts do not depend on the tree.  The polygon's darts are
+    the boundary sides, renumbered 0..B-1 in side order, and alpha pairs
+    them.  Gluing sides i and j identifies corner i with j+1 and i+1 with
+    j, so sigma takes side s to the successor of its partner.  phi = alpha
+    o sigma is conjugate to the successor: one face means the boundary
+    walk covers every side.
     """
-    size = sigma.shape[0]
-    sigma_inv = np.empty(size, dtype=np.intp)
-    sigma_inv[sigma] = np.arange(size)
-    # The tile across each side (L -> g*T^-1, arc1/arc2 -> g*S, R -> g*T);
-    # side s is glued to side 4*crossed[s] + 3 - s % 4 there, its partner.
-    crossed = np.stack([sigma_inv, alpha, alpha, sigma], axis=1).ravel()
-    del sigma_inv
-
-    cand = breadth_first_tree(crossed.reshape(size, 4))
-    if cand.size != size - 1:
+    size = alpha.shape[0]
+    cand = breadth_first_tree((alpha // n).reshape(-1, n))
+    if cand.size != size // n - 1:
         raise RuntimeError("tile graph is disconnected")
-    tree = np.zeros(4 * size, dtype=bool)
-    tree[cand] = True
-    tree[4 * crossed[cand] + 3 - cand % 4] = True
-    tree_edges = int(cand.size)
+    tree = np.zeros((size // n, n, 4), dtype=bool)
+    tree[:, :-1, 3] = tree[:, 1:, 0] = True  # R(g) = L(g*T) inside a block
+    tree = tree.ravel()
+    tree[4 * cand + 1] = tree[4 * alpha[cand] + 2] = True  # arc1(g) = arc2(g*S)
+    tree_edges = size - size // n + int(cand.size)
     del cand
 
-    # turn[s] = 4*crossed[s] + (0, 3, 2, 1)[s % 4] is the side after s's
-    # partner on the partner's tile.  sigma takes a boundary side s to the
+    # c(s) is the tile across side s: L -> g*T^-1, arc1/arc2 -> g*S, R ->
+    # g*T.  Side s is glued to side 4*c(s) + 3 - s % 4 there, its partner,
+    # and turn[s] = 4*c(s) + (0, 3, 2, 1)[s % 4] is the side after that
+    # partner on its tile.  sigma takes a boundary side s to the
     # successor of its partner: from turn[s], cross glued (tree) sides round
     # the corner until a boundary side is reached.  Every tree side is
     # crossed once, on the walk of one corner, so the walks take at most
     # as many steps as there are tree sides.
-    turn = crossed  # in place: crossed is not read again
+    turn = np.empty((size, 4), dtype=np.intp)
+    turn[:, 0] = np.arange(-1, size - 1)
+    turn[::n, 0] += n
+    turn[:, 1] = turn[:, 2] = alpha
+    turn[:, 3] = block_successor(0, size, n)
     turn *= 4
-    turn.reshape(size, 4)[:] += [0, 3, 2, 1]
+    turn += [0, 3, 2, 1]
+    turn = turn.ravel()
     boundary = np.flatnonzero(~tree)
     ends = turn[boundary]
     tree_sides = 2 * tree_edges
@@ -519,7 +522,7 @@ def _glued_domain(sigma: np.ndarray, alpha: np.ndarray) -> tuple[int, MapStructu
     if active.size:
         raise RuntimeError(f"boundary successor did not settle in {tree_sides} steps")
     partner = turn[boundary] // 4 * 4 + 3 - boundary % 4
-    del turn, crossed
+    del turn
 
     local = np.cumsum(~tree) - 1  # the rank of each boundary side
     return tree_edges, MapStructure(sigma=local[ends], alpha=local[partner])

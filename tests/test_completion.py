@@ -219,6 +219,49 @@ def test_rows_written_into_the_other_kinds_slots_are_caught(kind, monkeypatch):
     assert moved
 
 
+@pytest.mark.parametrize("kind", [0, 1])
+def test_keys_stored_with_the_other_kind_are_caught(kind, monkeypatch):
+    """The group stores one coordinate's keys with the other kind's digit,
+    while its rows keep the right one: the T check, whose products read
+    the kind off the stored rows, refuses the disagreement before the S
+    check runs."""
+    four_digit_keys, flipped = kernels.four_digit_keys, []
+
+    def flipping(kinds, digits, n, out):
+        if kinds[0, 0] == kind and not flipped:
+            kinds = 1 - kinds
+            flipped.append(kinds.size)
+        return four_digit_keys(kinds, digits, n, out)
+
+    # One coordinate per block; the group's own pass goes through the stand-in.
+    monkeypatch.setattr(kernels, "CHUNK_DARTS", 7)
+    stand_in = types.SimpleNamespace(**{**vars(kernels), "four_digit_keys": flipping})
+    monkeypatch.setattr(group_module, "kernels", stand_in)
+    with pytest.raises(GroupCheckError, match=r"disagrees with the product g\*T"):
+        enumerate_group(HeckeParams(4, 7))
+    assert flipped == [1]
+
+
+@pytest.mark.parametrize("kind", [0, 1])
+def test_a_stored_kind_digit_past_a_runs_first_row_is_caught(kind, monkeypatch):
+    """The group's stored rows of the second coordinate of a run of one kind
+    get the other kind's digit, in place: the products read the kind off
+    each stored row, not off the run's first, so the T check refuses them."""
+    product_keys, flipped = kernels.slot_product_keys, []
+
+    def corrupting(rows, step, n):
+        if rows[0, 0] == kind and rows.shape[0] > n and not flipped:
+            rows[n:2 * n, 0] = 1 - kind  # rows is a view of the group's table
+            flipped.append(n)
+        return product_keys(rows, step, n)
+
+    stand_in = types.SimpleNamespace(**{**vars(kernels), "slot_product_keys": corrupting})
+    monkeypatch.setattr(group_module, "kernels", stand_in)
+    with pytest.raises(GroupCheckError, match=r"disagrees with the product g\*T"):
+        enumerate_group(HeckeParams(4, 7))
+    assert flipped == [7]
+
+
 def test_group_dtypes_over_the_whole_modulus_range():
     """uint8 rows and int32 alpha entries up to kernels.MAX_MODULUS, read
     off the dtype rule and the index formula at (4, 233) and at the top,

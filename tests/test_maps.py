@@ -11,7 +11,13 @@ from conftest import same_turn_cube
 from hfmap import coords, kernels, maps, polygon
 from hfmap.cli import main
 from hfmap.coords import vertex_names
-from hfmap.group import HeckeParams, cached_group, enumerate_group, s5_permutation_group
+from hfmap.group import (
+    FiniteHeckeGroup,
+    HeckeParams,
+    cached_group,
+    enumerate_group,
+    s5_permutation_group,
+)
 from hfmap.maps import (
     MapStructure,
     build_algebraic_map,
@@ -60,6 +66,16 @@ def test_map_structure_rejects_bad_alpha():
     sigma = np.array([1, 0], dtype=np.int64)
     with pytest.raises(ValueError):
         MapStructure(sigma=sigma, alpha=np.array([0, 1], dtype=np.int64))
+
+
+def test_a_face_longer_than_q_is_refused():
+    """The (4, 5) group's faces have 4 darts; read as a group of q = 3, the
+    identity's face does not close within q steps, and the map refuses it
+    rather than counting faces of q darts."""
+    group = cached_group(4, 5)
+    wrong = FiniteHeckeGroup(params=HeckeParams(3, 5), rows=group.rows, alpha=group.alpha)
+    with pytest.raises(ValueError, match="R has no order dividing 3 mod 5"):
+        build_algebraic_map(wrong)
 
 
 @pytest.mark.parametrize(

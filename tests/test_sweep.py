@@ -5,7 +5,7 @@ and the coset-domain chi must equal the map's.  A dart system that S and T
 do not connect fails the coset domain with "tile graph is disconnected".
 The odd and even moduli keep separate test names; the check is the same.
 Past the sweep, a sample of moduli runs ``hfmap map --json`` against the
-closed forms of its invariants.
+closed forms of its invariants, and a smaller one the coset domain.
 """
 
 import json
@@ -32,6 +32,14 @@ EVEN = [(q, n) for q in (3, 4, 6) for n in range(4, 31, 2)]
 # mod p.
 PAST = [(q, n) for q in (3, 4, 6)
         for n in (25, 32, 33, 35, 37, 38, 39, 41, 43, 47, 49, 53, 55, 59, 64, 73, 79, 81, 125)]
+
+# The coset domain past the sweep: 2**6, 7**2, 5*11 and 3**4.
+DOMAIN_PAST = [(3, 64), (4, 49), (6, 55), (4, 81)]
+
+
+def _closed_form_genus(q, n):
+    order = principal_congruence_index(HeckeParams(q, n))
+    return order, 1 + order * (Fraction(1, 2) - Fraction(1, n) - Fraction(1, q)) / 2
 
 
 def _models_agree(q, n):
@@ -67,10 +75,19 @@ def test_map_meets_the_closed_forms(capsys, q, n):
     1/q)/2, with N the index formula."""
     assert main(["map", "--q", str(q), "--n", str(n), "--json"]) == 0
     got = json.loads(capsys.readouterr().out)
-    order = principal_congruence_index(HeckeParams(q, n))
+    order, genus = _closed_form_genus(q, n)
     assert got == {
         "q": q, "n": n, "darts": order,
         "vertices": Fraction(order, n), "edges": Fraction(order, 2), "faces": Fraction(order, q),
-        "genus": 1 + order * (Fraction(1, 2) - Fraction(1, n) - Fraction(1, q)) / 2,
-        "group_order": order,
+        "genus": genus, "group_order": order,
     }
+
+
+@pytest.mark.parametrize("q,n", DOMAIN_PAST)
+def test_coset_domain_meets_the_closed_form(q, n):
+    """The glued domain's chi is the map's and 2 - 2g, with g the closed
+    form above."""
+    order, genus = _closed_form_genus(q, n)
+    dom = coset_domain_check(enumerate_group(HeckeParams(q, n)))
+    assert dom.matches_map and dom.tiles == order
+    assert (dom.chi, dom.genus) == (2 - 2 * genus, genus)

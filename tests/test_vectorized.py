@@ -504,57 +504,86 @@ def test_coset_domain_matches_scalar_oracle(q, n):
 
 @pytest.mark.parametrize("q,n", DOMAIN_CASES[::5])
 def test_coset_domain_does_not_depend_on_the_tree(monkeypatch, q, n):
-    """Another spanning tree of the tiles, the one found with the columns of
-    the tile table reversed, glues a disk with the same counts."""
+    """Another spanning tree of the blocks glues a disk with the same
+    counts: the one found with the columns of the block table reversed,
+    with each edge's arc1 taken on the tile at its far end.  The far ends
+    keep the tree off block 0, so it differs even where the reversed
+    columns find the same edges, as at (3, 3)."""
     group = cached_group(q, n)
     want = vars(coset_domain_check(group))
     calls = []
 
     def reversed_tree(nbrs):
         found = kernels.breadth_first_tree(nbrs[:, ::-1])
-        tree = found - 2 * (found % 4) + 3
+        tree = group.alpha[found - 2 * (found % n) + n - 1]
         assert set(tree.tolist()) != set(kernels.breadth_first_tree(nbrs).tolist())
         calls.append(tree.size)
         return tree
 
     monkeypatch.setattr(polygon, "breadth_first_tree", reversed_tree)
     assert vars(coset_domain_check(group)) == want
-    amap = build_algebraic_map(group)
-    assert _glued_domain(amap.sigma, amap.alpha)[1].invariants().faces == 1
-    assert calls == [group.order - 1] * 2
+    assert _glued_domain(group.alpha, n)[1].invariants().faces == 1
+    assert calls == [group.order // n - 1] * 2
 
 
-def _connected_map(rng, darts):
+@pytest.mark.parametrize("q,n", [(3, 7), (4, 5), (4, 6), (6, 9)])
+def test_coset_domain_searches_the_block_table(monkeypatch, q, n):
+    """The disk's tree searches the (V, n) block table alpha // n, the
+    table of enumerate_group's connectivity check, and no table of tiles;
+    the blocks' T-paths give the other V(n - 1) tree edges."""
+    group = cached_group(q, n)
+    tables = []
+
+    def recording(nbrs):
+        tables.append(nbrs.copy())
+        return kernels.breadth_first_tree(nbrs)
+
+    monkeypatch.setattr(polygon, "breadth_first_tree", recording)
+    report = coset_domain_check(group)
+    assert [table.shape for table in tables] == [(group.order // n, n)]
+    assert np.array_equal(tables[0], (group.alpha // n).reshape(-1, n))
+    assert report.tree_edges == group.order - 1 and report.matches_map
+
+
+def _connected_alpha(rng, blocks, n):
+    """A random fixed-point-free alpha on blocks * n darts that joins the
+    blocks of n consecutive darts into one graph, and sigma, the block
+    rotation."""
+    sigma = _block_rotation(blocks * n, n)
     while True:
-        amap = _random_map(rng, darts)
-        if oracles.is_connected(amap):
-            return amap
+        alpha = _random_alpha(rng, blocks * n)
+        if oracles.is_connected(MapStructure(sigma=sigma, alpha=alpha)):
+            return sigma, alpha
 
 
 def test_glued_domain_on_random_maps():
-    """The tile of each dart of any connected map glues into a closed
-    surface whose Euler characteristic is the map's V - E + F."""
+    """The tile of each dart of any connected map whose sigma rotates
+    blocks of n darts glues into a closed surface whose Euler
+    characteristic is the map's V - E + F."""
     rng = np.random.default_rng(17)
-    for darts in (2, 4, 6, 10, 24, 60, 200):
+    shapes = [(2, 1), (1, 2), (2, 2), (1, 6), (2, 3), (2, 5), (4, 6), (6, 4), (12, 5),
+              (8, 7), (40, 5), (25, 8)]
+    for blocks, n in shapes:
         for _ in range(8):
-            amap = _connected_map(rng, darts)
-            tree_edges, boundary = _glued_domain(amap.sigma, amap.alpha)
+            sigma, alpha = _connected_alpha(rng, blocks, n)
+            assert np.array_equal(sigma, kernels.block_successor(0, blocks * n, n))
+            tree_edges, boundary = _glued_domain(alpha, n)
             poly = boundary.invariants()
             got = (tree_edges, poly.darts, poly.edges, poly.vertices, poly.edges)
-            assert got == oracles.coset_domain(amap.sigma, amap.alpha)
-            inv = amap.invariants()
+            assert got == oracles.coset_domain(sigma, alpha)
+            inv = MapStructure(sigma=sigma, alpha=alpha).invariants()
             assert poly.faces == 1 and poly.chi == inv.vertices - inv.edges + inv.faces
-            assert (tree_edges, poly.darts) == (darts - 1, 2 * poly.edges)
+            assert (tree_edges, poly.darts) == (blocks * n - 1, 2 * poly.edges)
 
 
 def test_glued_domain_rejects_disconnected_tiles():
-    amap = build_algebraic_map(cached_group(4, 5))
-    d = amap.darts
-    sigma = np.concatenate([amap.sigma, amap.sigma + d])
-    alpha = np.concatenate([amap.alpha, amap.alpha + d])
-    for domain in (_glued_domain, oracles.coset_domain):
-        with pytest.raises(RuntimeError, match="tile graph is disconnected"):
-            domain(sigma, alpha)
+    """Two disjoint copies of the (4, 5) map."""
+    alpha = cached_group(4, 5).alpha
+    alpha = np.concatenate([alpha, alpha + alpha.size])
+    with pytest.raises(RuntimeError, match="tile graph is disconnected"):
+        _glued_domain(alpha, 5)
+    with pytest.raises(RuntimeError, match="tile graph is disconnected"):
+        oracles.coset_domain(kernels.block_successor(0, alpha.size, 5), alpha)
 
 
 def test_search_circuits_matches_oracle_on_bring():
