@@ -7,6 +7,14 @@ int64 tables: within ``MAX_DEPTH`` no matrix entry exceeds ``MAX_ENTRY``
 in absolute value, so every integer of the search, the cusp numerators and
 norms included, stays below 5 * 10**5, far inside int64 and exact in
 float64.
+
+Page coordinates are written as ``"%.5f"`` writes them.  The disk model's
+paths, nearly all of its text, are written as bytes on arrays, one block of
+paths at a time, by ``decimals.decimal_lines``: each coordinate x is the
+correctly rounded k = rint(x * 10**5) read through digit tables, except
+within 10**-6 of a tie, where k is read back from "%.5f" itself.  A
+coordinate outside the writer's range [0, 10**4) is a ValueError, not a
+second way to write it.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coords import coord_value_str, coordinate_labels, vertex_names
+from .decimals import decimal_lines, decimal_tables
 from .group import IDENTITY, RADICAND, HeckeParams, exact_generators
 from .kernels import mat_mul_exact
 from .maps import build_coordinate_graph
@@ -50,16 +59,14 @@ STROKE = "#1a1a80"
 
 # Sample k of a disk-model geodesic in the half-plane: the point at angle
 # pi*k/(SAMPLES - 1) on a half-circle (unit _COS, _SIN), or the height
-# _RAY[k] on a vertical ray.  A path is written with one template, which
-# formats each float as "{:.5f}" does.
+# _RAY[k] on a vertical ray.
 _ANGLES = [math.pi * k / (SAMPLES - 1) for k in range(SAMPLES)]
 _COS = np.array([math.cos(t) for t in _ANGLES])
 _SIN = np.array([math.sin(t) for t in _ANGLES])
 _RAY = np.array([YMAX * (k / (SAMPLES - 1)) ** 2 * 400 for k in range(SAMPLES)])
-_DISK_PATH = (
-    '<path d="M %.5f %.5f' + " L %.5f %.5f" * (SAMPLES - 1)
-    + f'" fill="none" stroke="{STROKE}" stroke-width="1"/>'
-)
+
+# Disk-model paths sampled, projected and written at a time.
+PATH_BLOCK = 256
 
 
 @dataclass(frozen=True, order=False)
@@ -196,7 +203,7 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
     )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    return "\n".join([head, *body, "</svg>", ""])
 
 
 def render_universal(q: int, cfg: RenderConfig) -> str:
@@ -248,12 +255,12 @@ def render_universal(q: int, cfg: RenderConfig) -> str:
     return _svg_document(width, height, body)
 
 
-def _disk_paths(ends: np.ndarray, cx: float, cy: float,
-                radius: float) -> list[str]:
-    """One disk-model path per row (a, b) of geodesic ends, b = inf for a
-    vertical ray, through its SAMPLES points.
+def _disk_page(ends: np.ndarray, cx: float, cy: float,
+               radius: float) -> np.ndarray:
+    """The (G, 2 * SAMPLES) page coordinates x0, y0, x1, ... of the
+    disk-model paths through the rows (a, b) of geodesic ends, b = inf for a
+    vertical ray.
 
-    All points are sampled and projected at once, on (G, SAMPLES) arrays.
     Every float comes from the same operations, in the same order, as a
     point sampled and projected on its own, so the text is the same.
     """
@@ -274,10 +281,26 @@ def _disk_paths(ends: np.ndarray, cx: float, cy: float,
     page = np.empty((len(ends), 2 * SAMPLES))
     page[:, 0::2] = cx + radius * ((xx + zi * wi) / norm)
     page[:, 1::2] = cy - radius * ((zi * xs - xs * wi) / norm)
-    # The paths are the largest part of the document: free the samples,
-    # and unpack the page one row at a time, while they are written.
-    del xs, ys, zi, wi, xx, norm
-    return [_DISK_PATH % tuple(row.tolist()) for row in page]
+    return page
+
+
+def _disk_paths(ends: np.ndarray, cx: float, cy: float,
+                radius: float) -> list[str]:
+    """The disk-model path of each row of geodesic ends through its SAMPLES
+    points (``_disk_page``), one per line: the text of PATH_BLOCK paths per
+    item, with no newline after the last.
+
+    Each block is sampled, projected and written on its own, so no float
+    array covers the whole page.  The disk keeps every coordinate in
+    [cx - radius, cx + radius] = [16, 784], inside the range of
+    ``decimal_lines``.
+    """
+    seps = [" ", " "] + [" L ", " "] * (SAMPLES - 1)
+    tail = f'" fill="none" stroke="{STROKE}" stroke-width="1"/>'
+    tables = decimal_tables()
+    return [decimal_lines(_disk_page(ends[lo:lo + PATH_BLOCK], cx, cy, radius),
+                          '<path d="M', seps, tail, tables)
+            for lo in range(0, len(ends), PATH_BLOCK)]
 
 
 # ---------------------------------------------------------------------------

@@ -913,9 +913,23 @@ def sample_geodesic(geo, m: int, ymax: float) -> list[tuple[float, float]]:
     ]
 
 
+def disk_points(q: int, depth: int) -> list[list[tuple[float, float]]]:
+    """The page points of each disk-model path, point by point."""
+    m = RADICAND[q]
+    radius = WIDTH * 0.48
+    cx = cy = WIDTH / 2.0
+    paths = []
+    for geo in universal_geodesics(q, depth):
+        page = []
+        for x, y in sample_geodesic(geo, m, YMAX):
+            wx, wy = halfplane_to_disk(x, y)
+            page.append((cx + radius * wx, cy - radius * wy))
+        paths.append(page)
+    return paths
+
+
 def render_disk(q: int, depth: int) -> str:
     """The disk-model SVG of the universal tessellation, point by point."""
-    m = RADICAND[q]
     width = height = WIDTH
     radius = width * 0.48
     cx = cy = width / 2.0
@@ -924,11 +938,7 @@ def render_disk(q: int, depth: int) -> str:
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
-    for geo in universal_geodesics(q, depth):
-        page = []
-        for x, y in sample_geodesic(geo, m, YMAX):
-            wx, wy = halfplane_to_disk(x, y)
-            page.append((cx + radius * wx, cy - radius * wy))
+    for page in disk_points(q, depth):
         d = "M " + " L ".join(f"{_fmt(px)} {_fmt(py)}" for px, py in page)
         body.append(
             f'<path d="{d}" fill="none" stroke="{STROKE}" stroke-width="1"/>'

@@ -10,7 +10,6 @@ from conftest import same_turn_cube
 
 from hfmap import coords, kernels, maps, polygon
 from hfmap.cli import main
-from hfmap.coords import vertex_names
 from hfmap.group import (
     FiniteHeckeGroup,
     HeckeParams,

@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from hfmap import render
+from hfmap import decimals, render
 from hfmap.group import RADICAND, HeckeParams
 from hfmap.polygon import boundary_from_circuit, bring_circuit, bring_side_pairing
 from hfmap.render import (
@@ -158,3 +160,87 @@ def test_polygon_svg():
     colors = set(re.findall(r'stroke="(#[0-9a-f]{6})" stroke-width="2"', svg))
     assert len(colors) == 10  # one style per side pair
     assert svg == render_polygon(boundary, bring_side_pairing())
+
+
+def test_disk_render_memory_is_bounded():
+    """The traced peak of the (4, 12) disk render is about 2.1 times its
+    4.45 MB document: the document, the blocks of text it is joined from,
+    and the float and byte arrays of one block of paths.  Sampled and
+    projected on whole-page arrays it was 3.6 times."""
+    render_universal(4, RenderConfig(model="disk", depth=3))  # lazy set-up first
+    tracemalloc.start()
+    try:
+        svg = render_universal(4, RenderConfig(model="disk", depth=12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4 * len(svg)
+
+
+# The page writer of the disk model against "%.5f", one float at a time.
+
+
+def _written(x):
+    """The text ``write_decimals`` writes for each float of x."""
+    x = np.asarray(x, dtype=float)
+    cells = np.zeros(x.shape + (decimals.CELL,), dtype=np.uint8)
+    decimals.write_decimals(x, cells, decimals.decimal_tables())
+    return [cell[cell != 0].tobytes().decode() for cell in cells.reshape(-1, decimals.CELL)]
+
+
+def _printed(x):
+    return ["%.5f" % v for v in np.ravel(x).tolist()]
+
+
+def test_decimals_of_random_floats():
+    rng = np.random.default_rng(34)
+    x = np.concatenate([rng.uniform(0, 1e4, 30000), rng.uniform(0, 10, 5000),
+                        rng.uniform(0, 1e-4, 1000)])
+    assert _written(x.reshape(-1, 4, 10)) == _printed(x)
+
+
+def test_decimals_of_integers():
+    x = np.concatenate([[0.0], 10.0 ** np.arange(4), 10.0 ** np.arange(1, 5) - 1,
+                        np.arange(0, 10**4, 7)])
+    assert _written(x) == _printed(x)
+
+
+def test_decimals_at_the_top_of_the_range():
+    """Past 9999.999995 "%.5f" prints 10000.00000, which has no cell."""
+    x = np.array([9999.999995])
+    for _ in range(40):
+        x = np.concatenate([np.nextafter(x[:1], 0), x, np.nextafter(x[-1:], np.inf)])
+    kept = [v for v in x.tolist() if float("%.5f" % v) < 1e4]
+    assert 0 < len(kept) < len(x)
+    assert _written(kept) == _printed(kept)
+    for v in x.tolist():
+        if v not in kept:
+            with pytest.raises(ValueError, match="rounds to 10000"):
+                _written([1.0, v])
+
+
+def test_decimals_at_near_ties():
+    """Halfway between two printed values the rounded product does not
+    decide the digits: these cells are read back from "%.5f"."""
+    rng = np.random.default_rng(5)
+    ties = (rng.integers(0, 10**9 - 10, 3000) + 0.5) / 1e5
+    x = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
+    t = x * 1e5
+    assert np.all(np.abs(t - np.rint(t)) >= 0.5 - 1e-6)
+    assert _written(x) == _printed(x)
+
+
+@pytest.mark.parametrize("bad", [-0.0, -1e-9, 1e4, np.inf, np.nan])
+def test_decimals_outside_the_range_raise(bad):
+    with pytest.raises(ValueError):
+        _written([1.0, bad, 2.0])
+
+
+def test_decimal_lines_match_a_format_template():
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0, 1e4, (50, 3))
+    seps = ["(", ", ", " -- "]
+    template = "<" + "".join(sep + "%.5f" for sep in seps) + ">"
+    want = "\n".join(template % tuple(row) for row in x.tolist())
+    assert decimals.decimal_lines(x, "<", seps, ">", decimals.decimal_tables()) == want
+    assert decimals.decimal_lines(x[:0], "<", seps, ">", decimals.decimal_tables()) == ""

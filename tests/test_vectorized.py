@@ -707,11 +707,13 @@ def test_disk_render_matches_oracle(q, depth):
 
 
 @pytest.mark.parametrize("q,depth", [(3, 6), (4, 12), (6, 6)])
-def test_disk_render_floats_match_oracle_bit_for_bit(monkeypatch, q, depth):
-    """Written with repr instead of five decimals, the two still agree:
-    every sampled and projected float is the same."""
-    monkeypatch.setattr(render, "_DISK_PATH", render._DISK_PATH.replace("%.5f", "%r"))
-    monkeypatch.setattr(render, "_fmt", repr)
-    monkeypatch.setattr(oracles, "_fmt", repr)
-    got = render_universal(q, RenderConfig(model="disk", depth=depth))
-    assert _first_difference(got, oracles.render_disk(q, depth)) is None
+def test_disk_render_floats_match_oracle_bit_for_bit(q, depth):
+    """The page floats of each block of paths are the oracle's points, bit
+    for bit: every sampled and projected float is the same."""
+    _, values, geodesics = render._geodesic_table(q, depth)
+    want = np.array(oracles.disk_points(q, depth)).reshape(len(geodesics), -1)
+    block = render.PATH_BLOCK
+    for lo in range(0, len(geodesics), block):
+        got = render._disk_page(values[geodesics[lo:lo + block]],
+                                render.WIDTH / 2.0, render.WIDTH / 2.0, render.WIDTH * 0.48)
+        assert np.array_equal(got.view(np.uint64), want[lo:lo + block].view(np.uint64))
