@@ -16,11 +16,19 @@ It records per stage the median wall time of ``REPEATS`` untraced runs,
 and, from one run under ``tracemalloc`` (numpy reports its buffers to it),
 the bytes kept after the stage and the peak during it, per group element.
 A child ``python -m hfmap.cli map --q Q --n N --json`` gives the peak RSS
-of the command itself.  The program is imported from the ``src/`` of the
+of the command itself.
+
+The rows with n <= ``COSET_MAX_N``, the rows CI runs, also hold a
+``coset`` figure: ``polygon.coset_domain_check`` on the row's group, whose
+map is already built, as the median wall time of ``REPEATS`` runs and the
+traced peak of one more per group element.  It is not a stage of ``map``,
+which never glues the coset domain; it is the one Euler characteristic
+that shares nothing with orbit counting.  The program is imported from the ``src/`` of the
 checkout that holds this script.  The run fails, with exit code 1 and
 nothing written, when a group's order differs from
-``principal_congruence_index``, a certificate fails or the child's answer
-differs from the in-process one.
+``principal_congruence_index``, a certificate fails, the coset domain's
+Euler characteristic differs from the map's or the child's answer differs
+from the in-process one.
 """
 
 from __future__ import annotations
@@ -44,12 +52,14 @@ import numpy as np  # noqa: E402
 from hfmap import kernels  # noqa: E402
 from hfmap.group import HeckeParams, enumerate_group, principal_congruence_index  # noqa: E402
 from hfmap.maps import build_algebraic_map, invariants_json, projection_certificate  # noqa: E402
+from hfmap.polygon import coset_domain_check  # noqa: E402
 
 # q = 4 across the modulus range, the paper's q, plus q = 3 and q = 6 at
 # an odd and an even modulus and at the largest map of each size.
 PAIRS = [(4, 29), (4, 53), (4, 101), (4, 151), (4, 233), (3, 97), (6, 90), (6, 233)]
 STAGES = ("group", "map", "invariants", "cert")
 REPEATS = 3
+COSET_MAX_N = 101  # the rows of the CI step, --max-n 101
 
 
 def run_stages(p: HeckeParams, between=lambda stage: None):
@@ -103,6 +113,29 @@ def traced_bytes(p: HeckeParams, order: int) -> tuple[dict, dict]:
     return kept, peak
 
 
+def coset_figure(p: HeckeParams) -> dict:
+    """Median wall time of REPEATS runs of coset_domain_check, in s, and
+    the traced peak of one more per group element, on one group whose map
+    the first, untimed run builds."""
+    group = enumerate_group(p)
+    if not coset_domain_check(group).matches_map:
+        raise RuntimeError(f"(q, n) = ({p.q}, {p.n}): the coset domain's chi is not the map's")
+    times = []
+    for _ in range(REPEATS):
+        start = perf_counter()
+        coset_domain_check(group)
+        times.append(perf_counter() - start)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        coset_domain_check(group)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return {"wall_s": round(float(np.median(times)), 4),
+            "peak_b_per_el": round(peak / group.order, 1)}
+
+
 def child_map(p: HeckeParams) -> tuple[str, float, float]:
     """stdout, wall time in s and peak RSS in MB of ``hfmap map --json``."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -141,7 +174,7 @@ def measure(q: int, n: int, child: tuple[str, float, float]) -> dict:
     out, child_wall, rss = child
     if out != want:
         raise RuntimeError(f"(q, n) = ({q}, {n}): the CLI printed {out}, in process {want}")
-    return {
+    row = {
         "q": q, "n": n, "order": order,
         "wall_s": wall,
         "kept_b_per_el": kept,
@@ -149,6 +182,9 @@ def measure(q: int, n: int, child: tuple[str, float, float]) -> dict:
         "cli_wall_s": child_wall,
         "cli_peak_rss_mb": rss,
     }
+    if n <= COSET_MAX_N:
+        row["coset"] = coset_figure(p)
+    return row
 
 
 def main(argv: list[str] | None = None) -> int:
