@@ -139,15 +139,17 @@ def slot_maps(g, n: int, m: int) -> list[tuple[int, np.ndarray]]:
     M): a row of kind k times g is of kind k xor flip, and M is the (4, 4)
     matrix with (row[1:] @ M) % n the digits a, b, c, d of row * g, as
     signed residues in (-n/2, n/2].  Row i of M is the product with g of
-    the kind-k unit row e_i.
+    the kind-k unit row e_i; the unit rows of every kind are multiplied in
+    one call, as a (kinds, 4, 5) stack.
     """
-    out = []
-    for kind in [0] if m == 1 else [0, 1]:
-        units = np.hstack([np.full((4, 1), kind), np.eye(4, dtype=np.int64)])
-        prod = mat_mul_exact(units, g, m)
-        block = prod[:, 1:] % n
-        out.append((int(prod[0, 0]) ^ kind, np.where(block > n // 2, block - n, block)))
-    return out
+    kinds = 1 if m == 1 else 2
+    units = np.zeros((kinds, 4, 5), dtype=np.int64)
+    units[:, :, 0] = np.arange(kinds)[:, None]
+    units[:, :, 1:] = np.eye(4, dtype=np.int64)
+    prod = mat_mul_exact(units, g, m)
+    block = prod[..., 1:] % n
+    block = np.where(block > n // 2, block - n, block)
+    return [(int(prod[k, 0, 0]) ^ k, block[k]) for k in range(kinds)]
 
 
 def residues(x, n: int):

@@ -120,7 +120,13 @@ def _geodesic_table(q: int, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     Each BFS level is a (k, 5) table of rows (kind, a, b, c, d) over Z,
     multiplied by S, T and T^-1 in one broadcast ``mat_mul_exact``; g ~ -g
-    is made canonical by a positive first nonzero of a, b, c, d.
+    is made canonical by a positive first nonzero of a, b, c, d.  A
+    canonical row is one int64 key: its entries, at most MAX_ENTRY in
+    absolute value, are the balanced digits of the key in base 2 *
+    MAX_ENTRY + 1, so distinct rows have distinct keys.  S, T and T^-1 are
+    closed under inverses up to sign, so a product of level k lies in
+    level k - 1, k or k + 1: the new level is the distinct products whose
+    keys are in neither of the last two.
     """
     if depth > MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the bound {MAX_DEPTH}")
@@ -128,20 +134,25 @@ def _geodesic_table(q: int, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     s, t = exact_generators(q)
     t_inv = (*t[:2], -t[2], *t[3:])  # lam negated
     gens = np.array([s, t, t_inv], dtype=np.int64)
+    weights = (2 * MAX_ENTRY + 1) ** np.arange(4, -1, -1, dtype=np.int64)
 
     frontier = np.array([IDENTITY], dtype=np.int64)
-    seen = {IDENTITY}
-    levels = [frontier]
+    levels, previous, current = [frontier], weights[:0], frontier @ weights
     for _ in range(depth):
         prods = mat_mul_exact(frontier[:, None], gens, m).reshape(-1, 5)
         entries = prods[:, 1:]
         lead = entries[np.arange(len(prods)), (entries != 0).argmax(axis=1)]
         entries *= np.sign(lead)[:, None]
-        fresh = set(map(tuple, prods.tolist()))
-        fresh -= seen
-        seen |= fresh
-        frontier = np.array(list(fresh), dtype=np.int64).reshape(-1, 5)
+        keys = prods @ weights
+        order = np.argsort(keys)
+        keys = keys[order]
+        fresh = np.ones(len(keys), dtype=bool)
+        fresh[1:] = keys[1:] != keys[:-1]
+        old = np.sort(np.concatenate([previous, current]))
+        fresh &= old[np.searchsorted(old, keys).clip(max=old.size - 1)] != keys
+        frontier = prods[order[fresh]]
         levels.append(frontier)
+        previous, current = current, keys[fresh]
     kind, a, b, c, d = np.concatenate(levels).T
 
     # Column (a, c) ends at a/(c*sqrt(m)) = a*sqrt(m)/(m*c) in kind A,

@@ -345,10 +345,10 @@ def test_coset_domain_chi(qn, chi):
 
 def test_coset_domain_memory_per_tile_is_bounded():
     """The traced peak of coset_domain_check at (4, 31), with the algebraic
-    map built inside it, is about 138 bytes per tile: the int64 tile table,
-    rewritten in place into the turn at each side, the boundary walk from
-    the boundary sides only, and the polygon.  Pointer doubling over six
-    int64 arrays of all 4N sides took 330."""
+    map built inside it, is about 109 bytes per tile: the boundary's slot
+    table, its ranks and partners, and the polygon with its labels.  A turn
+    table of all 4N sides took 138, and pointer doubling over six int64
+    arrays of all 4N sides 330."""
     coset_domain_check(enumerate_group(P45))  # imports and lazy set-up first
     group = enumerate_group(HeckeParams(4, 31))
     tracemalloc.start()
@@ -358,7 +358,7 @@ def test_coset_domain_memory_per_tile_is_bounded():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 170 * group.order
+    assert peak < 135 * group.order
 
 
 def test_polygon_corner_classes_square_torus():

@@ -28,7 +28,7 @@ from hfmap.coords import (
     normalize,
     vertex_names,
 )
-from hfmap.group import HeckeParams, cached_group
+from hfmap.group import HeckeParams, cached_group, enumerate_group
 from hfmap.maps import (
     CoordGraph,
     MapStructure,
@@ -225,7 +225,7 @@ def _check_labels(perm):
     for orbit in orbits:
         want[orbit] = orbit[0]
     labels = _orbit_labels(perm)
-    assert np.array_equal(labels, want)
+    assert np.array_equal(labels, want) and labels.dtype == perm.dtype
     assert _orbit_sizes(labels).tolist() == [len(o) for o in orbits]
 
 
@@ -281,6 +281,37 @@ def test_orbit_labels_on_random_permutations():
     for size in (1, 2, 3, 17, 64, 257, 1000):
         for _ in range(5):
             _check_labels(rng.permutation(size))
+
+
+def _run_permutation(lengths, order):
+    """The permutation through runs of these lengths, laid end to end: s ->
+    s + 1 inside each run, and the last dart of run i to the head of run
+    order[i]."""
+    heads = np.cumsum(lengths) - lengths
+    perm = np.arange(1, sum(lengths) + 1)
+    perm[heads + lengths - 1] = heads[order]
+    return perm
+
+
+@pytest.mark.parametrize("dtype", (np.int32, np.int64))
+@pytest.mark.parametrize("size", (1, 2, 3, 1000))
+def test_orbit_labels_on_runs(size, dtype):
+    """Permutations made of runs s -> s + 1, which _orbit_labels contracts
+    to their heads: the identity (every run one dart), the single cycle,
+    runs whose ends jump back to the run before, and runs of mixed length,
+    single random darts among them, joined in random order."""
+    rng = np.random.default_rng(size)
+    perms = [np.arange(size), (np.arange(size) + 1) % size]
+    for _ in range(5):
+        cuts = np.flatnonzero(rng.random(size - 1) < 0.2) + 1
+        lengths = np.diff(cuts, prepend=0, append=size)
+        perms.append(_run_permutation(lengths, (np.arange(lengths.size) - 1) % lengths.size))
+        lengths = rng.choice([1, 1, 1, 2, 5, 40], size=size)
+        lengths = lengths[:np.searchsorted(np.cumsum(lengths), size) + 1]
+        lengths[-1] -= lengths.sum() - size
+        perms.append(_run_permutation(lengths, rng.permutation(lengths.size)))
+    for perm in perms:
+        _check_labels(perm.astype(dtype))
 
 
 def _random_alpha(rng, darts):
@@ -574,6 +605,17 @@ def test_glued_domain_on_random_maps():
             inv = MapStructure(sigma=sigma, alpha=alpha).invariants()
             assert poly.faces == 1 and poly.chi == inv.vertices - inv.edges + inv.faces
             assert (tree_edges, poly.darts) == (blocks * n - 1, 2 * poly.edges)
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (3, 4, 6) for n in range(3, 32)])
+def test_coset_polygon_walks_its_sides_in_order(q, n):
+    """The coset polygon's darts are its sides in boundary order, so phi,
+    the boundary walk, departs from s -> s + 1 only at the V cusps and
+    where the walk crosses one of the 2(V - 1) tree arcs."""
+    group = enumerate_group(HeckeParams(q, n))
+    phi = _glued_domain(group.alpha, n)[1].phi
+    departs = np.count_nonzero(phi != (np.arange(phi.size) + 1) % phi.size)
+    assert departs <= 3 * (group.order // n)
 
 
 def test_glued_domain_rejects_disconnected_tiles():
