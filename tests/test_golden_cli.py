@@ -35,6 +35,7 @@ INVOCATIONS = [
     "circuit --search --length 6 --poles 0,3",
     "circuit --q 4 --n 5 --search",
     "circuit --q 4 --n 6 --search --start A:1/0 --length 4 --poles 0",
+    "circuit --q 4 --n 11 --search --start A:1/0 --length 4 --poles 0",
     "polygon",
     "render universal --q 4 --depth 3 --model disk",
     "render universal --q 4 --depth 12 --model disk",
