@@ -227,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--q", type=int, default=4, choices=(3, 4, 6))
     tp.add_argument("--depth", type=int, default=4)
     tp.add_argument("--model", choices=("halfplane", "disk"), default="halfplane")
-    tp.set_defaults(draw=lambda a: R.render_universal(
-        a.q, R.RenderConfig(model=a.model, depth=a.depth)))
+    tp.set_defaults(draw=lambda a: R.render_universal(a.q, a.depth, a.model))
     tp = targets.add_parser("quotient", help="DOT or SVG of the coordinate graph")
     add_qn(tp)
     tp.add_argument("--format", choices=("svg", "dot"), default="dot")

@@ -26,7 +26,6 @@ this module, never the reverse.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -366,12 +365,9 @@ class NameTable:
         return coord_value_str(self._printed[name], self.params)
 
 
-@lru_cache(maxsize=None)
 def vertex_names(p: HeckeParams) -> NameTable:
-    """Name table for the maps that have customary labels.
-
-    Built once per parameter set; the table is never mutated.
-    """
+    """Name table for the maps that have customary labels, built anew on
+    each call from its 24 or 8 rows."""
     if (p.q, p.n) == (4, 5):
         return NameTable(p, _NAMES_Q4_N5)
     if (p.q, p.n) == (4, 3):

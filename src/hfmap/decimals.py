@@ -6,7 +6,9 @@ digit table instead of one format per float.  A line is one row of bytes.
 Each float is a cell of ``CELL`` bytes: its integer part right-aligned in 4
 bytes and padded with zero bytes, then "." and the first 3 decimals, then
 the last 2 (``decimal_tables``).  Each separator is a cell padded the same
-way, and one mask drops the padding.
+way (``padded_cells``), and the zero bytes are dropped at the end.
+``polygon.format_circuit_text`` writes its labels into ``padded_cells``
+and drops their padding the same way.
 
 Python prints floats correctly rounded, so "%.5f" prints x as the integer
 k nearest to x * 10**5, written k // 10**5 "." k % 10**5.  For
@@ -22,9 +24,17 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CELL", "decimal_tables", "write_decimals", "decimal_lines"]
+__all__ = ["CELL", "padded_cells", "decimal_tables", "write_decimals", "decimal_lines"]
 
 CELL = 10
+
+
+def padded_cells(strings: list[str]) -> np.ndarray:
+    """The UTF-8 bytes of each string, padded with zero bytes to the
+    longest, as a (len(strings), width) uint8 array.  The strings hold no
+    zero byte, so the text of any cells is their nonzero bytes."""
+    cells = np.array([s.encode() for s in strings], dtype=bytes)
+    return cells.view(np.uint8).reshape(cells.size, -1)
 
 
 def decimal_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,13 +86,12 @@ def decimal_lines(x: np.ndarray, head: str, seps: list[str], tail: str,
     if not len(x):
         return ""
     start, end = head.encode(), (tail + "\n").encode()
-    width = max(len(sep) for sep in seps)
-    padded = b"".join(sep.encode().rjust(width, b"\0") for sep in seps)
+    padded = padded_cells(seps)
+    width = padded.shape[1]
     template = np.zeros(len(start) + len(seps) * (width + CELL) + len(end), dtype=np.uint8)
     template[:len(start)] = np.frombuffer(start, dtype=np.uint8)
     template[-len(end):] = np.frombuffer(end, dtype=np.uint8)
-    template[len(start):-len(end)].reshape(len(seps), -1)[:, :width] = (
-        np.frombuffer(padded, dtype=np.uint8).reshape(len(seps), width))
+    template[len(start):-len(end)].reshape(len(seps), -1)[:, :width] = padded
     rows = np.tile(template, (len(x), 1))
     cells = rows[:, len(start):-len(end)].reshape(len(x), len(seps), -1)
     write_decimals(x, cells[..., width:], tables)

@@ -84,17 +84,15 @@ def exact_generators(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def generators(p: HeckeParams) -> np.ndarray:
-    """Canonical rows mod n of S, T (see ``exact_generators``) and R = T*S.
+    """Canonical rows mod n of S and T (see ``exact_generators``).
 
-    Returns a (3, 5) int64 array.
+    Returns a (2, 5) int64 array.
     """
     n = p.n
-    s, t = exact_generators(p.q)
-    r = kernels.mat_mul_exact(t, s, p.m).tolist()
     # The canonical sign, compared as tuples so that any modulus works: the
     # lexicographically smaller of (a, b, c, d) and its negative.
     return np.array([[k, *min([v % n for v in g], [-v % n for v in g])]
-                     for k, *g in (s, t, r)], dtype=np.int64)
+                     for k, *g in exact_generators(p.q)], dtype=np.int64)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -137,7 +135,7 @@ def principal_congruence_index(p: HeckeParams) -> int:
     return num // den
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteHeckeGroup:
     """Enumerated quotient with 0-based element indices v*n + t (see
     ``enumerate_group``).
@@ -147,14 +145,13 @@ class FiniteHeckeGroup:
     modulus the library takes); a reader that negates them widens them
     first.  The identity has index 0.  ``alpha[i]`` is the index of i*S, as
     int32; i*T, the block step of ``kernels.block_successor``, is not
-    stored.  Immutable after construction.
+    stored.  Frozen: no field is reassigned, and no reader writes the
+    arrays.
     """
 
     params: HeckeParams
     rows: np.ndarray
     alpha: np.ndarray = field(repr=False)
-    # The algebraic map, built once by maps.build_algebraic_map.
-    _algebraic_map: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def order(self) -> int:

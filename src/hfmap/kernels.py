@@ -23,7 +23,8 @@ columns 1 to 4 of the stored rows and reads the products' kind off column
 ``residues`` takes residues by floor division in the int32 passes: the
 product keys, the second columns and the group's block pass.
 ``breadth_first_tree`` searches the block table alpha // n a slice of
-each level at a time, for the group's connectivity and the coset domain.
+each level at a time, first to last, for the group's connectivity and the
+coset domain, which take any spanning tree.
 ``coordinate_blocks`` cuts every pass over whole coordinates (n darts
 each) into blocks of at most ``CHUNK_DARTS`` darts, so that its
 temporaries stay small at every modulus.  The module imports nothing from
@@ -61,11 +62,11 @@ __all__ = [
 # keys live, and the map, the invariants and the certificate keep 13 and
 # peak at 13.0-13.7.  A higher top waits for an oracle key that is exact
 # past 234.  The largest unreduced product sums, 2 * 3 * 233**2 in
-# mat_mul_exact and 2 * 233**2 in slot_product_keys, are far smaller.  The group's block pass and
-# Completion.second_columns run in int32: their second columns, class
-# codes and alpha offsets need n + n**2 < 2**31 (n up to 46,340), and
-# their element indices and sign tie-break, below n**3, the alpha
-# entries' bound.
+# mat_mul_exact and 2 * 233**2 in slot_product_keys, are far smaller.
+# The group's block pass and Completion.second_columns run in int32: their
+# second columns, class codes and alpha offsets need n + n**2 < 2**31 (n
+# up to 46,340), and their element indices and sign tie-break, below
+# n**3, the alpha entries' bound.
 MAX_MODULUS = 234
 
 # Darts per block of every pass over whole arrays: the group's
@@ -227,14 +228,14 @@ def breadth_first_tree(nbrs: np.ndarray) -> np.ndarray:
     level.  Both callers, the group's connectivity check and
     ``polygon._glued_domain``, pass the (V, n) block table alpha // n, and
     any spanning tree serves both.  Which edge reaches a node when several
-    do is not specified, but it is fixed for a given input.  The graph is
+    do is not specified, but it is fixed for a given input and
+    ``CHUNK_DARTS``.  The graph is
     connected exactly when the tree has N - 1 edges.
 
-    Each level is walked in slices of CHUNK_DARTS // k frontier nodes, so
-    that its int64 candidate edges stay within one block whatever the
-    level's size.  The slices run last to first, and a node reached from
-    several slices takes its edge from the last, so the tree is the one the
-    whole level walked at once gives.
+    Each level is walked in slices of CHUNK_DARTS // k frontier nodes, in
+    order, so that its int64 candidate edges stay within one block whatever
+    the level's size.  A node reached from several edges of one slice keeps
+    one of them, and a node a slice reaches is seen by the slices after it.
     """
     size, k = nbrs.shape
     flat = nbrs.ravel()
@@ -245,8 +246,8 @@ def breadth_first_tree(nbrs: np.ndarray) -> np.ndarray:
     tree = [frontier[:0]]
     step = max(1, CHUNK_DARTS // k)
     while frontier.size:
-        edges, nodes = [], []
-        for lo in reversed(range(0, frontier.size, step)):
+        nodes = []
+        for lo in range(0, frontier.size, step):
             cand = (np.multiply(frontier[lo:lo + step], k, dtype=np.int64)[:, None]
                     + np.arange(k)).ravel()
             reached = flat[cand]
@@ -256,10 +257,9 @@ def breadth_first_tree(nbrs: np.ndarray) -> np.ndarray:
             keep = via[reached] == cand
             cand, reached = cand[keep], reached[keep]
             seen[reached] = True
-            edges.append(cand)
+            tree.append(cand)
             nodes.append(reached)
-        tree.extend(reversed(edges))
-        frontier = nodes[0] if len(nodes) == 1 else np.concatenate(nodes[::-1])
+        frontier = np.concatenate(nodes)
     return np.concatenate(tree)
 
 

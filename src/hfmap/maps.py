@@ -212,21 +212,19 @@ def build_algebraic_map(group: FiniteHeckeGroup) -> MapStructure:
     ord(X) darts, the least k >= 1 with X**k = +-I mod n.  T**k = [[1,
     k*lambda], [0, 1]], so ord(T) = n and V = darts / n.  R**q = -I over Z,
     so ord(R), the length of the identity's face, takes at most q reads of
-    the checked alpha from dart 0; F = darts / ord(R).  No orbit is labelled.
-    The map is frozen, so it is built once per group and kept on it.
+    the checked alpha from dart 0; F = darts / ord(R).  No orbit is labelled,
+    so each call builds a new map at the cost of sigma and the alpha checks.
     """
-    if group._algebraic_map is None:
-        d, (q, n), dart = group.order, (group.params.q, group.params.n), 0
-        amap = MapStructure(sigma=block_successor(0, d, n), alpha=group.alpha)
-        for r in range(1, q + 1):
-            dart = int(amap.alpha[amap.sigma[dart]])
-            if dart == 0:
-                break
-        else:
-            raise ValueError(f"R has no order dividing {q} mod {n}")
-        object.__setattr__(amap, "_invariants", _counted(d, d // n, n, d // r, r))
-        group._algebraic_map = amap
-    return group._algebraic_map
+    d, (q, n), dart = group.order, (group.params.q, group.params.n), 0
+    amap = MapStructure(sigma=block_successor(0, d, n), alpha=group.alpha)
+    for r in range(1, q + 1):
+        dart = int(amap.alpha[amap.sigma[dart]])
+        if dart == 0:
+            break
+    else:
+        raise ValueError(f"R has no order dividing {q} mod {n}")
+    object.__setattr__(amap, "_invariants", _counted(d, d // n, n, d // r, r))
+    return amap
 
 
 def permutation_model_map(pg: PermGroup) -> MapStructure:

@@ -29,6 +29,7 @@ from .coords import (
     normalize,
     vertex_names,
 )
+from .decimals import padded_cells
 from .group import FiniteHeckeGroup, HeckeParams, generators
 from .kernels import _check_modulus, breadth_first_tree
 from .maps import MapStructure, build_algebraic_map, build_coordinate_graph
@@ -628,22 +629,17 @@ def format_circuit_text(rows: np.ndarray, labels: np.ndarray) -> str:
     """One line per row of a ``search_circuits`` table: the labels of its
     nodes, comma-separated (see ``circuit_labels``).
 
-    Each label is encoded once with a trailing comma and once with a
-    trailing newline, padded with zeros to the longest, and each padded
-    label is one fixed-width (void) item.  A row is then one gather of such
-    items, its last cell from the newline table, and the same gather of the
-    labels' byte masks drops the padding.
+    Each label is written once with a trailing comma and once with a
+    trailing newline into ``padded_cells``, and each padded label is one
+    fixed-width (void) item.  A row is then one gather of such items, its
+    last cell from the newline table, and the zero bytes are dropped at the
+    end, as ``decimal_lines`` drops them.
     """
     if not len(rows):
         return ""
-    cells = [f"{label},".encode() for label in labels]
-    sizes = np.array([len(cell) for cell in cells])
-    used = np.arange(sizes.max()) < sizes[:, None]
-    comma = np.zeros(used.shape, dtype=np.uint8)
-    comma[used] = np.frombuffer(b"".join(cells), dtype=np.uint8)
-    newline = comma.copy()
-    newline[np.arange(sizes.size), sizes - 1] = ord("\n")
-    cell = f"V{used.shape[1]}"
-    text = comma.view(cell)[rows, 0]
-    text[:, -1] = newline.view(cell)[rows[:, -1], 0]
-    return text.view(np.uint8)[used.view(cell)[rows, 0].view(bool)].tobytes().decode()
+    cells = padded_cells([f"{label}{end}" for end in ",\n" for label in labels])
+    cells = cells.view(f"V{cells.shape[1]}")[:, 0]
+    text = cells[rows]
+    text[:, -1] = cells[len(labels) + rows[:, -1]]
+    text = text.view(np.uint8)
+    return text[text != 0].tobytes().decode()

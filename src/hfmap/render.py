@@ -34,7 +34,6 @@ from .polygon import BoundarySequence, PairingTable, side_label_analysis
 __all__ = [
     "Cusp",
     "Geodesic",
-    "RenderConfig",
     "universal_geodesics",
     "render_universal",
     "render_quotient",
@@ -99,18 +98,6 @@ class Geodesic:
     a: Cusp
     b: Cusp
     ends: tuple[float, float] = field(compare=False, repr=False)
-
-
-@dataclass
-class RenderConfig:
-    model: str = "halfplane"
-    depth: int = 4
-
-    def __post_init__(self) -> None:
-        if self.model not in ("halfplane", "disk"):
-            raise ValueError(f"model must be halfplane or disk, got {self.model!r}")
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
 
 
 def _geodesic_table(q: int, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,13 +204,18 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>", ""])
 
 
-def render_universal(q: int, cfg: RenderConfig) -> str:
-    """SVG of the universal tessellation's edges down to the given depth."""
-    _, values, geodesics = _geodesic_table(q, cfg.depth)
+def render_universal(q: int, depth: int, model: str) -> str:
+    """SVG of the universal tessellation's edges down to the given depth, in
+    the "halfplane" or the "disk" model."""
+    if model not in ("halfplane", "disk"):
+        raise ValueError(f"model must be halfplane or disk, got {model!r}")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    _, values, geodesics = _geodesic_table(q, depth)
     # Only b can be infinity: infinity sorts last and the ends differ.
     ends = values[geodesics]
     width = WIDTH
-    if cfg.model == "halfplane":
+    if model == "halfplane":
         scale = width / (XMAX - XMIN)
         height = int(round(YMAX * scale))
 

@@ -199,10 +199,9 @@ def _check_rendering(circuit: P.Circuit, pairing: P.PairingTable) -> str:
         edges = sum(1 for l in lines if "--" in l)
         if (nodes, edges) != (nv, ne):
             raise AssertionError(f"dot({q},{n}) has {(nodes, edges)}, want {(nv, ne)}")
-    cfg = R.RenderConfig(model="disk", depth=3)
-    svg = R.render_universal(4, cfg)
+    svg = R.render_universal(4, 3, "disk")
     ET.fromstring(svg)
-    if svg != R.render_universal(4, cfg):
+    if svg != R.render_universal(4, 3, "disk"):
         raise AssertionError("repeated render is not byte-identical")
     return "principal face present, DOT counts exact, SVG well-formed and stable"
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from hfmap import kernels
 from hfmap.coords import HFCoord, adjacent_codes, coordinate_codes, vertex_names
-from hfmap.group import RADICAND, exact_generators
+from hfmap.group import RADICAND, exact_generators, generators
 from hfmap.maps import (
     CorrespondenceReport,
     MapInvariants,
@@ -113,6 +113,16 @@ def mat_mul_exact(a, b, m: int) -> tuple:
         a4 * b2 + m * a5 * b3 + a6 * b6 + m * a7 * b7,
         a4 * b3 + a5 * b2 + a6 * b7 + a7 * b6,
     )
+
+
+def with_rotation(p) -> np.ndarray:
+    """The library's rows of S and T (``group.generators``) and R = T*S
+    mod n, with R's sign chosen as theirs is: the lexicographically smaller
+    of (a, b, c, d) and its negative.  A (3, 5) int64 array."""
+    s, t = generators(p)
+    r = kernels.mat_mul_exact(t, s, p.m) % p.n
+    r[1:] = min(r[1:].tolist(), (-r[1:] % p.n).tolist())
+    return np.stack([s, t, r])
 
 
 def mat_mul_components(a, b, n: int, m: int) -> np.ndarray:

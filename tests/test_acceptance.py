@@ -174,10 +174,9 @@ def test_c10_rendering():
         nodes = sum(1 for l in lines if l.strip().endswith('";') and "--" not in l)
         edges = sum(1 for l in lines if "--" in l)
         assert (nodes, edges) == (nv, ne)
-    cfg = R.RenderConfig(model="halfplane", depth=3)
-    svg = R.render_universal(4, cfg)
+    svg = R.render_universal(4, 3, "halfplane")
     ET.fromstring(svg)
-    assert svg == R.render_universal(4, cfg)
+    assert svg == R.render_universal(4, 3, "halfplane")
     boundary = P.boundary_from_circuit(P.bring_circuit(), P45)
     poly = R.render_polygon(boundary, P.bring_side_pairing())
     ET.fromstring(poly)

@@ -20,7 +20,7 @@ from ring import RingParams, mat_mul, proj_eq
 
 def _slot_generators(p):
     """S, T and R in the oracle's 8 slots."""
-    return oracles.eight_slots(generators(p), p.m)
+    return oracles.eight_slots(oracles.with_rotation(p), p.m)
 
 
 def test_generator_orders():
@@ -112,7 +112,7 @@ def test_parity_examples(group45):
     """The kind digit is the parity of the oracle's slot patterns: T is
     even, and S and t*s*t, one S, are odd."""
     p = HeckeParams(4, 5)
-    s, t, _ = generators(p)
+    s, t = generators(p)
     rp = RingParams(p.n, p.m)
     tst = kernels.mat_mul_exact(kernels.mat_mul_exact(t, s, p.m), t, p.m) % p.n
     want = mat_mul(mat_mul(as_matrix(t, p.m), as_matrix(s, p.m), rp), as_matrix(t, p.m), rp)

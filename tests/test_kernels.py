@@ -41,7 +41,7 @@ def _with_repeats(rows, n):
 
 
 def _named_generators(p):
-    s, t, r = generators(p)
+    s, t, r = oracles.with_rotation(p)
     return {"I": np.array(IDENTITY), "S": s, "T": t, "R": r}
 
 
@@ -236,7 +236,7 @@ def test_product_keys_match_the_general_product(n, m):
     p = HeckeParams(QS[m], n)
     rows = [_with_repeats(_kind_rows(rng, n, kind, 300), n) for kind in range(1 + (m > 1))]
     _check_products(rows, p, n)
-    s, t = generators(p)[:2]
+    s, t = generators(p)
     word = np.array(IDENTITY)
     odd = 0
     for letter in rng.integers(0, 2, size=12).tolist():
@@ -283,7 +283,7 @@ def _reference_closure(p: HeckeParams):
 
     Returns {key: (matrix, BFS level)}.
     """
-    s, t = (as_matrix(row, p.m) for row in generators(p)[:2])
+    s, t = (as_matrix(row, p.m) for row in generators(p))
     rp = RingParams(p.n, p.m)
     ident = canonicalize(identity_matrix(rp), rp)
     order = [(ident, 0)]
@@ -306,7 +306,7 @@ CLOSURE_CASES = [(4, 3), (3, 5), (4, 5), (6, 5), (4, 7), (6, 7)]
 @pytest.mark.parametrize("q,n", CLOSURE_CASES)
 def test_numpy_closure_matches_python_oracle(q, n):
     p = HeckeParams(q, n)
-    gens = oracles.eight_slots(generators(p)[:2], p.m)
+    gens = oracles.eight_slots(generators(p), p.m)
     keys, cayley, done = oracles.closure_bfs(gens, p.n, p.m, 10**6)
     assert done
     assert cayley.shape == (keys.shape[0], 2)
@@ -331,7 +331,7 @@ def test_numpy_closure_matches_python_oracle(q, n):
 @pytest.mark.parametrize("q,n", [(4, 5), (3, 7), (6, 9)])
 def test_closure_stopped_at_limit_keeps_whole_levels(q, n):
     p = HeckeParams(q, n)
-    gens = oracles.eight_slots(generators(p)[:2], p.m)
+    gens = oracles.eight_slots(generators(p), p.m)
     keys, cayley, done = oracles.closure_bfs(gens, p.n, p.m, principal_congruence_index(p))
     assert done
     reference = _reference_closure(p)
@@ -358,7 +358,7 @@ MORE_CLOSURE_CASES = [(q, n) for q in (3, 4, 6) for n in (6, 8, 9, 12, 15, 16)]
 def test_cayley_table_matches_right_mult_perm(q, n):
     group = enumerate_group(HeckeParams(q, n))
     p = group.params
-    gens = oracles.canonical_keys(oracles.eight_slots(generators(p)[:2], p.m), n)
+    gens = oracles.canonical_keys(oracles.eight_slots(generators(p), p.m), n)
     s, t = (oracles.index_of_key(group, int(key)) for key in gens)
     sigma = build_algebraic_map(group).sigma
     assert [int(group.alpha[0]), int(sigma[0])] == [s, t]
@@ -393,33 +393,36 @@ def _random_tables(rng):
             yield np.where(parts < size, parts, own).astype(dtype)
 
 
+def _assert_spans_level_by_level(nbrs, tree):
+    """The tree reaches every node a queue reaches from node 0, each node
+    but 0 once, by an edge from the level before, level by level."""
+    level = _bfs_levels(nbrs)
+    heads = nbrs.ravel()[tree].tolist()
+    tails = (tree // nbrs.shape[1]).tolist()
+    assert len(set(heads)) == len(heads) and 0 not in heads
+    assert set(heads) | {0} == set(level)
+    assert tree.size == len(level) - 1
+    assert all(level[t] + 1 == level[h] for t, h in zip(tails, heads))
+    assert [level[h] for h in heads] == sorted(level[h] for h in heads)
+
+
 def test_breadth_first_tree_spans_what_a_queue_reaches():
     rng = np.random.default_rng(5)
     for nbrs in _random_tables(rng):
-        k = nbrs.shape[1]
         tree = kernels.breadth_first_tree(nbrs)
         assert tree.tobytes() == kernels.breadth_first_tree(nbrs).tobytes()
-        level = _bfs_levels(nbrs)
-        heads = nbrs.ravel()[tree].tolist()
-        tails = (tree // k).tolist()
-        assert len(set(heads)) == len(heads) and 0 not in heads
-        assert set(heads) | {0} == set(level)
-        assert tree.size == len(level) - 1
-        # Each edge leaves a node of the level before its head's, and the
-        # edges come level by level.
-        assert all(level[t] + 1 == level[h] for t, h in zip(tails, heads))
-        assert [level[h] for h in heads] == sorted(level[h] for h in heads)
+        _assert_spans_level_by_level(nbrs, tree)
 
 
-def test_breadth_first_tree_does_not_depend_on_the_slices(monkeypatch):
-    """A level walked in slices gives the tree of the level walked whole."""
+def test_breadth_first_tree_spans_at_every_slice_size(monkeypatch):
+    """Levels walked in slices of 1, 7, 64 or the default CHUNK_DARTS
+    candidate edges give a spanning tree level by level."""
     rng = np.random.default_rng(7)
     tables = list(_random_tables(rng))
-    monkeypatch.setattr(kernels, "CHUNK_DARTS", 1 << 30)
-    whole = [kernels.breadth_first_tree(nbrs).tobytes() for nbrs in tables]
-    for chunk in (1, 7, 64):
+    for chunk in (1, 7, 64, kernels.CHUNK_DARTS):
         monkeypatch.setattr(kernels, "CHUNK_DARTS", chunk)
-        assert [kernels.breadth_first_tree(nbrs).tobytes() for nbrs in tables] == whole
+        for nbrs in tables:
+            _assert_spans_level_by_level(nbrs, kernels.breadth_first_tree(nbrs))
 
 
 def test_breadth_first_tree_reads_the_group_table_in_place():

@@ -240,12 +240,9 @@ def test_invariants_json_exact(map45):
     ]
 
 
-def test_algebraic_map_is_built_once_per_group(monkeypatch):
-    g = cached_group(4, 5)
-    assert build_algebraic_map(g) is build_algebraic_map(g)
-
+def test_algebraic_map_labels_no_orbit(monkeypatch):
     # One sweep problem, as the benchmark runs it: the group's map labels
-    # no orbit, although three calls use it; sigma is a block rotation,
+    # no orbit, although three calls build it; sigma is a block rotation,
     # alpha's edges are pairs and every face has ord(R) darts.  The coset
     # domain's boundary polygon is a map of its own on the 2N + 2 boundary
     # sides, whose sigma is no block rotation, so its sigma and phi are

@@ -12,7 +12,6 @@ from hfmap.polygon import boundary_from_circuit, bring_circuit, bring_side_pairi
 from hfmap.render import (
     Cusp,
     Geodesic,
-    RenderConfig,
     render_polygon,
     render_quotient,
     render_universal,
@@ -56,7 +55,7 @@ def test_render_evaluates_no_cusp(monkeypatch, model):
     for cls in (Cusp, Geodesic):
         monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
     monkeypatch.setattr(Cusp, "value", counted("value", Cusp.value))
-    render_universal(4, RenderConfig(model=model, depth=6))
+    render_universal(4, 6, model)
     monkeypatch.undo()
     assert calls == Counter()
     m = RADICAND[4]
@@ -73,10 +72,10 @@ def test_no_duplicate_endpoint_pairs():
 def test_depth_bound():
     with pytest.raises(ValueError):
         universal_geodesics(4, 13)
-    with pytest.raises(ValueError):
-        RenderConfig(depth=-1)
-    with pytest.raises(ValueError):
-        RenderConfig(model="sphere")
+    with pytest.raises(ValueError, match="^depth must be >= 0$"):
+        render_universal(4, -1, "halfplane")
+    with pytest.raises(ValueError, match="^model must be halfplane or disk, got 'sphere'$"):
+        render_universal(4, 4, "sphere")
 
 
 @pytest.mark.parametrize("t,error", [
@@ -101,13 +100,12 @@ def _assert_well_formed(svg: str) -> ET.Element:
 
 @pytest.mark.parametrize("model", ["halfplane", "disk"])
 def test_universal_svg(model):
-    cfg = RenderConfig(model=model, depth=3)
-    svg = render_universal(4, cfg)
+    svg = render_universal(4, 3, model)
     _assert_well_formed(svg)
     # one path per geodesic
     paths = svg.count("<path ")
     assert paths == len(universal_geodesics(4, 3))
-    assert svg == render_universal(4, cfg)  # byte-identical
+    assert svg == render_universal(4, 3, model)  # byte-identical
 
 
 @pytest.mark.parametrize(
@@ -167,10 +165,10 @@ def test_disk_render_memory_is_bounded():
     4.45 MB document: the document, the blocks of text it is joined from,
     and the float and byte arrays of one block of paths.  Sampled and
     projected on whole-page arrays it was 3.6 times."""
-    render_universal(4, RenderConfig(model="disk", depth=3))  # lazy set-up first
+    render_universal(4, 3, "disk")  # lazy set-up first
     tracemalloc.start()
     try:
-        svg = render_universal(4, RenderConfig(model="disk", depth=12))
+        svg = render_universal(4, 12, "disk")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import oracles
 import pytest
 from conftest import as_matrix
 
@@ -74,7 +75,7 @@ def test_ring_axioms_exhaustive(n, m):
 
 def test_mat_mul_identity_and_involution():
     p = HeckeParams(4, 5)
-    s, t, r = (as_matrix(row, p.m) for row in generators(p))
+    s, t, r = (as_matrix(row, p.m) for row in oracles.with_rotation(p))
     ident = canonicalize(identity_matrix(P52), P52)
     assert mat_mul(s, ident, P52) == s
     assert mat_mul(s, s, P52) == ident  # S has order 2 projectively

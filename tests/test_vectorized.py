@@ -45,7 +45,7 @@ from hfmap.polygon import (
     parse_circuit_text,
     search_circuits,
 )
-from hfmap.render import RenderConfig, render_universal
+from hfmap.render import render_universal
 
 # Odd and even n; 2 | n with m = 2 | n at q = 4, and m = 3 | n at q = 6.
 CASES = [(q, n) for q in (3, 4, 6) for n in (3, 4, 5, 6, 7, 8, 9, 12, 15, 21)] + [(4, 30)]
@@ -744,7 +744,7 @@ def test_largest_geodesic_entry_is_pinned():
     "q,depth", [(q, depth) for q in (3, 4, 6) for depth in range(9)] + [(4, 12)]
 )
 def test_disk_render_matches_oracle(q, depth):
-    got = render_universal(q, RenderConfig(model="disk", depth=depth))
+    got = render_universal(q, depth, "disk")
     assert _first_difference(got, oracles.render_disk(q, depth)) is None
 
 
