@@ -5,7 +5,9 @@ BENCH_pipeline.json.
     python benchmarks/bench_pipeline.py [--max-n 101] [--out PATH]
 
 For each (q, n) of ``PAIRS`` (those with n <= --max-n) the stages of
-``cli.cmd_map`` run in process, in its order:
+``cli.cmd_map`` run in their order, in a fresh interpreter of their own
+(``measure``), so that no row's figures depend on what earlier rows
+allocated and freed:
 
 - group: ``enumerate_group``;
 - map: ``build_algebraic_map``, with the alpha checks of ``MapStructure``;
@@ -16,19 +18,20 @@ It records per stage the median wall time of ``REPEATS`` untraced runs,
 and, from one run under ``tracemalloc`` (numpy reports its buffers to it),
 the bytes kept after the stage and the peak during it, per group element.
 A child ``python -m hfmap.cli map --q Q --n N --json`` gives the peak RSS
-of the command itself.
+of the command itself.  This process runs no stage, so that its RSS, where
+a child's peak starts, is that of its imports.
 
 The rows with n <= ``COSET_MAX_N``, the rows CI runs, also hold a
-``coset`` figure: ``polygon.coset_domain_check`` on the row's group, whose
-map is already built, as the median wall time of ``REPEATS`` runs and the
-traced peak of one more per group element.  It is not a stage of ``map``,
-which never glues the coset domain; it is the one Euler characteristic
-that shares nothing with orbit counting.  The program is imported from the ``src/`` of the
-checkout that holds this script.  The run fails, with exit code 1 and
-nothing written, when a group's order differs from
-``principal_congruence_index``, a certificate fails, the coset domain's
-Euler characteristic differs from the map's or the child's answer differs
-from the in-process one.
+``coset`` figure: ``polygon.coset_domain_check`` on the row's group, which
+builds the group's map inside each call, as the median wall time of
+``REPEATS`` runs and the traced peak of one more per group element.  It is
+not a stage of ``map``, which never glues the coset domain; it is the one
+Euler characteristic that shares nothing with orbit counting.  The program
+is imported from the ``src/`` of the checkout that holds this script.  The
+run fails, with exit code 1 and nothing written, when a group's order
+differs from ``principal_congruence_index``, a certificate fails, the
+coset domain's Euler characteristic differs from the map's or the CLI's
+answer differs from the one measured in process.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
@@ -60,6 +64,11 @@ PAIRS = [(4, 29), (4, 53), (4, 101), (4, 151), (4, 233), (3, 97), (6, 90), (6, 2
 STAGES = ("group", "map", "invariants", "cert")
 REPEATS = 3
 COSET_MAX_N = 101  # the rows of the CI step, --max-n 101
+
+# One row's measurement in a fresh interpreter: argv is this script's
+# directory and the JSON arguments of ``measure``; stdout is the row.
+ROW = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench_pipeline; "
+       "print(json.dumps(bench_pipeline.measure(*json.loads(sys.argv[2]))))")
 
 
 def run_stages(p: HeckeParams, between=lambda stage: None):
@@ -115,8 +124,8 @@ def traced_bytes(p: HeckeParams, order: int) -> tuple[dict, dict]:
 
 def coset_figure(p: HeckeParams) -> dict:
     """Median wall time of REPEATS runs of coset_domain_check, in s, and
-    the traced peak of one more per group element, on one group whose map
-    the first, untimed run builds."""
+    the traced peak of one more per group element, on one group, after one
+    untimed run; each run builds the group's map afresh."""
     group = enumerate_group(p)
     if not coset_domain_check(group).matches_map:
         raise RuntimeError(f"(q, n) = ({p.q}, {p.n}): the coset domain's chi is not the map's")
@@ -157,7 +166,7 @@ def child_map(p: HeckeParams) -> tuple[str, float, float]:
 
 def measure(q: int, n: int, child: tuple[str, float, float]) -> dict:
     """The row of (q, n), given the stdout, wall time and peak RSS of its
-    ``hfmap map --json``."""
+    ``hfmap map --json``; ``main`` runs it in a fresh interpreter."""
     p = HeckeParams(q, n)
     index = principal_congruence_index(p)
     # One untimed run first, so that imports and lazy set-up are done.
@@ -196,14 +205,15 @@ def main(argv: list[str] | None = None) -> int:
     pairs = [(q, n) for q, n in PAIRS if n <= args.max_n]
     rows = []
     try:
-        # The children run first, while this process holds no more than the
-        # CLI's own imports: the peak RSS a child reports starts from that
-        # of the process it was forked from.
-        children = [child_map(HeckeParams(q, n)) for q, n in pairs]
-        for (q, n), child in zip(pairs, children):
-            row = measure(q, n, child)
-            print(json.dumps(row), file=sys.stderr)
-            rows.append(row)
+        for q, n in pairs:
+            spec = json.dumps([q, n, child_map(HeckeParams(q, n))])
+            proc = subprocess.run([sys.executable, "-c", ROW, str(HERE), spec],
+                                  capture_output=True, text=True)
+            if proc.returncode:
+                last = "".join(proc.stderr.strip().splitlines()[-1:])
+                raise RuntimeError(f"the row of ({q}, {n}) exited {proc.returncode}: {last}")
+            print(proc.stdout.strip(), file=sys.stderr)
+            rows.append(json.loads(proc.stdout))
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

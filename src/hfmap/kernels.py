@@ -229,8 +229,8 @@ def breadth_first_tree(nbrs: np.ndarray) -> np.ndarray:
     ``polygon._glued_domain``, pass the (V, n) block table alpha // n, and
     any spanning tree serves both.  Which edge reaches a node when several
     do is not specified, but it is fixed for a given input and
-    ``CHUNK_DARTS``.  The graph is
-    connected exactly when the tree has N - 1 edges.
+    ``CHUNK_DARTS``.  The graph is connected exactly when the tree has
+    N - 1 edges.
 
     Each level is walked in slices of CHUNK_DARTS // k frontier nodes, in
     order, so that its int64 candidate edges stay within one block whatever

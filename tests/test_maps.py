@@ -242,11 +242,11 @@ def test_invariants_json_exact(map45):
 
 def test_algebraic_map_labels_no_orbit(monkeypatch):
     # One sweep problem, as the benchmark runs it: the group's map labels
-    # no orbit, although three calls build it; sigma is a block rotation,
-    # alpha's edges are pairs and every face has ord(R) darts.  The coset
-    # domain's boundary polygon is a map of its own on the 2N + 2 boundary
-    # sides, whose sigma is no block rotation, so its sigma and phi are
-    # labelled once each.
+    # no orbit, although three calls use a map of the group; sigma is a
+    # block rotation, alpha's edges are pairs and every face has ord(R)
+    # darts.  The coset domain's boundary polygon is a map of its own on
+    # the 2N + 2 boundary sides, whose sigma is no block rotation, so its
+    # sigma and phi are labelled once each.
     counts = Counter()
     orbit_labels = maps._orbit_labels
 
